@@ -374,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_run.add_argument(
         "--shard-size", type=int, metavar="N",
-        help="nodes per work item (default 32); never changes the "
-        "results",
+        help="nodes per work item (default: the nodes that run over "
+        "2 x workers, clamped to 32..128); never changes the results",
     )
     fleet_run.add_argument(
         "--engine", choices=("batch", "per-node"), default="batch",
@@ -716,7 +716,8 @@ def _cmd_bench(args, out) -> int:
     print(
         f"parallel suite: serial {par['serial_seconds']:.2f}s, "
         f"{par['workers']} workers {par['parallel_seconds']:.2f}s "
-        f"({par['speedup']:.2f}x, {par['workload']})",
+        f"({perf_bench.format_speedup(par['speedup'])}, "
+        f"{par['workload']})",
         file=out,
     )
     fleet = b["fleet"]

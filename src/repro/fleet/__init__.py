@@ -26,9 +26,11 @@ from .result import (
     NodeSummary,
 )
 from .runner import (
-    DEFAULT_SHARD_SIZE,
     ENGINES,
+    MAX_SHARD_SIZE,
+    MIN_SHARD_SIZE,
     FleetRunner,
+    default_shard_size,
     node_spec_digest,
     run_fleet,
     simulate_node,
@@ -37,7 +39,6 @@ from .runner import (
 from .spec import FLEET_POLICIES, FleetSpec, NodeSpec, node_trace
 
 __all__ = [
-    "DEFAULT_SHARD_SIZE",
     "ENGINES",
     "FLEET_POLICIES",
     "FLEET_RESULT_SCHEMA",
@@ -46,8 +47,11 @@ __all__ = [
     "FleetResult",
     "FleetRunner",
     "FleetSpec",
+    "MAX_SHARD_SIZE",
+    "MIN_SHARD_SIZE",
     "NodeSpec",
     "NodeSummary",
+    "default_shard_size",
     "node_spec_digest",
     "node_trace",
     "run_fleet",

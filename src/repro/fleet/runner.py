@@ -1,13 +1,20 @@
 """Fleet execution: shard nodes over the process pool, checkpoint shards.
 
 A :class:`FleetRunner` expands a :class:`~repro.fleet.spec.FleetSpec`
-into shards of node ids and fans them out over
-:func:`repro.perf.parallel.parallel_map`.  Each shard is a tiny
-picklable work item ``(spec, node_ids, shard_index, span_context)``;
-the worker rebuilds the base trace, derives every node's configuration
-from ``(fleet seed, node id)``, simulates it inside ``shard``/``node``
-spans and returns one :class:`~repro.fleet.result.NodeSummary` per
-node plus its collected span records.
+into shards of node ids and fans them out over the supervised pool,
+:func:`repro.reliability.supervisor.supervised_map`.  Each shard is a
+tiny picklable work item ``(spec, node_ids, shard_index,
+span_context, ...)``; the worker rebuilds the base trace (and, when a
+``proposed`` node needs it, the DBN training trace) once, derives
+every node's configuration from ``(fleet seed, node id)``, simulates
+it inside ``shard``/``node`` spans and returns one
+:class:`~repro.fleet.result.NodeSummary` per node plus its collected
+span records.
+
+Shards are sized for the batched engine (:func:`default_shard_size`):
+its per-slot numpy dispatch amortizes over the shard width, so the
+default is as wide as load balance allows, capped where the width
+sweep flattens.
 
 Two layers of reuse ride on the existing artifact cache:
 
@@ -43,6 +50,7 @@ worker kills, hangs and poison nodes deterministically to prove it.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -74,8 +82,10 @@ from .result import FailedNode, FleetAggregate, FleetResult, NodeSummary
 from .spec import FleetSpec, NodeSpec, node_trace
 
 __all__ = [
-    "DEFAULT_SHARD_SIZE",
+    "MAX_SHARD_SIZE",
+    "MIN_SHARD_SIZE",
     "FleetRunner",
+    "default_shard_size",
     "node_spec_digest",
     "run_fleet",
     "simulate_node",
@@ -89,10 +99,24 @@ __all__ = [
 #: batched-vs-per-node oracle and the conformance test wall.
 ENGINES = ("batch", "per-node")
 
-#: Nodes per work item.  Small enough to load-balance a handful of
-#: workers on mid-sized fleets, big enough that the per-item pickle and
-#: base-trace rebuild cost stays negligible.
-DEFAULT_SHARD_SIZE = 32
+#: Bounds of the default shard size.  Below 32 nodes the batched
+#: engine's per-slot numpy dispatch dominates; past 128 its wall time
+#: flattens while its heap (per-row period records, intra-task subset
+#: temporaries) keeps growing with the width, and checkpoints coarsen.
+MIN_SHARD_SIZE = 32
+MAX_SHARD_SIZE = 128
+
+
+def default_shard_size(n_nodes: int, workers: int) -> int:
+    """Nodes per work item when the caller does not choose.
+
+    As wide as possible for the batched engine while every worker
+    still gets at least two shards (load balance), clamped to
+    ``[MIN_SHARD_SIZE, MAX_SHARD_SIZE]``.  ``n_nodes`` counts only the
+    nodes that run.  Never affects results, only wall-clock.
+    """
+    per_worker = math.ceil(n_nodes / (2 * max(workers, 1)))
+    return min(MAX_SHARD_SIZE, max(MIN_SHARD_SIZE, per_worker))
 
 #: Artifact-cache namespace of shard checkpoints.
 SHARD_KIND = "fleet-shard"
@@ -115,25 +139,37 @@ def _make_scheduler(policy: str, scheduler_seed: int):
     raise ValueError(f"unknown fleet policy {policy!r}")
 
 
-def _proposed_policy(fleet: FleetSpec, graph_kind: str):
-    """Train (or cache-load) the paper's pipeline for one workload.
+def training_trace(fleet: FleetSpec):
+    """The synthetic weather every ``proposed`` node trains on.
 
-    The training budget is the fleet's small ``proposed_*`` knobs; the
-    artifact is shared through the ``policy`` disk cache, so a fleet
-    with 50 ``proposed``/``wam`` nodes trains once, not 50 times.
+    Depends only on the fleet spec, so a shard builds it once and
+    hands it to each of its ``proposed`` nodes.
     """
-    from ..core.offline import OfflinePipeline
     from ..solar.days import synthetic_trace
     from ..timeline import Timeline
 
-    graph = build_graph(graph_kind)
     train_tl = Timeline(
         num_days=fleet.proposed_train_days,
         periods_per_day=fleet.periods_per_day,
         slots_per_period=fleet.slots_per_period,
         slot_seconds=fleet.slot_seconds,
     )
-    train_trace = synthetic_trace(train_tl, seed=fleet.seed)
+    return synthetic_trace(train_tl, seed=fleet.seed)
+
+
+def _proposed_policy(fleet: FleetSpec, graph_kind: str, train_trace=None):
+    """Train (or cache-load) the paper's pipeline for one workload.
+
+    The training budget is the fleet's small ``proposed_*`` knobs; the
+    artifact is shared through the ``policy`` disk cache, so a fleet
+    with 50 ``proposed``/``wam`` nodes trains once, not 50 times.
+    ``train_trace`` defaults to :func:`training_trace` of the fleet.
+    """
+    from ..core.offline import OfflinePipeline
+
+    graph = build_graph(graph_kind)
+    if train_trace is None:
+        train_trace = training_trace(fleet)
     pipeline = OfflinePipeline(
         graph,
         pretrain_epochs=fleet.proposed_epochs,
@@ -168,16 +204,21 @@ def _summarize(spec: NodeSpec, graph, result) -> NodeSummary:
     )
 
 
-def simulate_node(fleet: FleetSpec, base_trace, spec: NodeSpec) -> NodeSummary:
+def simulate_node(
+    fleet: FleetSpec, base_trace, spec: NodeSpec, train_trace=None
+) -> NodeSummary:
     """Simulate one fleet node and reduce it to a :class:`NodeSummary`.
 
     Pure function of the fleet spec, the shared base trace and the
     node spec — no global state, safe in any worker process.
+    ``train_trace`` lets a caller that simulates many ``proposed``
+    nodes pass :func:`training_trace` in once instead of rebuilding it
+    per node; it never changes the summary.
     """
     graph = build_graph(spec.graph_kind)
     trace = node_trace(base_trace, spec)
     if spec.policy == "proposed":
-        policy = _proposed_policy(fleet, spec.graph_kind)
+        policy = _proposed_policy(fleet, spec.graph_kind, train_trace)
         node = policy.make_node()
         scheduler = policy.make_scheduler()
     else:
@@ -233,10 +274,22 @@ def simulate_shard_batch(
         ]
         for i, result in zip(eligible, simulate_batch(cases)):
             summaries[i] = _summarize(specs[i], graphs[i], result)
+    train = _shard_training_trace(fleet, specs)
     for i, spec in enumerate(specs):
         if summaries[i] is None:
-            summaries[i] = simulate_node(fleet, base_trace, spec)
+            summaries[i] = simulate_node(fleet, base_trace, spec, train)
     return [s for s in summaries if s is not None]
+
+
+def _shard_training_trace(fleet: FleetSpec, specs: Sequence[NodeSpec]):
+    """:func:`training_trace` when a shard has a ``proposed`` node, else ``None``.
+
+    ``proposed`` nodes never batch, so every one of them takes it
+    through :func:`simulate_node`.
+    """
+    if any(spec.policy == "proposed" for spec in specs):
+        return training_trace(fleet)
+    return None
 
 
 def node_spec_digest(spec: NodeSpec) -> str:
@@ -256,7 +309,8 @@ def _run_shard(item):
     """Worker entry point: simulate one shard of node ids, supervised.
 
     Module-level (picklable) on purpose; rebuilds the shared base trace
-    once per shard rather than shipping the power array per item.
+    (and the training trace, if a ``proposed`` node needs it) once per
+    shard rather than shipping the power arrays per item.
 
     The work item is ``(spec, node_ids, shard_index, ctx_wire,
     chaos_plan, node_retries, on_node_error, engine, attempt)``:
@@ -295,6 +349,8 @@ def _run_shard(item):
     start = time.perf_counter()
     tracer, records = collecting_tracer(ctx_wire)
     base = fleet.base_trace()
+    specs = {node_id: fleet.node_spec(node_id) for node_id in node_ids}
+    train = _shard_training_trace(fleet, specs.values())
     done: Dict[int, NodeSummary] = {}
     failed: List[FailedNode] = []
     with activate(tracer):
@@ -311,8 +367,7 @@ def _run_shard(item):
                 from ..sim.batch import batch_ineligibility, simulate_batch
 
                 eligible = []
-                for node_id in node_ids:
-                    spec = fleet.node_spec(node_id)
+                for node_id, spec in specs.items():
                     graph = build_graph(spec.graph_kind)
                     if batch_ineligibility(spec.policy, graph) is None:
                         eligible.append((node_id, spec, graph))
@@ -353,7 +408,7 @@ def _run_shard(item):
             for node_id in node_ids:
                 if node_id in done:
                     continue
-                spec = fleet.node_spec(node_id)
+                spec = specs[node_id]
                 with tracer.span(
                     "node",
                     key=node_id,
@@ -364,7 +419,9 @@ def _run_shard(item):
                         try:
                             if chaos is not None:
                                 chaos.on_node_start(node_id, attempt)
-                            summary = simulate_node(fleet, base, spec)
+                            summary = simulate_node(
+                                fleet, base, spec, train
+                            )
                         except KeyboardInterrupt:
                             raise
                         except Exception as exc:
@@ -411,8 +468,8 @@ class FleetRunner:
         Process count (``None`` → ``$REPRO_WORKERS`` → serial).  Never
         affects results, only wall-clock.
     shard_size:
-        Nodes per work item (default :data:`DEFAULT_SHARD_SIZE`).
-        Never affects results.
+        Nodes per work item (default :func:`default_shard_size` of the
+        nodes that run and the worker count).  Never affects results.
     engine:
         Shard executor (:data:`ENGINES`): ``"batch"`` (default)
         advances every batch-eligible node of a shard through one
@@ -485,7 +542,6 @@ class FleetRunner:
             )
         self.spec = spec
         self.workers = resolve_workers(workers)
-        self.shard_size = int(shard_size or DEFAULT_SHARD_SIZE)
         if cache is False:
             self.cache: Optional[ArtifactCache] = None
         elif cache is None:
@@ -500,6 +556,11 @@ class FleetRunner:
         self.exclude_nodes: FrozenSet[int] = frozenset(
             exclude_nodes or ()
         )
+        self.shard_size = (
+            int(shard_size)
+            if shard_size is not None
+            else default_shard_size(len(self._run_ids()), self.workers)
+        )
         self.engine = engine
 
     # ------------------------------------------------------------------
@@ -511,13 +572,16 @@ class FleetRunner:
         different shard layout — which the determinism contract says
         must not matter.
         """
-        ids = [
-            i for i in range(self.spec.n_nodes)
-            if i not in self.exclude_nodes
-        ]
+        ids = self._run_ids()
         return [
             tuple(ids[lo : lo + self.shard_size])
             for lo in range(0, len(ids), self.shard_size)
+        ]
+
+    def _run_ids(self) -> List[int]:
+        return [
+            i for i in range(self.spec.n_nodes)
+            if i not in self.exclude_nodes
         ]
 
     def _shard_digest(self, node_ids: Sequence[int]) -> str:

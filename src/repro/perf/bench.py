@@ -32,6 +32,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 __all__ = [
+    "format_speedup",
+    "host_cpus",
     "run_bench",
     "compare_to_baseline",
     "write_report",
@@ -135,8 +137,27 @@ def _bench_offline(quick: bool) -> Dict[str, Any]:
     }
 
 
+def host_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has
+    one (a container's CPU limit shows there), else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def format_speedup(speedup: Optional[float]) -> str:
+    """``1.23x``, or ``n/a`` for a figure the host could not produce."""
+    return "n/a" if speedup is None else f"{speedup:.2f}x"
+
+
 def _bench_parallel(quick: bool, workers: int) -> Dict[str, Any]:
-    """Serial vs parallel evaluation suite (fig-9 sweep in full mode)."""
+    """Serial vs parallel evaluation suite (fig-9 sweep in full mode).
+
+    ``speedup`` is ``None`` (rendered "n/a") when the host has fewer
+    usable CPUs than ``workers``: the pool then time-slices one core
+    and the ratio measures the host, not the parallel runner.
+    """
     from ..experiments.common import (
         default_timeline,
         evaluation_suite,
@@ -161,12 +182,16 @@ def _bench_parallel(quick: bool, workers: int) -> Dict[str, Any]:
     t0 = time.perf_counter()
     evaluation_suite(graph, trace, policy, n_workers=workers)
     parallel = time.perf_counter() - t0
+    cpus = host_cpus()
     return {
         "workload": workload,
         "workers": workers,
+        "cpus": cpus,
         "serial_seconds": serial,
         "parallel_seconds": parallel,
-        "speedup": serial / max(parallel, 1e-9),
+        "speedup": (
+            serial / max(parallel, 1e-9) if cpus >= workers else None
+        ),
     }
 
 
@@ -333,7 +358,7 @@ def render_history(path=HISTORY_PATH) -> str:
             f"{str(bool(entry.get('quick'))):>5}  "
             f"{entry.get('slots_per_sec', 0):>10.0f}  "
             f"{entry.get('cache_speedup', 0):>8.1f}  "
-            f"{entry.get('parallel_speedup', 0):>6.2f}  "
+            f"{format_speedup(entry.get('parallel_speedup')):>6}  "
             f"{entry.get('fleet_nodes_per_sec', 0):>10.2f}  "
             f"{entry.get('fleet_batch_nodes_per_sec', 0):>10.1f}"
         )

@@ -17,20 +17,28 @@ byte-for-byte.  The layout decisions that make this work:
 * **Task space vs position space.**  Runtime state (remaining, missed,
   started) lives in original task order; the static priority order the
   schedulers use — sorted by ``(deadline_slot, index)`` — is a
-  precomputed per-node permutation, applied through a precomputed
-  row-index/permutation fancy-index pair.
+  precomputed per-node permutation, applied as one flat ``take`` with
+  precomputed indices (and its inverse back into task space).
   Padded task slots (heterogeneous graph sizes) complete the
   permutation bijectively so scatters are exact.
 * **Sequential masked sums.**  ``np.sum`` uses pairwise accumulation,
   which is *not* the left-to-right order of the scalar engine's
-  ``sum(...)``; load power and leakage losses are therefore accumulated
-  with an explicit loop over the (≤ :data:`MAX_BATCH_TASKS`) position
-  columns, adding a masked ``0.0`` where a node did not choose the
-  task — exact, because ``x + 0.0`` is ``x`` for every non-negative
-  ``x``.
+  ``sum(...)``; load power and leakage losses are therefore summed
+  with ``np.add.accumulate`` along the position (or capacitor) axis,
+  which adds strictly left to right, with a masked ``0.0`` where a
+  node did not choose the task — exact, because ``x + 0.0`` is ``x``
+  for every non-negative ``x``.
+* **Static tables instead of per-position loops.**  A row's task set
+  packs into one uint16 bitmask (``mask @ bit weights``), so the
+  first-claim-wins NVP filter, the precedence test, the dependence
+  cascade and the active-NVP set are each one AND against a static
+  per-row table ("earlier position on the same NVP", predecessors,
+  ancestors, tasks per NVP).  Each slot therefore costs a fixed number
+  of numpy calls, whatever the task count, and that cost amortizes
+  over the batch width.
 * **Python pow where the scalar engine uses it.**  numpy's pow ufunc
   is not bit-identical to libm's ``**`` on some platforms; the leakage
-  voltage power keeps the per-element Python ``**`` exactly like
+  voltage power keeps the per-element libm ``pow`` exactly like
   :meth:`~repro.energy.bank.CapacitorBank.leak_all`.  The regulator
   curves go through the same ``np.power`` ufunc in both scalar and
   array form (see :class:`~repro.energy.regulator.RegulatorCurve`), so
@@ -40,9 +48,12 @@ byte-for-byte.  The layout decisions that make this work:
   with an ``alive`` mask standing in for the scalar ``break``; rows
   that stop updating never resurrect, matching break semantics.
 * **Per-node Python only off the hot path.**  WCMA prediction and
-  energy admission (inter-task rows) run per node once per *period*;
-  the ``random`` policy keeps its per-node ``Generator`` draw loop so
-  the consumed stream is identical.
+  energy admission (inter-task rows) run per node once per *period*.
+  Each ``random`` node keeps its own ``Generator``; once per period it
+  tops a buffer up to the period's largest possible draw count
+  (``slots × tasks``), and every slot consumes one draw per ready task
+  through a cursor.  ``Generator.random(k)`` yields the same doubles as
+  ``k`` scalar draws, so the consumed stream is identical.
 
 Eligibility: :func:`batch_ineligibility` names why a case cannot take
 the batched path (unsupported policy, too many tasks for the exact
@@ -218,6 +229,37 @@ def _simulate_per_node(case: BatchCase) -> SimulationResult:
     )
 
 
+#: Per-row task/position sets are uint16 bitmasks, bit ``j`` standing
+#: for column ``j`` (``MAX_BATCH_TASKS`` < 16).  ``mask @ _BIT`` packs a
+#: boolean ``(n, t)`` array; ``(bits[:, None] & table) != 0`` then asks
+#: "does the set meet each table entry" for a whole row in one AND —
+#: numpy's ``any`` over a short axis costs far more per call.
+_BIT = (1 << np.arange(MAX_BATCH_TASKS)).astype(np.uint16)
+
+
+def _bits(mask: np.ndarray) -> np.ndarray:
+    """Pack a boolean ``(n, t)`` array into ``(n,)`` uint16 bitmasks."""
+    return mask @ _BIT[: mask.shape[1]]
+
+
+def _pack(rel: np.ndarray) -> np.ndarray:
+    """Pack ``rel[row, i, j]`` over ``j`` into ``[row, i]`` bitmasks."""
+    return (rel * _BIT[: rel.shape[2]]).sum(axis=2, dtype=np.uint16)
+
+
+def _earlier_same(nvp: np.ndarray) -> np.ndarray:
+    """``[row, p, q]``: column ``q`` precedes ``p`` on the same NVP."""
+    cols = np.arange(nvp.shape[1])
+    return (nvp[:, :, None] == nvp[:, None, :]) & (
+        cols[None, :] < cols[:, None]
+    )
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Left-to-right sum of each row, like the scalar ``sum(...)``."""
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -239,15 +281,13 @@ class _BatchEngine:
         self._setup_tasks()
         self._setup_bank()
         self._setup_policies()
-        # (n, total_periods, slots) solar powers, one gather per slot.
-        self._solar = np.stack(
-            [
-                case.trace.power.reshape(
-                    tl.total_periods, tl.slots_per_period
-                )
-                for case in cases
-            ]
-        )
+        # Per-node (total_periods, slots) views of the traces; each
+        # period stacks its slice rather than the engine holding a
+        # second copy of every trace.
+        self._solar = [
+            case.trace.power.reshape(tl.total_periods, tl.slots_per_period)
+            for case in cases
+        ]
 
     # ------------------------------------------------------------------
     def _setup_tasks(self) -> None:
@@ -266,14 +306,11 @@ class _BatchEngine:
         pred = np.zeros((n, t_max, t_max), dtype=bool)
         desc = np.zeros((n, t_max, t_max), dtype=bool)
         perm = np.zeros((n, t_max), dtype=np.int64)
-        self.powers_list: List[List[float]] = []
         for row, g in enumerate(graphs):
             t_n = self.t_ns[row]
             self.valid[row, :t_n] = True
             self.exec0[row, :t_n] = [t.execution_time for t in g.tasks]
-            task_powers = [t.power for t in g.tasks]
-            self.powers_list.append(task_powers)
-            powers[row, :t_n] = task_powers
+            powers[row, :t_n] = [t.power for t in g.tasks]
             row_dls = [tl.deadline_slot(t.deadline) for t in g.tasks]
             dls[row, :t_n] = row_dls
             for i in range(t_n):
@@ -288,18 +325,31 @@ class _BatchEngine:
         self.powers = powers
         self.dls = dls
         self.nvp = nvp
-        self.pred = pred
-        self.desc = desc
-        self.perm = perm
+        # Task relations as per-row bitmasks over the task axis (see
+        # _bits): a slot tests "any predecessor not done" with one AND.
+        self.pred_bits = _pack(pred)
+        self.anc_bits = _pack(desc.transpose(0, 2, 1))
         # Static priority-position views of the per-task constants.
         self.powers_pos = np.take_along_axis(powers, perm, axis=1)
         self.dls_pos = np.take_along_axis(dls, perm, axis=1)
-        self.nvp_pos = np.take_along_axis(nvp, perm, axis=1)
         self._pos_range = np.arange(t_max)
-        # Fancy-index pair equivalent to take/put_along_axis(perm) but
-        # without rebuilding the index tuple every slot.
-        self._gather_rows = self._rows[:, None]
+        # Flat gather indices: ``x.take(to_pos)`` is x in priority
+        # position order, ``x_pos.take(to_task)`` the way back.
+        offsets = (self._rows * t_max)[:, None]
+        self.to_pos = perm + offsets
+        self.to_task = np.argsort(perm, axis=1) + offsets
+        # [row, p]: positions before p on the same NVP.  A candidate
+        # survives first-claim-wins iff none of them is a candidate
+        # (the first candidate on an NVP always claims it).
+        self.earlier_same_bits = _pack(_earlier_same(
+            np.take_along_axis(nvp, perm, axis=1)
+        ))
         self.k_max = max(g.num_nvps for g in graphs)
+        # [row, k]: the tasks that run on NVP k.
+        self.nvp_task_bits = _pack(
+            (nvp[:, None, :] == np.arange(self.k_max)[:, None])
+            & self.valid[:, None, :]
+        )
         # cycle_cost accumulates 3e-6 per transitioned NVP by repeated
         # addition in the scalar engine; precompute that prefix sum the
         # same way so k transitions index the identical float.
@@ -307,6 +357,7 @@ class _BatchEngine:
         for _ in range(self.k_max):
             costs.append(costs[-1] + 3.0e-6)
         self._cycle_table = np.array(costs)
+        self._nvp_ones = np.ones(self.k_max, dtype=np.int64)
 
     def _setup_bank(self) -> None:
         """Bank constants, padded column-wise; active column is static.
@@ -350,8 +401,11 @@ class _BatchEngine:
                 active[row] = int(caps.argmax())
         self.active_col = active
         rows = self._rows
+        # Flat index of each row's active cell in an (n, c_max) array.
+        self.active_flat = rows * c_max + active
         devs = [banks[i][active[i]] for i in range(n)]
         self.c_a = self.capacitance[rows, active]
+        self.half_c_a = 0.5 * self.c_a
         self.e_full_a = self.full_energy[rows, active]
         self.e_cutoff_a = np.array(
             [0.5 * d.capacitance * d.v_cutoff * d.v_cutoff for d in devs]
@@ -389,21 +443,8 @@ class _BatchEngine:
         self.idx_random = np.flatnonzero(
             np.array([p == "random" for p in policies])
         )
-        # One persistent generator per random node: the stream carries
-        # across slots and periods exactly like RandomScheduler's.
-        # (row, bound rng.random, nvp list, power list) tuples keep the
-        # per-slot Python loop free of attribute lookups.
-        self.random_rows = [
-            (
-                int(i),
-                np.random.default_rng(
-                    self.cases[i].scheduler_seed
-                ).random,
-                self.nvp[i].tolist(),
-                self.powers_list[i],
-            )
-            for i in self.idx_random
-        ]
+        if self.idx_random.size:
+            self._setup_random()
         # Intra-task rows enumerate nonempty position subsets the way
         # best_power_match does: sizes ascending, lexicographic within
         # a size.  Restricting the table to the current optional set
@@ -416,10 +457,15 @@ class _BatchEngine:
                 for r in range(1, t_intra + 1)
                 for combo in combinations(range(t_intra), r)
             ]
+            # uint16 masks (see _bits) keep the per-slot
+            # (n_intra, n_combos) availability test small.
             self.combo_bits = np.array(
                 [sum(1 << p for p in combo) for combo in combos],
-                dtype=np.int64,
+                dtype=np.uint16,
             )
+            self.combo_masks = (
+                (self.combo_bits[:, None] >> self._pos_range) & 1
+            ).astype(bool)
             # Power sums are static per node: accumulate each combo in
             # ascending position order like the scalar sum(...) does.
             pos = self.powers_pos[self.idx_intra]
@@ -431,9 +477,51 @@ class _BatchEngine:
                 sums[:, j] = acc
             self.combo_sums = sums
             self.intra_rows = np.arange(self.idx_intra.size)
+            self.intra_powers_pos = pos
         self.predictors = {
             int(i): WCMAPredictor(self.tl) for i in self.idx_lsa
         }
+
+    def _setup_random(self) -> None:
+        """Per-node generators, draw buffers and task-order tables.
+
+        One persistent generator per random node: the stream carries
+        across slots and periods exactly like RandomScheduler's.  The
+        cursor starts at each row's capacity, so the first refill draws
+        a full period's worth.
+        """
+        idx = self.idx_random
+        slots = self.tl.slots_per_period
+        self.rand_rngs = [
+            np.random.default_rng(self.cases[i].scheduler_seed)
+            for i in idx
+        ]
+        self.rand_cap = [slots * self.t_ns[i] for i in idx]
+        width = slots * self.t_max
+        self.rand_buf = np.zeros((idx.size, width))
+        self.rand_cur = np.array(self.rand_cap, dtype=np.int64)
+        self.rand_offsets = np.arange(idx.size) * width
+        self.rand_powers = self.powers[idx]
+        # [q, p]: q <= p, so ``ready @ upto`` counts ready tasks up to p.
+        self.rand_upto = np.triu(
+            np.ones((self.t_max, self.t_max), dtype=np.int64)
+        )
+        # RandomScheduler claims NVPs in ascending *task* order.
+        self.rand_earlier_bits = _pack(_earlier_same(self.nvp[idx]))
+
+    def _refill_random(self) -> None:
+        """Top every random row's buffer up to one period's capacity.
+
+        The unconsumed tail moves to the front and exactly the consumed
+        count is drawn behind it, so a buffer never grows.
+        """
+        buf, cur = self.rand_buf, self.rand_cur
+        for row, (rng, cap) in enumerate(zip(self.rand_rngs, self.rand_cap)):
+            c = int(cur[row])
+            left = cap - c
+            buf[row, :left] = buf[row, c:cap]
+            buf[row, left:cap] = rng.random(c)
+        cur[:] = 0
 
     # ------------------------------------------------------------------
     # Masked bank physics (active column only)
@@ -445,10 +533,9 @@ class _BatchEngine:
 
         Returns the stored energy per node (0 outside ``mask``).
         """
-        rows, a = self._rows, self.active_col
-        c = self.c_a
-        v_col = v[rows, a]
-        energy = 0.5 * c * v_col * v_col
+        c, half_c, flat = self.c_a, self.half_c_a, self.active_flat
+        v_col = v.take(flat)
+        energy = half_c * v_col * v_col
         stored_total = np.zeros(self.n)
         chunk = energy_in / 4
         for _ in range(4):
@@ -463,13 +550,11 @@ class _BatchEngine:
                 np.maximum(energy + stored, 0.0), self.e_full_a
             )
             v_new = np.sqrt(2.0 * new_energy / c)
-            e_new = 0.5 * c * v_new * v_new
-            v_col = np.where(alive, v_new, v_col)
-            energy = np.where(alive, e_new, energy)
-            stored_total = np.where(
-                alive, stored_total + stored, stored_total
-            )
-        v[rows, a] = v_col
+            e_new = half_c * v_new * v_new
+            np.copyto(v_col, v_new, where=alive)
+            np.copyto(energy, e_new, where=alive)
+            np.add(stored_total, stored, out=stored_total, where=alive)
+        v.put(flat, v_col)
         return stored_total
 
     def _discharge(
@@ -481,10 +566,9 @@ class _BatchEngine:
         A row that hits the cut-off stops updating for the remaining
         substeps — the masked equivalent of the scalar ``break``.
         """
-        rows, a = self._rows, self.active_col
-        c = self.c_a
-        v_col = v[rows, a]
-        energy = 0.5 * c * v_col * v_col
+        c, half_c, flat = self.c_a, self.half_c_a, self.active_flat
+        v_col = v.take(flat)
+        energy = half_c * v_col * v_col
         delivered_total = np.zeros(self.n)
         chunk = energy_needed / 4
         for _ in range(4):
@@ -493,68 +577,63 @@ class _BatchEngine:
                 break
             vp = v_col ** self.out_exp_a
             eta = (self.out_eta_a * vp / (vp + self.out_vh_a)) * self.cyc_a
-            alive = alive & (eta > 0.0)
+            eta_pos = eta > 0.0
+            alive &= eta_pos
             usable = np.maximum(energy - self.e_cutoff_a, 0.0)
-            drawn = np.minimum(
-                chunk / np.where(eta > 0.0, eta, 1.0), usable
-            )
+            drawn = np.minimum(chunk / np.where(eta_pos, eta, 1.0), usable)
             delivered = drawn * eta
             new_energy = np.minimum(
                 np.maximum(energy - drawn, 0.0), self.e_full_a
             )
             v_new = np.sqrt(2.0 * new_energy / c)
-            e_new = 0.5 * c * v_new * v_new
-            v_col = np.where(alive, v_new, v_col)
-            energy = np.where(alive, e_new, energy)
-            delivered_total = np.where(
-                alive, delivered_total + delivered, delivered_total
+            e_new = half_c * v_new * v_new
+            np.copyto(v_col, v_new, where=alive)
+            np.copyto(energy, e_new, where=alive)
+            np.add(
+                delivered_total, delivered, out=delivered_total,
+                where=alive,
             )
-        v[rows, a] = v_col
+        v.put(flat, v_col)
         return delivered_total
 
     def _leak(self, v: np.ndarray, dt: float) -> np.ndarray:
         """CapacitorBank.leak_all over every row; returns lost energy.
 
-        The voltage power term stays per-element Python ``**`` (same
+        The voltage power term stays per-element libm ``pow`` (same
         reason as leak_all); everything else is the identical
         elementwise expression.  Padded columns hold 0 V / zero leak
         constants, so their contribution is exactly ``+0.0`` and the
         per-column accumulation matches the scalar per-capacitor sum.
         """
-        rows, a = self._rows, self.active_col
-        volts = v.ravel().tolist()
+        flat = self.active_flat
         powv = np.array(
-            [vv ** e for vv, e in zip(volts, self.exps_flat)]
+            list(map(pow, v.ravel().tolist(), self.exps_flat))
         ).reshape(v.shape)
         leak_power = self.leak_coeff_cap * powv + self.parasitic
         before = 0.5 * self.capacitance * v * v
         idle_power = np.maximum(leak_power - self.parasitic, 0.0)
         new_energy = np.maximum(before - idle_power * dt, 0.0)
-        e_a = before[rows, a] - leak_power[rows, a] * dt
+        e_a = before.take(flat) - leak_power.take(flat) * dt
         e_a = np.minimum(np.maximum(e_a, 0.0), self.e_full_a)
-        new_energy[rows, a] = e_a
+        new_energy.put(flat, e_a)
         new_volts = np.sqrt(2.0 * new_energy / self.capacitance)
         after = 0.5 * self.capacitance * new_volts * new_volts
         diffs = before - after
         v[:] = new_volts
-        lost = np.zeros(self.n)
-        for col in range(self.c_max):
-            lost = lost + diffs[:, col]
-        return lost
+        return np.add.accumulate(diffs, axis=1)[:, -1]
 
     # ------------------------------------------------------------------
     def run(self) -> List[SimulationResult]:
         tl = self.tl
         n, t_max, k_max = self.n, self.t_max, self.k_max
-        rows = self._rows
         dt = tl.slot_seconds
         slots = tl.slots_per_period
-        perm = self.perm
+        to_pos, to_task = self.to_pos, self.to_task
         powers_pos = self.powers_pos
-        nvp_pos = self.nvp_pos
         has_lsa = self.idx_lsa.size > 0
         has_intra = self.idx_intra.size > 0
         has_random = self.idx_random.size > 0
+        idx_intra = self.idx_intra
 
         v = self.v0.copy()
         powered = np.ones((n, k_max), dtype=bool)
@@ -567,6 +646,8 @@ class _BatchEngine:
             day, period = tl.unflatten_period(flat_p)
             if has_lsa and flat_p > 0:
                 self._admit_lsa(day, period, v, admitted)
+            if has_random:
+                self._refill_random()
             v_snapshot = v.copy()
             remaining = self.exec0.copy()
             missed = np.zeros((n, t_max), dtype=bool)
@@ -579,58 +660,52 @@ class _BatchEngine:
             offered_e = np.zeros(n)
             leak_e = np.zeros(n)
             brownouts = np.zeros(n, dtype=np.int64)
-            solar_period = self._solar[:, flat_p, :]
+            # (slots, n): one contiguous row per slot.
+            solar_period = np.stack(
+                [power[flat_p] for power in self._solar], axis=1
+            )
 
             for slot in range(slots):
                 # Deadline check at slot start, with the dependence
                 # cascade (descendants of an incomplete missed task).
                 done = remaining <= COMPLETION_EPS
-                newly = (self.dls == slot) & ~missed & ~done
+                not_done = ~done
+                newly = (self.dls == slot) & ~missed & not_done
                 if newly.any():
                     cascade = (
-                        (newly[:, :, None] & self.desc).any(axis=1)
-                        & ~missed & ~done
-                    )
+                        (self.anc_bits & _bits(newly)[:, None]) != 0
+                    ) & ~missed & not_done
                     missed |= newly | cascade
-                blocked = (self.pred & ~done[:, None, :]).any(axis=2)
+                unblocked = (self.pred_bits & _bits(not_done)[:, None]) == 0
                 ready = (
-                    self.valid & ~done & ~missed
-                    & (slot < self.dls) & ~blocked
+                    self.valid & not_done & ~missed
+                    & (slot < self.dls) & unblocked
                 )
-                solar_vec = solar_period[:, slot]
+                solar_vec = solar_period[slot]
 
                 # Priority-position gathers + slack (must-run) test.
-                gr = self._gather_rows
-                ready_pos = ready[gr, perm]
-                rem_pos = remaining[gr, perm]
+                ready_pos = ready.take(to_pos)
+                rem_pos = remaining.take(to_pos)
                 work_slots = -np.floor_divide(-rem_pos, dt)
                 must = (self.dls_pos - slot) - work_slots <= 0.0
 
-                # First-claim-wins NVP filter in priority order, fused
-                # with the sequential load sums every policy reuses:
+                # First-claim-wins NVP filter in priority order, then
+                # the sequential load sums every policy reuses:
                 # ``total_load`` adds the whole claimed queue position
                 # by position — exactly the scalar ``sum(...)`` order —
                 # and ``mand_load`` its must-run subsequence.
                 cand = (
-                    ready_pos & admitted[gr, perm]
+                    ready_pos & admitted.take(to_pos)
                     if has_lsa
                     else ready_pos
                 )
-                claimed = np.zeros((n, k_max), dtype=bool)
-                per_nvp = np.zeros((n, t_max), dtype=bool)
-                total_load = np.zeros(n)
-                mand_load = np.zeros(n)
-                for p in range(t_max):
-                    k = nvp_pos[:, p]
-                    cur = claimed[rows, k]
-                    sel = cand[:, p] & ~cur
-                    claimed[rows, k] = cur | sel
-                    per_nvp[:, p] = sel
-                    col_power = np.where(sel, powers_pos[:, p], 0.0)
-                    total_load = total_load + col_power
-                    mand_load = mand_load + np.where(
-                        must[:, p], col_power, 0.0
-                    )
+                per_nvp = cand & (
+                    (_bits(cand)[:, None] & self.earlier_same_bits) == 0
+                )
+                mand = per_nvp & must
+                col_power = np.where(per_nvp, powers_pos, 0.0)
+                total_load = _row_sums(col_power)
+                mand_load = _row_sums(np.where(must, col_power, 0.0))
 
                 # Policy decisions (position space).  The sequential
                 # sums above equal the scalar engine's load for every
@@ -640,7 +715,6 @@ class _BatchEngine:
                 chosen_pos = per_nvp & self.is_asap[:, None]
                 load = np.where(self.is_asap, total_load, 0.0)
                 if has_lsa:
-                    mand = per_nvp & must
                     run_all = total_load <= solar_vec + 1e-12
                     lsa_choice = np.where(
                         run_all[:, None], per_nvp, mand
@@ -652,44 +726,14 @@ class _BatchEngine:
                         load,
                     )
                 if has_intra:
-                    budget = np.maximum(solar_vec - mand_load, 0.0)
-                    optional = per_nvp & ~must
-                    opt_bits = np.zeros(n, dtype=np.int64)
-                    for p in range(t_max):
-                        opt_bits = opt_bits | np.where(
-                            optional[:, p], np.int64(1 << p), np.int64(0)
-                        )
-                    ob = opt_bits[self.idx_intra]
-                    affordable = self.combo_sums <= (
-                        (budget[self.idx_intra] + 1e-12)[:, None]
+                    picked, intra_load = self._decide_intra(
+                        per_nvp[idx_intra] & ~must[idx_intra],
+                        solar_vec[idx_intra],
+                        mand_load[idx_intra],
                     )
-                    available = (
-                        self.combo_bits[None, :] & ~ob[:, None]
-                    ) == 0
-                    vals = np.where(
-                        available & affordable, self.combo_sums, -1.0
-                    )
-                    best = vals.argmax(axis=1)
-                    best_val = vals[self.intra_rows, best]
-                    picked_bits = np.where(
-                        best_val > 0.0, self.combo_bits[best], 0
-                    )
-                    picked = np.zeros((n, t_max), dtype=bool)
-                    picked[self.idx_intra] = (
-                        (picked_bits[:, None] >> self._pos_range) & 1
-                    ).astype(bool)
-                    intra_load = mand_load
-                    for p in range(t_max):
-                        intra_load = intra_load + np.where(
-                            picked[:, p], powers_pos[:, p], 0.0
-                        )
-                    chosen_pos |= (
-                        ((per_nvp & must) | picked)
-                        & self.is_intra[:, None]
-                    )
-                    load = np.where(self.is_intra, intra_load, load)
-                chosen = np.zeros((n, t_max), dtype=bool)
-                chosen[gr, perm] = chosen_pos
+                    chosen_pos[idx_intra] = mand[idx_intra] | picked
+                    load[idx_intra] = intra_load
+                chosen = chosen_pos.take(to_task)
 
                 if has_random:
                     self._decide_random(ready, chosen, load)
@@ -736,23 +780,18 @@ class _BatchEngine:
                 )
                 started |= chosen
 
-                # NVP nonvolatility bookkeeping.
-                chosen_any = chosen.any(axis=1)
-                brown = (run_fraction < 1.0 - 1e-9) & chosen_any
-                active_nvp = np.zeros((n, k_max), dtype=bool)
-                for t in range(t_max):
-                    col = chosen[:, t]
-                    active_nvp[col, self.nvp[col, t]] = True
-                n_changed = np.where(
-                    brown,
-                    (active_nvp & powered).sum(axis=1),
-                    (active_nvp & ~powered).sum(axis=1),
-                )
-                powered = np.where(
-                    brown[:, None],
-                    powered & ~active_nvp,
-                    powered | active_nvp,
-                )
+                # NVP nonvolatility bookkeeping: a brownout powers the
+                # active NVPs down, a completed slot powers them up;
+                # either way only the NVPs that change state cost.
+                chosen_bits = _bits(chosen)
+                brown = (run_fraction < 1.0 - 1e-9) & (chosen_bits != 0)
+                active_nvp = (
+                    chosen_bits[:, None] & self.nvp_task_bits
+                ) != 0
+                n_changed = (
+                    active_nvp & (powered == brown[:, None])
+                ) @ self._nvp_ones
+                powered = np.where(active_nvp, ~brown[:, None], powered)
                 cycle_cost = self._cycle_table[n_changed]
                 cmask = cycle_cost > 0.0
                 if cmask.any():
@@ -761,13 +800,13 @@ class _BatchEngine:
 
                 lost = self._leak(v, dt)
 
-                solar_e = solar_e + solar_vec * dt
-                load_e = load_e + (direct + storage)
-                direct_e = direct_e + direct
-                storage_e = storage_e + storage
-                charged_e = charged_e + charged
-                offered_e = offered_e + energy_in
-                leak_e = leak_e + lost
+                solar_e += solar_vec * dt
+                load_e += direct + storage
+                direct_e += direct
+                storage_e += storage
+                charged_e += charged
+                offered_e += energy_in
+                leak_e += lost
 
             # End of period: boundary deadline check + final sweep both
             # collapse to "every incomplete valid task is missed".
@@ -837,27 +876,49 @@ class _BatchEngine:
             row_adm[self.t_ns[i]:] = True
             admitted[i] = row_adm
 
+    def _decide_intra(
+        self,
+        optional: np.ndarray,
+        solar: np.ndarray,
+        mand_load: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """best_power_match over the intra-task rows' optional sets.
+
+        Returns the picked positions and the slot load: ``mand_load``
+        extended, in position order, by the picked powers.
+        """
+        budget = np.maximum(solar - mand_load, 0.0)
+        opt_bits = _bits(optional)
+        affordable = self.combo_sums <= (budget + 1e-12)[:, None]
+        affordable &= (self.combo_bits & ~opt_bits[:, None]) == 0
+        vals = np.where(affordable, self.combo_sums, -1.0)
+        best = vals.argmax(axis=1)
+        found = vals[self.intra_rows, best] > 0.0
+        picked = self.combo_masks[best] & found[:, None]
+        terms = np.where(picked, self.intra_powers_pos, 0.0)
+        load = _row_sums(np.concatenate([mand_load[:, None], terms], axis=1))
+        return picked, load
+
     def _decide_random(
         self, ready: np.ndarray, chosen: np.ndarray, load: np.ndarray
     ) -> None:
-        """Per-node random draws, preserving each node's RNG stream.
+        """RandomScheduler over every random row, from the draw buffers.
 
         RandomScheduler draws once per ready task (ascending task
         order, *before* the NVP-availability check), so the consumed
-        stream depends only on the ready set — replayed verbatim here.
+        stream depends only on the ready set: the k-th ready task of a
+        row takes the row's k-th unconsumed draw.  A task below 0.5 is
+        wanted, and the first wanted task on each NVP runs.
         """
-        ready_rows = ready[self.idx_random].tolist()
-        for (i, draw, nvps, powers), ready_row in zip(
-            self.random_rows, ready_rows
-        ):
-            chosen_tasks: List[int] = []
-            used = 0
-            for t, is_ready in enumerate(ready_row):
-                if is_ready and draw() < 0.5:
-                    k = nvps[t]
-                    if not used >> k & 1:
-                        used |= 1 << k
-                        chosen_tasks.append(t)
-            if chosen_tasks:
-                chosen[i, chosen_tasks] = True
-                load[i] = float(sum(powers[t] for t in chosen_tasks))
+        ready_r = ready[self.idx_random]
+        rank = ready_r @ self.rand_upto - 1
+        draws = self.rand_buf.take(
+            (self.rand_offsets + self.rand_cur)[:, None] + rank
+        )
+        want = ready_r & (draws < 0.5)
+        sel = want & ((_bits(want)[:, None] & self.rand_earlier_bits) == 0)
+        self.rand_cur += rank[:, -1] + 1
+        chosen[self.idx_random] = sel
+        load[self.idx_random] = _row_sums(
+            np.where(sel, self.rand_powers, 0.0)
+        )

@@ -244,6 +244,136 @@ class TestEligibility:
 
 
 # ----------------------------------------------------------------------
+# Width conformance: the per-slot tables at every batch width
+# ----------------------------------------------------------------------
+def _shared_nvp_graph(reverse):
+    """Three tasks on NVP 0 (plus one on NVP 1 that depends on the
+    first), with deadlines rising in index order or, ``reverse``,
+    falling — so priority order runs with or against task order."""
+    deadlines = (600.0, 450.0, 300.0) if reverse else (300.0, 450.0, 600.0)
+    tasks = [
+        Task(f"s{i}", 90.0 + 30.0 * i, d, 0.004 + 0.002 * i, nvp=0)
+        for i, d in enumerate(deadlines)
+    ]
+    tasks.append(Task("s3", 60.0, 540.0, 0.003, nvp=1))
+    return TaskGraph(
+        tasks, edges=[("s0", "s3")],
+        name="shared-nvp-" + ("rev" if reverse else "fwd"),
+    )
+
+
+def _twelve_task_graph():
+    """MAX_BATCH_TASKS tasks over three NVPs with two dependence
+    chains: the widest intra-task subset table, and ready sets that
+    change from slot to slot as chains unblock and deadlines pass."""
+    tasks = [
+        Task(
+            f"w{i}", 30.0 + 15.0 * (i % 4), 150.0 + 40.0 * i,
+            0.002 + 0.0015 * (i % 5), nvp=i % 3,
+        )
+        for i in range(MAX_BATCH_TASKS)
+    ]
+    edges = [("w0", "w3"), ("w3", "w6"), ("w1", "w4"), ("w4", "w9")]
+    return TaskGraph(tasks, edges=edges, name="twelve")
+
+
+def _conformance_shard(n_rows=128):
+    """A shard mixing every per-slot table the engine uses."""
+    tl = tiny_timeline(periods_per_day=4)
+    graphs = [
+        _shared_nvp_graph(False),
+        _shared_nvp_graph(True),
+        _twelve_task_graph(),
+        build_graph("wam"),
+    ]
+    banks = [(1.0, 47.0), (4.7,), (2.0, 10.0, 47.0), (0.5, 1.0, 2.0, 4.7)]
+    policies = BATCH_POLICIES
+    cases = []
+    for row in range(n_rows):
+        cases.append(
+            BatchCase(
+                graph=graphs[row % len(graphs)],
+                trace=random_trace(tl, 1000 + row % 11),
+                capacitors=tuple(
+                    SuperCapacitor(capacitance=c)
+                    for c in banks[(row + row // 16) % len(banks)]
+                ),
+                policy=policies[(row // len(graphs)) % len(policies)],
+                scheduler_seed=row,
+            )
+        )
+    return cases
+
+
+@pytest.fixture(scope="module")
+def conformance_shard():
+    cases = _conformance_shard()
+    reference = [
+        result_fingerprint(_per_node_reference(case)) for case in cases
+    ]
+    return cases, reference
+
+
+class TestWidthConformance:
+    def test_shard_covers_the_cases(self, conformance_shard):
+        cases, _ = conformance_shard
+        combos = {(c.graph.name, c.policy) for c in cases}
+        for name in ("shared-nvp-fwd", "shared-nvp-rev", "twelve"):
+            for policy in BATCH_POLICIES:
+                assert (name, policy) in combos
+        assert len(_twelve_task_graph()) == MAX_BATCH_TASKS
+
+    @pytest.mark.parametrize("width", [1, 7, 33, 128])
+    def test_every_row_matches_per_node(self, conformance_shard, width):
+        cases, reference = conformance_shard
+        got = []
+        for lo in range(0, len(cases), width):
+            got += [
+                result_fingerprint(r)
+                for r in simulate_batch(cases[lo : lo + width])
+            ]
+        bad = [
+            f"row {i} ({cases[i].graph.name}/{cases[i].policy})"
+            for i, (a, b) in enumerate(zip(got, reference))
+            if a != b
+        ]
+        assert not bad, f"width {width}: " + ", ".join(bad)
+
+    def test_random_row_independent_of_batch_composition(self):
+        """A random row's draw buffer is its own: the same node over
+        several periods gives the same bytes whatever shares its batch
+        (different task widths, other random rows, other positions)."""
+        tl = tiny_timeline(periods_per_day=5)
+        assert tl.total_periods >= 3
+        target = BatchCase(
+            graph=_shared_nvp_graph(True),
+            trace=random_trace(tl, 5),
+            capacitors=_default_bank(),
+            policy="random",
+            scheduler_seed=42,
+        )
+
+        def neighbour(graph, policy, seed):
+            return BatchCase(
+                graph=graph, trace=random_trace(tl, seed),
+                capacitors=_default_bank(), policy=policy,
+                scheduler_seed=seed,
+            )
+
+        narrow = [target, neighbour(_shared_nvp_graph(False), "random", 1)]
+        wide = [
+            neighbour(_twelve_task_graph(), "random", 2),
+            neighbour(build_graph("wam"), "intra-task", 3),
+            neighbour(_twelve_task_graph(), "random", 4),
+            target,
+        ]
+        first = result_fingerprint(simulate_batch(narrow)[0])
+        second = result_fingerprint(simulate_batch(wide)[-1])
+        assert first == second
+        assert first == result_fingerprint(_per_node_reference(target))
+
+
+# ----------------------------------------------------------------------
 # Hypothesis properties
 # ----------------------------------------------------------------------
 def _tiny_cases(seed, n_nodes):

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from repro.fleet import (
-    DEFAULT_SHARD_SIZE,
+    MIN_SHARD_SIZE,
     FLEET_POLICIES,
     FleetResult,
     FleetRunner,
     FleetSpec,
     NodeSummary,
+    default_shard_size,
     node_trace,
     run_fleet,
     simulate_node,
@@ -260,10 +261,39 @@ class TestFleetRunner:
         assert [len(s) for s in shards] == [3, 3, 2]
         assert [i for s in shards for i in s] == list(range(8))
         assert FleetRunner(SMALL, cache=False).shard_size == (
-            DEFAULT_SHARD_SIZE
+            MIN_SHARD_SIZE
         )
         with pytest.raises(ValueError):
             FleetRunner(SMALL, shard_size=0)
+
+    @pytest.mark.parametrize(
+        "n_nodes, workers, expected",
+        [(256, 1, 128), (256, 2, 64), (200, 4, 32), (1024, 1, 128)],
+    )
+    def test_default_shard_size(self, n_nodes, workers, expected):
+        """Two shards per worker at least, clamped to 32..128 nodes."""
+        spec = FleetSpec(n_nodes=n_nodes, seed=0)
+        runner = FleetRunner(spec, workers=workers, cache=False)
+        assert runner.shard_size == expected
+        assert default_shard_size(n_nodes, workers) == expected
+
+    def test_default_shard_size_counts_running_nodes(self):
+        spec = FleetSpec(n_nodes=300, seed=0)
+        assert FleetRunner(spec, workers=2, cache=False).shard_size == 75
+        runner = FleetRunner(
+            spec, workers=2, cache=False, exclude_nodes=range(44)
+        )
+        assert runner.shard_size == 64
+        assert FleetRunner(
+            spec, workers=2, shard_size=5, cache=False
+        ).shard_size == 5
+
+    def test_default_layout_fingerprint_matches_narrow_shards(self):
+        spec = FleetSpec(n_nodes=96, seed=3)
+        default = FleetRunner(spec, workers=1, cache=False)
+        assert default.shard_size == 48
+        narrow = run_fleet(spec, workers=1, shard_size=32, cache=False)
+        assert default.run().fingerprint() == narrow.fingerprint()
 
     def test_shard_checkpoints_hit_on_rerun(self, tmp_path):
         cache = ArtifactCache(tmp_path / "ck")
@@ -343,6 +373,35 @@ class TestFleetRunner:
         assert len(policies) == 1
         again = run_fleet(spec, workers=1, cache=False)
         assert again.fingerprint() == result.fingerprint()
+
+
+    def test_training_trace_built_once_per_shard(self, tmp_path, monkeypatch):
+        """Every proposed node of a shard trains on one shared trace."""
+        import repro.solar.days as days
+
+        monkeypatch.delenv("REPRO_NO_CACHE")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        calls = []
+        real = days.synthetic_trace
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(days, "synthetic_trace", counting)
+        spec = FleetSpec(
+            n_nodes=4, seed=0, policies=("proposed",), task_mix=("wam",)
+        )
+        one_shard = run_fleet(spec, workers=1, shard_size=4, cache=False)
+        assert len(calls) == 1
+        calls.clear()
+        two_shards = run_fleet(spec, workers=1, shard_size=2, cache=False)
+        assert len(calls) == 2
+        assert one_shard.fingerprint() == two_shards.fingerprint()
+        base = spec.base_trace()
+        assert one_shard.nodes[3] == simulate_node(
+            spec, base, spec.node_spec(3)
+        )
 
 
 class TestFleetAggregateIntegration:
