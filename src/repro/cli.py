@@ -64,7 +64,7 @@ import logging
 import os
 import sys
 import time
-from typing import Callable, Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import quick_node
 from .obs import (
@@ -76,12 +76,7 @@ from .obs import (
 )
 from .reliability import RUNTIME_SCENARIOS, FaultInjector, runtime_scenario
 from .reliability.supervisor import SupervisorError
-from .schedulers import (
-    DVFSLoadMatchingScheduler,
-    GreedyEDFScheduler,
-    InterTaskScheduler,
-    IntraTaskScheduler,
-)
+from .schedulers import make_scheduler
 from .sim import (
     CheckpointConfig,
     CheckpointError,
@@ -102,12 +97,8 @@ _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 logger = logging.getLogger(__name__)
 
-_SCHEDULERS: Dict[str, Callable] = {
-    "asap": GreedyEDFScheduler,
-    "inter-task": InterTaskScheduler,
-    "intra-task": IntraTaskScheduler,
-    "dvfs": DVFSLoadMatchingScheduler,
-}
+#: Policies ``simulate`` can run (no offline stage, no seed).
+_SCHEDULERS = ("asap", "dvfs", "inter-task", "intra-task")
 
 _EXPERIMENTS = (
     "fig1",
@@ -479,7 +470,7 @@ def _cmd_simulate(args, out) -> int:
             f"run spans {timeline.total_slots} slots, over the "
             f"--max-slots guard of {args.max_slots}"
         )
-    scheduler = _SCHEDULERS[args.scheduler]()
+    scheduler = make_scheduler(args.scheduler)
     node = quick_node(graph)
 
     fault_injector = None

@@ -73,9 +73,19 @@ class TrainedPolicy:
     dbn: DBN
     codec: FeatureCodec
     samples: List[TrainingSample]
-    training_plan: LongTermPlan
+    training_plan: Optional[LongTermPlan]
     delta: float = 0.5
     switch_threshold: float = 2.0
+
+    def deployed(self) -> "TrainedPolicy":
+        """A copy without the training artifacts (samples, DP plan).
+
+        The online stage needs only the DBN, its codec, the sized bank
+        and the thresholds, so nodes and schedulers built from the copy
+        equal those built from this policy.  Callers that hold many
+        policies for a whole run keep this lighter copy.
+        """
+        return dataclasses.replace(self, samples=[], training_plan=None)
 
     def make_scheduler(self, name: str = "proposed") -> ProposedScheduler:
         """The online scheduler backed by the trained DBN."""

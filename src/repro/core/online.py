@@ -351,6 +351,16 @@ class ProposedScheduler(Scheduler):
         """True while the primary policy is quarantined."""
         return self._quarantine_left > 0
 
+    @property
+    def selected(self) -> Set[int]:
+        """This period's dependence-closed task subset ``te``."""
+        return self._selected
+
+    @property
+    def intra_mode(self) -> bool:
+        """True when this period's fine pass is the intra-task matching."""
+        return self._intra_mode
+
     def _attempt(
         self, policy: CoarsePolicy, view: PeriodStartView,
         prev: np.ndarray, injected_failure: bool,

@@ -25,7 +25,7 @@ Two layers of reuse ride on the existing artifact cache:
   worker counts) is free;
 - *shared offline stages* (kind ``policy``): when the ``proposed``
   policy is in the pool, the DBN pipeline trains once per distinct
-  workload and every node with that workload loads the artifact.
+  workload and each shard loads the artifact once per workload.
 
 Determinism contract: node summaries are pure functions of ``(fleet
 seed, node id)``; shards are combined in node-id order; therefore
@@ -50,6 +50,7 @@ worker kills, hangs and poison nodes deterministically to prove it.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -68,13 +69,7 @@ from ..reliability.supervisor import (
     TaskFailure,
     supervised_map,
 )
-from ..schedulers import (
-    DVFSLoadMatchingScheduler,
-    GreedyEDFScheduler,
-    InterTaskScheduler,
-    IntraTaskScheduler,
-    RandomScheduler,
-)
+from ..schedulers import make_scheduler
 from ..sim.checkpoint import result_fingerprint
 from ..sim.engine import simulate
 from ..verify.strategies import build_graph
@@ -125,25 +120,11 @@ SHARD_KIND = "fleet-shard"
 # ----------------------------------------------------------------------
 # Per-node simulation (runs inside worker processes)
 # ----------------------------------------------------------------------
-def _make_scheduler(policy: str, scheduler_seed: int):
-    if policy == "asap":
-        return GreedyEDFScheduler()
-    if policy == "inter-task":
-        return InterTaskScheduler()
-    if policy == "intra-task":
-        return IntraTaskScheduler()
-    if policy == "dvfs":
-        return DVFSLoadMatchingScheduler()
-    if policy == "random":
-        return RandomScheduler(scheduler_seed)
-    raise ValueError(f"unknown fleet policy {policy!r}")
-
-
 def training_trace(fleet: FleetSpec):
     """The synthetic weather every ``proposed`` node trains on.
 
-    Depends only on the fleet spec, so a shard builds it once and
-    hands it to each of its ``proposed`` nodes.
+    Depends only on the fleet spec, so a shard builds it once, for its
+    first ``proposed`` workload (see :func:`_shard_policies`).
     """
     from ..solar.days import synthetic_trace
     from ..timeline import Timeline
@@ -162,7 +143,8 @@ def _proposed_policy(fleet: FleetSpec, graph_kind: str, train_trace=None):
 
     The training budget is the fleet's small ``proposed_*`` knobs; the
     artifact is shared through the ``policy`` disk cache, so a fleet
-    with 50 ``proposed``/``wam`` nodes trains once, not 50 times.
+    with 50 ``proposed``/``wam`` nodes trains once, not 50 times, and
+    a shard loads it once per workload (:func:`_shard_policies`).
     ``train_trace`` defaults to :func:`training_trace` of the fleet.
     """
     from ..core.offline import OfflinePipeline
@@ -205,44 +187,70 @@ def _summarize(spec: NodeSpec, graph, result) -> NodeSummary:
 
 
 def simulate_node(
-    fleet: FleetSpec, base_trace, spec: NodeSpec, train_trace=None
+    fleet: FleetSpec, base_trace, spec: NodeSpec, trained=None
 ) -> NodeSummary:
     """Simulate one fleet node and reduce it to a :class:`NodeSummary`.
 
     Pure function of the fleet spec, the shared base trace and the
-    node spec — no global state, safe in any worker process.
-    ``train_trace`` lets a caller that simulates many ``proposed``
-    nodes pass :func:`training_trace` in once instead of rebuilding it
-    per node; it never changes the summary.
+    node spec — no global state, safe in any worker process.  This is
+    the per-node reference every batched summary must equal.
+    ``trained`` lets a caller that simulates many ``proposed`` nodes
+    pass the workload's :class:`~repro.core.offline.TrainedPolicy` in
+    instead of loading it per node; it never changes the summary.
     """
     graph = build_graph(spec.graph_kind)
     trace = node_trace(base_trace, spec)
     if spec.policy == "proposed":
-        policy = _proposed_policy(fleet, spec.graph_kind, train_trace)
-        node = policy.make_node()
-        scheduler = policy.make_scheduler()
+        if trained is None:
+            trained = _proposed_policy(fleet, spec.graph_kind)
+        node = trained.make_node()
     else:
         node = SensorNode(
             [SuperCapacitor(capacitance=c) for c in spec.bank_farads],
             num_nvps=graph.num_nvps,
         )
-        scheduler = _make_scheduler(spec.policy, spec.scheduler_seed)
+    scheduler = make_scheduler(spec.policy, spec.scheduler_seed, trained)
     result = simulate(node, graph, trace, scheduler, strict=False)
     return _summarize(spec, graph, result)
 
 
-def _batch_case(spec: NodeSpec, graph, base_trace):
+def _shard_policies(fleet: FleetSpec):
+    """A shard's ``spec -> TrainedPolicy`` loader (``None`` unless proposed).
+
+    The training trace is built for the shard's first ``proposed``
+    node and each workload's policy is loaded (one artifact-cache get,
+    or trained) on first use, kept without its training artifacts.
+    Every node still gets its own scheduler from it: the degradation
+    ladder's state is per node.
+    """
+    train = functools.lru_cache(maxsize=None)(lambda: training_trace(fleet))
+
+    @functools.lru_cache(maxsize=None)
+    def load(graph_kind: str):
+        return _proposed_policy(fleet, graph_kind, train()).deployed()
+
+    return lambda spec: (
+        load(spec.graph_kind) if spec.policy == "proposed" else None
+    )
+
+
+def _batch_case(spec: NodeSpec, graph, base_trace, trained=None):
     """Build the :class:`~repro.sim.batch.BatchCase` for one node."""
     from ..sim.batch import BatchCase
 
+    if trained is not None:
+        capacitors = trained.capacitors
+    else:
+        capacitors = tuple(
+            SuperCapacitor(capacitance=c) for c in spec.bank_farads
+        )
     return BatchCase(
         graph=graph,
         trace=node_trace(base_trace, spec),
-        capacitors=tuple(
-            SuperCapacitor(capacitance=c) for c in spec.bank_farads
-        ),
+        capacitors=capacitors,
         policy=spec.policy,
         scheduler_seed=spec.scheduler_seed,
+        trained=trained,
     )
 
 
@@ -253,14 +261,15 @@ def simulate_shard_batch(
 
     Eligible nodes (policy in :data:`~repro.sim.batch.BATCH_POLICIES`,
     task count within the batch width) advance together through one
-    node-major engine; the rest — ``proposed``/``dvfs`` policies,
-    oversized graphs — run through :func:`simulate_node`.  Summaries
-    come back in input order and are bit-identical to the per-node
-    path (the batched-vs-per-node oracle holds this contract).
+    node-major engine; the rest — ``dvfs`` nodes, oversized graphs —
+    run through :func:`simulate_node`.  Summaries come back in input
+    order and are bit-identical to the per-node path (the
+    batched-vs-per-node oracle holds this contract).
     """
     from ..sim.batch import batch_ineligibility, simulate_batch
 
     specs = list(specs)
+    policy_of = _shard_policies(fleet)
     graphs = [build_graph(s.graph_kind) for s in specs]
     eligible = [
         i
@@ -270,26 +279,19 @@ def simulate_shard_batch(
     summaries: List[Optional[NodeSummary]] = [None] * len(specs)
     if eligible:
         cases = [
-            _batch_case(specs[i], graphs[i], base_trace) for i in eligible
+            _batch_case(
+                specs[i], graphs[i], base_trace, policy_of(specs[i])
+            )
+            for i in eligible
         ]
         for i, result in zip(eligible, simulate_batch(cases)):
             summaries[i] = _summarize(specs[i], graphs[i], result)
-    train = _shard_training_trace(fleet, specs)
     for i, spec in enumerate(specs):
         if summaries[i] is None:
-            summaries[i] = simulate_node(fleet, base_trace, spec, train)
+            summaries[i] = simulate_node(
+                fleet, base_trace, spec, policy_of(spec)
+            )
     return [s for s in summaries if s is not None]
-
-
-def _shard_training_trace(fleet: FleetSpec, specs: Sequence[NodeSpec]):
-    """:func:`training_trace` when a shard has a ``proposed`` node, else ``None``.
-
-    ``proposed`` nodes never batch, so every one of them takes it
-    through :func:`simulate_node`.
-    """
-    if any(spec.policy == "proposed" for spec in specs):
-        return training_trace(fleet)
-    return None
 
 
 def node_spec_digest(spec: NodeSpec) -> str:
@@ -350,7 +352,7 @@ def _run_shard(item):
     tracer, records = collecting_tracer(ctx_wire)
     base = fleet.base_trace()
     specs = {node_id: fleet.node_spec(node_id) for node_id in node_ids}
-    train = _shard_training_trace(fleet, specs.values())
+    policy_of = _shard_policies(fleet)
     done: Dict[int, NodeSummary] = {}
     failed: List[FailedNode] = []
     with activate(tracer):
@@ -383,7 +385,9 @@ def _run_shard(item):
                         try:
                             results = simulate_batch(
                                 [
-                                    _batch_case(spec, graph, base)
+                                    _batch_case(
+                                        spec, graph, base, policy_of(spec)
+                                    )
                                     for _, spec, graph in eligible
                                 ]
                             )
@@ -420,7 +424,7 @@ def _run_shard(item):
                             if chaos is not None:
                                 chaos.on_node_start(node_id, attempt)
                             summary = simulate_node(
-                                fleet, base, spec, train
+                                fleet, base, spec, policy_of(spec)
                             )
                         except KeyboardInterrupt:
                             raise

@@ -49,14 +49,29 @@ byte-for-byte.  The layout decisions that make this work:
   that stop updating never resurrect, matching break semantics.
 * **Per-node Python only off the hot path.**  WCMA prediction and
   energy admission (inter-task rows) run per node once per *period*.
-  Each ``random`` node keeps its own ``Generator``; once per period it
-  tops a buffer up to the period's largest possible draw count
-  (``slots × tasks``), and every slot consumes one draw per ready task
-  through a cursor.  ``Generator.random(k)`` yields the same doubles as
-  ``k`` scalar draws, so the consumed stream is identical.
+  Each ``random`` row keeps its RandomScheduler's ``Generator``; once
+  per period it tops a buffer up to the period's largest possible draw
+  count (``slots × tasks``), and every slot consumes one draw per ready
+  task through a cursor.  ``Generator.random(k)`` yields the same
+  doubles as ``k`` scalar draws, so the consumed stream is identical.
+* **Per-row coarse stage, array fine pass.**  A ``proposed`` row runs
+  its own, unchanged :meth:`ProposedScheduler.on_period_start
+  <repro.core.online.ProposedScheduler.on_period_start>` once per
+  period on a view built from its row (bank voltages, running DMR,
+  last period's solar), so the DBN forward pass and the degradation
+  ladder have one implementation.  Its subset ``te`` becomes the row's
+  admission mask; intra-mode rows join the intra-task subset table and
+  δ-fallback rows take the lazy greedy pass of
+  :func:`~repro.core.online.fine_grained_decision`.
+* **Per-row active column, switched at period starts only.**  Eq. (22)
+  capacitor requests of ``proposed`` rows move the row's active
+  column; the active column's constants (capacitance, regulator
+  curves, stop voltages) are re-gathered for the rows that switched,
+  never inside the slot loop.  Every other policy's column is fixed
+  for the whole run.
 
 Eligibility: :func:`batch_ineligibility` names why a case cannot take
-the batched path (unsupported policy, too many tasks for the exact
+the batched path (``dvfs``, too many tasks for the exact
 subset-enumeration table, a fault injector).  :func:`simulate_cases`
 dispatches — batched where possible, the per-node engine otherwise —
 so callers get one uniform entry point.
@@ -71,12 +86,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..energy.capacitor import SuperCapacitor
+from ..schedulers import make_scheduler
 from ..schedulers.lsa import admit_by_energy
 from ..solar.prediction import WCMAPredictor
 from ..solar.trace import SolarTrace
 from ..tasks.graph import TaskGraph
 from .recorder import PeriodRecord, SimulationResult
 from .state import COMPLETION_EPS
+from .views import BankView, PeriodStartView
 
 __all__ = [
     "BATCH_POLICIES",
@@ -88,25 +105,18 @@ __all__ = [
 ]
 
 #: Policies the batched core implements (same decision rules as the
-#: per-node schedulers of the fleet pool, minus the trained ones).
+#: per-node schedulers of the fleet pool; ``dvfs`` is not ported).
 BATCH_POLICIES: Tuple[str, ...] = (
     "asap",
     "inter-task",
     "intra-task",
     "random",
+    "proposed",
 )
 
 #: Largest task count the batched intra-task subset table enumerates —
 #: the same bound as ``best_power_match(max_exact=12)``.
 MAX_BATCH_TASKS = 12
-
-#: Batched policy name -> scheduler ``name`` recorded on results.
-_SCHEDULER_NAMES = {
-    "asap": "asap-edf",
-    "inter-task": "inter-task-lsa",
-    "intra-task": "intra-task",
-    "random": "random",
-}
 
 
 @dataclasses.dataclass(eq=False)
@@ -127,6 +137,11 @@ class BatchCase:
     #: Present only so dispatchers can carry fault-scenario cases; a
     #: non-None injector always routes to the per-node engine.
     fault_injector: object = None
+    #: ``proposed`` only: the offline stage's
+    #: :class:`~repro.core.offline.TrainedPolicy` (anything with
+    #: ``make_scheduler()`` and ``switch_threshold``, the ``E_th`` of
+    #: Eq. 22).  ``capacitors`` is then its sized bank.
+    trained: object = None
 
 
 def batch_ineligibility(
@@ -198,32 +213,22 @@ def simulate_cases(cases: Sequence[BatchCase]) -> List[SimulationResult]:
 def _simulate_per_node(case: BatchCase) -> SimulationResult:
     """Per-node reference path for ineligible cases (and the oracle)."""
     from ..node.node import SensorNode
-    from ..schedulers import (
-        DVFSLoadMatchingScheduler,
-        GreedyEDFScheduler,
-        InterTaskScheduler,
-        IntraTaskScheduler,
-        RandomScheduler,
-    )
     from .engine import simulate
 
-    makers = {
-        "asap": lambda: GreedyEDFScheduler(),
-        "inter-task": lambda: InterTaskScheduler(),
-        "intra-task": lambda: IntraTaskScheduler(),
-        "dvfs": lambda: DVFSLoadMatchingScheduler(),
-        "random": lambda: RandomScheduler(case.scheduler_seed),
-    }
-    if case.policy not in makers:
-        raise ValueError(f"unknown batch policy {case.policy!r}")
+    scheduler = make_scheduler(
+        case.policy, case.scheduler_seed, case.trained
+    )
+    node_kwargs = {}
+    if case.trained is not None:
+        node_kwargs["switch_threshold"] = case.trained.switch_threshold
     node = SensorNode(
-        list(case.capacitors), num_nvps=case.graph.num_nvps
+        list(case.capacitors), num_nvps=case.graph.num_nvps, **node_kwargs
     )
     return simulate(
         node,
         case.graph,
         case.trace,
-        makers[case.policy](),
+        scheduler,
         strict=False,
         fault_injector=case.fault_injector,
     )
@@ -258,6 +263,25 @@ def _earlier_same(nvp: np.ndarray) -> np.ndarray:
 def _row_sums(terms: np.ndarray) -> np.ndarray:
     """Left-to-right sum of each row, like the scalar ``sum(...)``."""
     return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+#: Active-column constants: engine attribute -> the per-device value
+#: it holds, computed in the scalar capacitor model's own expressions.
+_ACTIVE_CONSTANTS = {
+    "c_a": lambda d: d.capacitance,
+    "half_c_a": lambda d: 0.5 * d.capacitance,
+    "e_full_a": lambda d: 0.5 * d.capacitance * d.v_full * d.v_full,
+    "e_cutoff_a": lambda d: 0.5 * d.capacitance * d.v_cutoff * d.v_cutoff,
+    "v_stop_chg": lambda d: d.v_full - 1e-12,
+    "v_stop_dis": lambda d: d.v_cutoff + 1e-12,
+    "cyc_a": lambda d: d.cycle_efficiency,
+    "in_eta_a": lambda d: d.input_regulator.eta_max,
+    "in_exp_a": lambda d: d.input_regulator.exponent,
+    "in_vh_a": lambda d: d.input_regulator._vhalf_pow,
+    "out_eta_a": lambda d: d.output_regulator.eta_max,
+    "out_exp_a": lambda d: d.output_regulator.exponent,
+    "out_vh_a": lambda d: d.output_regulator._vhalf_pow,
+}
 
 
 # ----------------------------------------------------------------------
@@ -360,12 +384,15 @@ class _BatchEngine:
         self._nvp_ones = np.ones(self.k_max, dtype=np.int64)
 
     def _setup_bank(self) -> None:
-        """Bank constants, padded column-wise; active column is static.
+        """Bank constants, padded column-wise, and each row's active column.
 
         Baseline policies pin the largest capacitor at the first period
         and never switch (``StaticLargestCapacitorMixin``); the random
-        policy never selects at all.  Either way the active index is a
-        per-node constant, so charge/discharge touch one static column.
+        policy never selects at all; a ``proposed`` row starts on the
+        bank's default column 0 and may switch at any period start.
+        The active column's constants are gathered per row from
+        per-column tables (:meth:`_gather_active`), so charge and
+        discharge touch one column per row.
         """
         n = self.n
         banks = [list(case.capacitors) for case in self.cases]
@@ -374,12 +401,15 @@ class _BatchEngine:
         self.c_max = c_max
         self.cap_valid = np.zeros((n, c_max), dtype=bool)
         # Padded columns get capacitance 1 / zero volts / zero leak:
-        # their leak update is exactly 0 -> 0 and costs nothing.
+        # their leak update is exactly 0 -> 0 and costs nothing.  They
+        # are never active, so their active-column constants stay 0.
         self.capacitance = np.ones((n, c_max))
         self.v0 = np.zeros((n, c_max))
         self.leak_coeff_cap = np.zeros((n, c_max))
         self.parasitic = np.zeros((n, c_max))
-        self.full_energy = np.ones((n, c_max))
+        self._col_tables = {
+            name: np.zeros((n, c_max)) for name in _ACTIVE_CONSTANTS
+        }
         self.exps_flat: List[float] = []
         active = np.zeros(n, dtype=np.int64)
         for row, devices in enumerate(banks):
@@ -391,67 +421,65 @@ class _BatchEngine:
             self.parasitic[row, :c_n] = [
                 d.parasitic_power for d in devices
             ]
-            self.full_energy[row, :c_n] = [
-                0.5 * d.capacitance * d.v_full * d.v_full for d in devices
-            ]
+            for name, value in _ACTIVE_CONSTANTS.items():
+                self._col_tables[name][row, :c_n] = [
+                    value(d) for d in devices
+                ]
             self.exps_flat.extend(d.leak_exponent for d in devices)
             self.exps_flat.extend(1.0 for _ in range(c_max - c_n))
-            if self.cases[row].policy != "random":
+            if self.cases[row].policy not in ("random", "proposed"):
                 caps = np.array([d.capacitance for d in devices])
                 active[row] = int(caps.argmax())
         self.active_col = active
-        rows = self._rows
         # Flat index of each row's active cell in an (n, c_max) array.
-        self.active_flat = rows * c_max + active
-        devs = [banks[i][active[i]] for i in range(n)]
-        self.c_a = self.capacitance[rows, active]
-        self.half_c_a = 0.5 * self.c_a
-        self.e_full_a = self.full_energy[rows, active]
-        self.e_cutoff_a = np.array(
-            [0.5 * d.capacitance * d.v_cutoff * d.v_cutoff for d in devs]
-        )
-        self.v_stop_chg = np.array([d.v_full - 1e-12 for d in devs])
-        self.v_stop_dis = np.array([d.v_cutoff + 1e-12 for d in devs])
-        self.cyc_a = np.array([d.cycle_efficiency for d in devs])
-        self.in_eta_a = np.array(
-            [d.input_regulator.eta_max for d in devs]
-        )
-        self.in_exp_a = np.array(
-            [d.input_regulator.exponent for d in devs]
-        )
-        self.in_vh_a = np.array(
-            [d.input_regulator._vhalf_pow for d in devs]
-        )
-        self.out_eta_a = np.array(
-            [d.output_regulator.eta_max for d in devs]
-        )
-        self.out_exp_a = np.array(
-            [d.output_regulator.exponent for d in devs]
-        )
-        self.out_vh_a = np.array(
-            [d.output_regulator._vhalf_pow for d in devs]
-        )
+        self.active_flat = np.zeros(n, dtype=np.int64)
+        for name in _ACTIVE_CONSTANTS:
+            setattr(self, name, np.zeros(n))
+        self._gather_active(self._rows)
+
+    def _gather_active(self, rows: np.ndarray) -> None:
+        """Re-gather the active-column constants of ``rows``."""
+        cols = self.active_col[rows]
+        self.active_flat[rows] = rows * self.c_max + cols
+        for name, table in self._col_tables.items():
+            getattr(self, name)[rows] = table[rows, cols]
 
     def _setup_policies(self) -> None:
-        """Policy row groups plus the intra-task subset table."""
+        """Policy row groups, schedulers and the intra-task subset table."""
         policies = [case.policy for case in self.cases]
+        # One scheduler per row from the policy table: it names the
+        # result, a random row draws from its generator and a proposed
+        # row runs its coarse stage.
+        self.schedulers = [
+            make_scheduler(case.policy, case.scheduler_seed, case.trained)
+            for case in self.cases
+        ]
         self.is_asap = np.array([p == "asap" for p in policies])
         self.is_lsa = np.array([p == "inter-task" for p in policies])
         self.is_intra = np.array([p == "intra-task" for p in policies])
+        self.is_prop = np.array([p == "proposed" for p in policies])
         self.idx_lsa = np.flatnonzero(self.is_lsa)
-        self.idx_intra = np.flatnonzero(self.is_intra)
+        self.idx_prop = np.flatnonzero(self.is_prop)
+        # Proposed rows in δ-fallback mode this period.
+        self.idx_lazy = self.idx_prop[:0]
         self.idx_random = np.flatnonzero(
             np.array([p == "random" for p in policies])
         )
         if self.idx_random.size:
             self._setup_random()
-        # Intra-task rows enumerate nonempty position subsets the way
-        # best_power_match does: sizes ascending, lexicographic within
-        # a size.  Restricting the table to the current optional set
-        # (bitmask inclusion) visits the same combinations in the same
-        # order, because relabeling optional positions is monotone.
-        if self.idx_intra.size:
-            t_intra = max(self.t_ns[i] for i in self.idx_intra)
+        if self.idx_prop.size:
+            self._setup_proposed()
+        # The intra group — intra-task rows, plus proposed rows in the
+        # periods their coarse stage picks intra mode — enumerates
+        # nonempty position subsets the way best_power_match does:
+        # sizes ascending, lexicographic within a size.  Restricting
+        # the table to the current optional set (bitmask inclusion)
+        # visits the same combinations in the same order, because
+        # relabeling optional positions is monotone.
+        group = np.flatnonzero(self.is_intra | self.is_prop)
+        self.intra_group = group
+        if group.size:
+            t_intra = max(self.t_ns[i] for i in group)
             combos = [
                 combo
                 for r in range(1, t_intra + 1)
@@ -468,34 +496,45 @@ class _BatchEngine:
             ).astype(bool)
             # Power sums are static per node: accumulate each combo in
             # ascending position order like the scalar sum(...) does.
-            pos = self.powers_pos[self.idx_intra]
-            sums = np.zeros((self.idx_intra.size, len(combos)))
+            pos = self.powers_pos[group]
+            sums = np.zeros((group.size, len(combos)))
             for j, combo in enumerate(combos):
                 acc = pos[:, combo[0]].copy()
                 for p in combo[1:]:
                     acc = acc + pos[:, p]
                 sums[:, j] = acc
-            self.combo_sums = sums
-            self.intra_rows = np.arange(self.idx_intra.size)
-            self.intra_powers_pos = pos
+            self._group_sums = sums
+            self._group_powers_pos = pos
+        self._set_intra_rows(self.is_intra[group])
         self.predictors = {
             int(i): WCMAPredictor(self.tl) for i in self.idx_lsa
         }
 
-    def _setup_random(self) -> None:
-        """Per-node generators, draw buffers and task-order tables.
+    def _set_intra_rows(self, member: np.ndarray) -> None:
+        """Point the intra decision at the ``member`` rows of the group
+        (intra-task rows always, proposed rows in intra-mode periods)."""
+        self.idx_intra = self.intra_group[member]
+        self.intra_rows = np.arange(self.idx_intra.size)
+        if not self.idx_intra.size:
+            return
+        if member.all():
+            self.combo_sums = self._group_sums
+            self.intra_powers_pos = self._group_powers_pos
+        else:
+            self.combo_sums = self._group_sums[member]
+            self.intra_powers_pos = self._group_powers_pos[member]
 
-        One persistent generator per random node: the stream carries
-        across slots and periods exactly like RandomScheduler's.  The
-        cursor starts at each row's capacity, so the first refill draws
-        a full period's worth.
+    def _setup_random(self) -> None:
+        """Draw buffers and task-order tables of the random rows.
+
+        Each row draws from its own RandomScheduler's generator: the
+        stream carries across slots and periods exactly like
+        RandomScheduler's.  The cursor starts at each row's capacity,
+        so the first refill draws a full period's worth.
         """
         idx = self.idx_random
         slots = self.tl.slots_per_period
-        self.rand_rngs = [
-            np.random.default_rng(self.cases[i].scheduler_seed)
-            for i in idx
-        ]
+        self.rand_rngs = [self.schedulers[i].rng for i in idx]
         self.rand_cap = [slots * self.t_ns[i] for i in idx]
         width = slots * self.t_max
         self.rand_buf = np.zeros((idx.size, width))
@@ -508,6 +547,16 @@ class _BatchEngine:
         )
         # RandomScheduler claims NVPs in ascending *task* order.
         self.rand_earlier_bits = _pack(_earlier_same(self.nvp[idx]))
+
+    def _setup_proposed(self) -> None:
+        """Bound schedulers and running state of the proposed rows."""
+        for i in self.idx_prop:
+            self.schedulers[i].bind(self.tl, self.graphs[i])
+        # Sum of finished periods' DMRs (the coarse stage's
+        # accumulated-DMR input) and last period's solar energy.
+        self.dmr_sum = {int(i): 0.0 for i in self.idx_prop}
+        self.last_solar_e = np.zeros(self.n)
+        self.t_prop = max(self.t_ns[i] for i in self.idx_prop)
 
     def _refill_random(self) -> None:
         """Top every random row's buffer up to one period's capacity.
@@ -631,14 +680,15 @@ class _BatchEngine:
         to_pos, to_task = self.to_pos, self.to_task
         powers_pos = self.powers_pos
         has_lsa = self.idx_lsa.size > 0
-        has_intra = self.idx_intra.size > 0
         has_random = self.idx_random.size > 0
-        idx_intra = self.idx_intra
+        has_prop = self.idx_prop.size > 0
+        filtered = has_lsa or has_prop
 
         v = self.v0.copy()
         powered = np.ones((n, k_max), dtype=bool)
         # Admission filter: everything admitted except what the LSA
-        # rows restrict per period (cold-start admits the full set).
+        # rows restrict per period (cold-start admits the full set)
+        # and each proposed row's coarse subset ``te``.
         admitted = np.ones((n, t_max), dtype=bool)
         records: List[List[PeriodRecord]] = [[] for _ in range(n)]
 
@@ -646,8 +696,11 @@ class _BatchEngine:
             day, period = tl.unflatten_period(flat_p)
             if has_lsa and flat_p > 0:
                 self._admit_lsa(day, period, v, admitted)
+            if has_prop:
+                self._coarse_proposed(day, period, flat_p, v, admitted)
             if has_random:
                 self._refill_random()
+            idx_intra, idx_lazy = self.idx_intra, self.idx_lazy
             v_snapshot = v.copy()
             remaining = self.exec0.copy()
             missed = np.zeros((n, t_max), dtype=bool)
@@ -696,7 +749,7 @@ class _BatchEngine:
                 # and ``mand_load`` its must-run subsequence.
                 cand = (
                     ready_pos & admitted.take(to_pos)
-                    if has_lsa
+                    if filtered
                     else ready_pos
                 )
                 per_nvp = cand & (
@@ -710,8 +763,8 @@ class _BatchEngine:
                 # Policy decisions (position space).  The sequential
                 # sums above equal the scalar engine's load for every
                 # single-segment decision (asap queue, LSA queue or
-                # mandatory subset); intra-task rows extend mand_load
-                # with their picked positions, in order, below.
+                # mandatory subset); intra and lazy rows extend
+                # mand_load with their picked positions, in order.
                 chosen_pos = per_nvp & self.is_asap[:, None]
                 load = np.where(self.is_asap, total_load, 0.0)
                 if has_lsa:
@@ -725,7 +778,7 @@ class _BatchEngine:
                         np.where(run_all, total_load, mand_load),
                         load,
                     )
-                if has_intra:
+                if idx_intra.size:
                     picked, intra_load = self._decide_intra(
                         per_nvp[idx_intra] & ~must[idx_intra],
                         solar_vec[idx_intra],
@@ -733,6 +786,14 @@ class _BatchEngine:
                     )
                     chosen_pos[idx_intra] = mand[idx_intra] | picked
                     load[idx_intra] = intra_load
+                if idx_lazy.size:
+                    picked, lazy_load = self._decide_lazy(
+                        per_nvp[idx_lazy] & ~must[idx_lazy],
+                        solar_vec[idx_lazy],
+                        mand_load[idx_lazy],
+                    )
+                    chosen_pos[idx_lazy] = mand[idx_lazy] | picked
+                    load[idx_lazy] = lazy_load
                 chosen = chosen_pos.take(to_task)
 
                 if has_random:
@@ -839,13 +900,13 @@ class _BatchEngine:
                 self.predictors[int(i)].observe(
                     day, period, float(solar_e[i])
                 )
+            if has_prop:
+                for i in self.dmr_sum:
+                    self.dmr_sum[i] += records[i][-1].dmr
+                self.last_solar_e = solar_e
 
         return [
-            SimulationResult(
-                tl,
-                _SCHEDULER_NAMES[self.cases[row].policy],
-                records[row],
-            )
+            SimulationResult(tl, self.schedulers[row].name, records[row])
             for row in range(n)
         ]
 
@@ -875,6 +936,123 @@ class _BatchEngine:
                 row_adm[t] = True
             row_adm[self.t_ns[i]:] = True
             admitted[i] = row_adm
+
+    def _coarse_proposed(
+        self,
+        day: int,
+        period: int,
+        flat_p: int,
+        v: np.ndarray,
+        admitted: np.ndarray,
+    ) -> None:
+        """Every proposed row's coarse stage, once per period.
+
+        Each row's ProposedScheduler sees the PeriodStartView the
+        per-node engine would build from its node: the row's bank
+        voltages, its running DMR and last period's solar.  Its Eq.
+        (22) requests move the row's active column; its subset ``te``
+        becomes the row's admission mask and its α picks intra or lazy
+        mode for the period's fine pass.
+        """
+        first = flat_p == 0
+        switched: List[int] = []
+        intra_mode = np.zeros(self.n, dtype=bool)
+        for i in self.idx_prop:
+            i = int(i)
+            c_n = self.c_ns[i]
+            caps = self.capacitance[i, :c_n].copy()
+            volts = v[i, :c_n].copy()
+            # As CapacitorBank.view_arrays computes them.
+            usable = np.maximum(
+                0.5 * caps * volts * volts
+                - self._col_tables["e_cutoff_a"][i, :c_n],
+                0.0,
+            )
+            request, force = self._bank_callbacks(i, usable, switched)
+            scheduler = self.schedulers[i]
+            scheduler.on_period_start(
+                PeriodStartView(
+                    timeline=self.tl,
+                    graph=self.graphs[i],
+                    day=day,
+                    period=period,
+                    bank=BankView(
+                        caps, volts, usable, int(self.active_col[i])
+                    ),
+                    accumulated_dmr=(
+                        0.0 if first else self.dmr_sum[i] / flat_p
+                    ),
+                    last_period_energy=(
+                        None if first else float(self.last_solar_e[i])
+                    ),
+                    last_period_powers=(
+                        None if first else self._solar[i][flat_p - 1]
+                    ),
+                    request_capacitor=request,
+                    force_capacitor=force,
+                )
+            )
+            row_adm = np.zeros(self.t_max, dtype=bool)
+            row_adm[sorted(scheduler.selected)] = True
+            row_adm[self.t_ns[i]:] = True
+            admitted[i] = row_adm
+            intra_mode[i] = scheduler.intra_mode
+        if switched:
+            self._gather_active(np.unique(switched))
+        group = self.intra_group
+        self._set_intra_rows(self.is_intra[group] | intra_mode[group])
+        self.idx_lazy = self.idx_prop[~intra_mode[self.idx_prop]]
+        self.lazy_powers_pos = self.powers_pos[self.idx_lazy]
+
+    def _bank_callbacks(self, row: int, usable: np.ndarray, switched: list):
+        """A row's ``(request_capacitor, force_capacitor)`` callbacks:
+        CapacitorBank's ``request_switch`` (Eq. 22, with the row's
+        trained ``E_th``) and ``select`` on the row's active column.
+        Rows that switch are appended to ``switched``.
+        """
+        c_n = self.c_ns[row]
+        e_th = self.cases[row].trained.switch_threshold
+
+        def force(index: int) -> None:
+            if not 0 <= index < c_n:
+                raise IndexError(f"index {index} out of range [0, {c_n})")
+            if index != self.active_col[row]:
+                self.active_col[row] = index
+                switched.append(row)
+
+        def request(index: int) -> bool:
+            active = self.active_col[row]
+            if index == active:
+                return True
+            if usable[active] < e_th:
+                force(index)
+                return True
+            return False
+
+        return request, force
+
+    def _decide_lazy(
+        self,
+        optional: np.ndarray,
+        solar: np.ndarray,
+        mand_load: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """fine_grained_decision's lazy pass over the δ-fallback rows.
+
+        From ``mand_load``, each optional position in priority order
+        runs when the running load plus its power stays within solar —
+        the scalar loop's exact sequence of additions.
+        """
+        powers = self.lazy_powers_pos
+        limit = solar + 1e-12
+        load = mand_load
+        picked = np.zeros_like(optional)
+        for p in range(self.t_prop):
+            extra = load + powers[:, p]
+            take = optional[:, p] & (extra <= limit)
+            load = np.where(take, extra, load)
+            picked[:, p] = take
+        return picked, load
 
     def _decide_intra(
         self,

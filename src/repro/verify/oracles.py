@@ -570,8 +570,9 @@ def oracle_batch_vs_per_node(
 ) -> CheckOutcome:
     """One fleet shard through both executors; demand bit-identity.
 
-    Simulates ``n_nodes`` heterogeneous fleet nodes (mixed policies,
-    bank sizes, panel scales — the standard ``fleet_variations``
+    Simulates ``n_nodes`` heterogeneous fleet nodes (every fleet
+    policy, ``proposed`` with the fleet's small training budget, and
+    mixed bank sizes and panel scales — the ``fleet_variations``
     population of the seed) once through the node-major batched engine
     (:func:`~repro.fleet.runner.simulate_shard_batch`) and once
     through the scalar per-node engine, then compares the complete
@@ -580,10 +581,10 @@ def oracle_batch_vs_per_node(
     one Violation per offending node, naming its index and config.
     """
     from ..fleet.runner import simulate_node, simulate_shard_batch
-    from ..fleet.spec import FleetSpec
+    from ..fleet.spec import FLEET_POLICIES, FleetSpec
 
     out = CheckOutcome(name="oracle/batch-vs-per-node", subject=label)
-    fleet = FleetSpec(n_nodes=n_nodes, seed=seed)
+    fleet = FleetSpec(n_nodes=n_nodes, seed=seed, policies=FLEET_POLICIES)
     base = fleet.base_trace()
     specs = [fleet.node_spec(i) for i in range(n_nodes)]
     batched = simulate_shard_batch(fleet, base, specs)

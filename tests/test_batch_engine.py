@@ -6,6 +6,9 @@ scalar engine — not statistical agreement.  This suite pins it:
 - differential conformance over the 4 canonical solar days, all 7
   runtime fault scenarios (via the dispatcher's per-node fallback) and
   heterogeneous ``fleet_variations`` populations;
+- ``proposed`` rows (trained DBN and scripted coarse stages) beside
+  the baseline rows: Eq. (22) switches accepted and refused, δ-fallback
+  periods, a failing coarse stage, a sized 4-capacitor bank;
 - degenerate batch shapes: a single node, a shard of identical nodes,
   a shard where every node differs;
 - hypothesis properties: batch-split invariance, node-order
@@ -21,8 +24,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import DEFAULT_BANK_FARADS, quick_node
+from repro.core.offline import OfflinePipeline
+from repro.core.online import CoarsePolicy, ProposedScheduler
 from repro.energy.capacitor import SuperCapacitor
 from repro.fleet import FleetRunner, FleetSpec, simulate_node, simulate_shard_batch
+from repro.node.node import SensorNode
+from repro.obs import Observer
 from repro.reliability import RUNTIME_SCENARIOS, FaultInjector, runtime_scenario
 from repro.schedulers import GreedyEDFScheduler, IntraTaskScheduler
 from repro.sim import result_fingerprint
@@ -53,15 +60,79 @@ def _default_bank():
     )
 
 
-def _case_from_variation(var, trace):
+_TRAINED = {}
+
+
+def _trained_for(graph):
+    """The fleet-sized offline stage for ``graph``, trained once."""
+    if graph.name not in _TRAINED:
+        train = synthetic_trace(Timeline(2, 24, 20, 30.0), seed=0)
+        _TRAINED[graph.name] = OfflinePipeline(
+            graph, pretrain_epochs=5, finetune_epochs=5,
+            augment_per_period=1, seed=0,
+        ).run(train)
+    return _TRAINED[graph.name]
+
+
+def _make_case(graph, trace, farads, policy, seed=0, trained=None):
+    """A BatchCase; a ``proposed`` row runs on its policy's own bank
+    (by default the graph's trained DBN policy)."""
+    if policy == "proposed":
+        trained = trained or _trained_for(graph)
+        capacitors = tuple(trained.capacitors)
+    else:
+        capacitors = tuple(SuperCapacitor(capacitance=c) for c in farads)
     return BatchCase(
-        graph=build_graph(var["graph_kind"]),
-        trace=trace,
-        capacitors=tuple(
-            SuperCapacitor(capacitance=c) for c in var["bank_farads"]
-        ),
-        policy=var["policy"],
-        scheduler_seed=var["scheduler_seed"],
+        graph=graph, trace=trace, capacitors=capacitors, policy=policy,
+        scheduler_seed=seed, trained=trained,
+    )
+
+
+class _ScriptedCoarse(CoarsePolicy):
+    """A coarse stage on a fixed script: it walks the bank, alternates
+    intra mode (α = 1) with δ-fallback periods (α = 3), leaves one
+    rotating task out of ``te`` and raises on every ``fail_every``-th
+    call (every call for 1, never for 0)."""
+
+    def __init__(self, n_tasks, n_caps, fail_every):
+        self.n_tasks, self.n_caps = n_tasks, n_caps
+        self.fail_every = fail_every
+        self.calls = 0
+
+    def decide(self, prev_solar, voltages, accumulated_dmr):
+        k = self.calls
+        self.calls += 1
+        if self.fail_every and (k + 1) % self.fail_every == 0:
+            raise RuntimeError("scripted coarse failure")
+        te = np.ones(self.n_tasks, dtype=bool)
+        te[k % self.n_tasks] = False
+        return (k // 2) % self.n_caps, (1.0, 3.0)[k % 2], te
+
+
+@dataclasses.dataclass
+class _ScriptedPolicy:
+    """Stands in for a TrainedPolicy: bank, ``E_th`` and a scripted
+    ProposedScheduler."""
+
+    graph: TaskGraph
+    farads: tuple
+    switch_threshold: float = 2.0
+    fail_every: int = 0
+
+    @property
+    def capacitors(self):
+        return tuple(SuperCapacitor(capacitance=c) for c in self.farads)
+
+    def make_scheduler(self):
+        return ProposedScheduler(
+            _ScriptedCoarse(len(self.graph), len(self.farads), self.fail_every)
+        )
+
+
+def _case_from_variation(var, trace):
+    return _make_case(
+        build_graph(var["graph_kind"]), trace, var["bank_farads"],
+        var["policy"], var["scheduler_seed"],
     )
 
 
@@ -227,7 +298,7 @@ class TestEligibility:
         graph = paper_benchmarks()["WAM"]
         assert batch_ineligibility("asap", graph) is None
         assert "not batched" in batch_ineligibility("dvfs", graph)
-        assert "not batched" in batch_ineligibility("proposed", graph)
+        assert batch_ineligibility("proposed", graph) is None
         assert "per-node" in batch_ineligibility(
             "asap", graph, fault_injector=object()
         )
@@ -239,7 +310,7 @@ class TestEligibility:
         )
         assert "MAX_BATCH_TASKS" in batch_ineligibility("asap", wide)
         assert set(BATCH_POLICIES) == {
-            "asap", "inter-task", "intra-task", "random"
+            "asap", "inter-task", "intra-task", "random", "proposed"
         }
 
 
@@ -278,7 +349,12 @@ def _twelve_task_graph():
 
 
 def _conformance_shard(n_rows=128):
-    """A shard mixing every per-slot table the engine uses."""
+    """A shard mixing every per-slot table the engine uses.
+
+    Proposed rows alternate, in blocks, between the graph's trained
+    DBN policy and a scripted coarse stage on a 4-capacitor bank that
+    switches, falls back to the lazy pass and fails now and then.
+    """
     tl = tiny_timeline(periods_per_day=4)
     graphs = [
         _shared_nvp_graph(False),
@@ -290,16 +366,19 @@ def _conformance_shard(n_rows=128):
     policies = BATCH_POLICIES
     cases = []
     for row in range(n_rows):
+        graph = graphs[row % len(graphs)]
+        policy = policies[(row // len(graphs)) % len(policies)]
+        scripted = None
+        if policy == "proposed" and (row // 20) % 2:
+            scripted = _ScriptedPolicy(graph, banks[3], fail_every=5)
         cases.append(
-            BatchCase(
-                graph=graphs[row % len(graphs)],
-                trace=random_trace(tl, 1000 + row % 11),
-                capacitors=tuple(
-                    SuperCapacitor(capacitance=c)
-                    for c in banks[(row + row // 16) % len(banks)]
-                ),
-                policy=policies[(row // len(graphs)) % len(policies)],
-                scheduler_seed=row,
+            _make_case(
+                graph,
+                random_trace(tl, 1000 + row % 11),
+                banks[(row + row // 16) % len(banks)],
+                policy,
+                seed=row,
+                trained=scripted,
             )
         )
     return cases
@@ -322,6 +401,10 @@ class TestWidthConformance:
             for policy in BATCH_POLICIES:
                 assert (name, policy) in combos
         assert len(_twelve_task_graph()) == MAX_BATCH_TASKS
+        kinds = {
+            type(c.trained).__name__ for c in cases if c.policy == "proposed"
+        }
+        assert kinds == {"TrainedPolicy", "_ScriptedPolicy"}
 
     @pytest.mark.parametrize("width", [1, 7, 33, 128])
     def test_every_row_matches_per_node(self, conformance_shard, width):
@@ -371,6 +454,83 @@ class TestWidthConformance:
         second = result_fingerprint(simulate_batch(wide)[-1])
         assert first == second
         assert first == result_fingerprint(_per_node_reference(target))
+
+
+def _per_node_events(case):
+    """Observer events of ``case``'s per-node reference run."""
+    events = []
+
+    class Spy:
+        def write(self, record):
+            events.append(record)
+
+    node = SensorNode(
+        list(case.capacitors), num_nvps=case.graph.num_nvps,
+        switch_threshold=case.trained.switch_threshold,
+    )
+    simulate(
+        node, case.graph, case.trace, case.trained.make_scheduler(),
+        strict=False, observer=Observer(sinks=[Spy()]),
+    )
+    return events
+
+
+class TestProposedRows:
+    """One proposed row between intra-task, inter-task and random rows
+    on 2-capacitor banks: every row must equal its per-node run, and
+    the per-node run must show the case under test happening."""
+
+    def _batched_events(self, policy, seed=21):
+        tl = tiny_timeline(periods_per_day=24)
+        graph = build_graph("wam")
+        target = _make_case(
+            graph, random_trace(tl, seed), (), "proposed", trained=policy
+        )
+        cases = [
+            _make_case(graph, random_trace(tl, seed + k), (1.0, 47.0), p, k)
+            for k, p in enumerate(("intra-task", "inter-task", "random"))
+        ]
+        cases.insert(1, target)
+        results = simulate_batch(cases)
+        for case, got in zip(cases, results):
+            _assert_identical(got, _per_node_reference(case), case.policy)
+        return _per_node_events(target), results[1]
+
+    def test_eq22_request_refused_and_accepted(self):
+        graph = build_graph("wam")
+        events, _ = self._batched_events(_ScriptedPolicy(graph, (1.0, 47.0)))
+        asks = [
+            e for e in events
+            if e["kind"] == "capacitor_switch"
+            and e["requested"] != e["previous"]
+        ]
+        assert any(e["accepted"] for e in asks)
+        assert any(not e["accepted"] for e in asks)
+
+    def test_delta_fallback_period(self):
+        graph = build_graph("wam")
+        events, _ = self._batched_events(_ScriptedPolicy(graph, (1.0, 47.0)))
+        modes = {
+            e["intra_mode"] for e in events if e["kind"] == "coarse_decision"
+        }
+        assert modes == {True, False}
+        assert any(e["kind"] == "delta_fallback" for e in events)
+
+    def test_failing_coarse_stage_reaches_inter_task_only(self):
+        graph = build_graph("wam")
+        events, _ = self._batched_events(
+            _ScriptedPolicy(graph, (1.0, 47.0), fail_every=1)
+        )
+        stages = {e["stage"] for e in events if e["kind"] == "policy_fallback"}
+        assert {"retry", "quarantine", "inter_task_only"} <= stages
+
+    def test_sized_four_capacitor_bank_beside_two(self):
+        graph = build_graph("wam")
+        _, result = self._batched_events(
+            _ScriptedPolicy(graph, (0.5, 1.0, 4.7, 10.0), switch_threshold=1e9)
+        )
+        assert all(len(r.start_voltages) == 4 for r in result.periods)
+        assert {r.active_index for r in result.periods} == {0, 1, 2, 3}
 
 
 # ----------------------------------------------------------------------
@@ -458,8 +618,11 @@ def test_batched_rows_respect_physics_invariants(seed, n_nodes):
 # Teeth: the conformance wall must actually bite
 # ----------------------------------------------------------------------
 class TestOracleTeeth:
+    # Seed 1's six-node population: asap, dvfs, intra-task, random,
+    # proposed, asap.  The dvfs node runs per node, so batch row 3 is
+    # node 4, the proposed node.
     def test_clean_oracle_passes(self):
-        out = oracle_batch_vs_per_node(n_nodes=6, seed=0, label="clean")
+        out = oracle_batch_vs_per_node(n_nodes=6, seed=1, label="clean")
         assert out.passed
         assert out.checked == 6
         assert not out.violations
@@ -469,7 +632,7 @@ class TestOracleTeeth:
         back as a structured Violation naming that node."""
         import repro.sim.batch as batch_mod
 
-        target_row = 2
+        target_row, target_node = 3, 4
         real = batch_mod._node_leak_row
 
         def corrupt(node_index, devices):
@@ -479,14 +642,14 @@ class TestOracleTeeth:
             return row
 
         monkeypatch.setattr(batch_mod, "_node_leak_row", corrupt)
-        out = oracle_batch_vs_per_node(n_nodes=6, seed=0, label="teeth")
+        out = oracle_batch_vs_per_node(n_nodes=6, seed=1, label="teeth")
         assert not out.passed
         assert {v.details["node_id"] for v in out.violations} == {
-            target_row
+            target_node
         }
         v = out.violations[0]
         assert "fingerprint" in v.details["differing_fields"]
-        assert v.details["policy"]
+        assert v.details["policy"] == "proposed"
         assert v.details["graph_kind"]
 
 

@@ -403,6 +403,32 @@ class TestFleetRunner:
             spec, base, spec.node_spec(3)
         )
 
+    def test_policy_loaded_once_per_workload_per_shard(
+        self, tmp_path, monkeypatch
+    ):
+        """Every proposed node of a shard shares one policy load."""
+        from repro.perf.cache import ArtifactCache
+
+        monkeypatch.delenv("REPRO_NO_CACHE")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        gets = []
+        real = ArtifactCache.get
+
+        def counting(self, kind, digest):
+            gets.append(kind)
+            return real(self, kind, digest)
+
+        monkeypatch.setattr(ArtifactCache, "get", counting)
+        spec = FleetSpec(
+            n_nodes=4, seed=0, policies=("proposed",), task_mix=("wam",)
+        )
+        for engine in ("batch", "per-node"):
+            gets.clear()
+            run_fleet(
+                spec, workers=1, shard_size=4, cache=False, engine=engine
+            )
+            assert gets == ["policy"], engine
+
 
 class TestFleetAggregateIntegration:
     """The runner builds the mergeable aggregate shard by shard."""
