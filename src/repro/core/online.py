@@ -23,6 +23,11 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..obs.events import (
+    CoarseDecisionEvent,
+    DeltaFallbackEvent,
+    PolicyFallbackEvent,
+)
 from ..schedulers.base import Scheduler, nvp_filter
 from ..schedulers.greedy import must_run_now
 from ..schedulers.intratask import best_power_match
@@ -391,22 +396,23 @@ class ProposedScheduler(Scheduler):
         if self._quarantine_left > 0:
             self._quarantine_left -= 1
             last_error = "primary policy quarantined"
-            obs.policy_fallback(
-                stage="quarantine",
-                reason=(
-                    f"primary skipped, {self._quarantine_left + 1} "
-                    "period(s) of quarantine remaining"
-                ),
-                failure_streak=self._failure_streak,
-            )
+            if obs.enabled:
+                obs.emit(PolicyFallbackEvent(
+                    stage="quarantine",
+                    reason=(
+                        f"primary skipped, {self._quarantine_left + 1} "
+                        "period(s) of quarantine remaining"
+                    ),
+                    failure_streak=self._failure_streak,
+                ))
         else:
             for attempt in range(1 + self.max_retries):
-                if attempt > 0:
-                    obs.policy_fallback(
+                if attempt > 0 and obs.enabled:
+                    obs.emit(PolicyFallbackEvent(
                         stage="retry",
                         reason=str(last_error),
                         failure_streak=self._failure_streak,
-                    )
+                    ))
                 try:
                     result = self._attempt(self.policy, view, prev, injected)
                 except Exception as exc:  # degrade, never crash the loop
@@ -417,14 +423,15 @@ class ProposedScheduler(Scheduler):
             self._failure_streak += 1
             if self._failure_streak >= self.quarantine_threshold:
                 self._quarantine_left = self.quarantine_periods
-                obs.policy_fallback(
-                    stage="quarantine",
-                    reason=(
-                        f"{self._failure_streak} consecutive failures; "
-                        f"last: {last_error}"
-                    ),
-                    failure_streak=self._failure_streak,
-                )
+                if obs.enabled:
+                    obs.emit(PolicyFallbackEvent(
+                        stage="quarantine",
+                        reason=(
+                            f"{self._failure_streak} consecutive failures; "
+                            f"last: {last_error}"
+                        ),
+                        failure_streak=self._failure_streak,
+                    ))
 
         if self.fallback_policy is not None:
             try:
@@ -432,22 +439,24 @@ class ProposedScheduler(Scheduler):
             except Exception as exc:
                 last_error = exc
             else:
-                obs.policy_fallback(
-                    stage="fallback_policy",
-                    reason=str(last_error),
-                    failure_streak=self._failure_streak,
-                )
+                if obs.enabled:
+                    obs.emit(PolicyFallbackEvent(
+                        stage="fallback_policy",
+                        reason=str(last_error),
+                        failure_streak=self._failure_streak,
+                    ))
                 return result
 
         # Terminal rung, always valid: keep the active capacitor,
         # attempt every task, and force |1 - α| > δ so the cheap
         # inter-task pass runs — the δ-fallback generalised to "the
         # coarse stage is down".
-        obs.policy_fallback(
-            stage="inter_task_only",
-            reason=str(last_error),
-            failure_streak=self._failure_streak,
-        )
+        if obs.enabled:
+            obs.emit(PolicyFallbackEvent(
+                stage="inter_task_only",
+                reason=str(last_error),
+                failure_streak=self._failure_streak,
+            ))
         return (
             view.bank.active_index,
             1.0 + self.delta + 1.0,
@@ -466,14 +475,14 @@ class ProposedScheduler(Scheduler):
         self._selected = set(np.flatnonzero(te).tolist())
         self._intra_mode = abs(1.0 - alpha) <= self.delta
         if obs.enabled:
-            obs.coarse_decision(
+            obs.emit(CoarseDecisionEvent(
                 cap_index=cap,
                 alpha=alpha,
                 intra_mode=self._intra_mode,
-                task_subset=sorted(self._selected),
-            )
+                task_subset=tuple(sorted(self._selected)),
+            ))
             if not self._intra_mode:
-                obs.delta_fallback(alpha=alpha, delta=self.delta)
+                obs.emit(DeltaFallbackEvent(alpha=alpha, delta=self.delta))
         if 0 <= cap < len(view.bank.capacitances):
             view.request_capacitor(cap)
 

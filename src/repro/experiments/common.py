@@ -26,9 +26,12 @@ from ..core import (
 from ..obs import Observer, build_manifest
 from ..obs.trace import current_tracer
 from ..perf.cache import cache_enabled, default_cache
-from ..perf.parallel import resolve_workers
-from ..reliability.supervisor import SupervisorPolicy, supervised_traced_map
-from ..schedulers import InterTaskScheduler, IntraTaskScheduler, Scheduler
+from ..reliability.supervisor import (
+    SupervisorPolicy,
+    resolve_workers,
+    supervised_map,
+)
+from ..schedulers import Scheduler, make_scheduler
 from ..sim.engine import simulate
 from ..sim.recorder import SimulationResult
 from ..solar import (
@@ -198,13 +201,11 @@ def sized_capacitors(
 def _suite_scheduler(
     name: str, graph: TaskGraph, trace: SolarTrace, policy: TrainedPolicy
 ) -> Scheduler:
-    """Build one comparison scheduler by key (shared serial/parallel)."""
-    if name == "inter-task":
-        return InterTaskScheduler()
-    if name == "intra-task":
-        return IntraTaskScheduler()
-    if name == "proposed":
-        return policy.make_scheduler()
+    """Build one comparison scheduler by key (shared serial/parallel).
+
+    ``optimal`` is planned on the true trace here; every other key
+    comes from the policy table :func:`repro.schedulers.make_scheduler`.
+    """
     if name == "optimal":
         optimizer = LongTermOptimizer(
             graph, trace.timeline, list(policy.capacitors)
@@ -213,7 +214,7 @@ def _suite_scheduler(
             trace_period_matrix(trace), extract_matrices=False
         )
         return StaticOptimalScheduler(plan)
-    raise ValueError(f"unknown scheduler key {name!r}")
+    return make_scheduler(name, trained=policy)
 
 
 def _suite_cell(args: Tuple) -> Tuple[str, SimulationResult]:
@@ -255,14 +256,13 @@ def evaluation_suite(
     tracer = current_tracer()
     if observer is None and workers > 1 and len(include) > 1:
         cells = [(graph, trace, policy, name) for name in include]
-        sup = supervised_traced_map(
+        sup = supervised_map(
             _suite_cell,
             cells,
-            name="suite_cell",
-            keys=list(include),
             policy=SupervisorPolicy.from_env(on_error="fail"),
             n_workers=workers,
-            tracer=tracer,
+            labels=list(include),
+            span="suite_cell",
         )
         return dict(sup.results)
     results: Dict[str, SimulationResult] = {}

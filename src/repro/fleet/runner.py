@@ -57,16 +57,21 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..energy.capacitor import SuperCapacitor
 from ..node.node import SensorNode
-from ..obs.events import NULL_OBSERVER, Observer
+from ..obs.events import (
+    NULL_OBSERVER,
+    FleetShardEvent,
+    NodeQuarantinedEvent,
+    Observer,
+)
 from ..obs.sketch import P2Quantile
 from ..obs.trace import NULL_TRACER, activate, collecting_tracer
 from ..perf.cache import ArtifactCache, cache_enabled, default_cache, hash_key
-from ..perf.parallel import resolve_workers
 from ..reliability.chaos import ChaosPlan, ChaosSpec
 from ..reliability.supervisor import (
     SupervisorError,
     SupervisorPolicy,
     TaskFailure,
+    resolve_workers,
     supervised_map,
 )
 from ..schedulers import make_scheduler
@@ -629,8 +634,10 @@ class FleetRunner:
         ]
 
     def _emit_quarantines(self, failed: Sequence[FailedNode]) -> None:
+        if not self.observer.enabled:
+            return
         for f in failed:
-            self.observer.node_quarantined(
+            self.observer.emit(NodeQuarantinedEvent(
                 node_id=f.node_id,
                 node_policy=f.policy,
                 error_type=f.error_type,
@@ -640,7 +647,7 @@ class FleetRunner:
                     f"{f.error_type} on every allowed attempt: "
                     f"{f.message}"
                 ),
-            )
+            ))
 
     @staticmethod
     def _load_checkpoint(cached):
@@ -742,11 +749,12 @@ class FleetRunner:
                         pass
                     for summary in summaries:
                         dmr_stream.add(summary.dmr)
-                    obs.fleet_shard(
-                        index, len(shards), node_ids, cached=True,
-                        seconds=0.0,
-                        p50_dmr_est=dmr_stream.estimate(-1.0),
-                    )
+                    if obs.enabled:
+                        obs.emit(FleetShardEvent(
+                            index, len(shards), node_ids, cached=True,
+                            seconds=0.0,
+                            p50_dmr_est=dmr_stream.estimate(-1.0),
+                        ))
                 else:
                     pending.append(index)
 
@@ -771,11 +779,12 @@ class FleetRunner:
                     )
                 for summary in summaries:
                     dmr_stream.add(summary.dmr)
-                obs.fleet_shard(
-                    index, len(shards), shards[index], cached=False,
-                    seconds=seconds,
-                    p50_dmr_est=dmr_stream.estimate(-1.0),
-                )
+                if obs.enabled:
+                    obs.emit(FleetShardEvent(
+                        index, len(shards), shards[index], cached=False,
+                        seconds=seconds,
+                        p50_dmr_est=dmr_stream.estimate(-1.0),
+                    ))
 
             policy = SupervisorPolicy(
                 max_retries=self.max_retries,

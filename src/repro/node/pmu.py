@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 
 from ..energy.bank import CapacitorBank
-from ..obs.events import NULL_OBSERVER
+from ..obs.events import NULL_OBSERVER, CapacitorSwitchEvent
 
 __all__ = ["PMU"]
 
@@ -76,14 +76,15 @@ class PMU:
             accepted = index == previous
         else:
             accepted = self.bank.request_switch(index, self.switch_threshold)
-        self.observer.capacitor_switch(
-            previous=previous,
-            requested=index,
-            accepted=accepted,
-            forced=False,
-            active_usable_energy=usable,
-            threshold=self.switch_threshold,
-        )
+        if self.observer.enabled:
+            self.observer.emit(CapacitorSwitchEvent(
+                previous=previous,
+                requested=index,
+                accepted=accepted,
+                forced=False,
+                active_usable_energy=usable,
+                threshold=self.switch_threshold,
+            ))
         return accepted
 
     def force_capacitor(self, index: int) -> None:
@@ -91,14 +92,15 @@ class PMU:
         previous = self.bank.active_index
         usable = self.bank.active.usable_energy
         self.bank.select(index)
-        self.observer.capacitor_switch(
-            previous=previous,
-            requested=index,
-            accepted=True,
-            forced=True,
-            active_usable_energy=usable,
-            threshold=self.switch_threshold,
-        )
+        if self.observer.enabled:
+            self.observer.emit(CapacitorSwitchEvent(
+                previous=previous,
+                requested=index,
+                accepted=True,
+                forced=True,
+                active_usable_energy=usable,
+                threshold=self.switch_threshold,
+            ))
 
     # ------------------------------------------------------------------
     def supply_slot(

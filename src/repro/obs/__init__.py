@@ -2,9 +2,12 @@
 
 Zero-dependency tracing, metrics, profiling and run provenance:
 
-* :mod:`repro.obs.events` — typed event bus (:class:`Observer`) with
-  a disabled :data:`NULL_OBSERVER` default the engine uses when no
-  observer is supplied;
+* :mod:`repro.obs.events` — typed events and the bus that records
+  them: ``observer.emit(event)`` stamps the simulation clock, bumps
+  the counters the event class names and fans the record out to sinks;
+  :data:`NULL_OBSERVER` is the disabled default the engine uses when
+  no observer is supplied (call sites guard with ``observer.enabled``,
+  so it costs one boolean check);
 * :mod:`repro.obs.metrics` — counters/gauges/histograms;
 * :mod:`repro.obs.profile` — per-phase wall-time profiling;
 * :mod:`repro.obs.sinks` — JSONL trace files, ring buffers, console

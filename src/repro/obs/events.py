@@ -4,21 +4,25 @@ Every consequential moment of a run has a typed event: the per-slot
 scheduling decision, a deadline miss, a brownout, a capacitor-switch
 attempt (accepted *or* rejected by the Eq. 22 threshold), the coarse
 stage's per-period output, and the δ-rule fallback to the cheap
-inter-task pass.  Emitters (:mod:`repro.sim.engine`,
-:mod:`repro.node.pmu`, :mod:`repro.core.online`) go through an
-:class:`Observer`, which stamps events with the simulation clock,
-fans them out to sinks, and keeps the run's metrics and phase timings.
+inter-task pass.  Emitters build the event and hand it to
+:meth:`Observer.emit`, which stamps it with the simulation clock,
+bumps the counters the event class names, and fans the record out to
+sinks.  A new kind of event is one dataclass: its fields are the
+record schema, its class attributes say which counter it bumps and
+how it is stamped.
 
-The default observer is :data:`NULL_OBSERVER`: disabled, no sinks, and
-every emit helper returns after one boolean check — the instrumented
-engine with observability off is behaviourally and numerically
-identical to an uninstrumented one (guarded by test).
+The default observer is :data:`NULL_OBSERVER`: disabled, no sinks.
+Emitters on a hot path guard with ``if observer.enabled:`` so a
+disabled observer costs one boolean check and builds no event — the
+instrumented engine with observability off is behaviourally and
+numerically identical to an uninstrumented one (guarded by test).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .metrics import MetricsRegistry
 from .profile import NULL_SPAN, PhaseProfiler
@@ -59,25 +63,64 @@ def _json_safe(value):
     return value
 
 
+#: Field annotation -> JSON coercion applied when a record is built, so
+#: a numpy scalar or an ``int`` passed for a ``float`` field serialises
+#: exactly as the schema says (``1.0``, never ``1``).
+_COERCE: Dict[str, Callable] = {
+    "int": int,
+    "float": float,
+    "bool": bool,
+    "str": str,
+    "Tuple[int, ...]": lambda v: [int(x) for x in v],
+    "Tuple[str, ...]": lambda v: [str(x) for x in v],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(cls) -> Tuple[Tuple[str, Callable], ...]:
+    """``(field name, coercion)`` of an event class, in schema order."""
+    return tuple((f.name, _COERCE[f.type]) for f in dataclasses.fields(cls))
+
+
+def _flush(sinks: Iterable) -> None:
+    for sink in sinks:
+        flush = getattr(sink, "flush", None)
+        if flush is not None:
+            flush()
+
+
 @dataclasses.dataclass(frozen=True)
 class Event:
-    """Base event: everything is stamped with the simulation clock.
+    """Base of every typed event; subclasses add the payload fields.
 
-    ``slot`` is ``-1`` for period-level events; a slot equal to the
-    timeline's ``slots_per_period`` marks the end-of-period boundary
-    (where final deadline checks run).
+    A record is ``kind``, then the clock stamp ``day``/``period``/
+    ``slot``, then the payload fields in declaration order.  ``clock``
+    says how :meth:`Observer.emit` stamps it: ``"slot"`` with the
+    observer's full clock, ``"period"`` with ``slot = -1``, ``None``
+    with ``-1, -1, -1`` (fleet, pool and cache events happen outside
+    any simulated run).  A slot equal to the timeline's
+    ``slots_per_period`` marks the end-of-period boundary (where final
+    deadline checks run).
     """
 
     kind = "event"
+    #: Counter bumped by one per emitted event (see :meth:`counts`).
+    counter = ""
+    clock = "slot"
+    #: Flush every sink after writing this event.
+    flushes = False
 
-    day: int
-    period: int
-    slot: int
+    def counts(self) -> Optional[Tuple[Tuple[str, int], ...]]:
+        """``(counter, increment)`` pairs; ``None`` drops the event."""
+        return ((self.counter, 1),)
 
-    def to_dict(self) -> Dict[str, object]:
-        rec: Dict[str, object] = {"kind": self.kind}
-        for f in dataclasses.fields(self):
-            rec[f.name] = _json_safe(getattr(self, f.name))
+    def record(self, day: int, period: int, slot: int) -> Dict[str, object]:
+        """The JSON-ready record, stamped with the given clock."""
+        rec: Dict[str, object] = {
+            "kind": self.kind, "day": day, "period": period, "slot": slot,
+        }
+        for name, coerce in _layout(type(self)):
+            rec[name] = coerce(getattr(self, name))
         return rec
 
 
@@ -86,6 +129,7 @@ class SlotDecisionEvent(Event):
     """One per simulated slot: what ran and how the slot went."""
 
     kind = "slot_decision"
+    counter = "slots_simulated_total"
 
     ready: Tuple[int, ...]
     chosen: Tuple[int, ...]
@@ -99,9 +143,14 @@ class DeadlineMissEvent(Event):
     """Tasks newly marked missed at this slot boundary (Eq. 5)."""
 
     kind = "deadline_miss"
+    counter = "deadline_misses_total"
 
     tasks: Tuple[int, ...]
-    final: bool  # True for the end-of-period sweep
+    final: bool = False  # True for the end-of-period sweep
+
+    def counts(self):
+        # One count per missed task; a sweep that found none is no event.
+        return ((self.counter, len(self.tasks)),) if self.tasks else None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,6 +158,7 @@ class BrownoutEvent(Event):
     """Storage could not cover the deficit; the load ran partially."""
 
     kind = "brownout"
+    counter = "brownout_slots_total"
 
     run_fraction: float
     needed_energy: float
@@ -126,6 +176,7 @@ class CapacitorSwitchEvent(Event):
     """
 
     kind = "capacitor_switch"
+    counter = "capacitor_switch_attempts_total"
 
     previous: int
     requested: int
@@ -134,12 +185,18 @@ class CapacitorSwitchEvent(Event):
     active_usable_energy: float
     threshold: float
 
+    def counts(self):
+        accepted = (("capacitor_switches_accepted_total", 1),)
+        return ((self.counter, 1),) + (accepted if self.accepted else ())
+
 
 @dataclasses.dataclass(frozen=True)
 class CoarseDecisionEvent(Event):
     """Per-period coarse output: capacitor, α, task subset, fine mode."""
 
     kind = "coarse_decision"
+    counter = "coarse_decisions_total"
+    clock = "period"
 
     cap_index: int
     alpha: float
@@ -152,6 +209,8 @@ class DeltaFallbackEvent(Event):
     """``|1 - α| > δ``: the cheap inter-task pass replaces intra-task."""
 
     kind = "delta_fallback"
+    counter = "delta_fallbacks_total"
+    clock = "period"
 
     alpha: float
     delta: float
@@ -167,12 +226,17 @@ class FaultInjectionEvent(Event):
     """
 
     kind = "fault_injected"
+    counter = "faults_injected_total"
 
     fault: str
     phase: str
     severity: float
     target: int
     duration_slots: int
+
+    def counts(self):
+        # An activation counts; its matching "end" record does not.
+        return ((self.counter, 1),) if self.phase == "start" else ()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,6 +249,8 @@ class PolicyFallbackEvent(Event):
     """
 
     kind = "policy_fallback"
+    counter = "policy_fallbacks_total"
+    clock = "period"
 
     stage: str
     reason: str
@@ -196,6 +262,8 @@ class FaultScenarioEvent(Event):
     """A pre-run trace-degradation scenario was applied."""
 
     kind = "fault_scenario"
+    counter = "fault_scenarios_applied_total"
+    clock = "period"
 
     scenario: str
     faults: Tuple[str, ...]
@@ -204,9 +272,16 @@ class FaultScenarioEvent(Event):
 
 @dataclasses.dataclass(frozen=True)
 class CheckpointEvent(Event):
-    """A crash-safe simulation checkpoint was written."""
+    """A crash-safe simulation checkpoint was written.
+
+    A checkpoint marks durable progress, so every sink is flushed after
+    it: the trace never trails the resumable state.
+    """
 
     kind = "checkpoint"
+    counter = "checkpoints_written_total"
+    clock = "period"
+    flushes = True
 
     path: str
     flat_period: int
@@ -223,21 +298,24 @@ class InvariantViolationEvent(Event):
     """
 
     kind = "invariant_violation"
+    counter = "invariant_violations_total"
+    clock = "period"
 
     check: str
     message: str
-    severity: str
+    severity: str = "error"
 
 
 @dataclasses.dataclass(frozen=True)
 class FleetShardEvent(Event):
     """One shard of a fleet run finished (computed or checkpoint hit).
 
-    Fleet events carry no simulation clock — shards span whole runs —
-    so the base fields are the zeroed defaults.
+    Fleet events carry no simulation clock — shards span whole runs.
     """
 
     kind = "fleet_shard"
+    counter = "fleet_shards_total"
+    clock = None
 
     shard_index: int
     num_shards: int
@@ -248,17 +326,27 @@ class FleetShardEvent(Event):
     #: this shard landed; ``-1.0`` when unknown (no nodes seen yet).
     p50_dmr_est: float = -1.0
 
+    def counts(self):
+        hit = (("fleet_shard_cache_hits_total", 1),) if self.cached else ()
+        nodes = ("fleet_nodes_total", len(self.node_ids))
+        return ((self.counter, 1),) + hit + (nodes,)
+
 
 @dataclasses.dataclass(frozen=True)
 class PoolDecisionEvent(Event):
-    """How :func:`repro.perf.parallel.parallel_map` planned a fan-out.
+    """How :func:`repro.reliability.supervisor.supervised_map` planned
+    a fan-out.
 
     ``mode`` is ``"pool"`` or ``"serial"``; ``reason`` is the
-    human-readable why (tiny job list, single-core host, ...).  No
-    simulation clock — planning happens outside any run.
+    human-readable why (tiny job list, single-CPU host, a timeout that
+    needs process isolation, ...).  ``cpu_count`` is the CPUs this
+    process may run on (its affinity mask), not the host's core count.
+    No simulation clock — planning happens outside any run.
     """
 
     kind = "pool_decision"
+    counter = "pool_decisions_total"
+    clock = None
 
     requested: int
     cpu_count: int
@@ -279,13 +367,15 @@ class TaskRetryEvent(Event):
     """
 
     kind = "task_retry"
+    counter = "task_retries_total"
+    clock = None
 
     label: str
     index: int
     attempt: int
     reason: str
-    error_type: str
-    backoff_s: float
+    error_type: str = ""
+    backoff_s: float = 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -297,11 +387,17 @@ class WorkerLostEvent(Event):
     """
 
     kind = "worker_lost"
+    counter = "workers_lost_total"
+    clock = None
 
     label: str
     inflight: int
     rebuilds: int
     reason: str
+
+    def counts(self):
+        # A lost worker always costs a pool rebuild.
+        return ((self.counter, 1), ("pool_rebuilds_total", 1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -314,6 +410,8 @@ class ShardTimeoutEvent(Event):
     """
 
     kind = "shard_timeout"
+    counter = "shard_timeouts_total"
+    clock = None
 
     label: str
     index: int
@@ -333,6 +431,8 @@ class NodeQuarantinedEvent(Event):
     """
 
     kind = "node_quarantined"
+    counter = "nodes_quarantined_total"
+    clock = None
 
     node_id: int
     node_policy: str
@@ -351,6 +451,8 @@ class CacheWriteFailedEvent(Event):
     """
 
     kind = "cache_write_failed"
+    counter = "cache_write_failures_total"
+    clock = None
 
     artifact_kind: str
     digest: str
@@ -362,6 +464,8 @@ class PeriodEndEvent(Event):
     """Aggregate outcome of one period."""
 
     kind = "period_end"
+    counter = "periods_simulated_total"
+    clock = "period"
 
     dmr: float
     miss_count: int
@@ -407,12 +511,24 @@ class Observer:
         return self.profiler.span(name)
 
     def emit(self, event: Event) -> None:
-        """Fan an already-built event out to every sink."""
+        """Count, clock-stamp and fan one event out to every sink."""
         if not self.enabled:
             return
-        record = event.to_dict()
+        counts = event.counts()
+        if counts is None:
+            return
+        for name, amount in counts:
+            self.metrics.counter(name).inc(amount)
+        if event.clock == "slot":
+            record = event.record(self.day, self.period, self.slot)
+        elif event.clock == "period":
+            record = event.record(self.day, self.period, -1)
+        else:
+            record = event.record(-1, -1, -1)
         for sink in self.sinks:
             sink.write(record)
+        if event.flushes:
+            _flush(self.sinks)
 
     def emit_record(self, record: Dict[str, object]) -> None:
         """Fan a raw record dict out (span records, worker re-emits)."""
@@ -437,427 +553,6 @@ class Observer:
         return self.tracer
 
     # ------------------------------------------------------------------
-    # Typed emit helpers (each guards itself; near-zero cost when off).
-    # ------------------------------------------------------------------
-    def slot_decision(
-        self,
-        ready: Tuple[int, ...],
-        chosen: Tuple[int, ...],
-        solar_power: float,
-        load_power: float,
-        run_fraction: float,
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("slots_simulated_total").inc()
-        self.emit(
-            SlotDecisionEvent(
-                day=self.day,
-                period=self.period,
-                slot=self.slot,
-                ready=tuple(ready),
-                chosen=tuple(chosen),
-                solar_power=float(solar_power),
-                load_power=float(load_power),
-                run_fraction=float(run_fraction),
-            )
-        )
-
-    def deadline_miss(
-        self, tasks: Tuple[int, ...], final: bool = False
-    ) -> None:
-        if not self.enabled or not tasks:
-            return
-        self.metrics.counter("deadline_misses_total").inc(len(tasks))
-        self.emit(
-            DeadlineMissEvent(
-                day=self.day,
-                period=self.period,
-                slot=self.slot,
-                tasks=tuple(int(t) for t in tasks),
-                final=final,
-            )
-        )
-
-    def brownout(
-        self,
-        run_fraction: float,
-        needed_energy: float,
-        delivered_energy: float,
-        active_index: int,
-        active_voltage: float,
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("brownout_slots_total").inc()
-        self.emit(
-            BrownoutEvent(
-                day=self.day,
-                period=self.period,
-                slot=self.slot,
-                run_fraction=float(run_fraction),
-                needed_energy=float(needed_energy),
-                delivered_energy=float(delivered_energy),
-                active_index=int(active_index),
-                active_voltage=float(active_voltage),
-            )
-        )
-
-    def capacitor_switch(
-        self,
-        previous: int,
-        requested: int,
-        accepted: bool,
-        forced: bool,
-        active_usable_energy: float,
-        threshold: float,
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("capacitor_switch_attempts_total").inc()
-        if accepted:
-            self.metrics.counter("capacitor_switches_accepted_total").inc()
-        self.emit(
-            CapacitorSwitchEvent(
-                day=self.day,
-                period=self.period,
-                slot=self.slot,
-                previous=int(previous),
-                requested=int(requested),
-                accepted=bool(accepted),
-                forced=bool(forced),
-                active_usable_energy=float(active_usable_energy),
-                threshold=float(threshold),
-            )
-        )
-
-    def coarse_decision(
-        self,
-        cap_index: int,
-        alpha: float,
-        intra_mode: bool,
-        task_subset: Sequence[int],
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("coarse_decisions_total").inc()
-        self.emit(
-            CoarseDecisionEvent(
-                day=self.day,
-                period=self.period,
-                slot=-1,
-                cap_index=int(cap_index),
-                alpha=float(alpha),
-                intra_mode=bool(intra_mode),
-                task_subset=tuple(int(t) for t in task_subset),
-            )
-        )
-
-    def delta_fallback(self, alpha: float, delta: float) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("delta_fallbacks_total").inc()
-        self.emit(
-            DeltaFallbackEvent(
-                day=self.day,
-                period=self.period,
-                slot=-1,
-                alpha=float(alpha),
-                delta=float(delta),
-            )
-        )
-
-    def fault_injected(
-        self,
-        fault: str,
-        phase: str,
-        severity: float,
-        target: int,
-        duration_slots: int,
-    ) -> None:
-        if not self.enabled:
-            return
-        if phase == "start":
-            self.metrics.counter("faults_injected_total").inc()
-        self.emit(
-            FaultInjectionEvent(
-                day=self.day,
-                period=self.period,
-                slot=self.slot,
-                fault=str(fault),
-                phase=str(phase),
-                severity=float(severity),
-                target=int(target),
-                duration_slots=int(duration_slots),
-            )
-        )
-
-    def policy_fallback(
-        self, stage: str, reason: str, failure_streak: int
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("policy_fallbacks_total").inc()
-        self.emit(
-            PolicyFallbackEvent(
-                day=self.day,
-                period=self.period,
-                slot=-1,
-                stage=str(stage),
-                reason=str(reason),
-                failure_streak=int(failure_streak),
-            )
-        )
-
-    def fault_scenario(
-        self,
-        scenario: str,
-        faults: Sequence[str],
-        lost_energy_fraction: float,
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("fault_scenarios_applied_total").inc()
-        self.emit(
-            FaultScenarioEvent(
-                day=self.day,
-                period=self.period,
-                slot=-1,
-                scenario=str(scenario),
-                faults=tuple(str(f) for f in faults),
-                lost_energy_fraction=float(lost_energy_fraction),
-            )
-        )
-
-    def invariant_violation(
-        self, check: str, message: str, severity: str = "error"
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("invariant_violations_total").inc()
-        self.emit(
-            InvariantViolationEvent(
-                day=self.day,
-                period=self.period,
-                slot=-1,
-                check=check,
-                message=message,
-                severity=severity,
-            )
-        )
-
-    def checkpoint_saved(self, path: str, flat_period: int) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("checkpoints_written_total").inc()
-        self.emit(
-            CheckpointEvent(
-                day=self.day,
-                period=self.period,
-                slot=-1,
-                path=str(path),
-                flat_period=int(flat_period),
-            )
-        )
-        # A checkpoint marks durable progress: push buffered events to
-        # disk too, so the trace never trails the resumable state.
-        for sink in self.sinks:
-            flush = getattr(sink, "flush", None)
-            if flush is not None:
-                flush()
-
-    def period_end(
-        self,
-        dmr: float,
-        miss_count: int,
-        brownout_slots: int,
-        solar_energy: float,
-        load_energy: float,
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("periods_simulated_total").inc()
-        self.emit(
-            PeriodEndEvent(
-                day=self.day,
-                period=self.period,
-                slot=-1,
-                dmr=float(dmr),
-                miss_count=int(miss_count),
-                brownout_slots=int(brownout_slots),
-                solar_energy=float(solar_energy),
-                load_energy=float(load_energy),
-            )
-        )
-
-    def fleet_shard(
-        self,
-        shard_index: int,
-        num_shards: int,
-        node_ids: Sequence[int],
-        cached: bool,
-        seconds: float,
-        p50_dmr_est: float = -1.0,
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("fleet_shards_total").inc()
-        if cached:
-            self.metrics.counter("fleet_shard_cache_hits_total").inc()
-        self.metrics.counter("fleet_nodes_total").inc(len(node_ids))
-        self.emit(
-            FleetShardEvent(
-                day=-1,
-                period=-1,
-                slot=-1,
-                shard_index=int(shard_index),
-                num_shards=int(num_shards),
-                node_ids=tuple(int(i) for i in node_ids),
-                cached=bool(cached),
-                seconds=float(seconds),
-                p50_dmr_est=float(p50_dmr_est),
-            )
-        )
-
-    def pool_decision(
-        self,
-        requested: int,
-        cpu_count: int,
-        items: int,
-        workers: int,
-        mode: str,
-        reason: str,
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("pool_decisions_total").inc()
-        self.emit(
-            PoolDecisionEvent(
-                day=-1,
-                period=-1,
-                slot=-1,
-                requested=int(requested),
-                cpu_count=int(cpu_count),
-                items=int(items),
-                workers=int(workers),
-                mode=str(mode),
-                reason=str(reason),
-            )
-        )
-
-    def task_retry(
-        self,
-        label: str,
-        index: int,
-        attempt: int,
-        reason: str,
-        error_type: str = "",
-        backoff_s: float = 0.0,
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("task_retries_total").inc()
-        self.emit(
-            TaskRetryEvent(
-                day=-1,
-                period=-1,
-                slot=-1,
-                label=str(label),
-                index=int(index),
-                attempt=int(attempt),
-                reason=str(reason),
-                error_type=str(error_type),
-                backoff_s=float(backoff_s),
-            )
-        )
-
-    def worker_lost(
-        self, label: str, inflight: int, rebuilds: int, reason: str
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("workers_lost_total").inc()
-        self.metrics.counter("pool_rebuilds_total").inc()
-        self.emit(
-            WorkerLostEvent(
-                day=-1,
-                period=-1,
-                slot=-1,
-                label=str(label),
-                inflight=int(inflight),
-                rebuilds=int(rebuilds),
-                reason=str(reason),
-            )
-        )
-
-    def shard_timeout(
-        self,
-        label: str,
-        index: int,
-        attempt: int,
-        timeout_s: float,
-        reason: str,
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("shard_timeouts_total").inc()
-        self.emit(
-            ShardTimeoutEvent(
-                day=-1,
-                period=-1,
-                slot=-1,
-                label=str(label),
-                index=int(index),
-                attempt=int(attempt),
-                timeout_s=float(timeout_s),
-                reason=str(reason),
-            )
-        )
-
-    def node_quarantined(
-        self,
-        node_id: int,
-        node_policy: str,
-        error_type: str,
-        spec_digest: str,
-        retries: int,
-        reason: str,
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("nodes_quarantined_total").inc()
-        self.emit(
-            NodeQuarantinedEvent(
-                day=-1,
-                period=-1,
-                slot=-1,
-                node_id=int(node_id),
-                node_policy=str(node_policy),
-                error_type=str(error_type),
-                spec_digest=str(spec_digest),
-                retries=int(retries),
-                reason=str(reason),
-            )
-        )
-
-    def cache_write_failed(
-        self, artifact_kind: str, digest: str, reason: str
-    ) -> None:
-        if not self.enabled:
-            return
-        self.metrics.counter("cache_write_failures_total").inc()
-        self.emit(
-            CacheWriteFailedEvent(
-                day=-1,
-                period=-1,
-                slot=-1,
-                artifact_kind=str(artifact_kind),
-                digest=str(digest),
-                reason=str(reason),
-            )
-        )
-
-    # ------------------------------------------------------------------
     def finish(
         self,
         result_summary: Optional[Dict[str, float]] = None,
@@ -880,9 +575,7 @@ class Observer:
         }
         for sink in self.sinks:
             sink.write(record)
-            flush = getattr(sink, "flush", None)
-            if flush is not None:
-                flush()
+        _flush(self.sinks)
 
     def close(self) -> None:
         """Close every sink that supports it."""
@@ -900,26 +593,5 @@ NULL_OBSERVER = Observer(sinks=(), enabled=False)
 #: summarize surface skips-and-counts anything outside this set, so
 #: traces from newer builds degrade gracefully instead of failing.
 KNOWN_RECORD_KINDS = frozenset(
-    cls.kind
-    for cls in (
-        SlotDecisionEvent,
-        DeadlineMissEvent,
-        BrownoutEvent,
-        CapacitorSwitchEvent,
-        CoarseDecisionEvent,
-        DeltaFallbackEvent,
-        PeriodEndEvent,
-        FaultInjectionEvent,
-        PolicyFallbackEvent,
-        FaultScenarioEvent,
-        CheckpointEvent,
-        InvariantViolationEvent,
-        FleetShardEvent,
-        PoolDecisionEvent,
-        TaskRetryEvent,
-        WorkerLostEvent,
-        ShardTimeoutEvent,
-        NodeQuarantinedEvent,
-        CacheWriteFailedEvent,
-    )
+    cls.kind for cls in Event.__subclasses__()
 ) | {"run_summary", "span"}

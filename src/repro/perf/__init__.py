@@ -1,4 +1,4 @@
-"""Performance layer: artifact cache, parallel runner, benchmarks.
+"""Performance layer: artifact cache and benchmarks.
 
 ``repro.perf`` keeps the reproduction fast without touching its
 numerics:
@@ -7,8 +7,6 @@ numerics:
   expensive offline artifacts (trained DBN policies and everything
   bundled with them: sized capacitor banks, LUT samples, solar-class
   centroids);
-- :mod:`repro.perf.parallel` — deterministic process-pool map over
-  independent simulation cells;
 - :mod:`repro.perf.bench` — the ``repro bench`` perf-regression
   harness behind ``BENCH_perf.json``.
 """
@@ -20,7 +18,6 @@ from .cache import (
     default_cache_dir,
     hash_key,
 )
-from .parallel import parallel_map, resolve_workers
 
 __all__ = [
     "ArtifactCache",
@@ -28,6 +25,4 @@ __all__ = [
     "default_cache",
     "default_cache_dir",
     "hash_key",
-    "parallel_map",
-    "resolve_workers",
 ]

@@ -31,9 +31,10 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from ..reliability.supervisor import host_cpus
+
 __all__ = [
     "format_speedup",
-    "host_cpus",
     "run_bench",
     "compare_to_baseline",
     "write_report",
@@ -135,15 +136,6 @@ def _bench_offline(quick: bool) -> Dict[str, Any]:
         "cached_seconds": cached,
         "cache_speedup": cold / max(cached, 1e-9),
     }
-
-
-def host_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has
-    one (a container's CPU limit shows there), else ``os.cpu_count()``."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def format_speedup(speedup: Optional[float]) -> str:

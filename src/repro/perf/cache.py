@@ -34,6 +34,8 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
+from ..obs.events import CacheWriteFailedEvent
+
 logger = logging.getLogger(__name__)
 
 __all__ = [
@@ -196,12 +198,12 @@ class ArtifactCache:
                 "cache write failed for %s/%s (%s); continuing uncached",
                 kind, digest[:12], exc,
             )
-            if self.observer is not None:
-                self.observer.cache_write_failed(
+            if self.observer is not None and self.observer.enabled:
+                self.observer.emit(CacheWriteFailedEvent(
                     artifact_kind=kind,
                     digest=digest,
                     reason=f"{type(exc).__name__}: {exc}",
-                )
+                ))
             return None
         finally:
             try:

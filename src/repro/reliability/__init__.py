@@ -24,7 +24,6 @@ from .supervisor import (
     TaskFailure,
     backoff_delay,
     supervised_map,
-    supervised_traced_map,
 )
 
 __all__ = [
@@ -51,5 +50,4 @@ __all__ = [
     "TaskFailure",
     "backoff_delay",
     "supervised_map",
-    "supervised_traced_map",
 ]

@@ -12,7 +12,7 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from ..obs import NULL_OBSERVER, Observer
+from ..obs import NULL_OBSERVER, FaultScenarioEvent, Observer
 from ..schedulers.base import Scheduler
 from ..sim.engine import simulate
 from ..solar.trace import SolarTrace
@@ -91,11 +91,12 @@ def robustness_report(
     for scenario in scenarios:
         degraded = scenario.degrade(trace)
         lost = 1.0 - degraded.total_energy() / max(clean_energy, 1e-12)
-        observer.fault_scenario(
-            scenario=scenario.name,
-            faults=tuple(type(f).__name__ for f in scenario.faults),
-            lost_energy_fraction=lost,
-        )
+        if observer.enabled:
+            observer.emit(FaultScenarioEvent(
+                scenario=scenario.name,
+                faults=tuple(type(f).__name__ for f in scenario.faults),
+                lost_energy_fraction=lost,
+            ))
         for name, make_scheduler in scheduler_factories.items():
             result = simulate(
                 node_factory(), graph, degraded, make_scheduler(),

@@ -49,7 +49,7 @@ import numpy as np
 
 from ..energy.capacitor import SuperCapacitor
 from ..node.node import SensorNode
-from ..obs.events import NULL_OBSERVER
+from ..obs.events import NULL_OBSERVER, FaultInjectionEvent
 from ..sim.views import PeriodFaultFlags
 from ..timeline import Timeline
 
@@ -356,16 +356,18 @@ class FaultInjector:
         for i in sorted(current - previous):
             w = windows[i]
             self.activation_counts[w.kind] += 1
-            obs.fault_injected(
-                fault=w.kind, phase="start", severity=w.severity,
-                target=w.target, duration_slots=w.duration,
-            )
-        for i in sorted(previous - current):
-            w = windows[i]
-            obs.fault_injected(
-                fault=w.kind, phase="end", severity=w.severity,
-                target=w.target, duration_slots=w.duration,
-            )
+            if obs.enabled:
+                obs.emit(FaultInjectionEvent(
+                    fault=w.kind, phase="start", severity=w.severity,
+                    target=w.target, duration_slots=w.duration,
+                ))
+        if obs.enabled:
+            for i in sorted(previous - current):
+                w = windows[i]
+                obs.emit(FaultInjectionEvent(
+                    fault=w.kind, phase="end", severity=w.severity,
+                    target=w.target, duration_slots=w.duration,
+                ))
 
     def _apply_component_state(self, node: SensorNode,
                                active: Set[int]) -> None:

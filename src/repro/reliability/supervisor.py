@@ -1,11 +1,27 @@
-"""Supervised pooled execution: retries, timeouts, pool recovery.
+"""Supervised pooled execution: the one process-pool entry point.
 
-:func:`repro.perf.parallel.parallel_map` assumes every task returns:
-a raising task, a hung worker or a ``BrokenProcessPool`` kills the
-whole map — and with it a multi-hour fleet run.  This module wraps the
-same fan-out plan in a supervisor that treats those failures as the
-normal operating regime, the way the batteryless-IoT literature treats
-node death-and-resume:
+:func:`supervised_map` is ``[fn(item) for item in items]`` fanned out
+over worker processes.  Results come back slotted in input order
+whatever order the workers finish in, and every item carries its own
+seeds, so a pooled run is identical to a serial one.  The planner
+(:func:`plan_pool`) falls back to the in-process serial path whenever
+a pool cannot win: one effective worker, fewer than
+:data:`MIN_POOL_ITEMS` items, or a process allowed on one CPU
+(:func:`host_cpus`, the affinity mask, so a container's CPU limit
+counts).  Worker counts resolve from the argument, then
+``$REPRO_WORKERS``, then 1 (:func:`resolve_workers`).
+
+With ``span="name"`` and an active ambient tracer, each item runs in a
+``name`` span keyed by its label under the caller's active span; the
+worker-side span records of successful attempts come back with the
+results and are re-emitted, so a pooled trace reassembles into one
+tree.
+
+A raising task, a hung worker or a ``BrokenProcessPool`` must not kill
+the whole map — and with it a multi-hour fleet run — so the map runs
+under a supervisor that treats those failures as the normal operating
+regime, the way the batteryless-IoT literature treats node
+death-and-resume:
 
 - **bounded retries** — a raising task is re-dispatched up to
   ``max_retries`` times with *deterministic* seeded exponential
@@ -46,6 +62,7 @@ configured ``task_timeout`` forces pool mode even for one worker.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import os
 import time
@@ -64,23 +81,37 @@ from typing import (
     TypeVar,
 )
 
+from ..obs.events import (
+    NULL_OBSERVER,
+    PoolDecisionEvent,
+    ShardTimeoutEvent,
+    TaskRetryEvent,
+    WorkerLostEvent,
+)
 from ..obs.trace import activate, collecting_tracer, current_tracer
-from ..perf.parallel import plan_pool, resolve_workers
 
 __all__ = [
     "ENV_MAX_RETRIES",
     "ENV_TASK_TIMEOUT",
+    "ENV_WORKERS",
+    "MIN_POOL_ITEMS",
     "SupervisedResult",
     "SupervisorError",
     "SupervisorPolicy",
     "TaskFailure",
     "backoff_delay",
+    "host_cpus",
+    "plan_pool",
+    "resolve_workers",
     "supervised_map",
-    "supervised_traced_map",
 ]
 
 ENV_MAX_RETRIES = "REPRO_MAX_RETRIES"
 ENV_TASK_TIMEOUT = "REPRO_TASK_TIMEOUT"
+ENV_WORKERS = "REPRO_WORKERS"
+
+#: Below this many items a pool's startup cost cannot amortise.
+MIN_POOL_ITEMS = 2
 
 #: Floor of the poll interval in the pool loop: short enough that a
 #: timeout is detected promptly, long enough not to busy-wait.
@@ -88,6 +119,59 @@ _MIN_WAIT_S = 0.02
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+def resolve_workers(n_workers: Optional[int] = None) -> int:
+    """Effective worker count: argument, ``$REPRO_WORKERS``, else 1."""
+    if n_workers is None:
+        env = os.environ.get(ENV_WORKERS)
+        if env:
+            try:
+                n_workers = int(env)
+            except ValueError:
+                raise ValueError(
+                    f"{ENV_WORKERS} must be an integer, got {env!r}"
+                ) from None
+    if n_workers is None or n_workers < 1:
+        return 1
+    return int(n_workers)
+
+
+def host_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has
+    one (a container's CPU limit shows there), else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def plan_pool(
+    requested: int, n_items: int, cpu_count: Optional[int] = None
+) -> Tuple[int, str, str]:
+    """Adaptive fan-out plan: ``(workers, mode, reason)``.
+
+    ``mode`` is ``"pool"`` or ``"serial"``.  The pool engages only
+    when it can plausibly win: more than one worker requested, at
+    least :data:`MIN_POOL_ITEMS` items, and more than one usable CPU
+    (``cpu_count``, default :func:`host_cpus`) — the worker count is
+    capped at both the item count and the CPUs.
+    """
+    cpus = cpu_count if cpu_count is not None else host_cpus()
+    if requested <= 1:
+        return 1, "serial", "one worker requested"
+    if n_items < MIN_POOL_ITEMS:
+        return 1, "serial", f"only {n_items} item(s)"
+    if cpus <= 1:
+        return 1, "serial", f"host has {cpus} cpu(s); a pool cannot win"
+    workers = min(requested, n_items, cpus)
+    if workers <= 1:
+        return 1, "serial", "effective worker count is 1"
+    return (
+        workers,
+        "pool",
+        f"min(requested {requested}, items {n_items}, cpus {cpus})",
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -314,15 +398,15 @@ class _Supervisor:
         delay: float,
     ) -> None:
         self.retries += 1
-        if self.observer is not None:
-            self.observer.task_retry(
+        if self.observer.enabled:
+            self.observer.emit(TaskRetryEvent(
                 label=self.labels[index],
                 index=index,
                 attempt=attempt,
                 reason=reason,
                 error_type=error_type,
                 backoff_s=delay,
-            )
+            ))
 
     def _fail(self, index: int, exc: BaseException, attempts: int) -> None:
         failure = TaskFailure(
@@ -476,8 +560,8 @@ class _Supervisor:
                         for future in expired:
                             index, attempt, _dl = inflight.pop(future)
                             self.timeouts += 1
-                            if self.observer is not None:
-                                self.observer.shard_timeout(
+                            if self.observer.enabled:
+                                self.observer.emit(ShardTimeoutEvent(
                                     label=self.labels[index],
                                     index=index,
                                     attempt=attempt,
@@ -487,7 +571,7 @@ class _Supervisor:
                                         f"{timeout:g}s budget; worker "
                                         "killed and task re-dispatched"
                                     ),
-                                )
+                                ))
                             self._charge(index, attempt, "timeout",
                                          queue=to_submit)
                         pool = self._rebuild(
@@ -524,14 +608,14 @@ class _Supervisor:
                     result = future.result(timeout=timeout)
                 except BrokenProcessPool:
                     self.rebuilds += 1
-                    if self.observer is not None:
-                        self.observer.worker_lost(
+                    if self.observer.enabled:
+                        self.observer.emit(WorkerLostEvent(
                             label=self.labels[index],
                             inflight=1,
                             rebuilds=self.rebuilds,
                             reason="solo probe: worker died executing "
                             "this task in isolation",
-                        )
+                        ))
                     self._fail(
                         index,
                         RuntimeError(
@@ -543,15 +627,15 @@ class _Supervisor:
                     return
                 except FuturesTimeout:
                     self.timeouts += 1
-                    if self.observer is not None:
-                        self.observer.shard_timeout(
+                    if self.observer.enabled:
+                        self.observer.emit(ShardTimeoutEvent(
                             label=self.labels[index],
                             index=index,
                             attempt=attempt,
                             timeout_s=timeout or 0.0,
                             reason="solo probe: task exceeded its "
                             "budget in isolation",
-                        )
+                        ))
                     self._fail(
                         index,
                         RuntimeError(
@@ -636,19 +720,33 @@ class _Supervisor:
         inflight.clear()
         _kill_pool(pool)
         self.rebuilds += 1
-        if self.observer is not None:
-            self.observer.worker_lost(
+        if self.observer.enabled:
+            self.observer.emit(WorkerLostEvent(
                 label=self.labels[0] if self.labels else "",
                 inflight=len(to_submit),
                 rebuilds=self.rebuilds,
                 reason=f"pool rebuilt: {reason}",
-            )
+            ))
         return ProcessPoolExecutor(max_workers=pool._max_workers)
 
 
 # ----------------------------------------------------------------------
-# Public entry points
+# The entry point
 # ----------------------------------------------------------------------
+def _run_in_span(fn, name: str, wire, payload):
+    """Worker entry: rebuild the tracer, run one item in its span.
+
+    Only a *successful* attempt returns its span records, so a retried
+    task never emits duplicate spans — the deterministic span ids of
+    the winning attempt are identical whichever attempt won.
+    """
+    label, item = payload
+    tracer, records = collecting_tracer(wire)
+    with activate(tracer), tracer.span(name, key=label):
+        result = fn(item)
+    return result, records
+
+
 def supervised_map(
     fn: Callable[[T], R],
     items: Iterable[T],
@@ -656,17 +754,21 @@ def supervised_map(
     n_workers: Optional[int] = None,
     observer=None,
     on_result: Optional[Callable[[int, R], None]] = None,
-    assume_cpus: Optional[int] = None,
     prepare: Optional[Callable[[T, int], object]] = None,
     labels: Optional[Sequence[str]] = None,
     force_pool: bool = False,
+    span: Optional[str] = None,
 ) -> SupervisedResult:
-    """:func:`~repro.perf.parallel.parallel_map` under supervision.
+    """``[fn(item) for item in items]`` over a supervised process pool.
 
-    Same contract — results slotted in input order, ``fn`` and items
-    picklable, ``on_result`` fired per completion — plus the retry/
-    timeout/pool-recovery ladder of ``policy`` (default
-    :meth:`SupervisorPolicy.from_env`).
+    Results are slotted in input order; ``fn`` and every item must be
+    picklable.  ``on_result(index, result)`` fires in this process as
+    each item *completes* (completion order in pool mode, input order
+    in serial mode).  Failures follow the retry/timeout/pool-recovery
+    ladder of ``policy`` (default :meth:`SupervisorPolicy.from_env`).
+    An enabled ``observer`` records the fan-out plan as a
+    ``pool_decision`` event and every supervisor action as its own
+    event.
 
     ``prepare(item, attempt)`` (optional) maps an item to the payload
     actually dispatched, receiving the 0-based attempt number — this
@@ -675,10 +777,12 @@ def supervised_map(
     (defaults to the stringified index).  ``force_pool`` overrides the
     planner's serial fallback — required when the dispatched code may
     hang or kill its process (a configured ``task_timeout`` implies
-    it).
+    it).  ``span`` runs each item in a span of that name keyed by its
+    label when the ambient tracer is enabled (see the module doc).
     """
     work = list(items)
     policy = policy if policy is not None else SupervisorPolicy.from_env()
+    observer = observer if observer is not None else NULL_OBSERVER
     label_list = (
         [str(l) for l in labels]
         if labels is not None
@@ -689,9 +793,8 @@ def supervised_map(
             f"{len(label_list)} labels for {len(work)} items"
         )
     requested = resolve_workers(n_workers)
-    workers, mode, reason = plan_pool(
-        requested, len(work), cpu_count=assume_cpus
-    )
+    cpus = host_cpus()
+    workers, mode, reason = plan_pool(requested, len(work), cpus)
     if (
         mode == "serial"
         and work
@@ -706,91 +809,46 @@ def supervised_map(
             if policy.task_timeout is not None
             else "caller requires process isolation"
         )
-    if observer is not None:
-        observer.pool_decision(
+    if observer.enabled:
+        observer.emit(PoolDecisionEvent(
             requested=requested,
-            cpu_count=(
-                assume_cpus if assume_cpus is not None
-                else (os.cpu_count() or 1)
-            ),
+            cpu_count=cpus,
             items=len(work),
             workers=workers,
             mode=mode,
             reason=reason,
+        ))
+    tracer = current_tracer()
+    spanned = span is not None and tracer.enabled
+    if spanned:
+        fn = functools.partial(
+            _run_in_span, fn, span, tracer.context().to_wire()
         )
+        work = list(zip(label_list, work))
+        if prepare is not None:
+            item_prepare = prepare
+
+            def prepare(pair, attempt):
+                return pair[0], item_prepare(pair[1], attempt)
+
+        item_on_result = on_result
+
+        def on_result(index: int, out) -> None:
+            result, records = out
+            for record in records:
+                tracer.emit(record)
+            if item_on_result is not None:
+                item_on_result(index, result)
+
     supervisor = _Supervisor(
         fn, work, policy, label_list, observer, on_result, prepare
     )
     if mode == "serial":
-        return supervisor.run_serial()
-    return supervisor.run_pool(workers)
-
-
-def _run_supervised_traced_item(payload):
-    """Worker entry: rebuild the tracer, wrap the item in a span.
-
-    Only a *successful* attempt returns its span records, so a retried
-    task never emits duplicate spans — the deterministic span ids of
-    the winning attempt are identical whichever attempt won.
-    """
-    fn, name, key, wire, item = payload
-    tracer, records = collecting_tracer(wire)
-    with activate(tracer):
-        with tracer.span(name, key=key):
-            result = fn(item)
-    return result, records
-
-
-def supervised_traced_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    name: str = "item",
-    keys: Optional[Sequence[object]] = None,
-    policy: Optional[SupervisorPolicy] = None,
-    n_workers: Optional[int] = None,
-    tracer=None,
-    observer=None,
-    on_result: Optional[Callable[[int, R], None]] = None,
-    assume_cpus: Optional[int] = None,
-) -> SupervisedResult:
-    """:func:`supervised_map` that carries span context into workers.
-
-    The supervised sibling of
-    :func:`repro.perf.parallel.traced_map`: each item runs inside a
-    ``name`` span keyed by ``keys[i]`` under the caller's active span,
-    and the worker-side records of successful attempts are re-emitted
-    here.  With no active tracer the span plumbing short-circuits.
-    """
-    work = list(items)
-    tracer = tracer if tracer is not None else current_tracer()
-    key_list = list(keys) if keys is not None else list(range(len(work)))
-    if len(key_list) != len(work):
-        raise ValueError(f"{len(key_list)} keys for {len(work)} items")
-    labels = [str(k) for k in key_list]
-    if not tracer.enabled:
-        return supervised_map(
-            fn, work, policy=policy, n_workers=n_workers,
-            observer=observer, on_result=on_result,
-            assume_cpus=assume_cpus, labels=labels,
-        )
-    wire = tracer.context().to_wire()
-    payloads = [
-        (fn, name, key, wire, item) for key, item in zip(key_list, work)
-    ]
-
-    def _relay(index: int, out) -> None:
-        result, records = out
-        for record in records:
-            tracer.emit(record)
-        if on_result is not None:
-            on_result(index, result)
-
-    sup = supervised_map(
-        _run_supervised_traced_item, payloads, policy=policy,
-        n_workers=n_workers, observer=observer, on_result=_relay,
-        assume_cpus=assume_cpus, labels=labels,
-    )
-    sup.results = [
-        (out[0] if out is not None else None) for out in sup.results
-    ]
+        sup = supervisor.run_serial()
+    else:
+        sup = supervisor.run_pool(workers)
+    if spanned:
+        sup.results = [
+            (out[0] if out is not None else None) for out in sup.results
+        ]
     return sup

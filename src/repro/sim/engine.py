@@ -31,7 +31,16 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..node.node import SensorNode
-from ..obs.events import NULL_OBSERVER, Observer
+from ..obs.events import (
+    NULL_OBSERVER,
+    BrownoutEvent,
+    CheckpointEvent,
+    DeadlineMissEvent,
+    InvariantViolationEvent,
+    Observer,
+    PeriodEndEvent,
+    SlotDecisionEvent,
+)
 from ..schedulers.base import Scheduler
 from ..solar.trace import SolarTrace
 from ..tasks.graph import TaskGraph
@@ -342,7 +351,7 @@ class SimulationEngine:
                     obs.set_time(day, period, slot)
                 newly_missed = runtime.check_deadlines(slot)
                 if active and newly_missed:
-                    obs.deadline_miss(newly_missed)
+                    obs.emit(DeadlineMissEvent(newly_missed))
                 solar_power = float(solar_row[slot])
                 if inj is not None:
                     flat_slot = period_start_slot + slot
@@ -395,13 +404,13 @@ class SimulationEngine:
                         ]
                     )
                 if active:
-                    obs.slot_decision(
+                    obs.emit(SlotDecisionEvent(
                         ready=ready,
                         chosen=tuple(i for i, _ in chosen),
                         solar_power=solar_power,
                         load_power=load_power,
                         run_fraction=flow.run_fraction,
-                    )
+                    ))
                 # NVP nonvolatility bookkeeping: a brownout checkpoints
                 # the affected cores (backup energy), the next powered
                 # slot restores them.  The energies are tiny (µJ, [13])
@@ -411,13 +420,13 @@ class SimulationEngine:
                 if flow.run_fraction < 1.0 - 1e-9 and chosen:
                     brownouts += 1
                     if active:
-                        obs.brownout(
+                        obs.emit(BrownoutEvent(
                             run_fraction=flow.run_fraction,
                             needed_energy=load_power * dt,
                             delivered_energy=flow.load_energy,
                             active_index=bank.active_index,
                             active_voltage=bank.active.voltage,
-                        )
+                        ))
                     for k in active_nvps:
                         cycle_cost += nvps[k].power_fail()
                 else:
@@ -459,8 +468,8 @@ class SimulationEngine:
             boundary_missed = runtime.check_deadlines(tl.slots_per_period)
             sweep_missed = runtime.finalize()
             if active:
-                obs.deadline_miss(boundary_missed)
-                obs.deadline_miss(sweep_missed, final=True)
+                obs.emit(DeadlineMissEvent(boundary_missed))
+                obs.emit(DeadlineMissEvent(sweep_missed, final=True))
             dmr = runtime.dmr
             dmr_sum += dmr
             periods_done += 1
@@ -488,19 +497,19 @@ class SimulationEngine:
             for mon in self.monitors:
                 for violation in mon.on_period(record):
                     if active:
-                        obs.invariant_violation(
+                        obs.emit(InvariantViolationEvent(
                             check=violation.check,
                             message=violation.message,
                             severity=violation.severity,
-                        )
+                        ))
             if active:
-                obs.period_end(
+                obs.emit(PeriodEndEvent(
                     dmr=dmr,
                     miss_count=runtime.miss_count,
                     brownout_slots=brownouts,
                     solar_energy=solar_energy,
                     load_energy=load_energy,
-                )
+                ))
             self.scheduler.on_period_end(
                 PeriodEndView(
                     day=day,
@@ -533,7 +542,7 @@ class SimulationEngine:
                     last_period_powers,
                 )
                 if active:
-                    obs.checkpoint_saved(str(path), done)
+                    obs.emit(CheckpointEvent(str(path), done))
                 if stopping:
                     raise SimulationInterrupted(path, done)
             elif stopping:
@@ -552,11 +561,11 @@ class SimulationEngine:
         for mon in self.monitors:
             for violation in mon.on_finish(result):
                 if active:
-                    obs.invariant_violation(
+                    obs.emit(InvariantViolationEvent(
                         check=violation.check,
                         message=violation.message,
                         severity=violation.severity,
-                    )
+                    ))
         if active:
             obs.finish(result.summary(), scheduler=result.scheduler_name)
         return result

@@ -11,7 +11,9 @@ from repro.cli import main as cli_main
 from repro.energy import SuperCapacitor
 from repro.node import SensorNode
 from repro.obs import (
+    BrownoutEvent,
     ConsoleSummarySink,
+    DeadlineMissEvent,
     JsonlSink,
     MetricsRegistry,
     NULL_OBSERVER,
@@ -19,6 +21,7 @@ from repro.obs import (
     PhaseProfiler,
     RingBufferSink,
     RunManifest,
+    SlotDecisionEvent,
     build_manifest,
     read_jsonl,
     summarize_jsonl,
@@ -232,9 +235,9 @@ class TestNoOpPath:
             assert np.array_equal(a.executed, b.executed)
 
     def test_null_observer_emits_nothing(self):
-        NULL_OBSERVER.slot_decision((), (), 0.0, 0.0, 1.0)
-        NULL_OBSERVER.brownout(0.0, 0.0, 0.0, 0, 0.0)
-        NULL_OBSERVER.deadline_miss((1,))
+        NULL_OBSERVER.emit(SlotDecisionEvent((), (), 0.0, 0.0, 1.0))
+        NULL_OBSERVER.emit(BrownoutEvent(0.0, 0.0, 0.0, 0, 0.0))
+        NULL_OBSERVER.emit(DeadlineMissEvent((1,)))
         assert NULL_OBSERVER.metrics.snapshot()["counters"] == {}
 
 

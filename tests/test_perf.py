@@ -1,6 +1,6 @@
 """Tests for the performance layer: bit-identity of the vectorized
-engine, the offline-artifact disk cache, the parallel runner, the
-vectorized LUT lookup and the buffered JSONL sink."""
+engine, the offline-artifact disk cache, the supervised pool's planner
+and ordering, the vectorized LUT lookup and the buffered JSONL sink."""
 
 import importlib.util
 import json
@@ -12,18 +12,25 @@ import pytest
 
 from repro.core.offline import OfflinePipeline
 from repro.experiments.common import evaluation_suite, train_policy
-from repro.obs import JsonlSink, Observer, read_jsonl
+from repro.obs import (
+    CheckpointEvent,
+    DeadlineMissEvent,
+    JsonlSink,
+    Observer,
+    read_jsonl,
+)
 from repro.perf.cache import (
     ArtifactCache,
     cache_enabled,
     default_cache_dir,
     hash_key,
 )
-from repro.perf.parallel import (
+from repro.reliability import supervisor
+from repro.reliability.supervisor import (
     MIN_POOL_ITEMS,
-    parallel_map,
     plan_pool,
     resolve_workers,
+    supervised_map,
 )
 from repro.sim import result_fingerprint
 from repro.solar import synthetic_trace
@@ -147,12 +154,13 @@ class TestArtifactCache:
     def test_concurrent_writers_same_key(self, tmp_path):
         """Writers racing the same key never corrupt it or leave
         temp-file droppings (tmp-file + ``os.replace`` contract)."""
-        results = parallel_map(
+        sup = supervised_map(
             _race_write,
             [(str(tmp_path), i) for i in range(4)],
             n_workers=4,
+            force_pool=True,
         )
-        assert results == [True] * 4
+        assert sup.results == [True] * 4
         final = ArtifactCache(tmp_path).get("policy", "contended")
         assert final is not None and final["blob"] == _RACE_BLOB
         assert list(tmp_path.rglob("*.tmp*")) == []
@@ -220,9 +228,10 @@ class TestParallelRunner:
         with pytest.raises(ValueError):
             resolve_workers(None)
 
-    def test_order_preserved(self):
+    def test_order_preserved(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "host_cpus", lambda: 4)
         items = list(range(20))
-        assert parallel_map(_square, items, n_workers=4) == [
+        assert supervised_map(_square, items, n_workers=4).results == [
             x * x for x in items
         ]
 
@@ -261,40 +270,48 @@ class TestAdaptivePoolPlan:
         assert (workers, mode) == (4, "pool")
 
     def test_default_cpu_count_is_host(self, monkeypatch):
-        import repro.perf.parallel as mod
+        for cpus, mode in ((1, "serial"), (8, "pool")):
+            monkeypatch.setattr(
+                supervisor.os, "sched_getaffinity",
+                lambda pid: set(range(cpus)), raising=False,
+            )
+            assert plan_pool(4, 100)[1] == mode
 
-        monkeypatch.setattr(mod.os, "cpu_count", lambda: 1)
+    def test_one_cpu_affinity_mask_plans_serial(self, monkeypatch):
+        """A process pinned to one CPU of a many-core host plans serial:
+        the CPU count is the affinity mask, not ``os.cpu_count()``."""
+        monkeypatch.setattr(supervisor.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            supervisor.os, "sched_getaffinity", lambda pid: {0},
+            raising=False,
+        )
+        assert supervisor.host_cpus() == 1
         assert plan_pool(4, 100)[1] == "serial"
-        monkeypatch.setattr(mod.os, "cpu_count", lambda: 8)
-        assert plan_pool(4, 100)[1] == "pool"
 
-    def test_parallel_map_serial_fallback_matches_pool(self):
+    def test_parallel_map_serial_fallback_matches_pool(self, monkeypatch):
         items = list(range(10))
         expected = [x * x for x in items]
-        assert parallel_map(
-            _square, items, n_workers=4, assume_cpus=1
-        ) == expected
-        assert parallel_map(
-            _square, items, n_workers=4, assume_cpus=8
-        ) == expected
+        for cpus in (1, 8):
+            monkeypatch.setattr(supervisor, "host_cpus", lambda: cpus)
+            assert supervised_map(
+                _square, items, n_workers=4
+            ).results == expected
 
-    def test_decision_recorded_as_obs_event(self):
+    def test_decision_recorded_as_obs_event(self, monkeypatch):
         from repro.obs.sinks import RingBufferSink
 
         sink = RingBufferSink()
         observer = Observer(sinks=[sink])
-        parallel_map(
-            _square, [1, 2, 3], n_workers=4, observer=observer,
-            assume_cpus=1,
-        )
-        parallel_map(
-            _square, [1, 2, 3], n_workers=4, observer=observer,
-            assume_cpus=8,
-        )
+        for cpus in (1, 8):
+            monkeypatch.setattr(supervisor, "host_cpus", lambda: cpus)
+            supervised_map(
+                _square, [1, 2, 3], n_workers=4, observer=observer
+            )
         decisions = [
             r for r in sink.records if r["kind"] == "pool_decision"
         ]
         assert [d["mode"] for d in decisions] == ["serial", "pool"]
+        assert [d["cpu_count"] for d in decisions] == [1, 8]
         assert decisions[0]["workers"] == 1
         assert decisions[1]["workers"] == 3  # capped at the item count
         assert decisions[1]["requested"] == 4
@@ -302,20 +319,21 @@ class TestAdaptivePoolPlan:
 
     def test_on_result_fires_per_completion(self):
         landed = []
-        out = parallel_map(
+        out = supervised_map(
             _square, [1, 2, 3],
             on_result=lambda i, r: landed.append((i, r)),
         )
-        assert out == [1, 4, 9]
+        assert out.results == [1, 4, 9]
         assert landed == [(0, 1), (1, 4), (2, 9)]  # serial: input order
 
-    def test_on_result_fires_in_pool_mode(self):
+    def test_on_result_fires_in_pool_mode(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "host_cpus", lambda: 4)
         landed = []
-        out = parallel_map(
-            _square, [1, 2, 3, 4], n_workers=2, assume_cpus=4,
+        out = supervised_map(
+            _square, [1, 2, 3, 4], n_workers=2,
             on_result=lambda i, r: landed.append((i, r)),
         )
-        assert out == [1, 4, 9, 16]  # results stay input-ordered
+        assert out.results == [1, 4, 9, 16]  # results stay input-ordered
         assert sorted(landed) == [(0, 1), (1, 4), (2, 9), (3, 16)]
 
 
@@ -446,8 +464,8 @@ class TestBufferedJsonlSink:
         sink = JsonlSink(path, buffer_records=10_000)
         observer = Observer(sinks=[sink])
         observer.set_time(0, 0)
-        observer.deadline_miss((1, 2))
-        observer.checkpoint_saved(str(tmp_path / "ck.pkl"), 1)
+        observer.emit(DeadlineMissEvent((1, 2)))
+        observer.emit(CheckpointEvent(str(tmp_path / "ck.pkl"), 1))
         kinds = [r["kind"] for r in read_jsonl(path)]
         assert "deadline_miss" in kinds
         assert "checkpoint" in kinds

@@ -23,7 +23,6 @@ from repro.reliability.supervisor import (
     SupervisorPolicy,
     backoff_delay,
     supervised_map,
-    supervised_traced_map,
 )
 
 NO_BACKOFF = dict(backoff_base=0.0)
@@ -38,6 +37,10 @@ def _double(x):
 
 def _with_attempt(item, attempt):
     return (item, attempt)
+
+
+def _echo(payload):
+    return payload
 
 
 def _flaky(payload):
@@ -296,7 +299,7 @@ class TestPoolSupervision:
 
 
 # ----------------------------------------------------------------------
-# supervised_traced_map
+# supervised_map(span=...)
 # ----------------------------------------------------------------------
 class TestTracedSupervision:
     def test_spans_relayed(self):
@@ -306,14 +309,14 @@ class TestTracedSupervision:
         tracer = Tracer(records.append, derive_trace_id("sup", 1))
         with activate(tracer):
             with tracer.span("root"):
-                sup = supervised_traced_map(
+                sup = supervised_map(
                     _double, [1, 2, 3],
-                    name="cell", keys=["a", "b", "c"],
                     policy=SupervisorPolicy(**NO_BACKOFF),
+                    labels=["a", "b", "c"], span="cell",
                 )
         assert sup.results == [2, 4, 6]
         cells = [r for r in records if r["name"] == "cell"]
-        assert len(cells) == 3
+        assert [r["key"] for r in cells] == ["a", "b", "c"]
 
     def test_failed_attempts_emit_no_duplicate_spans(self):
         from repro.obs.trace import Tracer, activate, derive_trace_id
@@ -322,12 +325,12 @@ class TestTracedSupervision:
         tracer = Tracer(records.append, derive_trace_id("sup", 2))
         with activate(tracer):
             with tracer.span("root"):
-                sup = supervised_traced_map(
+                sup = supervised_map(
                     _raise_on_two, [1, 2, 3],
-                    name="cell", keys=["a", "b", "c"],
                     policy=SupervisorPolicy(
                         on_error="quarantine", **NO_BACKOFF
                     ),
+                    labels=["a", "b", "c"], span="cell",
                 )
         assert sup.results == [2, None, 6]
         assert [f.index for f in sup.failures] == [1]
@@ -337,12 +340,26 @@ class TestTracedSupervision:
         assert len(cells) == 2
 
     def test_disabled_tracer_short_circuits(self):
-        sup = supervised_traced_map(_double, [4, 5], name="cell")
+        sup = supervised_map(_double, [4, 5], span="cell")
         assert sup.results == [8, 10] and sup.ok
 
     def test_key_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            supervised_traced_map(_double, [1, 2], keys=["a"])
+            supervised_map(_double, [1, 2], labels=["a"], span="cell")
+
+    def test_prepare_sees_the_item_inside_a_span(self):
+        from repro.obs.trace import Tracer, activate
+
+        records = []
+        tracer = Tracer(records.append, "t")
+        with activate(tracer), tracer.span("root"):
+            sup = supervised_map(
+                _echo, [1, 2], prepare=_with_attempt, span="cell",
+            )
+        assert sup.results == [(1, 0), (2, 0)]
+        assert [r["key"] for r in records if r["name"] == "cell"] == [
+            "0", "1",
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ import json
 
 import pytest
 
-import repro.perf.parallel as parallel_mod
 from repro.cli import main as cli_main
 from repro.fleet import FleetRunner, FleetSpec
 from repro.obs import Observer
@@ -29,7 +28,8 @@ from repro.obs.trace import (
     derive_trace_id,
     render_span_tree,
 )
-from repro.perf.parallel import traced_map
+from repro.reliability import supervisor
+from repro.reliability.supervisor import supervised_map
 
 
 def collecting_observer():
@@ -145,17 +145,19 @@ def _traced_double(x):
 
 
 class TestTracedMap:
+    """``supervised_map(span=...)`` carries span context into workers."""
+
     def test_without_tracer_equals_parallel_map(self):
-        assert traced_map(_traced_double, [1, 2, 3]) == [2, 4, 6]
+        sup = supervised_map(_traced_double, [1, 2, 3], span="cell")
+        assert sup.results == [2, 4, 6]
 
     def test_serial_records_reparent(self):
         records = []
         tracer = Tracer(records.append, "t")
-        with tracer.span("parent") as parent:
-            out = traced_map(
-                _traced_double, [1, 2], name="cell", keys=["a", "b"],
-                tracer=tracer,
-            )
+        with activate(tracer), tracer.span("parent") as parent:
+            out = supervised_map(
+                _traced_double, [1, 2], labels=["a", "b"], span="cell",
+            ).results
         assert out == [2, 4]
         cells = [r for r in records if r["name"] == "cell"]
         assert [r["key"] for r in cells] == ["a", "b"]
@@ -168,14 +170,13 @@ class TestTracedMap:
         assert len(tree.roots) == 1 and not tree.orphans
 
     def test_pool_records_reparent(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(supervisor, "host_cpus", lambda: 4)
         records = []
         tracer = Tracer(records.append, "t")
-        with tracer.span("parent"):
-            out = traced_map(
-                _traced_double, [1, 2, 3], name="cell", n_workers=3,
-                tracer=tracer,
-            )
+        with activate(tracer), tracer.span("parent"):
+            out = supervised_map(
+                _traced_double, [1, 2, 3], n_workers=3, span="cell",
+            ).results
         assert out == [2, 4, 6]
         tree = build_span_tree(records)
         assert len(tree.roots) == 1 and not tree.orphans
@@ -183,8 +184,10 @@ class TestTracedMap:
 
     def test_key_count_mismatch(self):
         tracer = Tracer(lambda r: None, "t")
-        with pytest.raises(ValueError):
-            traced_map(_traced_double, [1, 2], keys=["a"], tracer=tracer)
+        with activate(tracer), pytest.raises(ValueError):
+            supervised_map(
+                _traced_double, [1, 2], labels=["a"], span="cell"
+            )
 
 
 class TestFleetTrace:
@@ -243,7 +246,7 @@ class TestFleetTrace:
         assert not [r for r in spans if r["name"] in ("node", "engine_run")]
 
     def test_four_workers_fifty_nodes_single_tree(self, monkeypatch):
-        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(supervisor, "host_cpus", lambda: 8)
         observer, sink = collecting_observer()
         spec = FleetSpec(n_nodes=50, seed=0)
         traced = FleetRunner(
