@@ -1,7 +1,6 @@
 """Fleet throughput benchmark: nodes/s over a heterogeneous population.
 
-Runs the same workload as the ``fleet`` entry of ``repro bench`` (a
-seeded heterogeneous fleet, serial, checkpoint-free) under
+Runs a seeded heterogeneous fleet (serial, checkpoint-free) under
 pytest-benchmark, asserts a conservative throughput floor, and checks
 the determinism contract the CLI acceptance test relies on: the same
 fleet simulated with different shard sizes produces a bit-identical

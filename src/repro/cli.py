@@ -7,24 +7,20 @@ Commands
 ``simulate``
     Run one scheduler on one benchmark over a chosen trace and print
     the headline metrics; ``--trace`` writes a JSONL event log,
-    ``--profile`` prints per-phase timings, ``--manifest`` writes a
-    run-provenance manifest.
+    ``--profile`` prints the run's span tree (total/self wall-clock
+    per span), ``--manifest`` writes a run-provenance manifest.
 ``experiment``
     Run one of the paper's table/figure reproductions and print it;
     ``--results-dir`` persists the table plus its run manifest.
 ``obs``
     Observability utilities; ``obs summarize trace.jsonl`` renders
-    event counts and per-phase timings from a trace file;
+    event counts and the headline result from a trace file;
     ``obs trace trace.jsonl`` reassembles the span records into the
     hierarchical call tree with total/self wall-clock per span and
     the hot-span table (``--check`` exits 6 unless the tree is a
     single root with no orphans).
 ``export-trace``
     Write a synthetic solar trace as a MIDC-style CSV.
-``bench``
-    Run the perf-regression harness and write ``BENCH_perf.json``;
-    ``--baseline`` gates against a committed report (exit code 5 on a
-    regression), ``--quick`` is the CI smoke configuration.
 ``cache``
     Offline-artifact cache utilities: ``cache info`` shows the entry
     counts and sizes, ``cache clear`` removes cached artifacts.
@@ -53,7 +49,9 @@ Commands
 A global ``--log-level`` (default WARNING) configures stdlib logging
 for every command.  ``experiment --workers N`` fans independent
 simulations over N processes; ``experiment --no-cache`` disables the
-offline-artifact disk cache for the run.
+offline-artifact disk cache for the run.  Performance is measured by
+the repository benchmark, ``python3 perfbench/run.py``, not by a
+subcommand.
 """
 
 from __future__ import annotations
@@ -68,9 +66,14 @@ from typing import Optional, Sequence
 
 from . import quick_node
 from .obs import (
+    NULL_TRACER,
     JsonlSink,
     Observer,
+    Tracer,
+    activate,
     build_manifest,
+    derive_trace_id,
+    render_span_tree,
     summarize_jsonl,
     timeline_dict,
 )
@@ -164,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument(
         "--profile", action="store_true",
-        help="print per-phase engine timings after the run",
+        help="print the run's span tree (total/self seconds) after "
+        "the run",
     )
     sim.add_argument(
         "--manifest", metavar="PATH",
@@ -247,45 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--days", type=int, default=4)
     export.add_argument("--seed", type=int, default=0)
     export.add_argument("--out", required=True)
-
-    bench = commands.add_parser(
-        "bench", help="run the perf-regression harness"
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="small workloads (the CI smoke configuration)",
-    )
-    bench.add_argument(
-        "--out", default="BENCH_perf.json", metavar="PATH",
-        help="where to write the report (default BENCH_perf.json)",
-    )
-    bench.add_argument(
-        "--baseline", metavar="PATH",
-        help="compare against a committed report; exit 5 if slot "
-        "throughput regressed beyond --max-regression",
-    )
-    bench.add_argument(
-        "--max-regression", type=float, default=0.30, metavar="FRAC",
-        help="tolerated fractional throughput drop vs the baseline "
-        "(default 0.30)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=4, metavar="N",
-        help="process count for the parallel-suite benchmark (default 4)",
-    )
-    bench.add_argument(
-        "--history", action="store_true",
-        help="print the trend table from the history store and exit "
-        "(no benchmarks are run)",
-    )
-    bench.add_argument(
-        "--history-file", default=None, metavar="PATH",
-        help="trend store location (default .benchmarks/history.jsonl)",
-    )
-    bench.add_argument(
-        "--no-history", action="store_true",
-        help="do not append this run to the history store",
-    )
 
     cache_cmd = commands.add_parser(
         "cache", help="offline-artifact cache utilities"
@@ -495,25 +460,31 @@ def _cmd_simulate(args, out) -> int:
                     f"no checkpoint to resume in {args.checkpoint_dir}"
                 )
 
-    sinks = []
-    if args.trace:
-        sinks.append(JsonlSink(args.trace))
-    observe = bool(sinks) or args.profile or bool(args.manifest)
-    observer = Observer(sinks=sinks) if observe else None
-    if observer is not None:
-        observer.start_trace(
-            "simulate", args.benchmark, args.scheduler, args.days,
-            args.seed,
-        )
+    # Events are built only when a trace file will receive them;
+    # --profile needs spans alone, kept in memory.
+    observer = Observer(sinks=[JsonlSink(args.trace)]) if args.trace else None
+    spans = []
+
+    def keep(record):
+        spans.append(record)
+        if observer is not None:
+            observer.emit_record(record)
+
+    tracer = NULL_TRACER
+    if args.trace or args.profile:
+        tracer = Tracer(keep, derive_trace_id(
+            "simulate", args.benchmark, args.scheduler, args.days, args.seed
+        ))
 
     t0 = time.perf_counter()
     try:
-        result = simulate(
-            node, graph, trace, scheduler, strict=False, observer=observer,
-            fault_injector=fault_injector, checkpoint=checkpoint,
-            resume_from=resume_from,
-            stop_after_periods=args.stop_after_periods,
-        )
+        with activate(tracer):
+            result = simulate(
+                node, graph, trace, scheduler, strict=False,
+                observer=observer, fault_injector=fault_injector,
+                checkpoint=checkpoint, resume_from=resume_from,
+                stop_after_periods=args.stop_after_periods,
+            )
     except SimulationInterrupted as stop:
         print(
             f"stopped after {stop.periods_done} period(s); resume with "
@@ -545,9 +516,9 @@ def _cmd_simulate(args, out) -> int:
     if args.trace:
         logger.info("wrote event trace to %s", args.trace)
         print(f"event trace:        {args.trace}", file=out)
-    if args.profile and observer is not None:
+    if args.profile:
         print(file=out)
-        print(observer.profiler.render(), file=out)
+        print(render_span_tree(spans), file=out)
     if args.manifest:
         manifest = build_manifest(
             f"simulate-{args.benchmark}",
@@ -639,7 +610,7 @@ def _cmd_obs(args, out) -> int:
         from pathlib import Path
 
         from .obs import read_jsonl
-        from .obs.trace import build_span_tree, render_span_tree
+        from .obs.trace import build_span_tree
 
         path = Path(args.trace)
         if path.is_dir():
@@ -676,70 +647,6 @@ def _cmd_obs(args, out) -> int:
             print("span-tree check: single root, no orphans", file=out)
         return 0
     raise AssertionError(f"unhandled obs command {args.obs_command!r}")
-
-
-def _cmd_bench(args, out) -> int:
-    from .perf import bench as perf_bench
-
-    history_path = args.history_file or perf_bench.HISTORY_PATH
-    if args.history:
-        print(perf_bench.render_history(history_path), file=out)
-        return 0
-
-    report = perf_bench.run_bench(quick=args.quick, workers=args.workers)
-    path = perf_bench.write_report(report, args.out)
-    b = report["benchmarks"]
-    slot = b["slot_loop"]
-    off = b["offline_training"]
-    par = b["parallel_suite"]
-    print(
-        f"slot loop:     {slot['slots_per_sec']:.0f} slots/s "
-        f"({slot['slots']} slots in {slot['seconds']:.3f}s, "
-        f"{slot['workload']})",
-        file=out,
-    )
-    print(
-        f"offline stage: cold {off['cold_seconds']:.2f}s, cache hit "
-        f"{off['cached_seconds']:.3f}s ({off['cache_speedup']:.1f}x, "
-        f"{off['workload']})",
-        file=out,
-    )
-    print(
-        f"parallel suite: serial {par['serial_seconds']:.2f}s, "
-        f"{par['workers']} workers {par['parallel_seconds']:.2f}s "
-        f"({perf_bench.format_speedup(par['speedup'])}, "
-        f"{par['workload']})",
-        file=out,
-    )
-    fleet = b["fleet"]
-    print(
-        f"fleet:         {fleet['nodes_per_sec']:.1f} nodes/s "
-        f"({fleet['nodes']} nodes in {fleet['seconds']:.2f}s, "
-        f"{fleet['workload']})",
-        file=out,
-    )
-    fb = b["fleet_batch"]
-    print(
-        f"fleet batch:   {fb['nodes_per_sec']:.1f} nodes/s "
-        f"({fb['nodes']} nodes in {fb['seconds']:.2f}s, "
-        f"{fb['speedup_vs_per_node']:.1f}x vs per-node, "
-        f"{fb['workload']})",
-        file=out,
-    )
-    print(f"report:        {path}", file=out)
-    if not args.no_history:
-        hist = perf_bench.append_history(report, history_path)
-        print(f"history:       {hist}", file=out)
-    if args.baseline:
-        failures = perf_bench.compare_to_baseline(
-            report, args.baseline, args.max_regression
-        )
-        if failures:
-            for failure in failures:
-                print(f"perf regression: {failure}", file=sys.stderr)
-            return 5
-        print(f"baseline:      OK vs {args.baseline}", file=out)
-    return 0
 
 
 def _cmd_cache(args, out) -> int:
@@ -853,7 +760,7 @@ def _cmd_fleet(args, out) -> int:
         from .obs import HeartbeatSink
 
         sinks.append(HeartbeatSink())
-    observer = Observer(sinks=sinks) if sinks or args.manifest else None
+    observer = Observer(sinks=sinks) if sinks else None
 
     t0 = time.perf_counter()
     try:
@@ -970,8 +877,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return _cmd_obs(args, out)
         if args.command == "export-trace":
             return _cmd_export(args, out)
-        if args.command == "bench":
-            return _cmd_bench(args, out)
         if args.command == "cache":
             return _cmd_cache(args, out)
         if args.command == "verify":
@@ -988,7 +893,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return 0
     # One-line errors with distinct exit codes: 2 = bad input/data,
     # 3 = checkpoint mismatch/corruption, 4 = simulation failure,
-    # 5 = perf regression (returned directly by _cmd_bench),
     # 6 = verification failure (returned directly by _cmd_verify),
     # 7 = completed degraded (returned directly by _cmd_fleet),
     # 130 = interrupted (returned directly by _cmd_fleet).

@@ -20,7 +20,9 @@ program:
   plans prefer the one consuming the least storage (Eq. 15).
 
 Solved backward over the horizon it yields the *static optimal*
-schedule used as the paper's upper bound; its forward extraction
+schedule of this planning model (optimal for the fluid model and its
+storage buckets, not a bound on the engine's DMR; see
+:mod:`repro.core.optimal`); its forward extraction
 produces the explicit plan (for engine replay) and the training
 samples for the DBN.
 """

@@ -374,13 +374,9 @@ class ProposedScheduler(Scheduler):
             raise InjectedInferenceFault(
                 "runtime fault plan forced an inference failure"
             )
-        span_name = (
-            "dbn_forward" if isinstance(policy, DBNPolicy) else "coarse_decide"
+        cap, alpha, te = policy.decide(
+            prev, view.bank.voltages, view.accumulated_dmr
         )
-        with self.observer.span(span_name):
-            cap, alpha, te = policy.decide(
-                prev, view.bank.voltages, view.accumulated_dmr
-            )
         return validate_coarse_decision(
             len(view.graph), len(view.bank.capacitances), cap, alpha, te
         )

@@ -1,4 +1,4 @@
-"""The static optimal upper bound (Section 4.2 / Figure 8 "Optimal").
+"""The DP-planned "Optimal" column (Section 4.2 / Figure 8 "Optimal").
 
 The paper's "Optimal" is the offline long-term optimisation evaluated
 with the *given* (true) solar power.  Two replay styles are offered:
@@ -10,9 +10,15 @@ with the *given* (true) solar power.  Two replay styles are offered:
 * :class:`StaticOptimalScheduler` (this module, used in the figures)
   takes the DP's *coarse* decisions — the per-period task subset
   ``te``, the pattern index α, and the per-day capacitor — and runs
-  the same adaptive fine-grained pass as the proposed scheduler.  This
-  is exactly "the proposed online algorithm with an oracle coarse
-  stage", the tightest upper bound in the proposed family.
+  the same adaptive fine-grained pass as the proposed scheduler: a
+  DP-planned coarse stage replayed through the adaptive fine pass.
+
+It is not a bound.  The DP plans on a fluid model with bucketed
+storage, and the fine pass then runs under the engine's physics, so
+the proposed scheduler can beat it: in the committed
+``benchmarks/results/fig8_dmr_daily.txt`` ``proposed`` is below
+``optimal`` in 9 of 24 cells (worst: SHM day 4, 0.751 vs 0.892).
+Making the column a true bound is ROADMAP item 3.
 """
 
 from __future__ import annotations

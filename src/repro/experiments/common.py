@@ -238,8 +238,10 @@ def evaluation_suite(
     """Run the paper's four-way comparison on one trace.
 
     ``inter-task`` and ``intra-task`` are the prior-work baselines,
-    ``proposed`` the DBN-based online scheduler, ``optimal`` the static
-    upper bound computed on the true trace.  An ``observer`` (shared
+    ``proposed`` the DBN-based online scheduler, ``optimal`` the DP
+    planned on the true trace, its coarse stage replayed through the
+    adaptive fine pass (not a bound: see :mod:`repro.core.optimal`).
+    An ``observer`` (shared
     across the runs) traces every simulation.
 
     ``n_workers`` (or ``$REPRO_WORKERS``) fans the schedulers out over

@@ -1,22 +1,23 @@
 """Observability for the simulator and experiment harness.
 
-Zero-dependency tracing, metrics, profiling and run provenance:
+Zero-dependency events, counters, tracing and run provenance:
 
 * :mod:`repro.obs.events` — typed events and the bus that records
   them: ``observer.emit(event)`` stamps the simulation clock, bumps
-  the counters the event class names and fans the record out to sinks;
-  :data:`NULL_OBSERVER` is the disabled default the engine uses when
-  no observer is supplied (call sites guard with ``observer.enabled``,
-  so it costs one boolean check);
-* :mod:`repro.obs.metrics` — counters/gauges/histograms;
-* :mod:`repro.obs.profile` — per-phase wall-time profiling;
+  the counters the event class names (``observer.metrics``, a
+  :class:`~repro.obs.sketch.CounterBag`) and fans the record out to
+  sinks; :data:`NULL_OBSERVER` is the disabled default the engine uses
+  when no observer is supplied (call sites guard with
+  ``observer.enabled``, so it costs one boolean check);
 * :mod:`repro.obs.sinks` — JSONL trace files, ring buffers, console
   summaries, and the ``repro obs summarize`` renderer;
 * :mod:`repro.obs.manifest` — reproducibility manifests written next
   to experiment results;
 * :mod:`repro.obs.trace` — hierarchical spans with deterministic ids
   that survive process boundaries (``repro obs trace`` reassembles a
-  multi-worker run into one rooted tree);
+  multi-worker run into one rooted tree).  Spans are the only timer:
+  the simulation packages (``sim``, ``core``, ``schedulers``,
+  ``energy``, ``node``) read no clock;
 * :mod:`repro.obs.sketch` — memory-bounded mergeable aggregates
   (counters, fixed-bin histograms, P² quantiles) with an associative
   ``merge()`` for shard → fleet fold-ins.
@@ -66,8 +67,6 @@ from .manifest import (
     git_revision,
     timeline_dict,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profile import NULL_SPAN, PhaseProfiler, PhaseStat
 from .sinks import (
     ConsoleSummarySink,
     HeartbeatSink,
@@ -135,13 +134,6 @@ __all__ = [
     "SKETCH_SCHEMA",
     "OBS_SCHEMA",
     "HeartbeatSink",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "PhaseProfiler",
-    "PhaseStat",
-    "NULL_SPAN",
     "JsonlSink",
     "RingBufferSink",
     "ConsoleSummarySink",

@@ -24,8 +24,7 @@ import dataclasses
 import functools
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .metrics import MetricsRegistry
-from .profile import NULL_SPAN, PhaseProfiler
+from .sketch import CounterBag
 
 __all__ = [
     "Event",
@@ -475,7 +474,7 @@ class PeriodEndEvent(Event):
 
 
 class Observer:
-    """Event bus + metrics + phase profiler for one or more runs.
+    """Event bus + counters for one or more runs.
 
     Parameters
     ----------
@@ -490,8 +489,7 @@ class Observer:
     def __init__(self, sinks: Sequence = (), enabled: bool = True) -> None:
         self.sinks: List = list(sinks)
         self.enabled = enabled
-        self.metrics = MetricsRegistry()
-        self.profiler = PhaseProfiler() if enabled else None
+        self.metrics = CounterBag()
         self.tracer = None
         self.day = -1
         self.period = -1
@@ -504,12 +502,6 @@ class Observer:
         self.period = period
         self.slot = slot
 
-    def span(self, name: str):
-        """Profiling context manager; no-op when disabled."""
-        if self.profiler is None:
-            return NULL_SPAN
-        return self.profiler.span(name)
-
     def emit(self, event: Event) -> None:
         """Count, clock-stamp and fan one event out to every sink."""
         if not self.enabled:
@@ -518,7 +510,11 @@ class Observer:
         if counts is None:
             return
         for name, amount in counts:
-            self.metrics.counter(name).inc(amount)
+            if amount < 0:
+                raise ValueError(
+                    f"counter increment must be >= 0, got {amount}"
+                )
+            self.metrics.inc(name, amount)
         if event.clock == "slot":
             record = event.record(self.day, self.period, self.slot)
         elif event.clock == "period":
@@ -560,9 +556,10 @@ class Observer:
     ) -> None:
         """Write the ``run_summary`` trailer record and flush sinks.
 
-        The trailer carries the metrics snapshot, the per-phase timing
-        snapshot, and the run's headline numbers — this is what
-        ``repro obs summarize`` renders without re-running anything.
+        The trailer carries the counters and the run's headline
+        numbers — this is what ``repro obs summarize`` renders without
+        re-running anything.  Timing lives in the ``span`` records
+        (``repro obs trace``), not here.
         """
         if not self.enabled:
             return
@@ -570,8 +567,7 @@ class Observer:
             "kind": "run_summary",
             "scheduler": scheduler,
             "result": _json_safe(result_summary) if result_summary else {},
-            "metrics": self.metrics.snapshot(),
-            "profile": self.profiler.snapshot() if self.profiler else {},
+            "metrics": {"counters": dict(self.metrics.items())},
         }
         for sink in self.sinks:
             sink.write(record)

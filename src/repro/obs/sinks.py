@@ -3,8 +3,8 @@
 Sinks receive plain dict records from an
 :class:`~repro.obs.events.Observer` — one dict per event plus a final
 ``run_summary`` trailer.  The JSONL format is the interchange point:
-``repro obs summarize trace.jsonl`` renders event counts and per-phase
-timings from the file alone.
+``repro obs summarize trace.jsonl`` renders event counts and the
+headline result from the file alone (span timings: ``repro obs trace``).
 """
 
 from __future__ import annotations
@@ -244,23 +244,6 @@ def _render_trailer(trailer: Dict[str, object]) -> str:
                 lines.append(f"  {key:<24} {value:.6g}")
             else:
                 lines.append(f"  {key:<24} {value}")
-    profile = trailer.get("profile") or {}
-    if profile:
-        lines.append("per-phase timing:")
-        lines.append(
-            f"  {'phase':<20} {'count':>8} {'total s':>10} {'mean ms':>10}"
-        )
-        rows = sorted(
-            profile.items(),
-            key=lambda kv: kv[1].get("total_s", 0.0),
-            reverse=True,
-        )
-        for name, stat in rows:
-            lines.append(
-                f"  {name:<20} {stat.get('count', 0):>8} "
-                f"{stat.get('total_s', 0.0):>10.4f} "
-                f"{stat.get('mean_s', 0.0) * 1e3:>10.4f}"
-            )
     return "\n".join(lines)
 
 

@@ -1,14 +1,11 @@
-"""Performance layer: artifact cache and benchmarks.
+"""Performance layer: the offline-artifact cache.
 
 ``repro.perf`` keeps the reproduction fast without touching its
-numerics:
-
-- :mod:`repro.perf.cache` — content-addressed disk cache for the
-  expensive offline artifacts (trained DBN policies and everything
-  bundled with them: sized capacitor banks, LUT samples, solar-class
-  centroids);
-- :mod:`repro.perf.bench` — the ``repro bench`` perf-regression
-  harness behind ``BENCH_perf.json``.
+numerics: :mod:`repro.perf.cache` is a content-addressed disk cache
+for the expensive offline artifacts (trained DBN policies and
+everything bundled with them: sized capacitor banks, LUT samples,
+solar-class centroids).  Speed is measured outside the package, by
+the repository benchmark in ``perfbench/``.
 """
 
 from .cache import (

@@ -1,6 +1,6 @@
 """Replay of precomputed schedules.
 
-The static optimal upper bound (Section 4.2) and the offline training
+The long-term DP's static plan (Section 4.2) and the offline training
 sample generator both produce explicit scheduling plans — per-period
 slot×task execution matrices plus a per-day capacitor choice.
 :class:`PlanScheduler` replays such a plan through the engine so the

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import pickle
 from pathlib import Path
-from time import perf_counter
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -86,7 +85,7 @@ class SimulationEngine:
     record_slots:
         When True, dense per-slot arrays are kept in the result.
     observer:
-        Observability hub (event sinks, metrics, phase profiler).
+        Observability hub (event sinks and counters).
         Defaults to the disabled :data:`~repro.obs.events.NULL_OBSERVER`,
         which adds no measurable cost and changes no behaviour.
     fault_injector:
@@ -323,12 +322,7 @@ class SimulationEngine:
                 force_capacitor=self.node.pmu.force_capacitor,
                 faults=fault_flags,
             )
-            with obs.span("coarse_hook") as coarse_span:
-                self.scheduler.on_period_start(start_view)
-            if active:
-                obs.metrics.histogram("coarse_pass_seconds").observe(
-                    coarse_span.elapsed
-                )
+            self.scheduler.on_period_start(start_view)
 
             start_voltages = self.node.bank.voltages()
             active_at_start = self.node.bank.active_index
@@ -344,8 +338,6 @@ class SimulationEngine:
             else:
                 period_powers = np.zeros(slots_per_period)
 
-            slot_loop_span = obs.span("slot_loop")
-            slot_loop_span.__enter__()
             for slot in range(slots_per_period):
                 if active:
                     obs.set_time(day, period, slot)
@@ -434,14 +426,7 @@ class SimulationEngine:
                         cycle_cost += nvps[k].power_up()
                 if cycle_cost > 0:
                     bank.active.discharge(cycle_cost)
-                if active:
-                    _leak_t0 = perf_counter()
-                    lost = bank.leak_all(dt)
-                    obs.profiler.add(
-                        "leakage_update", perf_counter() - _leak_t0
-                    )
-                else:
-                    lost = bank.leak_all(dt)
+                lost = bank.leak_all(dt)
 
                 solar_energy += solar_power * dt
                 load_energy += flow.load_energy
@@ -459,11 +444,7 @@ class SimulationEngine:
                     slot_arrays.active_voltage[flat] = bank.active.voltage
                     slot_arrays.active_index[flat] = bank.active_index
 
-            slot_loop_span.__exit__(None, None, None)
             if active:
-                obs.metrics.histogram("fine_pass_seconds").observe(
-                    slot_loop_span.elapsed
-                )
                 obs.set_time(day, period, tl.slots_per_period)
             boundary_missed = runtime.check_deadlines(tl.slots_per_period)
             sweep_missed = runtime.finalize()

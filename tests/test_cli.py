@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import io
-import json
 
 import pytest
 
@@ -26,6 +25,11 @@ class TestParser:
     def test_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
+
+    def test_bench_is_unknown_command(self):
+        """Performance is measured by ``perfbench/``, not a subcommand."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--quick"])
 
 
 class TestListCommand:
@@ -296,15 +300,14 @@ class TestFleetCommand:
 #
 # 0 = success                    2 = bad input / bad data
 # 3 = checkpoint error           4 = simulation failure
-# 5 = perf regression            6 = verification failure
+# 6 = verification failure
 # 7 = completed degraded (healthy subset valid, nodes quarantined)
 #
-# Codes 0/2/3 exercise real CLI paths end to end.  Codes 4/5/6 cannot
+# Codes 0/2/3 exercise real CLI paths end to end.  Codes 4/6 cannot
 # be triggered from legal CLI input without multi-minute runs (the
-# engine runs strict=False; a perf regression needs a slower machine;
-# a verify failure needs broken physics), so their cases stub the one
-# boundary each code is defined by — the exception type for 4, the
-# measured report for 5, the verification report for 6 — and assert
+# engine runs strict=False; a verify failure needs broken physics), so
+# their cases stub the one boundary each code is defined by — the
+# exception type for 4, the verification report for 6 — and assert
 # the dispatcher maps it to the documented code.
 # ----------------------------------------------------------------------
 def _case_ok(tmp_path, monkeypatch):
@@ -341,53 +344,6 @@ def _case_invalid_decision(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_cmd_simulate", boom)
     return ["simulate", "--days", "1"]
-
-
-def _case_perf_regression(tmp_path, monkeypatch):
-    from repro.perf import bench as perf_bench
-
-    measured = {
-        "version": perf_bench.BENCH_VERSION,
-        "quick": True,
-        "host": {"cpu_count": 1, "platform": "test"},
-        "benchmarks": {
-            "slot_loop": {
-                "workload": "w", "slots": 100, "seconds": 1.0,
-                "slots_per_sec": 100.0, "phases": {},
-            },
-            "offline_training": {
-                "workload": "w", "cold_seconds": 1.0,
-                "cached_seconds": 0.1, "cache_speedup": 10.0,
-            },
-            "parallel_suite": {
-                "workload": "w", "workers": 2, "serial_seconds": 1.0,
-                "parallel_seconds": 1.0, "speedup": 1.0,
-            },
-            "fleet": {
-                "workload": "w", "nodes": 4, "seconds": 1.0,
-                "nodes_per_sec": 4.0, "fingerprint": "f" * 64,
-            },
-            "fleet_batch": {
-                "workload": "w", "nodes": 16, "seconds": 1.0,
-                "nodes_per_sec": 48.0, "speedup_vs_per_node": 12.0,
-                "fingerprint": "f" * 64,
-            },
-        },
-    }
-    monkeypatch.setattr(
-        perf_bench, "run_bench", lambda quick, workers: measured
-    )
-    baseline = dict(measured)
-    baseline["benchmarks"] = dict(measured["benchmarks"])
-    baseline["benchmarks"]["slot_loop"] = dict(
-        measured["benchmarks"]["slot_loop"], slots_per_sec=1e9
-    )
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(json.dumps(baseline))
-    return [
-        "bench", "--quick", "--out", str(tmp_path / "report.json"),
-        "--baseline", str(baseline_path),
-    ]
 
 
 def _case_verify_failure(tmp_path, monkeypatch):
@@ -432,7 +388,6 @@ EXIT_CODE_MATRIX = [
     ("bad-input-midc", _case_midc_error, 2),
     ("checkpoint", _case_checkpoint_error, 3),
     ("simulation", _case_invalid_decision, 4),
-    ("perf-regression", _case_perf_regression, 5),
     ("verify-failure", _case_verify_failure, 6),
     ("degraded-fleet", _case_degraded_fleet, 7),
 ]
@@ -450,6 +405,7 @@ class TestExitCodeMatrix:
         assert code == expected
 
     def test_matrix_covers_every_documented_code(self):
+        # 5 (a perf regression) is retired and not reassigned.
         assert {code for _, _, code in EXIT_CODE_MATRIX} == {
-            0, 2, 3, 4, 5, 6, 7,
+            0, 2, 3, 4, 6, 7,
         }

@@ -15,13 +15,13 @@ from repro.obs import (
     ConsoleSummarySink,
     DeadlineMissEvent,
     JsonlSink,
-    MetricsRegistry,
     NULL_OBSERVER,
     Observer,
-    PhaseProfiler,
     RingBufferSink,
     RunManifest,
     SlotDecisionEvent,
+    Tracer,
+    activate,
     build_manifest,
     read_jsonl,
     summarize_jsonl,
@@ -63,44 +63,19 @@ def tiny_node(graph, caps=(10.0,)):
 
 
 class TestMetrics:
-    def test_counter_and_histogram(self):
-        reg = MetricsRegistry()
-        reg.counter("x_total").inc()
-        reg.counter("x_total").inc(2)
-        reg.histogram("t_seconds").observe(0.5)
-        reg.histogram("t_seconds").observe(1.5)
-        snap = reg.snapshot()
-        assert snap["counters"]["x_total"] == 3
-        assert snap["histograms"]["t_seconds"]["count"] == 2
-        assert snap["histograms"]["t_seconds"]["mean"] == pytest.approx(1.0)
-
     def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().counter("x").inc(-1)
+        """``Observer.emit`` refuses an event that would count down."""
 
-    def test_render_mentions_instruments(self):
-        reg = MetricsRegistry()
-        reg.counter("slots_simulated_total").inc(5)
-        assert "slots_simulated_total" in reg.render()
+        class Negative(SlotDecisionEvent):
+            def counts(self):
+                return (("x_total", -1),)
 
-
-class TestProfiler:
-    def test_span_accumulates(self):
-        prof = PhaseProfiler()
-        with prof.span("phase_a"):
-            pass
-        with prof.span("phase_a"):
-            pass
-        prof.add("phase_b", 0.25)
-        snap = prof.snapshot()
-        assert snap["phase_a"]["count"] == 2
-        assert snap["phase_b"]["total_s"] == pytest.approx(0.25)
-        assert "phase_a" in prof.render()
-
-    def test_null_observer_span_is_noop(self):
-        with NULL_OBSERVER.span("anything") as span:
-            pass
-        assert span.elapsed == 0.0
+        ring = RingBufferSink()
+        obs = Observer(sinks=[ring])
+        with pytest.raises(ValueError, match=">= 0"):
+            obs.emit(Negative((), (), 0.0, 0.0, 1.0))
+        assert obs.metrics["x_total"] == 0
+        assert not ring.records
 
 
 class TestEventEmission:
@@ -145,17 +120,31 @@ class TestEventEmission:
         decisions = ring.of_kind("slot_decision")
         assert len(decisions) == tl.total_slots
         assert len(ring.of_kind("brownout")) == result.total_brownout_slots
-        snap = obs.metrics.snapshot()["counters"]
-        assert snap["slots_simulated_total"] == tl.total_slots
-        assert snap["brownout_slots_total"] == result.total_brownout_slots
+        assert obs.metrics["slots_simulated_total"] == tl.total_slots
+        assert (
+            obs.metrics["brownout_slots_total"]
+            == result.total_brownout_slots
+        )
 
     def test_profiler_covers_engine_phases(self):
-        _, _, obs = self.run_dark()
-        phases = obs.profiler.snapshot()
-        assert {"coarse_hook", "slot_loop", "leakage_update"} <= set(phases)
-        hists = obs.metrics.snapshot()["histograms"]
-        assert hists["coarse_pass_seconds"]["count"] == 2
-        assert hists["fine_pass_seconds"]["count"] == 2
+        """The engine's one timer is its ``engine_run`` span."""
+        graph = tiny_graph()
+        tl = tiny_timeline()
+        spans = []
+        ring = RingBufferSink()
+        obs = Observer(sinks=[ring])
+        with activate(Tracer(spans.append, "t")):
+            simulate(
+                tiny_node(graph), graph, constant_trace(tl, 0.0),
+                GreedyEDFScheduler(), observer=obs,
+            )
+        obs.finish()
+        assert [s["name"] for s in spans] == ["engine_run"]
+        assert spans[0]["attrs"]["total_slots"] == tl.total_slots
+        # The run_summary trailer carries counters, no timings.
+        trailer = ring.of_kind("run_summary")[-1]
+        assert set(trailer["metrics"]) == {"counters"}
+        assert "profile" not in trailer
 
 
 class TestCoarseStageEvents:
@@ -184,15 +173,10 @@ class TestCoarseStageEvents:
         assert len(coarse) == tl.total_periods
         assert all(r["slot"] == -1 for r in coarse)
         # Every request to the PMU shows up as a switch attempt.
-        attempts = obs.metrics.snapshot()["counters"].get(
-            "capacitor_switch_attempts_total", 0
-        )
-        assert attempts >= 1
+        assert obs.metrics["capacitor_switch_attempts_total"] >= 1
         # δ-fallbacks, when present, carry α and δ.
         for r in ring.of_kind("delta_fallback"):
             assert abs(1.0 - r["alpha"]) > r["delta"]
-        # The coarse policy's decide() pass was profiled.
-        assert "coarse_decide" in obs.profiler.snapshot()
 
 
 class TestNoOpPath:
@@ -238,7 +222,7 @@ class TestNoOpPath:
         NULL_OBSERVER.emit(SlotDecisionEvent((), (), 0.0, 0.0, 1.0))
         NULL_OBSERVER.emit(BrownoutEvent(0.0, 0.0, 0.0, 0, 0.0))
         NULL_OBSERVER.emit(DeadlineMissEvent((1,)))
-        assert NULL_OBSERVER.metrics.snapshot()["counters"] == {}
+        assert NULL_OBSERVER.metrics.items() == []
 
 
 class TestJsonlRoundTrip:
@@ -267,7 +251,9 @@ class TestJsonlRoundTrip:
         trailer = records[-1]
         assert trailer["scheduler"] == "asap-edf"
         assert trailer["result"]["dmr"] == pytest.approx(result.dmr)
-        assert "slot_loop" in trailer["profile"]
+        assert trailer["metrics"]["counters"]["slots_simulated_total"] == (
+            tl.total_slots
+        )
 
     def test_summarize_renders_counts_and_phases(self, tmp_path):
         graph = tiny_graph()
@@ -284,9 +270,10 @@ class TestJsonlRoundTrip:
         obs.close()
         text = summarize_jsonl(path)
         assert "slot_decision" in text
-        assert "per-phase timing" in text
-        assert "slot_loop" in text
+        assert "headline result" in text
         assert "asap-edf" in text
+        # Timing is the span tree's job (``repro obs trace``).
+        assert "per-phase timing" not in text
 
     def test_console_summary_sink(self):
         sink = ConsoleSummarySink()
@@ -436,7 +423,7 @@ class TestCliSurface:
         )
         assert code == 0
         assert "DMR:" in text
-        assert "slot_loop" in text  # the --profile report
+        assert "engine_run" in text  # the --profile span tree
         assert trace_path.exists() and manifest_path.exists()
         records = read_jsonl(trace_path)
         kinds = [r["kind"] for r in records]
@@ -459,6 +446,66 @@ class TestCliSurface:
         assert code == 0
         assert "event counts" in text
         assert "slot_decision" in text
+
+    def spy_observers(self, monkeypatch):
+        """The ``observer`` of every ``simulate`` call the CLI makes."""
+        import repro.cli as cli
+
+        observers = []
+        real = cli.simulate
+
+        def spy(*args, **kwargs):
+            observers.append(kwargs["observer"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", spy)
+        return observers
+
+    def test_profile_alone_prints_spans_and_emits_no_events(
+        self, monkeypatch
+    ):
+        observers = self.spy_observers(monkeypatch)
+        code, text = self.run_cli(
+            "simulate", "--benchmark", "SHM", "--scheduler", "asap",
+            "--days", "1", "--seed", "3", "--profile",
+        )
+        assert code == 0
+        assert observers == [None]  # no event is built
+        assert "hot spans" in text and "engine_run" in text
+
+    def test_manifest_alone_runs_unobserved(self, tmp_path, monkeypatch):
+        """The manifest's wall time is that of a plain run."""
+        observers = self.spy_observers(monkeypatch)
+        manifest_path = tmp_path / "m.json"
+        code, _ = self.run_cli(
+            "simulate", "--benchmark", "SHM", "--scheduler", "asap",
+            "--days", "1", "--seed", "3", "--manifest", str(manifest_path),
+        )
+        assert code == 0
+        assert observers == [None]
+        assert RunManifest.load(manifest_path).wall_time_s > 0
+
+    def test_fleet_manifest_alone_runs_unobserved(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.fleet as fleet
+
+        observers = []
+
+        class Spy(fleet.FleetRunner):
+            def __init__(self, *args, observer=None, **kwargs):
+                observers.append(observer)
+                super().__init__(*args, observer=observer, **kwargs)
+
+        monkeypatch.setattr(fleet, "FleetRunner", Spy)
+        # ``--no-cache`` writes the variable; monkeypatch restores it.
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        code, _ = self.run_cli(
+            "fleet", "run", "--nodes", "4", "--seed", "0", "--no-cache",
+            "--manifest", str(tmp_path / "m.json"),
+        )
+        assert code == 0
+        assert observers == [None]
 
     def test_log_level_flag_accepted(self):
         code, text = self.run_cli("--log-level", "INFO", "list")

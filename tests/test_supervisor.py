@@ -225,7 +225,7 @@ class TestSerialSupervision:
         assert len(retries) == 1
         assert retries[0]["error_type"] == "ValueError"
         assert retries[0]["reason"] == "raised"
-        assert obs.metrics.counter("task_retries_total").value == 1
+        assert obs.metrics["task_retries_total"] == 1
 
     def test_label_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -256,7 +256,7 @@ class TestPoolSupervision:
         )
         lost = ring.of_kind("worker_lost")
         assert lost and "rebuilt" in str(lost[0]["reason"])
-        assert obs.metrics.counter("pool_rebuilds_total").value >= 1
+        assert obs.metrics["pool_rebuilds_total"] >= 1
 
     def test_timeout_kills_straggler_and_redispatches(self):
         ring = RingBufferSink(capacity=64)
@@ -525,7 +525,7 @@ class TestFleetFailurePolicies:
         assert len(events) == 1
         assert events[0]["node_id"] == result.failed_nodes[0].node_id
         assert events[0]["error_type"] == "ChaosError"
-        assert obs.metrics.counter("nodes_quarantined_total").value == 1
+        assert obs.metrics["nodes_quarantined_total"] == 1
 
 
 class TestFailedNodeRoundTrip:
@@ -643,7 +643,7 @@ class TestCacheWriteFailure:
         assert len(events) == 1
         assert events[0]["artifact_kind"] == "policy"
         assert (
-            obs.metrics.counter("cache_write_failures_total").value == 1
+            obs.metrics["cache_write_failures_total"] == 1
         )
 
     def test_fleet_run_survives_readonly_cache_dir(
