@@ -10,8 +10,12 @@ Commands
     ``--profile`` prints the run's span tree (total/self wall-clock
     per span), ``--manifest`` writes a run-provenance manifest.
 ``experiment``
-    Run one of the paper's table/figure reproductions and print it;
-    ``--results-dir`` persists the table plus its run manifest.
+    Run one of the paper's table/figure reproductions (or ``all`` of
+    them, in registry order) and print it; ``--results-dir`` persists
+    each table plus its run manifest.  Each table's shape checks run
+    after it is produced; a failed check prints ``check failed:
+    <name>.<check>: <detail>`` and, once every table is written, the
+    command exits 6.
 ``obs``
     Observability utilities; ``obs summarize trace.jsonl`` renders
     event counts and the headline result from a trace file;
@@ -87,6 +91,7 @@ from .sim import (
     latest_checkpoint,
     result_fingerprint,
 )
+from .experiments import EXPERIMENTS
 from .fleet.spec import FLEET_POLICIES
 from .sim.engine import InvalidDecisionError, simulate
 from .solar import four_day_trace, synthetic_trace
@@ -102,22 +107,6 @@ logger = logging.getLogger(__name__)
 
 #: Policies ``simulate`` can run (no offline stage, no seed).
 _SCHEDULERS = ("asap", "dvfs", "inter-task", "intra-task")
-
-_EXPERIMENTS = (
-    "fig1",
-    "fig2",
-    "fig5",
-    "fig6",
-    "fig7",
-    "table2",
-    "fig8",
-    "fig9",
-    "fig10a",
-    "fig10b",
-    "overhead",
-    "fleet",
-)
-
 
 def _timeline(days: int) -> Timeline:
     return Timeline(
@@ -206,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     exp = commands.add_parser("experiment", help="reproduce a table/figure")
-    exp.add_argument("name", choices=_EXPERIMENTS)
+    exp.add_argument("name", choices=(*EXPERIMENTS, "all"))
     exp.add_argument(
         "--results-dir", metavar="DIR",
         help="also write the rendered table and its run manifest here",
@@ -422,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_list(out) -> int:
     print("benchmarks: ", ", ".join(sorted(paper_benchmarks())), file=out)
     print("schedulers: ", ", ".join(sorted(_SCHEDULERS)), file=out)
-    print("experiments:", ", ".join(_EXPERIMENTS), file=out)
+    print("experiments:", ", ".join(EXPERIMENTS), file=out)
     return 0
 
 
@@ -544,7 +533,9 @@ def _cmd_simulate(args, out) -> int:
 
 
 def _cmd_experiment(args, out) -> int:
-    from . import experiments as exp
+    from pathlib import Path
+
+    from .experiments.common import write_experiment_manifest
 
     # Propagate the perf knobs through the environment so every helper
     # (train_policy's disk cache, evaluation_suite's worker pool) sees
@@ -556,38 +547,28 @@ def _cmd_experiment(args, out) -> int:
     if args.no_cache:
         os.environ["REPRO_NO_CACHE"] = "1"
 
-    runners = {
-        "fig1": exp.fig1_motivation.run,
-        "fig2": exp.fig2_sizing.run,
-        "fig5": exp.fig5_regulators.run,
-        "fig6": exp.fig6_dbn.run,
-        "fig7": exp.fig7_solar.run,
-        "table2": exp.table2_migration.run,
-        "fig8": exp.fig8_daily.run,
-        "fig9": exp.fig9_monthly.run,
-        "fig10a": exp.fig10a_prediction.run,
-        "fig10b": exp.fig10b_capacitors.run,
-        "overhead": exp.overhead.run,
-        "fleet": exp.fleet_study.run,
-    }
-    t0 = time.perf_counter()
-    table = runners[args.name]()
-    wall = time.perf_counter() - t0
-    print(table.render(), file=out)
-    if args.results_dir:
-        from pathlib import Path
-
-        from .experiments.common import write_experiment_manifest
-
-        results_dir = Path(args.results_dir)
-        results_dir.mkdir(parents=True, exist_ok=True)
-        (results_dir / f"{args.name}.txt").write_text(table.render() + "\n")
-        path = write_experiment_manifest(
-            args.name, table, results_dir, wall_time_s=wall
-        )
-        logger.info("wrote experiment manifest to %s", path)
-        print(f"manifest: {path}", file=out)
-    return 0
+    names = list(EXPERIMENTS) if args.name == "all" else [args.name]
+    failed = 0
+    for name in names:
+        run, checks = EXPERIMENTS[name]
+        t0 = time.perf_counter()
+        table = run()
+        wall = time.perf_counter() - t0
+        print(table.render(), file=out)
+        if args.results_dir:
+            results_dir = Path(args.results_dir)
+            results_dir.mkdir(parents=True, exist_ok=True)
+            (results_dir / f"{name}.txt").write_text(table.render() + "\n")
+            path = write_experiment_manifest(
+                name, table, results_dir, wall_time_s=wall
+            )
+            logger.info("wrote experiment manifest to %s", path)
+            print(f"manifest: {path}", file=out)
+        for check, ok, detail in checks(table):
+            if not ok:
+                failed += 1
+                print(f"check failed: {name}.{check}: {detail}", file=out)
+    return 6 if failed else 0
 
 
 def _cmd_obs(args, out) -> int:
@@ -893,7 +874,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return 0
     # One-line errors with distinct exit codes: 2 = bad input/data,
     # 3 = checkpoint mismatch/corruption, 4 = simulation failure,
-    # 6 = verification failure (returned directly by _cmd_verify),
+    # 6 = verification failure (returned directly by _cmd_verify and
+    #     by _cmd_experiment when a table's check fails),
     # 7 = completed degraded (returned directly by _cmd_fleet),
     # 130 = interrupted (returned directly by _cmd_fleet).
     except (MIDCFormatError, ValueError) as exc:

@@ -16,7 +16,7 @@ with the *given* (true) solar power.  Two replay styles are offered:
 It is not a bound.  The DP plans on a fluid model with bucketed
 storage, and the fine pass then runs under the engine's physics, so
 the proposed scheduler can beat it: in the committed
-``benchmarks/results/fig8_dmr_daily.txt`` ``proposed`` is below
+``benchmarks/results/fig8.txt`` ``proposed`` is below
 ``optimal`` in 9 of 24 cells (worst: SHM day 4, 0.751 vs 0.892).
 Making the column a true bound is ROADMAP item 3.
 """

@@ -34,7 +34,7 @@ __all__ = ["SuperCapacitor", "CapacitorState"]
 #: voltage-dependent self-discharge of commodity super capacitors near
 #: their rated voltage [12] and calibrated so the migration
 #: efficiencies of the paper's Table 2 keep their shape (see
-#: benchmarks/bench_table2_migration.py).
+#: ``repro experiment table2`` and its checks).
 DEFAULT_LEAK_COEFF = 5.0e-7
 #: Voltage exponent of the leakage law; > 2 because the leakage
 #: *current* itself grows super-linearly near the rated voltage.

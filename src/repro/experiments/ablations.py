@@ -5,12 +5,17 @@
 * ``run_delta`` — the δ intra/inter fine-pass selection (always intra /
   threshold / always inter);
 * ``run_coarse_model`` — DBN vs LUT-nearest-neighbour vs hand-written
-  heuristic for the coarse per-period stage.
+  heuristic for the coarse per-period stage;
+* ``run_dvfs`` — DVFS-enabled load matching (the paper's category-[5,6]
+  related work) against the fixed-frequency baselines.
+
+Each ``run_*`` has a ``check_*`` beside it that states the table's
+expected shape.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 from ..core import (
     DBNPolicy,
@@ -18,12 +23,28 @@ from ..core import (
     NearestSamplePolicy,
     ProposedScheduler,
 )
+from ..energy import SuperCapacitor
+from ..node import DVFSModel, SensorNode
+from ..schedulers import (
+    DVFSLoadMatchingScheduler,
+    InterTaskScheduler,
+    IntraTaskScheduler,
+)
 from ..sim.engine import simulate
-from ..solar import synthetic_trace
+from ..solar import four_day_trace, synthetic_trace
 from ..tasks import wam
-from .common import ExperimentTable, default_timeline, train_policy
+from .common import Check, ExperimentTable, default_timeline, train_policy
 
-__all__ = ["run_eth", "run_delta", "run_coarse_model"]
+__all__ = [
+    "run_eth",
+    "run_delta",
+    "run_coarse_model",
+    "run_dvfs",
+    "check_eth",
+    "check_delta",
+    "check_coarse_model",
+    "check_dvfs",
+]
 
 EVAL_SEED = 2016
 
@@ -66,6 +87,18 @@ def run_eth(
     )
 
 
+def check_eth(table: ExperimentTable) -> List[Check]:
+    """A larger threshold can only allow more switches."""
+    switches = [int(r[3]) for r in table.rows]
+    return [
+        (
+            "switches_monotone",
+            switches == sorted(switches),
+            f"switches {switches} are not non-decreasing in E_th",
+        )
+    ]
+
+
 def run_delta(
     deltas: Sequence[float] = (0.0, 0.25, 0.5, 1.0, 1e9),
     num_days: int = 14,
@@ -93,6 +126,14 @@ def run_delta(
         notes=["delta controls when the cheap inter-task pass replaces "
                "the intra-task load matching"],
     )
+
+
+def check_delta(table: ExperimentTable) -> List[Check]:
+    """Every DMR is a ratio."""
+    dmrs = [float(r[1]) for r in table.rows]
+    return [
+        ("dmr_in_range", all(0.0 <= d <= 1.0 for d in dmrs), f"DMRs {dmrs}")
+    ]
 
 
 def run_coarse_model(num_days: int = 14) -> ExperimentTable:
@@ -130,3 +171,76 @@ def run_coarse_model(num_days: int = 14) -> ExperimentTable:
             "the full sample table (Sec. 5.1)"
         ],
     )
+
+
+def check_coarse_model(table: ExperimentTable) -> List[Check]:
+    """Both offline-informed policies beat the hand-written heuristic."""
+    dmr = {r[0]: float(r[1]) for r in table.rows}
+    return [
+        (
+            "dbn_beats_heuristic",
+            dmr["DBN (paper)"] <= dmr["heuristic"],
+            f"DBN {dmr['DBN (paper)']} vs heuristic {dmr['heuristic']}",
+        ),
+        (
+            "lut_beats_heuristic",
+            dmr["LUT nearest"] <= dmr["heuristic"],
+            f"LUT {dmr['LUT nearest']} vs heuristic {dmr['heuristic']}",
+        ),
+    ]
+
+
+def run_dvfs() -> ExperimentTable:
+    """DVFS load matching vs the fixed-frequency baselines (WAM, four
+    days)."""
+    graph = wam()
+    trace = four_day_trace(default_timeline(4))
+
+    def node():
+        return SensorNode(
+            [SuperCapacitor(capacitance=c) for c in (1.0, 10.0, 47.0)],
+            num_nvps=graph.num_nvps,
+            dvfs=DVFSModel(),
+        )
+
+    rows = []
+    for sched in (
+        InterTaskScheduler(),
+        IntraTaskScheduler(),
+        DVFSLoadMatchingScheduler(),
+    ):
+        result = simulate(node(), graph, trace, sched, strict=False)
+        rows.append(
+            [
+                sched.name,
+                f"{result.dmr:.3f}",
+                f"{result.energy_utilization:.3f}",
+                f"{result.total_load_energy:.0f}",
+            ]
+        )
+    return ExperimentTable(
+        title="Extension: DVFS load matching vs fixed-frequency baselines",
+        headers=["scheduler", "DMR", "utilisation", "load J"],
+        rows=rows,
+        notes=["DVFS trades slack for voltage: same or better DMR with "
+               "less energy per completed task"],
+    )
+
+
+def check_dvfs(table: ExperimentTable) -> List[Check]:
+    """DVFS completes at least as much as intra-task for less energy."""
+    dmr = {r[0]: float(r[1]) for r in table.rows}
+    load = {r[0]: float(r[3]) for r in table.rows}
+    dvfs, intra = "dvfs-load-matching", "intra-task"
+    return [
+        (
+            "dvfs_dmr",
+            dmr[dvfs] <= dmr[intra] + 0.03,
+            f"DMR dvfs {dmr[dvfs]} vs intra-task {dmr[intra]}",
+        ),
+        (
+            "dvfs_energy",
+            load[dvfs] <= load[intra] * 1.05,
+            f"load dvfs {load[dvfs]} J vs intra-task {load[intra]} J",
+        ),
+    ]

@@ -44,6 +44,7 @@ from ..tasks.graph import TaskGraph
 from ..timeline import Timeline
 
 __all__ = [
+    "Check",
     "ExperimentTable",
     "default_timeline",
     "training_trace",
@@ -66,6 +67,9 @@ TRAIN_SEED = 99
 TRAIN_DAYS = 12
 
 STANDARD_SCHEDULERS = ("inter-task", "intra-task", "proposed", "optimal")
+
+#: One shape check on a rendered table: ``(name, ok, detail)``.
+Check = Tuple[str, bool, str]
 
 _policy_cache: Dict[Tuple, TrainedPolicy] = {}
 _sizing_cache: Dict[Tuple, Tuple] = {}

@@ -12,7 +12,7 @@ theoretical complexity exponent for reference.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -20,9 +20,9 @@ from ..core import DPConfig, RecedingHorizonScheduler
 from ..sim.engine import simulate
 from ..solar import synthetic_trace
 from ..tasks import random_case
-from .common import ExperimentTable, default_timeline, train_policy
+from .common import Check, ExperimentTable, default_timeline, train_policy
 
-__all__ = ["run", "DEFAULT_HORIZON_HOURS"]
+__all__ = ["run", "checks", "DEFAULT_HORIZON_HOURS"]
 
 DEFAULT_HORIZON_HOURS = (6, 12, 24, 48, 96)
 
@@ -87,3 +87,30 @@ def run(
         rows=rows,
         notes=notes,
     )
+
+
+def checks(table: ExperimentTable) -> List[Check]:
+    """Complexity grows with the prediction length; DMR improves from
+    the shortest horizon, then saturates or degrades (the paper's
+    balance point)."""
+    dmrs = [float(r[1]) for r in table.rows]
+    transitions = [int(r[2].replace(",", "")) for r in table.rows]
+    best = int(np.argmin(dmrs))
+    return [
+        (
+            "transitions_monotone",
+            transitions == sorted(transitions),
+            f"transitions {transitions}",
+        ),
+        ("best_not_shortest", best > 0, f"best horizon row {best}"),
+        (
+            "best_beats_shortest",
+            dmrs[best] < dmrs[0],
+            f"DMR best {dmrs[best]} vs shortest {dmrs[0]}",
+        ),
+        (
+            "tail_saturates",
+            dmrs[-1] >= dmrs[best] - 0.01,
+            f"DMR longest {dmrs[-1]} vs best {dmrs[best]}",
+        ),
+    ]

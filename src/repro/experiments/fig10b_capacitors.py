@@ -10,16 +10,16 @@ the four-day trace, reporting Day 2.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 from ..core import LongTermOptimizer, StaticOptimalScheduler, trace_period_matrix
 from ..node import SensorNode
 from ..sim.engine import simulate
 from ..solar import four_day_trace
 from ..tasks import random_case
-from .common import ExperimentTable, default_timeline, sized_capacitors
+from .common import Check, ExperimentTable, default_timeline, sized_capacitors
 
-__all__ = ["run"]
+__all__ = ["run", "checks"]
 
 
 def run(
@@ -71,3 +71,21 @@ def run(
         rows=rows,
         notes=notes,
     )
+
+
+def checks(table: ExperimentTable) -> List[Check]:
+    """Distributed sizing helps and saturates: the best bank beats the
+    single capacitor, and more capacitors never hurt much."""
+    day2 = [float(r[3]) for r in table.rows]
+    return [
+        (
+            "best_beats_single",
+            min(day2) <= day2[0],
+            f"best DMR {min(day2)} vs single {day2[0]}",
+        ),
+        (
+            "more_never_hurts",
+            day2[-1] <= day2[0] + 0.02,
+            f"largest bank DMR {day2[-1]} vs single {day2[0]}",
+        ),
+    ]

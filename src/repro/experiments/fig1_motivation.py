@@ -8,8 +8,11 @@ figure's day/night DMR split on one clear day for the WAM benchmark.
 
 from __future__ import annotations
 
+from typing import List
+
 from ..solar import four_day_trace
 from .common import (
+    Check,
     ExperimentTable,
     default_timeline,
     evaluation_suite,
@@ -17,7 +20,7 @@ from .common import (
 )
 from ..tasks import wam
 
-__all__ = ["run"]
+__all__ = ["run", "checks"]
 
 
 def run(bucket_hours: int = 3) -> ExperimentTable:
@@ -72,3 +75,9 @@ def run(bucket_hours: int = 3) -> ExperimentTable:
         rows=rows,
         notes=notes,
     )
+
+
+def checks(table: ExperimentTable) -> List[Check]:
+    """The long-term scheduler is clearly better at night."""
+    night_note = [n for n in table.notes if n.startswith("shape target")][0]
+    return [("night_better", "OK" in night_note, night_note)]

@@ -8,10 +8,12 @@ capacitance for the two ends of the pattern space.
 
 from __future__ import annotations
 
-from ..energy import MigrationPattern, SuperCapacitor, migration_efficiency
-from .common import ExperimentTable
+from typing import List
 
-__all__ = ["run", "SWEEP"]
+from ..energy import MigrationPattern, SuperCapacitor, migration_efficiency
+from .common import Check, ExperimentTable
+
+__all__ = ["run", "checks", "SWEEP"]
 
 SWEEP = (0.5, 1.0, 2.0, 4.7, 10.0, 22.0, 47.0, 100.0)
 
@@ -46,3 +48,18 @@ def run() -> ExperimentTable:
             "the paper's case for distributed capacitor sizing",
         ],
     )
+
+
+def checks(table: ExperimentTable) -> List[Check]:
+    """The optimum moves to a larger capacitance for the large pattern."""
+    small = [float(r[1].rstrip("%")) for r in table.rows]
+    large = [float(r[2].rstrip("%")) for r in table.rows]
+    best_small = small.index(max(small))
+    best_large = large.index(max(large))
+    return [
+        (
+            "optimum_moves_larger",
+            best_large > best_small,
+            f"best row {best_small} (small) vs {best_large} (large)",
+        )
+    ]

@@ -7,12 +7,14 @@ super-capacitor voltage, the data-fit behind η_chr / η_dis in Eq. (3).
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from ..energy import default_input_regulator, default_output_regulator
-from .common import ExperimentTable
+from .common import Check, ExperimentTable
 
-__all__ = ["run"]
+__all__ = ["run", "checks"]
 
 
 def run(v_min: float = 0.5, v_max: float = 5.0, points: int = 10) -> ExperimentTable:
@@ -39,3 +41,9 @@ def run(v_min: float = 0.5, v_max: float = 5.0, points: int = 10) -> ExperimentT
             f"near the cut-off ({'OK' if rising_in and rising_out else 'VIOLATED'})"
         ],
     )
+
+
+def checks(table: ExperimentTable) -> List[Check]:
+    """Input efficiency rises monotonically with voltage."""
+    etas = [float(r[1].rstrip("%")) for r in table.rows]
+    return [("efficiency_monotone", etas == sorted(etas), f"etas {etas}")]

@@ -10,12 +10,14 @@ the LUT/DP behaviour it compresses).
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from ..tasks import wam
-from .common import ExperimentTable, train_policy
+from .common import Check, ExperimentTable, train_policy
 
-__all__ = ["run"]
+__all__ = ["run", "checks"]
 
 
 def run() -> ExperimentTable:
@@ -82,3 +84,21 @@ def run() -> ExperimentTable:
         rows=rows,
         notes=notes,
     )
+
+
+def checks(table: ExperimentTable) -> List[Check]:
+    """The compact model reproduces its training targets, and both
+    training phases made progress."""
+    values = {r[0]: r[1] for r in table.rows}
+    cap = values["capacitor accuracy"]
+    bits = values["task-bit accuracy"]
+    first, last = values["fine-tune loss"].split(" -> ")
+    return [
+        ("capacitor_accuracy", float(cap.rstrip("%")) > 70.0, f"{cap} <= 70%"),
+        ("task_bit_accuracy", float(bits.rstrip("%")) > 90.0, f"{bits} <= 90%"),
+        (
+            "finetune_loss_decreases",
+            float(last) < float(first),
+            f"fine-tune loss {first} -> {last}",
+        ),
+    ]

@@ -8,12 +8,14 @@ Day 1 (clear summer) to Day 4 (overcast winter).
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from ..solar import FOUR_DAYS, four_day_trace
-from .common import ExperimentTable, default_timeline
+from .common import Check, ExperimentTable, default_timeline
 
-__all__ = ["run"]
+__all__ = ["run", "checks"]
 
 
 def run(seed: int = 7) -> ExperimentTable:
@@ -50,3 +52,15 @@ def run(seed: int = 7) -> ExperimentTable:
         rows=rows,
         notes=notes,
     )
+
+
+def checks(table: ExperimentTable) -> List[Check]:
+    """Daily energy decreases from day 1 to day 4."""
+    energies = [float(c) for c in table.rows[-1][1:]]
+    return [
+        (
+            "daily_energy_decreasing",
+            energies == sorted(energies, reverse=True),
+            f"daily energies {energies}",
+        )
+    ]

@@ -10,20 +10,21 @@ solar energy decreases (Day 1 -> Day 4).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..solar import four_day_trace
 from ..tasks import paper_benchmarks
 from .common import (
+    Check,
     ExperimentTable,
     default_timeline,
     evaluation_suite,
     train_policy,
 )
 
-__all__ = ["run"]
+__all__ = ["run", "checks"]
 
 
 def run(
@@ -41,14 +42,14 @@ def run(
     improvements = []
     gap_by_day: Dict[int, list] = {d: [] for d in range(4)}
 
-    for bench_name in names:
-        graph = registry[bench_name]
+    for name in names:
+        graph = registry[name]
         policy = train_policy(graph, finetune_epochs=finetune_epochs)
         results = evaluation_suite(graph, trace, policy, n_workers=n_workers)
         by_day = {k: r.dmr_by_day() for k, r in results.items()}
         for day in range(4):
             rows.append(
-                [bench_name, f"day{day + 1}"]
+                [name, f"day{day + 1}"]
                 + [f"{by_day[k][day]:.3f}" for k in headers[2:]]
             )
             inter = by_day["inter-task"][day]
@@ -90,3 +91,29 @@ def run(
         rows=rows,
         notes=notes,
     )
+
+
+def checks(table: ExperimentTable) -> List[Check]:
+    """On average, proposed beats both single-period baselines and sits
+    close to the static optimal."""
+    inter = float(table.cell(-1, "inter-task"))
+    intra = float(table.cell(-1, "intra-task"))
+    proposed = float(table.cell(-1, "proposed"))
+    optimal = float(table.cell(-1, "optimal"))
+    return [
+        (
+            "proposed_below_inter",
+            proposed < inter,
+            f"proposed {proposed} vs inter-task {inter}",
+        ),
+        (
+            "proposed_below_intra",
+            proposed < intra,
+            f"proposed {proposed} vs intra-task {intra}",
+        ),
+        (
+            "proposed_near_optimal",
+            abs(proposed - optimal) < 0.08,
+            f"proposed {proposed} vs optimal {optimal}",
+        ),
+    ]

@@ -9,16 +9,19 @@ through lossy capacitors for the sake of the night-time DMR.
 
 from __future__ import annotations
 
+from typing import List
+
 from ..solar import synthetic_trace
 from ..tasks import wam
 from .common import (
+    Check,
     ExperimentTable,
     default_timeline,
     evaluation_suite,
     train_policy,
 )
 
-__all__ = ["run"]
+__all__ = ["run", "checks"]
 
 
 def run(
@@ -75,3 +78,33 @@ def run(
         rows=rows,
         notes=notes,
     )
+
+
+def checks(table: ExperimentTable) -> List[Check]:
+    """(a) proposed DMR is below both baselines and near optimal;
+    (b) the counterintuitive result: its utilisation is lower."""
+    dmr = {h: float(v) for h, v in zip(table.headers[1:], table.rows[0][1:])}
+    util = {h: float(v) for h, v in zip(table.headers[1:], table.rows[1][1:])}
+    prop, inter, intra = dmr["proposed"], dmr["inter-task"], dmr["intra-task"]
+    u_prop, u_inter, u_intra = (
+        util["proposed"], util["inter-task"], util["intra-task"]
+    )
+    return [
+        ("proposed_below_inter", prop < inter, f"DMR {prop} vs {inter}"),
+        ("proposed_below_intra", prop < intra, f"DMR {prop} vs {intra}"),
+        (
+            "proposed_near_optimal",
+            abs(prop - dmr["optimal"]) < 0.08,
+            f"DMR {prop} vs optimal {dmr['optimal']}",
+        ),
+        (
+            "utilization_below_inter",
+            u_prop < u_inter,
+            f"utilisation {u_prop} vs {u_inter}",
+        ),
+        (
+            "utilization_below_intra",
+            u_prop < u_intra,
+            f"utilisation {u_prop} vs {u_intra}",
+        ),
+    ]

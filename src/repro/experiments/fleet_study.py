@@ -9,25 +9,27 @@ distribution (mean/p50/p95), energy utilization and brownout pressure
 side by side, plus the fleet's aggregate fingerprint (the determinism
 witness: same seed → same table, any worker count).
 
-Environment knobs: ``REPRO_FLEET_NODES`` (default 120) and
-``REPRO_WORKERS`` scale the study without touching code.
+The fleet has a fixed ``FLEET_NODES`` = 120 nodes, so the committed
+table does not depend on the environment; ``REPRO_WORKERS`` changes
+only how fast it is produced.
 """
 
 from __future__ import annotations
 
-import os
+from typing import List
 
 from ..fleet import FleetRunner, FleetSpec
-from .common import ExperimentTable
+from .common import Check, ExperimentTable
 
-__all__ = ["run"]
+__all__ = ["run", "checks", "FLEET_NODES"]
+
+FLEET_NODES = 120
 
 
 def run() -> ExperimentTable:
     """Per-policy population comparison on one seeded fleet."""
-    n_nodes = int(os.environ.get("REPRO_FLEET_NODES", "120"))
     spec = FleetSpec(
-        n_nodes=n_nodes,
+        n_nodes=FLEET_NODES,
         seed=0,
         policies=("asap", "inter-task", "intra-task", "dvfs", "random"),
     )
@@ -65,3 +67,15 @@ def run() -> ExperimentTable:
         rows=rows,
         notes=notes,
     )
+
+
+def checks(table: ExperimentTable) -> List[Check]:
+    """Every node of the fleet is reported in some policy cohort."""
+    nodes = sum(int(r[1]) for r in table.rows)
+    return [
+        (
+            "all_nodes_reported",
+            nodes == FLEET_NODES,
+            f"{nodes} of {FLEET_NODES} nodes in the cohort rows",
+        )
+    ]

@@ -9,13 +9,15 @@ simulated WAM deployment.
 
 from __future__ import annotations
 
+from typing import List
+
 from ..core import OverheadModel
 from ..sim.engine import simulate
 from ..solar import four_day_trace
 from ..tasks import wam
-from .common import ExperimentTable, default_timeline, train_policy
+from .common import Check, ExperimentTable, default_timeline, train_policy
 
-__all__ = ["run"]
+__all__ = ["run", "checks"]
 
 
 def run() -> ExperimentTable:
@@ -64,3 +66,10 @@ def run() -> ExperimentTable:
         rows=rows,
         notes=notes,
     )
+
+
+def checks(table: ExperimentTable) -> List[Check]:
+    """The algorithms cost under 3% of the node's energy."""
+    rel_note = [n for n in table.notes if "relative overhead" in n][0]
+    rel = float(rel_note.split(":")[1].split("%")[0])
+    return [("relative_overhead", rel < 3.0, f"{rel}% >= 3%")]

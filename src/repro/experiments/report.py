@@ -1,10 +1,10 @@
 """EXPERIMENTS.md generator.
 
-Collects the rendered tables that the benchmark suite writes under
-``benchmarks/results/`` and assembles the paper-vs-measured record.
-Regenerate after a full benchmark run with::
+Collects the rendered tables that ``repro experiment all --results-dir
+benchmarks/results`` writes and assembles the paper-vs-measured record.
+Regenerate with::
 
-    python -m pytest benchmarks/ --benchmark-only
+    python -m repro experiment all --no-cache --results-dir benchmarks/results
     python -c "from repro.experiments.report import generate; generate()"
 """
 
@@ -12,130 +12,121 @@ from __future__ import annotations
 
 import logging
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["generate", "PAPER_TARGETS"]
 
 logger = logging.getLogger(__name__)
 
-#: Per experiment: (title, what the paper reports, which file holds our
-#: measurement).  Order defines the document.
-PAPER_TARGETS: List[Tuple[str, str, str]] = [
-    (
+#: Per experiment name (a key of ``repro.experiments.EXPERIMENTS``, and
+#: the stem of its results file): (title, what the paper reports).
+#: Order defines the document.
+PAPER_TARGETS: Dict[str, Tuple[str, str]] = {
+    "fig1": (
         "Figure 1 — motivation: day vs night DMR",
         "The traditional (single-period) scheduler may edge out the "
         "long-term one during the day but collapses at night; the "
         "long-term scheduler is clearly better at night and in total.",
-        "fig1_motivation",
     ),
-    (
+    "fig2": (
         "Figure 2 — motivation: capacitor sizing",
         "A small super capacitor is the most efficient for a small/short "
         "migration, a large one for a large/long migration, so one size "
         "cannot serve both.",
-        "fig2_sizing_motivation",
     ),
-    (
+    "fig5": (
         "Figure 5 — regulator efficiencies",
         "Input and output regulator efficiency rises with capacitor "
         "voltage (data-fitted curves behind Eq. 3).",
-        "fig5_regulators",
     ),
-    (
+    "fig6": (
         "Figure 6 — the DBN",
         "Architecture diagram: inputs (last-period solar, capacitor "
         "voltages, accumulated DMR) -> stacked RBM feature layers -> "
         "backprop output network (capacitor, alpha, task set).",
-        "fig6_dbn",
     ),
-    (
+    "fig7": (
         "Figure 7 — solar power of four individual days",
         "Four days representing different weather patterns of a year, "
         "with daily energy decreasing from Day 1 to Day 4.",
-        "fig7_solar_days",
     ),
-    (
+    "table2": (
         "Table 2 — energy migration efficiencies",
         "Model-vs-measurement error averages 5.38%; the best capacitor "
         "flips from 1 F (7 J, 60 min) to 10 F (30 J, 400 min); the "
         "efficiency spread across sizes reaches 30.5%.",
-        "table2_migration",
     ),
-    (
+    "fig8": (
         "Figure 8 — DMR on six benchmarks x four days",
         "Proposed reduces DMR by up to 27.8% vs the WCMA-based LSA [3], "
         "averages within 3.69% of the static optimal, and its advantage "
         "grows as the solar energy decreases (Day 1 -> Day 4).",
-        "fig8_dmr_daily",
     ),
-    (
+    "fig9": (
         "Figure 9 — two months of WAM",
         "(a) the proposed per-day DMR stays close to the optimal; (b) its "
         "energy utilisation is LOWER than [3] by 5.53% and [9] by 10.6% — "
         "maximum energy utilisation is not the right objective.",
-        "fig9_monthly",
     ),
-    (
+    "fig10a": (
         "Figure 10(a) — prediction length",
         "DMR improves with prediction length up to a balance point "
         "(48 h, 68.9%), then degrades slowly (70.2% at 96 h) while "
         "complexity keeps growing exponentially.",
-        "fig10a_prediction_length",
     ),
-    (
+    "fig10b": (
         "Figure 10(b) — number of super capacitors",
         "Migration efficiency rises 67.5% -> 87.1% and DMR falls 46.8% -> "
         "33.7% as the bank grows 1 -> 8, saturating at >= 5 capacitors.",
-        "fig10b_capacitor_count",
     ),
-    (
+    "overhead": (
         "Section 6.5 — algorithm overhead",
         "Coarse 14.6 s / 3.0 mW and fine 3.47 s / 2.94 mW per execution "
         "at 93.5 kHz; in total below 3% of the node's energy.",
-        "overhead",
     ),
-    (
+    "ablation_eth": (
         "Ablation — capacitor switch threshold E_th (Eq. 22)",
         "(not in the paper: sensitivity of the switch-gating rule)",
-        "ablation_eth",
     ),
-    (
+    "ablation_delta": (
         "Ablation — intra/inter selection threshold delta (Sec. 5.2)",
         "(not in the paper: sensitivity of the fine-pass selector)",
-        "ablation_delta",
     ),
-    (
+    "ablation_coarse_model": (
         "Ablation — coarse decision model",
         "(not in the paper: DBN vs raw-LUT nearest neighbour vs heuristic)",
-        "ablation_coarse_model",
     ),
-    (
+    "ablation_dvfs": (
         "Extension — DVFS load matching",
         "(the paper's related-work category [5, 6], reproduced as an "
         "optional node capability)",
-        "ablation_dvfs",
     ),
-    (
+    "utilization": (
         "Extension — utilisation sweep",
         "(not in the paper: the single-period-vs-long-term gap across "
         "workload pressure, using the UUniFast generator)",
-        "utilization_sweep",
     ),
-    (
+    "fault_robustness": (
         "Extension — fault robustness",
         "(not in the paper: DMR under panel dust, shading and supply "
         "glitches)",
-        "fault_robustness",
     ),
-]
+    "fleet": (
+        "Extension — fleet study",
+        "(not in the paper: the schedulers compared across a seeded, "
+        "heterogeneous population of nodes)",
+    ),
+}
 
 _PREAMBLE = """\
 # EXPERIMENTS — paper vs measured
 
-Every table and figure of the paper's evaluation (Section 6) is
-regenerated by one benchmark under `benchmarks/`; each benchmark
-writes its rendered table to `benchmarks/results/<name>.txt`, which is
-what this document embeds.  Absolute numbers are not expected to match
+Every table and figure of the paper's evaluation (Section 6), plus the
+ablations and extensions, is one entry of the experiment registry
+(`repro.experiments.EXPERIMENTS`).  `repro experiment <name>` renders
+it, writes it to `benchmarks/results/<name>.txt` (which is what this
+document embeds) and runs that table's shape checks; a failed check
+makes the command exit 6.  Absolute numbers are not expected to match
 — the substrate here is a calibrated simulator, not the authors'
 SMIC 130 nm node and NREL ground station (see DESIGN.md,
 "Substitutions") — the *shapes* are the reproduction target, and each
@@ -144,9 +135,15 @@ table's trailing notes state the shape checks explicitly.
 Regenerate with:
 
 ```bash
-python -m pytest benchmarks/ --benchmark-only
+python -m repro experiment all --no-cache --results-dir benchmarks/results
 python -c "from repro.experiments.report import generate; generate()"
 ```
+
+`all` takes about 11 minutes serial from an empty cache on a 2-vCPU
+VM, most of it `fig8`, `fig9` and `fig10a`.  Trained policies are
+memoised in the process and, without `--no-cache`, cached on disk
+under `.repro-cache/`; `--workers N` fans a figure's cells over a
+process pool, bit-identical to serial.
 
 Every result table is accompanied by a run manifest
 (`benchmarks/results/<name>.manifest.json`) recording the git
@@ -166,20 +163,20 @@ def generate(
     out_path = out_path or root / "EXPERIMENTS.md"
 
     sections: List[str] = [_PREAMBLE]
-    for title, paper_says, stem in PAPER_TARGETS:
+    for name, (title, paper_says) in PAPER_TARGETS.items():
         sections.append(f"\n## {title}\n")
         sections.append(f"**Paper:** {paper_says}\n")
-        table_file = Path(results_dir) / f"{stem}.txt"
+        table_file = Path(results_dir) / f"{name}.txt"
         if table_file.exists():
             sections.append("**Measured:**\n")
             sections.append("```")
             sections.append(table_file.read_text().rstrip())
             sections.append("```")
         else:
-            logger.info("no result table for %s yet", stem)
+            logger.info("no result table for %s yet", name)
             sections.append(
-                f"*(no result yet — run `pytest benchmarks/bench_{stem}.py "
-                "--benchmark-only`)*"
+                f"*(no result yet — run `python -m repro experiment {name} "
+                "--results-dir benchmarks/results`)*"
             )
     text = "\n".join(sections) + "\n"
     Path(out_path).write_text(text)

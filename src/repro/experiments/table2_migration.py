@@ -13,6 +13,8 @@ the bench — see DESIGN.md substitutions.
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from ..energy import (
@@ -21,9 +23,9 @@ from ..energy import (
     SuperCapacitor,
     migration_efficiency,
 )
-from .common import ExperimentTable
+from .common import Check, ExperimentTable
 
-__all__ = ["run", "CAPACITANCES", "PATTERNS"]
+__all__ = ["run", "checks", "CAPACITANCES", "PATTERNS"]
 
 CAPACITANCES = (1.0, 10.0, 50.0, 100.0)
 PATTERNS = ((7.0, 60.0), (30.0, 400.0))
@@ -84,3 +86,24 @@ def run(seed: int = 42) -> ExperimentTable:
         rows=rows,
         notes=notes,
     )
+
+
+def checks(table: ExperimentTable) -> List[Check]:
+    """1F is best on the small pattern and 10F on the large one, the
+    small capacitor collapses on the large pattern, and the
+    model-vs-test error stays in the paper's range (avg 5.38%)."""
+    model_small = {r[0]: float(r[1].rstrip("%")) for r in table.rows}
+    model_large = {r[0]: float(r[4].rstrip("%")) for r in table.rows}
+    best_small = max(model_small, key=model_small.get)
+    best_large = max(model_large, key=model_large.get)
+    avg_err = float(table.notes[0].split(":")[1].split("%")[0])
+    return [
+        ("best_small_1F", best_small == "1F", f"best {best_small}"),
+        ("best_large_10F", best_large == "10F", f"best {best_large}"),
+        (
+            "small_collapses_large",
+            model_large["1F"] < model_large["10F"],
+            f"1F {model_large['1F']}% vs 10F {model_large['10F']}%",
+        ),
+        ("model_error", avg_err < 15.0, f"average error {avg_err}% >= 15%"),
+    ]

@@ -12,7 +12,7 @@ pulls ahead.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from ..schedulers import InterTaskScheduler, IntraTaskScheduler
 from ..sim.engine import simulate
 from ..solar import four_day_trace
 from ..tasks import WorkloadSpec, generate_workload
-from .common import ExperimentTable, default_timeline
+from .common import Check, ExperimentTable, default_timeline
 
-__all__ = ["run"]
+__all__ = ["run", "checks"]
 
 BANK = (1.0, 10.0, 47.0)
 
@@ -90,3 +90,13 @@ def run(
         rows=rows,
         notes=notes,
     )
+
+
+def checks(table: ExperimentTable) -> List[Check]:
+    """The optimal never loses to the baselines beyond noise, and
+    somewhere in the middle the long-term advantage is real."""
+    gaps = [float(r[4]) for r in table.rows]
+    return [
+        ("optimal_never_loses", min(gaps) > -0.03, f"gaps {gaps}"),
+        ("long_term_advantage", max(gaps) > 0.03, f"gaps {gaps}"),
+    ]

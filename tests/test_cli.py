@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import io
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 def run_cli(*argv):
@@ -73,6 +76,38 @@ class TestExperimentCommand:
         code, text = run_cli("experiment", "fig7")
         assert code == 0
         assert "four individual days" in text
+
+    def test_all_is_a_target(self):
+        assert build_parser().parse_args(["experiment", "all"]).name == "all"
+
+    @pytest.mark.parametrize("name", ["fig2", "fig5", "fig7", "table2"])
+    def test_reproduces_committed_table(self, name, tmp_path):
+        code, _ = run_cli("experiment", name, "--results-dir", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / f"{name}.txt").read_bytes() == (
+            RESULTS / f"{name}.txt"
+        ).read_bytes()
+
+    def test_failed_check_exits_6_after_writing(self, tmp_path, monkeypatch):
+        from repro.experiments import EXPERIMENTS, Experiment
+
+        run, _ = EXPERIMENTS["fig5"]
+        monkeypatch.setitem(
+            EXPERIMENTS,
+            "fig5",
+            Experiment(run, lambda table: [
+                ("planted", False, "always fails"),
+                ("holds", True, "never printed"),
+            ]),
+        )
+        code, text = run_cli(
+            "experiment", "fig5", "--results-dir", str(tmp_path)
+        )
+        assert code == 6
+        assert "check failed: fig5.planted: always fails" in text
+        assert "holds" not in text
+        assert (tmp_path / "fig5.txt").exists()
+        assert (tmp_path / "fig5.manifest.json").exists()
 
 
 class TestExportCommand:

@@ -1,15 +1,20 @@
-"""Tests for the EXPERIMENTS.md generator."""
+"""Tests for the EXPERIMENTS.md generator and the table registry."""
 
+import hashlib
+import json
 from pathlib import Path
 
+from repro.experiments import EXPERIMENTS
 from repro.experiments.report import PAPER_TARGETS, generate
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 class TestGenerate:
     def test_embeds_available_results(self, tmp_path):
         results = tmp_path / "results"
         results.mkdir()
-        (results / "fig7_solar_days.txt").write_text("TABLE CONTENT\n")
+        (results / "fig7.txt").write_text("TABLE CONTENT\n")
         out = tmp_path / "EXPERIMENTS.md"
         text = generate(results_dir=results, out_path=out)
         assert out.exists()
@@ -22,6 +27,7 @@ class TestGenerate:
         out = tmp_path / "EXPERIMENTS.md"
         text = generate(results_dir=results, out_path=out)
         assert "no result yet" in text
+        assert "repro experiment fig8" in text
 
     def test_every_target_has_section(self, tmp_path):
         results = tmp_path / "results"
@@ -29,31 +35,41 @@ class TestGenerate:
         text = generate(
             results_dir=results, out_path=tmp_path / "EXPERIMENTS.md"
         )
-        for title, _, _ in PAPER_TARGETS:
+        for title, _ in PAPER_TARGETS.values():
             assert title in text
 
     def test_targets_cover_all_paper_items(self):
-        stems = {stem for _, _, stem in PAPER_TARGETS}
         # Every evaluation item of the paper is represented.
         for required in (
-            "fig1_motivation",
-            "fig2_sizing_motivation",
-            "fig5_regulators",
-            "fig7_solar_days",
-            "table2_migration",
-            "fig8_dmr_daily",
-            "fig9_monthly",
-            "fig10a_prediction_length",
-            "fig10b_capacitor_count",
+            "fig1",
+            "fig2",
+            "fig5",
+            "fig7",
+            "table2",
+            "fig8",
+            "fig9",
+            "fig10a",
+            "fig10b",
             "overhead",
         ):
-            assert required in stems
+            assert required in PAPER_TARGETS
 
-    def test_target_stems_match_benchmarks(self):
-        bench_dir = Path(__file__).resolve().parents[1] / "benchmarks"
-        bench_stems = {
-            p.stem.removeprefix("bench_")
-            for p in bench_dir.glob("bench_*.py")
-        }
-        for _, _, stem in PAPER_TARGETS:
-            assert stem in bench_stems, f"no benchmark for {stem}"
+
+class TestRegistry:
+    def test_registry_targets_and_results_agree(self):
+        """One name per table: the registry, the document and the
+        committed results files list the same names, both ways."""
+        committed = {p.stem for p in RESULTS.glob("*.txt")}
+        assert list(PAPER_TARGETS) == list(EXPERIMENTS)
+        assert committed == set(EXPERIMENTS)
+
+    def test_every_table_has_a_matching_manifest(self):
+        for name in EXPERIMENTS:
+            text = (RESULTS / f"{name}.txt").read_text()
+            manifest = json.loads(
+                (RESULTS / f"{name}.manifest.json").read_text()
+            )
+            digest = hashlib.sha256(
+                text.removesuffix("\n").encode("utf-8")
+            ).hexdigest()
+            assert manifest["result_summary"]["table_sha256"] == digest, name
