@@ -22,13 +22,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rbm import RBM
+from .rbm import RBM, sigmoid
 
 __all__ = ["HeadSpec", "MultiHeadMLP"]
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -110,9 +106,11 @@ class MultiHeadMLP:
         activations = [x]
         a = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = _sigmoid(a @ w + b)
-            activations.append(a)
-        logits = a @ self.weights[-1] + self.biases[-1]
+            a = a @ w
+            a += b
+            activations.append(sigmoid(a, out=a))
+        logits = a @ self.weights[-1]
+        logits += self.biases[-1]
         return activations, logits
 
     def _split(
@@ -121,7 +119,7 @@ class MultiHeadMLP:
         h = self.heads.num_capacitors
         cap = _softmax(logits[:, :h])
         alpha = logits[:, h : h + 1]
-        te = _sigmoid(logits[:, h + 1 :])
+        te = sigmoid(logits[:, h + 1 :])
         return cap, alpha, te
 
     def predict(
@@ -166,68 +164,99 @@ class MultiHeadMLP:
         h = self.heads.num_capacitors
         cap_onehot = np.zeros((n, h))
         cap_onehot[np.arange(n), cap_targets] = 1.0
+        cap_w = self.heads.cap_weight
+        alpha_w = self.heads.alpha_weight
+        te_w = self.heads.te_weight
+        eps = 1e-12
 
-        vel_w = [np.zeros_like(w) for w in self.weights]
-        vel_b = [np.zeros_like(b) for b in self.biases]
+        params, grads_w, grads_b, grads = self._flat_parameters()
+        n_weights = sum(w.size for w in self.weights)
+        weight_part, grad_weight_part = params[:n_weights], grads[:n_weights]
+        decay = np.empty(n_weights)
+        velocity = np.zeros_like(params)
         losses = np.zeros(epochs)
 
         for epoch in range(epochs):
             order = self.rng.permutation(n)
+            x_epoch = x[order]
+            cap_epoch = cap_onehot[order]
+            alpha_epoch = alpha_targets[order]
+            te_epoch = te_targets[order]
             total = 0.0
             for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                xb = x[idx]
+                stop = start + batch_size
+                xb = x_epoch[start:stop]
+                cap_b = cap_epoch[start:stop]
+                te_b = te_epoch[start:stop]
                 acts, logits = self._forward(xb)
                 cap, alpha, te = self._split(logits)
 
-                m = len(idx)
-                d_cap = (cap - cap_onehot[idx]) * self.heads.cap_weight
-                d_alpha = (
-                    (alpha[:, 0] - alpha_targets[idx])[:, None]
-                    * self.heads.alpha_weight
-                )
-                d_te = (te - te_targets[idx]) * self.heads.te_weight
-                delta = np.concatenate([d_cap, d_alpha, d_te], axis=1) / m
+                m = len(xb)
+                alpha_err = alpha[:, 0] - alpha_epoch[start:stop]
+                delta = np.empty_like(logits)
+                d_cap = np.subtract(cap, cap_b, out=delta[:, :h])
+                d_cap *= cap_w
+                np.multiply(alpha_err, alpha_w, out=delta[:, h])
+                d_te = np.subtract(te, te_b, out=delta[:, h + 1 :])
+                d_te *= te_w
+                delta /= m
 
-                eps = 1e-12
                 total += float(
-                    -self.heads.cap_weight
-                    * (cap_onehot[idx] * np.log(cap + eps)).sum()
-                    + 0.5
-                    * self.heads.alpha_weight
-                    * ((alpha[:, 0] - alpha_targets[idx]) ** 2).sum()
-                    - self.heads.te_weight
+                    -cap_w * (cap_b * np.log(cap + eps)).sum()
+                    + 0.5 * alpha_w * (alpha_err**2).sum()
+                    - te_w
                     * (
-                        te_targets[idx] * np.log(te + eps)
-                        + (1 - te_targets[idx]) * np.log(1 - te + eps)
+                        te_b * np.log(te + eps)
+                        + (1 - te_b) * np.log(1 - te + eps)
                     ).sum()
                 )
 
                 # Backprop through the shared trunk.
-                grads_w = [np.zeros_like(w) for w in self.weights]
-                grads_b = [np.zeros_like(b) for b in self.biases]
-                grads_w[-1] = acts[-1].T @ delta
-                grads_b[-1] = delta.sum(axis=0)
+                np.matmul(acts[-1].T, delta, out=grads_w[-1])
+                np.add.reduce(delta, axis=0, out=grads_b[-1])
                 back = delta @ self.weights[-1].T
                 for layer in range(len(self.weights) - 2, -1, -1):
                     a = acts[layer + 1]
-                    back = back * a * (1.0 - a)
-                    grads_w[layer] = acts[layer].T @ back
-                    grads_b[layer] = back.sum(axis=0)
+                    back *= a
+                    back *= 1.0 - a
+                    np.matmul(acts[layer].T, back, out=grads_w[layer])
+                    np.add.reduce(back, axis=0, out=grads_b[layer])
                     if layer > 0:
                         back = back @ self.weights[layer].T
 
-                for layer in range(len(self.weights)):
-                    grads_w[layer] += weight_decay * self.weights[layer]
-                    vel_w[layer] = (
-                        momentum * vel_w[layer]
-                        - learning_rate * grads_w[layer]
-                    )
-                    vel_b[layer] = (
-                        momentum * vel_b[layer]
-                        - learning_rate * grads_b[layer]
-                    )
-                    self.weights[layer] += vel_w[layer]
-                    self.biases[layer] += vel_b[layer]
+                # Weight decay (weights only), momentum and step, each
+                # one pass over the flat buffers.
+                np.multiply(weight_part, weight_decay, out=decay)
+                grad_weight_part += decay
+                velocity *= momentum
+                grads *= learning_rate
+                velocity -= grads
+                params += velocity
             losses[epoch] = total / n
         return losses
+
+    def _flat_parameters(
+        self,
+    ) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray], np.ndarray]:
+        """Move the parameters into one flat buffer, weights first.
+
+        ``self.weights`` / ``self.biases`` become views into the
+        returned ``params``; the gradient buffer ``grads`` has the same
+        layout, with per-layer views ``grads_w`` / ``grads_b``.
+        """
+        layers = [*self.weights, *self.biases]
+        params = np.concatenate([a.ravel() for a in layers])
+        grads = np.empty_like(params)
+
+        def views(buffer: np.ndarray) -> List[np.ndarray]:
+            out, offset = [], 0
+            for a in layers:
+                out.append(buffer[offset : offset + a.size].reshape(a.shape))
+                offset += a.size
+            return out
+
+        depth = len(self.weights)
+        param_views, grad_views = views(params), views(grads)
+        self.weights = param_views[:depth]
+        self.biases = param_views[depth:]
+        return params, grad_views[:depth], grad_views[depth:], grads

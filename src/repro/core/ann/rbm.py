@@ -14,11 +14,22 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["RBM"]
+__all__ = ["RBM", "sigmoid"]
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``1 / (1 + exp(-clip(x, -30, 30)))`` into ``out`` (may be ``x``).
+
+    ``out=None`` returns a new array.  The clip bounds overflow; the
+    operations are those of the textbook expression, so in-place and
+    fresh results are identical.
+    """
+    out = np.maximum(x, -30.0, out=out)
+    np.minimum(out, 30.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 class RBM:
@@ -51,11 +62,15 @@ class RBM:
     # ------------------------------------------------------------------
     def hidden_probs(self, visible: np.ndarray) -> np.ndarray:
         """``P(h=1 | v)`` for a batch of visible vectors."""
-        return _sigmoid(visible @ self.weights + self.hidden_bias)
+        h = visible @ self.weights
+        h += self.hidden_bias
+        return sigmoid(h, out=h)
 
     def visible_probs(self, hidden: np.ndarray) -> np.ndarray:
         """``P(v=1 | h)`` for a batch of hidden vectors."""
-        return _sigmoid(hidden @ self.weights.T + self.visible_bias)
+        v = hidden @ self.weights.T
+        v += self.visible_bias
+        return sigmoid(v, out=v)
 
     def sample_hidden(self, visible: np.ndarray) -> np.ndarray:
         """Bernoulli sample of the hidden units given ``visible``."""

@@ -130,6 +130,7 @@ class StorageGrid:
         self._in_exp = np.array(
             [c.input_regulator.exponent for c in capacitors]
         )[cap_idx]
+        self._in_v_half_pow = self._in_v_half**self._in_exp
         self._leak_coeff = np.array([c.leak_coeff for c in capacitors])[
             cap_idx
         ]
@@ -163,46 +164,40 @@ class StorageGrid:
         return cap_index * self.buckets
 
     def transition(
-        self, need: float, surplus: float, duration: float
+        self, need, surplus, duration: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Apply one period's (need, surplus) to every state.
+        """Apply (need, surplus) pairs to every state, one row per pair.
 
-        Returns ``(feasible, next_index, drawn)`` arrays over states.
-        ``feasible`` is False where the state cannot deliver ``need``.
+        ``need`` and ``surplus`` are scalars or equal-shape arrays;
+        returns ``(feasible, next_index, drawn)`` of shape
+        ``need.shape + (num_states,)``.  ``feasible`` is False where
+        the state cannot deliver ``need``.  A row with no need (or no
+        surplus) skips the discharge (or charge) exactly.
         """
-        energy = self.state_energy.copy()
-        usable = self.state_usable
-        feasible = np.ones(self.num_states, dtype=bool)
-        drawn = np.zeros(self.num_states)
+        shape = np.shape(need) + (self.num_states,)
+        need = np.asarray(need, dtype=float).reshape(-1, 1)
+        surplus = np.asarray(surplus, dtype=float).reshape(-1, 1)
+        has_need = need > 0
+        has_surplus = surplus > 0
 
-        if need > 0:
-            eta_dis = self._eta_dis
-            with np.errstate(divide="ignore"):
-                want = np.where(eta_dis > 0, need / np.maximum(eta_dis, 1e-12),
-                                np.inf)
-            feasible = want <= usable + 1e-9
-            drawn = np.where(feasible, want, 0.0)
-            energy = energy - drawn
+        eta_dis = self._eta_dis
+        with np.errstate(divide="ignore"):
+            want = np.where(
+                eta_dis > 0, need / np.maximum(eta_dis, 1e-12), np.inf
+            )
+        feasible = ~has_need | (want <= self.state_usable + 1e-9)
+        drawn = np.where(has_need & feasible, want, 0.0)
+        energy = self.state_energy - drawn
 
-        if surplus > 0:
-            voltage = np.sqrt(
-                np.maximum(2.0 * energy / self.state_capacitance, 0.0)
-            )
-            vp = voltage**self._in_exp
-            eta_chr = (
-                self._in_eta_max
-                * vp
-                / (vp + self._in_v_half**self._in_exp)
-                * self._cycle
-            )
-            stored = np.minimum(
-                surplus * eta_chr, np.maximum(self._full_energy - energy, 0)
-            )
-            energy = energy + stored
-
-        voltage = np.sqrt(
-            np.maximum(2.0 * energy / self.state_capacitance, 0.0)
+        voltage = np.sqrt(np.maximum(2.0 * energy / self.state_capacitance, 0.0))
+        vp = voltage**self._in_exp
+        eta_chr = self._in_eta_max * vp / (vp + self._in_v_half_pow) * self._cycle
+        stored = np.minimum(
+            surplus * eta_chr, np.maximum(self._full_energy - energy, 0)
         )
+        energy = np.where(has_surplus, energy + stored, energy)
+
+        voltage = np.sqrt(np.maximum(2.0 * energy / self.state_capacitance, 0.0))
         leak = (
             self._leak_coeff * self.state_capacitance * voltage**self._leak_exp
             + self._parasitic
@@ -216,7 +211,11 @@ class StorageGrid:
             np.clip(frac, 0.0, 1.0) * (self.buckets - 1) + 1e-9
         ).astype(int)
         next_index = self.state_cap * self.buckets + bucket
-        return feasible, next_index, drawn
+        return (
+            feasible.reshape(shape),
+            next_index.reshape(shape),
+            drawn.reshape(shape),
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -328,21 +327,16 @@ class LongTermOptimizer:
             prof = profiles[t]
             nxt = np.zeros((n_tasks + 1, n_states), dtype=np.int32)
             cost = np.full((n_tasks + 1, n_states), np.inf)
-            for k in range(n_tasks + 1):
-                if not prof.feasible[k]:
-                    continue
-                f, nx, drawn = self.grid.transition(
-                    float(prof.storage_need[k]),
-                    float(prof.surplus[k]),
-                    duration,
-                )
-                transitions += n_states
-                nxt[k] = nx
-                cost[k] = np.where(
-                    f,
-                    prof.dmr_of(k) + self.config.energy_tiebreak * drawn,
-                    np.inf,
-                )
+            ks = np.flatnonzero(prof.feasible)
+            f, nx, drawn = self.grid.transition(
+                prof.storage_need[ks], prof.surplus[ks], duration
+            )
+            transitions += len(ks) * n_states
+            nxt[ks] = nx
+            dmr = np.array([prof.dmr_of(int(k)) for k in ks])
+            cost[ks] = np.where(
+                f, dmr[:, None] + self.config.energy_tiebreak * drawn, np.inf
+            )
             return nxt, cost
 
         # Backward pass.
@@ -443,16 +437,12 @@ class LongTermOptimizer:
             dmr_sum += prof.dmr_of(k)
             prev_solar = solar_periods[t]
             f, nx, _ = self.grid.transition(
-                float(prof.storage_need[k]),
-                float(prof.surplus[k]),
-                duration,
+                prof.storage_need[k], prof.surplus[k], duration
             )
             if not f[state]:  # defensive; k=0 is always feasible
                 k = 0
                 _, nx, _ = self.grid.transition(
-                    float(prof.storage_need[0]),
-                    float(prof.surplus[0]),
-                    duration,
+                    prof.storage_need[0], prof.surplus[0], duration
                 )
             state = int(nx[state])
 
@@ -464,6 +454,7 @@ class LongTermOptimizer:
         if augment_per_period > 0:
             rng = np.random.default_rng(augment_seed)
             cutoffs = np.array([c.v_cutoff for c in self.capacitors])
+            fulls = np.array([c.v_full for c in self.capacitors])
             for t in range(num_periods):
                 prev = solar_periods[t - 1] if t > 0 else np.zeros(n_slots)
                 prof = profiles[t]
@@ -481,7 +472,6 @@ class LongTermOptimizer:
                     # deployment (Eq. 22 strands charge below E_th); the
                     # oracle ignores them, so randomise their inputs to
                     # teach the policy the same invariance.
-                    fulls = np.array([c.v_full for c in self.capacitors])
                     voltages = rng.uniform(cutoffs, fulls)
                     voltages[h] = self.grid.state_voltage[s]
                     # The oracle's action does not depend on the

@@ -13,12 +13,19 @@ plus a small fixed parasitic term.
 
 :class:`SuperCapacitor` is the immutable device; :class:`CapacitorState`
 carries the mutable terminal voltage and implements the slot update.
+:class:`CapacitorColumns` with :func:`charge_columns` /
+:func:`discharge_columns` is the same charge/discharge recurrence over
+an array of independent devices (one column each), used wherever many
+capacitors advance in lock step (the batched engine, bank sizing).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Sequence
+
+import numpy as np
 
 from .regulator import (
     RegulatorCurve,
@@ -26,7 +33,13 @@ from .regulator import (
     default_output_regulator,
 )
 
-__all__ = ["SuperCapacitor", "CapacitorState"]
+__all__ = [
+    "SuperCapacitor",
+    "CapacitorState",
+    "CapacitorColumns",
+    "charge_columns",
+    "discharge_columns",
+]
 
 #: Leakage coefficient ``k`` in ``P_leak = k·C·V**exp``; together with
 #: the default exponent this gives ~0.5 mW/F at the 5 V full-charge
@@ -325,3 +338,132 @@ class CapacitorState:
             f"CapacitorState({self.capacitor.capacitance:g} F @ "
             f"{self.voltage:.3f} V, {self.stored_energy:.2f} J)"
         )
+
+
+#: How each :class:`CapacitorColumns` field is derived from a device,
+#: in the scalar model's own expressions (so results stay bit-identical).
+COLUMN_CONSTANTS = {
+    "c": lambda d: d.capacitance,
+    "half_c": lambda d: 0.5 * d.capacitance,
+    "e_full": lambda d: 0.5 * d.capacitance * d.v_full * d.v_full,
+    "e_cutoff": lambda d: 0.5 * d.capacitance * d.v_cutoff * d.v_cutoff,
+    "v_stop_chg": lambda d: d.v_full - 1e-12,
+    "v_stop_dis": lambda d: d.v_cutoff + 1e-12,
+    "cyc": lambda d: d.cycle_efficiency,
+    "in_eta": lambda d: d.input_regulator.eta_max,
+    "in_exp": lambda d: d.input_regulator.exponent,
+    "in_vh": lambda d: d.input_regulator._vhalf_pow,
+    "out_eta": lambda d: d.output_regulator.eta_max,
+    "out_exp": lambda d: d.output_regulator.exponent,
+    "out_vh": lambda d: d.output_regulator._vhalf_pow,
+}
+
+
+@dataclasses.dataclass
+class CapacitorColumns:
+    """Device constants of independent capacitors, one array entry each.
+
+    Every field is a float array of one length (the column count); see
+    :data:`COLUMN_CONSTANTS` for how each is derived from a
+    :class:`SuperCapacitor`.  Holders may overwrite entries in place
+    (the batched engine re-gathers a row's active device on a switch).
+    """
+
+    c: np.ndarray
+    half_c: np.ndarray
+    e_full: np.ndarray
+    e_cutoff: np.ndarray
+    v_stop_chg: np.ndarray
+    v_stop_dis: np.ndarray
+    cyc: np.ndarray
+    in_eta: np.ndarray
+    in_exp: np.ndarray
+    in_vh: np.ndarray
+    out_eta: np.ndarray
+    out_exp: np.ndarray
+    out_vh: np.ndarray
+
+    @classmethod
+    def of(cls, devices: Sequence[SuperCapacitor]) -> "CapacitorColumns":
+        """Columns for ``devices``, in order."""
+        return cls(
+            **{
+                name: np.array([value(d) for d in devices], dtype=float)
+                for name, value in COLUMN_CONSTANTS.items()
+            }
+        )
+
+
+# The two recurrences below replay CapacitorState.charge/discharge
+# (4 substeps) elementwise in the same IEEE-754 operation order, so a
+# column ends bit-identical to a scalar CapacitorState.  An ``alive``
+# mask stands in for the scalar ``break``: a column that stops
+# updating never resumes.
+
+
+def charge_columns(
+    cols: CapacitorColumns,
+    v: np.ndarray,
+    mask: np.ndarray,
+    energy_in: np.ndarray,
+) -> np.ndarray:
+    """Masked :meth:`CapacitorState.charge` over columns.
+
+    ``v`` (terminal voltages) is updated in place where ``mask`` holds;
+    returns the stored energy per column (0 outside ``mask``).
+    """
+    c, half_c = cols.c, cols.half_c
+    energy = half_c * v * v
+    stored_total = np.zeros(len(v))
+    chunk = energy_in / 4
+    for _ in range(4):
+        alive = mask & (v < cols.v_stop_chg)
+        if not alive.any():
+            break
+        vp = v**cols.in_exp
+        eta = (cols.in_eta * vp / (vp + cols.in_vh)) * cols.cyc
+        headroom = np.maximum(cols.e_full - energy, 0.0)
+        stored = np.minimum(chunk * eta, headroom)
+        new_energy = np.minimum(np.maximum(energy + stored, 0.0), cols.e_full)
+        v_new = np.sqrt(2.0 * new_energy / c)
+        e_new = half_c * v_new * v_new
+        np.copyto(v, v_new, where=alive)
+        np.copyto(energy, e_new, where=alive)
+        np.add(stored_total, stored, out=stored_total, where=alive)
+    return stored_total
+
+
+def discharge_columns(
+    cols: CapacitorColumns,
+    v: np.ndarray,
+    mask: np.ndarray,
+    energy_needed: np.ndarray,
+) -> np.ndarray:
+    """Masked :meth:`CapacitorState.discharge` over columns.
+
+    ``v`` is updated in place where ``mask`` holds; returns the
+    delivered energy per column (0 outside ``mask``).  A column that
+    hits the cut-off stops for the remaining substeps.
+    """
+    c, half_c = cols.c, cols.half_c
+    energy = half_c * v * v
+    delivered_total = np.zeros(len(v))
+    chunk = energy_needed / 4
+    for _ in range(4):
+        alive = mask & (v > cols.v_stop_dis)
+        if not alive.any():
+            break
+        vp = v**cols.out_exp
+        eta = (cols.out_eta * vp / (vp + cols.out_vh)) * cols.cyc
+        eta_pos = eta > 0.0
+        alive &= eta_pos
+        usable = np.maximum(energy - cols.e_cutoff, 0.0)
+        drawn = np.minimum(chunk / np.where(eta_pos, eta, 1.0), usable)
+        delivered = drawn * eta
+        new_energy = np.minimum(np.maximum(energy - drawn, 0.0), cols.e_full)
+        v_new = np.sqrt(2.0 * new_energy / c)
+        e_new = half_c * v_new * v_new
+        np.copyto(v, v_new, where=alive)
+        np.copyto(energy, e_new, where=alive)
+        np.add(delivered_total, delivered, out=delivered_total, where=alive)
+    return delivered_total

@@ -19,7 +19,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capacitor import SuperCapacitor
+from .capacitor import (
+    CapacitorColumns,
+    SuperCapacitor,
+    charge_columns,
+    discharge_columns,
+)
 
 __all__ = [
     "migration_series",
@@ -80,6 +85,118 @@ class DayMigrationResult:
         return self.served / demand if demand > 0 else 1.0
 
 
+def _migrate_columns(
+    devices: Sequence[SuperCapacitor],
+    delta_e: np.ndarray,
+    slot_seconds: float,
+    initial_voltage: Optional[float] = None,
+) -> List[DayMigrationResult]:
+    """Run column ``j`` of a ``(slots, n)`` ``ΔE`` matrix through ``devices[j]``.
+
+    Every column advances in lock step, slot by slot: surplus columns
+    charge, deficit columns discharge (the masked recurrences of
+    :mod:`repro.energy.capacitor`), every column leaks.  Each column's
+    floats are those of a scalar :class:`CapacitorState` run.
+    """
+    cols = CapacitorColumns.of(devices)
+    v = np.array(
+        [d.fresh_state(initial_voltage).voltage for d in devices], dtype=float
+    )
+    baseline = cols.half_c * v * v
+    leak_coeff_cap = np.array([d.leak_coeff * d.capacitance for d in devices])
+    parasitic = np.array([d.parasitic_power for d in devices])
+    exponents = [d.leak_exponent for d in devices]
+    n = len(devices)
+    leakage, overflow = np.zeros(n), np.zeros(n)
+    served, unserved = np.zeros(n), np.zeros(n)
+    for de in delta_e:
+        surplus = de > 0
+        if surplus.any():
+            vp = v**cols.in_exp
+            eta_before = (cols.in_eta * vp / (vp + cols.in_vh)) * cols.cyc
+            stored = charge_columns(cols, v, surplus, de)
+            # Input that the full capacitor rejected (approximately:
+            # what an unconstrained charge at the slot-start efficiency
+            # would have consumed beyond what was actually consumed).
+            consumed = stored / np.maximum(eta_before, 1e-9)
+            np.add(
+                overflow, np.maximum(de - consumed, 0.0), out=overflow,
+                where=surplus,
+            )
+        deficit = de < 0
+        if deficit.any():
+            need = -de
+            got = discharge_columns(cols, v, deficit, need)
+            np.add(served, got, out=served, where=deficit)
+            np.add(
+                unserved, np.maximum(need - got, 0.0), out=unserved,
+                where=deficit,
+            )
+        # CapacitorState.leak; the voltage power stays libm ``pow``.
+        before = cols.half_c * v * v
+        powv = np.array(list(map(pow, v.tolist(), exponents)))
+        lost = (leak_coeff_cap * powv + parasitic) * slot_seconds
+        energy = np.minimum(np.maximum(before - lost, 0.0), cols.e_full)
+        v[:] = np.sqrt(2.0 * energy / cols.c)
+        leakage += before - cols.half_c * v * v
+
+    # Conversion loss from the exact energy balance: surplus input is
+    # either rejected (overflow), leaked, delivered to deficit slots,
+    # still stored, or lost in conversion.
+    residual = cols.half_c * v * v - baseline
+    results = []
+    for column, leak, over, got, short, resid, volt in zip(
+        delta_e.T,
+        leakage.tolist(),
+        overflow.tolist(),
+        served.tolist(),
+        unserved.tolist(),
+        residual.tolist(),
+        v.tolist(),
+    ):
+        total_in = float(column[column > 0].sum())
+        conversion = max(total_in - over - leak - got - resid, 0.0)
+        results.append(
+            DayMigrationResult(
+                total_loss=conversion + leak + over,
+                conversion_loss=conversion,
+                leakage_loss=leak,
+                overflow_loss=over,
+                served=got,
+                unserved=short,
+                final_voltage=volt,
+            )
+        )
+    return results
+
+
+def _migrate_days(
+    daily_delta_e: Sequence[np.ndarray],
+    devices: Sequence[SuperCapacitor],
+    slot_seconds: float,
+    initial_voltage: Optional[float] = None,
+) -> List[List[DayMigrationResult]]:
+    """``results[day][j]``: each day's series through each device.
+
+    Days of equal length share one :func:`_migrate_columns` pass, one
+    column per (day, device) pair.
+    """
+    days = [np.asarray(de, dtype=float) for de in daily_delta_e]
+    h = len(devices)
+    results: List[List[DayMigrationResult]] = [[] for _ in days]
+    for length in sorted({len(de) for de in days}):
+        members = [i for i, de in enumerate(days) if len(de) == length]
+        block = np.repeat(
+            np.stack([days[i] for i in members], axis=1), h, axis=1
+        )
+        flat = _migrate_columns(
+            list(devices) * len(members), block, slot_seconds, initial_voltage
+        )
+        for pos, i in enumerate(members):
+            results[i] = flat[pos * h : (pos + 1) * h]
+    return results
+
+
 def simulate_day_migration(
     capacitor: SuperCapacitor,
     delta_e: np.ndarray,
@@ -92,46 +209,22 @@ def simulate_day_migration(
     Losses follow Eq. (10): energy that entered or was requested but
     did not reach the load, split by mechanism.
     """
-    delta_e = np.asarray(delta_e, dtype=float)
-    state = capacitor.fresh_state(initial_voltage)
-    leakage = overflow = served = unserved = 0.0
-    baseline = state.stored_energy
-    for de in delta_e:
-        if de > 0:
-            eta_before = capacitor.charge_efficiency(state.voltage)
-            stored = state.charge(de)
-            # Input that the full capacitor rejected (approximately:
-            # what an unconstrained charge at the slot-start efficiency
-            # would have consumed beyond what was actually consumed).
-            consumed = stored / max(eta_before, 1e-9)
-            overflow += max(de - consumed, 0.0)
-        elif de < 0:
-            need = -de
-            got = state.discharge(need)
-            served += got
-            unserved += max(need - got, 0.0)
-        before = state.stored_energy
-        state.leak(slot_seconds)
-        leakage += before - state.stored_energy
+    results = _migrate_days([delta_e], [capacitor], slot_seconds, initial_voltage)
+    return results[0][0]
 
-    # Conversion loss from the exact energy balance: surplus input is
-    # either rejected (overflow), leaked, delivered to deficit slots,
-    # still stored, or lost in conversion.
-    total_in = float(delta_e[delta_e > 0].sum())
-    residual = state.stored_energy - baseline
-    conversion = max(
-        total_in - overflow - leakage - served - residual, 0.0
-    )
-    total_loss = conversion + leakage + overflow
-    return DayMigrationResult(
-        total_loss=total_loss,
-        conversion_loss=conversion,
-        leakage_loss=leakage,
-        overflow_loss=overflow,
-        served=served,
-        unserved=unserved,
-        final_voltage=state.voltage,
-    )
+
+def _best_candidate(
+    candidates: Sequence[float], results: Sequence[DayMigrationResult]
+) -> Tuple[float, DayMigrationResult]:
+    """The least-loss candidate among those serving within 5% of the best."""
+    best_served = max(r.served for r in results)
+    tolerance = 0.05 * best_served if best_served > 0 else 0.0
+    viable = [
+        (c, r)
+        for c, r in zip(candidates, results)
+        if r.served >= best_served - tolerance
+    ]
+    return min(viable, key=lambda item: item[1].total_loss)
 
 
 def optimal_daily_capacity(
@@ -149,16 +242,10 @@ def optimal_daily_capacity(
     """
     if not candidates:
         raise ValueError("need at least one candidate capacitance")
-    results = []
-    for c in candidates:
-        cap = SuperCapacitor(capacitance=c, **capacitor_kwargs)
-        results.append((c, simulate_day_migration(cap, delta_e, slot_seconds)))
-    best_served = max(r.served for _, r in results)
-    tolerance = 0.05 * best_served if best_served > 0 else 0.0
-    viable = [
-        (c, r) for c, r in results if r.served >= best_served - tolerance
-    ]
-    return min(viable, key=lambda item: item[1].total_loss)
+    devices = [SuperCapacitor(capacitance=c, **capacitor_kwargs) for c in candidates]
+    return _best_candidate(
+        candidates, _migrate_days([delta_e], devices, slot_seconds)[0]
+    )
 
 
 def cluster_capacities(
@@ -227,12 +314,17 @@ def size_bank(
     daily_weights: Optional[Sequence[float]] = None,
     **capacitor_kwargs,
 ) -> List[SuperCapacitor]:
-    """Full Section 4.1 pipeline: per-day optima → clustered bank."""
+    """Full Section 4.1 pipeline: per-day optima → clustered bank.
+
+    Every (day, candidate) pair runs as one column of a single
+    lock-step pass (:func:`_migrate_days`).
+    """
+    if not candidates:
+        raise ValueError("need at least one candidate capacitance")
+    devices = [SuperCapacitor(capacitance=c, **capacitor_kwargs) for c in candidates]
     optima = [
-        optimal_daily_capacity(
-            de, slot_seconds, candidates, **capacitor_kwargs
-        )[0]
-        for de in daily_delta_e
+        _best_candidate(candidates, results)[0]
+        for results in _migrate_days(daily_delta_e, devices, slot_seconds)
     ]
     weights = daily_weights
     if weights is None:

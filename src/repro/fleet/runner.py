@@ -100,9 +100,11 @@ __all__ = [
 ENGINES = ("batch", "per-node")
 
 #: Bounds of the default shard size.  Below 32 nodes the batched
-#: engine's per-slot numpy dispatch dominates; past 128 its wall time
-#: flattens while its heap (per-row period records, intra-task subset
-#: temporaries) keeps growing with the width, and checkpoints coarsen.
+#: engine's per-slot numpy dispatch dominates.  Past 128 it still gets
+#: faster (one 256-node shard ran the default 256-node fleet 2-16%
+#: faster than two 128-node shards, 2-vCPU VM), but its heap (per-row
+#: period records, intra-task subset temporaries) grows with the width
+#: (+3.8 MB peak RSS at 256) and checkpoints and load balance coarsen.
 MIN_SHARD_SIZE = 32
 MAX_SHARD_SIZE = 128
 

@@ -43,10 +43,12 @@ byte-for-byte.  The layout decisions that make this work:
   curves go through the same ``np.power`` ufunc in both scalar and
   array form (see :class:`~repro.energy.regulator.RegulatorCurve`), so
   they vectorize directly.
-* **Masked physics recurrences.**  Charge/discharge keep the 4-substep
+* **Masked physics recurrences.**  Charge/discharge run the active
+  column through :func:`~repro.energy.capacitor.charge_columns` /
+  :func:`~repro.energy.capacitor.discharge_columns`: the 4-substep
   voltage recurrence of :class:`~repro.energy.capacitor.CapacitorState`
-  with an ``alive`` mask standing in for the scalar ``break``; rows
-  that stop updating never resurrect, matching break semantics.
+  with an ``alive`` mask standing in for the scalar ``break`` (bank
+  sizing runs the same two functions).
 * **Per-node Python only off the hot path.**  WCMA prediction and
   energy admission (inter-task rows) run per node once per *period*.
   Each ``random`` row keeps its RandomScheduler's ``Generator``; once
@@ -85,7 +87,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..energy.capacitor import SuperCapacitor
+from ..energy.capacitor import (
+    COLUMN_CONSTANTS,
+    CapacitorColumns,
+    SuperCapacitor,
+    charge_columns,
+    discharge_columns,
+)
 from ..schedulers import make_scheduler
 from ..schedulers.lsa import admit_by_energy
 from ..solar.prediction import WCMAPredictor
@@ -265,25 +273,6 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-#: Active-column constants: engine attribute -> the per-device value
-#: it holds, computed in the scalar capacitor model's own expressions.
-_ACTIVE_CONSTANTS = {
-    "c_a": lambda d: d.capacitance,
-    "half_c_a": lambda d: 0.5 * d.capacitance,
-    "e_full_a": lambda d: 0.5 * d.capacitance * d.v_full * d.v_full,
-    "e_cutoff_a": lambda d: 0.5 * d.capacitance * d.v_cutoff * d.v_cutoff,
-    "v_stop_chg": lambda d: d.v_full - 1e-12,
-    "v_stop_dis": lambda d: d.v_cutoff + 1e-12,
-    "cyc_a": lambda d: d.cycle_efficiency,
-    "in_eta_a": lambda d: d.input_regulator.eta_max,
-    "in_exp_a": lambda d: d.input_regulator.exponent,
-    "in_vh_a": lambda d: d.input_regulator._vhalf_pow,
-    "out_eta_a": lambda d: d.output_regulator.eta_max,
-    "out_exp_a": lambda d: d.output_regulator.exponent,
-    "out_vh_a": lambda d: d.output_regulator._vhalf_pow,
-}
-
-
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -408,7 +397,7 @@ class _BatchEngine:
         self.leak_coeff_cap = np.zeros((n, c_max))
         self.parasitic = np.zeros((n, c_max))
         self._col_tables = {
-            name: np.zeros((n, c_max)) for name in _ACTIVE_CONSTANTS
+            name: np.zeros((n, c_max)) for name in COLUMN_CONSTANTS
         }
         self.exps_flat: List[float] = []
         active = np.zeros(n, dtype=np.int64)
@@ -421,7 +410,7 @@ class _BatchEngine:
             self.parasitic[row, :c_n] = [
                 d.parasitic_power for d in devices
             ]
-            for name, value in _ACTIVE_CONSTANTS.items():
+            for name, value in COLUMN_CONSTANTS.items():
                 self._col_tables[name][row, :c_n] = [
                     value(d) for d in devices
                 ]
@@ -433,8 +422,9 @@ class _BatchEngine:
         self.active_col = active
         # Flat index of each row's active cell in an (n, c_max) array.
         self.active_flat = np.zeros(n, dtype=np.int64)
-        for name in _ACTIVE_CONSTANTS:
-            setattr(self, name, np.zeros(n))
+        self.active = CapacitorColumns(
+            **{name: np.zeros(n) for name in COLUMN_CONSTANTS}
+        )
         self._gather_active(self._rows)
 
     def _gather_active(self, rows: np.ndarray) -> None:
@@ -442,7 +432,7 @@ class _BatchEngine:
         cols = self.active_col[rows]
         self.active_flat[rows] = rows * self.c_max + cols
         for name, table in self._col_tables.items():
-            getattr(self, name)[rows] = table[rows, cols]
+            getattr(self.active, name)[rows] = table[rows, cols]
 
     def _setup_policies(self) -> None:
         """Policy row groups, schedulers and the intra-task subset table."""
@@ -582,29 +572,10 @@ class _BatchEngine:
 
         Returns the stored energy per node (0 outside ``mask``).
         """
-        c, half_c, flat = self.c_a, self.half_c_a, self.active_flat
-        v_col = v.take(flat)
-        energy = half_c * v_col * v_col
-        stored_total = np.zeros(self.n)
-        chunk = energy_in / 4
-        for _ in range(4):
-            alive = mask & (v_col < self.v_stop_chg)
-            if not alive.any():
-                break
-            vp = v_col ** self.in_exp_a
-            eta = (self.in_eta_a * vp / (vp + self.in_vh_a)) * self.cyc_a
-            headroom = np.maximum(self.e_full_a - energy, 0.0)
-            stored = np.minimum(chunk * eta, headroom)
-            new_energy = np.minimum(
-                np.maximum(energy + stored, 0.0), self.e_full_a
-            )
-            v_new = np.sqrt(2.0 * new_energy / c)
-            e_new = half_c * v_new * v_new
-            np.copyto(v_col, v_new, where=alive)
-            np.copyto(energy, e_new, where=alive)
-            np.add(stored_total, stored, out=stored_total, where=alive)
-        v.put(flat, v_col)
-        return stored_total
+        v_col = v.take(self.active_flat)
+        stored = charge_columns(self.active, v_col, mask, energy_in)
+        v.put(self.active_flat, v_col)
+        return stored
 
     def _discharge(
         self, v: np.ndarray, mask: np.ndarray, energy_needed: np.ndarray
@@ -612,38 +583,11 @@ class _BatchEngine:
         """Masked CapacitorState.discharge on the active column.
 
         Returns the delivered energy per node (0 outside ``mask``).
-        A row that hits the cut-off stops updating for the remaining
-        substeps — the masked equivalent of the scalar ``break``.
         """
-        c, half_c, flat = self.c_a, self.half_c_a, self.active_flat
-        v_col = v.take(flat)
-        energy = half_c * v_col * v_col
-        delivered_total = np.zeros(self.n)
-        chunk = energy_needed / 4
-        for _ in range(4):
-            alive = mask & (v_col > self.v_stop_dis)
-            if not alive.any():
-                break
-            vp = v_col ** self.out_exp_a
-            eta = (self.out_eta_a * vp / (vp + self.out_vh_a)) * self.cyc_a
-            eta_pos = eta > 0.0
-            alive &= eta_pos
-            usable = np.maximum(energy - self.e_cutoff_a, 0.0)
-            drawn = np.minimum(chunk / np.where(eta_pos, eta, 1.0), usable)
-            delivered = drawn * eta
-            new_energy = np.minimum(
-                np.maximum(energy - drawn, 0.0), self.e_full_a
-            )
-            v_new = np.sqrt(2.0 * new_energy / c)
-            e_new = half_c * v_new * v_new
-            np.copyto(v_col, v_new, where=alive)
-            np.copyto(energy, e_new, where=alive)
-            np.add(
-                delivered_total, delivered, out=delivered_total,
-                where=alive,
-            )
-        v.put(flat, v_col)
-        return delivered_total
+        v_col = v.take(self.active_flat)
+        delivered = discharge_columns(self.active, v_col, mask, energy_needed)
+        v.put(self.active_flat, v_col)
+        return delivered
 
     def _leak(self, v: np.ndarray, dt: float) -> np.ndarray:
         """CapacitorBank.leak_all over every row; returns lost energy.
@@ -663,7 +607,7 @@ class _BatchEngine:
         idle_power = np.maximum(leak_power - self.parasitic, 0.0)
         new_energy = np.maximum(before - idle_power * dt, 0.0)
         e_a = before.take(flat) - leak_power.take(flat) * dt
-        e_a = np.minimum(np.maximum(e_a, 0.0), self.e_full_a)
+        e_a = np.minimum(np.maximum(e_a, 0.0), self.active.e_full)
         new_energy.put(flat, e_a)
         new_volts = np.sqrt(2.0 * new_energy / self.capacitance)
         after = 0.5 * self.capacitance * new_volts * new_volts
@@ -922,8 +866,8 @@ class _BatchEngine:
         """
         rows, a = self._rows, self.active_col
         v_a = v[rows, a]
-        stored_a = 0.5 * self.c_a * v_a * v_a
-        usable_a = np.maximum(stored_a - self.e_cutoff_a, 0.0)
+        stored_a = 0.5 * self.active.c * v_a * v_a
+        usable_a = np.maximum(stored_a - self.active.e_cutoff, 0.0)
         for i in self.idx_lsa:
             i = int(i)
             predicted = self.predictors[i].predict(day, period)
@@ -965,7 +909,7 @@ class _BatchEngine:
             # As CapacitorBank.view_arrays computes them.
             usable = np.maximum(
                 0.5 * caps * volts * volts
-                - self._col_tables["e_cutoff_a"][i, :c_n],
+                - self._col_tables["e_cutoff"][i, :c_n],
                 0.0,
             )
             request, force = self._bank_callbacks(i, usable, switched)

@@ -145,26 +145,52 @@ class CloudProcess:
         if not 0 <= state < n_states:
             raise ValueError(f"initial_state {state} out of range")
 
+        # Walk the times segment by segment between regime switches:
+        # a segment's normals come from one ``rng.normal(size=k)`` call,
+        # the same stream as k scalar draws, and the switch draws follow
+        # it exactly where the per-sample loop would make them.
+        dts = np.maximum(np.diff(times, prepend=times[0]), 0.0).tolist()
         out = np.empty_like(times)
         next_switch = times[0] + rng.exponential(
             self.states[state].dwell_seconds
         )
+        steps = {}
         fluctuation = 0.0
-        prev_t = times[0]
-        for i, t in enumerate(times):
-            while t >= next_switch and n_states > 1:
-                state = int(rng.choice(n_states, p=self.transitions[state]))
-                next_switch += rng.exponential(self.states[state].dwell_seconds)
+        i, n = 0, len(times)
+        while i < n:
+            if n_states > 1:
+                while times[i] >= next_switch:
+                    state = int(rng.choice(n_states, p=self.transitions[state]))
+                    next_switch += rng.exponential(
+                        self.states[state].dwell_seconds
+                    )
+                end = max(
+                    int(np.searchsorted(times, next_switch, side="left")),
+                    i + 1,
+                )
+            else:
+                end = n
             regime = self.states[state]
-            dt = max(t - prev_t, 0.0)
-            # Ornstein-Uhlenbeck-style mean-reverting fluctuation.
-            decay = np.exp(-dt / self.smoothness_seconds)
-            noise_scale = regime.spread * np.sqrt(max(1.0 - decay**2, 0.0))
-            fluctuation = fluctuation * decay + rng.normal(0.0, 1.0) * noise_scale
-            value = regime.mean_transmittance + fluctuation
-            out[i] = np.clip(value, 0.02, 1.0)
-            prev_t = t
-        return out
+            normals = rng.normal(0.0, 1.0, size=end - i).tolist()
+            mean = regime.mean_transmittance
+            for j, z in enumerate(normals, start=i):
+                dt = dts[j]
+                step = steps.get((dt, state))
+                if step is None:
+                    # Ornstein-Uhlenbeck-style mean-reverting fluctuation.
+                    decay = np.exp(-dt / self.smoothness_seconds)
+                    noise_scale = regime.spread * np.sqrt(
+                        max(1.0 - decay**2, 0.0)
+                    )
+                    step = steps[(dt, state)] = (
+                        float(decay),
+                        float(noise_scale),
+                    )
+                decay, noise_scale = step
+                fluctuation = fluctuation * decay + z * noise_scale
+                out[j] = mean + fluctuation
+            i = end
+        return np.clip(out, 0.02, 1.0, out=out)
 
 
 def constant_transmittance(times: np.ndarray, value: float) -> np.ndarray:
