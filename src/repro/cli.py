@@ -38,8 +38,8 @@ Commands
     Fleet-scale simulation: ``fleet run --nodes N --seed S`` simulates
     N heterogeneous nodes sharing one base solar trace and prints the
     population report plus the deterministic aggregate fingerprint
-    (bit-identical for any ``--workers``/``--shard-size`` and for
-    ``--engine batch`` vs ``--engine per-node``);
+    (bit-identical for any ``--workers``/``--shard-size``; nodes the
+    batched engine covers run batched, the rest per node);
     ``fleet report result.json`` re-renders a saved ``--out`` file.
     Execution is supervised: ``--max-retries``/``--task-timeout``
     bound failures, ``--on-node-error quarantine`` (default) completes
@@ -323,13 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         "2 x workers, clamped to 32..128); never changes the results",
     )
     fleet_run.add_argument(
-        "--engine", choices=("batch", "per-node"), default="batch",
-        help="shard executor: batch (default) advances eligible "
-        "nodes through one node-major vectorized engine, per-node "
-        "steps one scalar engine per node; bit-identical results, "
-        "only nodes/s differs",
-    )
-    fleet_run.add_argument(
         "--no-cache", action="store_true",
         help="skip shard checkpoints and the offline-artifact cache",
     )
@@ -373,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument(
         "--exclude-nodes", metavar="ID1,ID2,...",
         help="node ids to skip — rerun the healthy subset of a "
-        "degraded run to reproduce its fingerprint fault-free",
+        "degraded run to reproduce its fingerprint fault-free; an id "
+        "outside 0..N-1 is an error (exit 2)",
     )
     fleet_run.add_argument(
         "--chaos-seed", type=int, default=0, metavar="S",
@@ -755,7 +749,6 @@ def _cmd_fleet(args, out) -> int:
             on_node_error=args.on_node_error,
             chaos=chaos,
             exclude_nodes=exclude,
-            engine=args.engine,
         ).run()
     except KeyboardInterrupt:
         # The supervisor has already torn the pool down on the way

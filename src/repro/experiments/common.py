@@ -221,12 +221,15 @@ def _suite_scheduler(
     return make_scheduler(name, trained=policy)
 
 
-def _suite_cell(args: Tuple) -> Tuple[str, SimulationResult]:
+def _suite_cell(
+    args: Tuple, observer: Optional[Observer] = None
+) -> Tuple[str, SimulationResult]:
     """One (scheduler, trace) simulation; module-level so it pickles."""
     graph, trace, policy, name = args
     scheduler = _suite_scheduler(name, graph, trace, policy)
     result = simulate(
-        policy.make_node(), graph, trace, scheduler, strict=False
+        policy.make_node(), graph, trace, scheduler, strict=False,
+        observer=observer,
     )
     return name, result
 
@@ -274,14 +277,8 @@ def evaluation_suite(
     results: Dict[str, SimulationResult] = {}
     for name in include:
         with tracer.span("suite_cell", key=name):
-            scheduler = _suite_scheduler(name, graph, trace, policy)
-            results[name] = simulate(
-                policy.make_node(),
-                graph,
-                trace,
-                scheduler,
-                strict=False,
-                observer=observer,
+            _, results[name] = _suite_cell(
+                (graph, trace, policy, name), observer
             )
     return results
 

@@ -9,9 +9,9 @@ histograms and per-policy comparison.
 
 Quickstart::
 
-    from repro.fleet import FleetSpec, run_fleet
+    from repro.fleet import FleetRunner, FleetSpec
 
-    result = run_fleet(FleetSpec(n_nodes=200, seed=0), workers=4)
+    result = FleetRunner(FleetSpec(n_nodes=200, seed=0), workers=4).run()
     print(result.render())
     print(result.fingerprint())   # bit-identical for any worker count
 
@@ -26,20 +26,17 @@ from .result import (
     NodeSummary,
 )
 from .runner import (
-    ENGINES,
     MAX_SHARD_SIZE,
     MIN_SHARD_SIZE,
     FleetRunner,
     default_shard_size,
     node_spec_digest,
-    run_fleet,
     simulate_node,
     simulate_shard_batch,
 )
 from .spec import FLEET_POLICIES, FleetSpec, NodeSpec, node_trace
 
 __all__ = [
-    "ENGINES",
     "FLEET_POLICIES",
     "FLEET_RESULT_SCHEMA",
     "FailedNode",
@@ -54,7 +51,6 @@ __all__ = [
     "default_shard_size",
     "node_spec_digest",
     "node_trace",
-    "run_fleet",
     "simulate_node",
     "simulate_shard_batch",
 ]

@@ -29,11 +29,14 @@ Two layers of reuse ride on the existing artifact cache:
 
 Determinism contract: node summaries are pure functions of ``(fleet
 seed, node id)``; shards are combined in node-id order; therefore
-``FleetResult.fingerprint()`` is bit-identical for any worker count,
-shard size or shard executor — the default node-major batched engine
-(:mod:`repro.sim.batch`) and the scalar per-node engine produce the
-same bytes (guarded by tests, the batched-vs-per-node oracle and the
-``repro fleet`` acceptance check).
+``FleetResult.fingerprint()`` is bit-identical for any worker count or
+shard size.  Which engine runs a node is decided by its input alone:
+batch-eligible nodes advance through the node-major batched engine
+(:mod:`repro.sim.batch`) via :func:`simulate_shard_batch`, the rest
+(``dvfs`` nodes, graphs over the batch width, chaos runs) step the
+per-node engine via :func:`simulate_node`, the reference every batched
+summary must equal (guarded by tests and by the batched-vs-per-node
+oracle, which calls the same two functions).
 
 Execution is *supervised* (:mod:`repro.reliability.supervisor`): a
 raising node is retried in its worker and then quarantined into a
@@ -53,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..energy.capacitor import SuperCapacitor
 from ..node.node import SensorNode
@@ -64,7 +67,12 @@ from ..obs.events import (
     Observer,
 )
 from ..obs.sketch import P2Quantile
-from ..obs.trace import NULL_TRACER, activate, collecting_tracer
+from ..obs.trace import (
+    NULL_TRACER,
+    activate,
+    collecting_tracer,
+    current_tracer,
+)
 from ..perf.cache import ArtifactCache, cache_enabled, default_cache, hash_key
 from ..reliability.chaos import ChaosPlan, ChaosSpec
 from ..reliability.supervisor import (
@@ -77,6 +85,7 @@ from ..reliability.supervisor import (
 from ..schedulers import make_scheduler
 from ..sim.checkpoint import result_fingerprint
 from ..sim.engine import simulate
+from ..sim.recorder import SimulationResult
 from ..verify.strategies import build_graph
 from .result import FailedNode, FleetAggregate, FleetResult, NodeSummary
 from .spec import FleetSpec, NodeSpec, node_trace
@@ -87,17 +96,9 @@ __all__ = [
     "FleetRunner",
     "default_shard_size",
     "node_spec_digest",
-    "run_fleet",
     "simulate_node",
     "simulate_shard_batch",
 ]
-
-#: Shard executors: ``batch`` advances every eligible node of a shard
-#: through one node-major :mod:`repro.sim.batch` engine (per-node
-#: fallback for ineligible configs); ``per-node`` steps one scalar
-#: engine per node.  Bit-identical by contract — guarded by the
-#: batched-vs-per-node oracle and the conformance test wall.
-ENGINES = ("batch", "per-node")
 
 #: Bounds of the default shard size.  Below 32 nodes the batched
 #: engine's per-slot numpy dispatch dominates.  Past 128 it still gets
@@ -193,34 +194,6 @@ def _summarize(spec: NodeSpec, graph, result) -> NodeSummary:
     )
 
 
-def simulate_node(
-    fleet: FleetSpec, base_trace, spec: NodeSpec, trained=None
-) -> NodeSummary:
-    """Simulate one fleet node and reduce it to a :class:`NodeSummary`.
-
-    Pure function of the fleet spec, the shared base trace and the
-    node spec — no global state, safe in any worker process.  This is
-    the per-node reference every batched summary must equal.
-    ``trained`` lets a caller that simulates many ``proposed`` nodes
-    pass the workload's :class:`~repro.core.offline.TrainedPolicy` in
-    instead of loading it per node; it never changes the summary.
-    """
-    graph = build_graph(spec.graph_kind)
-    trace = node_trace(base_trace, spec)
-    if spec.policy == "proposed":
-        if trained is None:
-            trained = _proposed_policy(fleet, spec.graph_kind)
-        node = trained.make_node()
-    else:
-        node = SensorNode(
-            [SuperCapacitor(capacitance=c) for c in spec.bank_farads],
-            num_nvps=graph.num_nvps,
-        )
-    scheduler = make_scheduler(spec.policy, spec.scheduler_seed, trained)
-    result = simulate(node, graph, trace, scheduler, strict=False)
-    return _summarize(spec, graph, result)
-
-
 def _shard_policies(fleet: FleetSpec):
     """A shard's ``spec -> TrainedPolicy`` loader (``None`` unless proposed).
 
@@ -242,7 +215,13 @@ def _shard_policies(fleet: FleetSpec):
 
 
 def _batch_case(spec: NodeSpec, graph, base_trace, trained=None):
-    """Build the :class:`~repro.sim.batch.BatchCase` for one node."""
+    """Build the :class:`~repro.sim.batch.BatchCase` for one node.
+
+    The one place a node's bank is derived: a ``proposed`` node runs on
+    its trained policy's sized bank (and, through ``trained``, its
+    ``E_th``), every other node on ``spec.bank_farads``.  Both engines
+    run this case.
+    """
     from ..sim.batch import BatchCase
 
     if trained is not None:
@@ -261,44 +240,99 @@ def _batch_case(spec: NodeSpec, graph, base_trace, trained=None):
     )
 
 
-def simulate_shard_batch(
-    fleet: FleetSpec, base_trace, specs: Sequence[NodeSpec]
-) -> List[NodeSummary]:
-    """Batched counterpart of mapping :func:`simulate_node` over specs.
+def _simulate_case(case) -> SimulationResult:
+    """Run one :class:`~repro.sim.batch.BatchCase` on the per-node engine.
 
-    Eligible nodes (policy in :data:`~repro.sim.batch.BATCH_POLICIES`,
-    task count within the batch width) advance together through one
-    node-major engine; the rest — ``dvfs`` nodes, oversized graphs —
-    run through :func:`simulate_node`.  Summaries come back in input
-    order and are bit-identical to the per-node path (the
-    batched-vs-per-node oracle holds this contract).
+    The scalar reference of :func:`~repro.sim.batch.simulate_batch`:
+    a :class:`SensorNode` with the case's bank (and its trained
+    ``E_th``, if any), a fresh scheduler, non-strict validation.
+    """
+    node_kwargs = {}
+    if case.trained is not None:
+        node_kwargs["switch_threshold"] = case.trained.switch_threshold
+    node = SensorNode(
+        list(case.capacitors), num_nvps=case.graph.num_nvps, **node_kwargs
+    )
+    scheduler = make_scheduler(
+        case.policy, case.scheduler_seed, case.trained
+    )
+    return simulate(node, case.graph, case.trace, scheduler, strict=False)
+
+
+def simulate_node(
+    fleet: FleetSpec, base_trace, spec: NodeSpec, trained=None
+) -> NodeSummary:
+    """Simulate one fleet node on the per-node engine; its summary.
+
+    Pure function of the fleet spec, the shared base trace and the
+    node spec — no global state, safe in any worker process.  This is
+    the per-node reference every batched summary must equal.
+    ``trained`` lets a caller that simulates many ``proposed`` nodes
+    pass the workload's :class:`~repro.core.offline.TrainedPolicy` in
+    instead of loading it per node; it never changes the summary.
+    """
+    graph = build_graph(spec.graph_kind)
+    if spec.policy == "proposed" and trained is None:
+        trained = _proposed_policy(fleet, spec.graph_kind)
+    case = _batch_case(spec, graph, base_trace, trained)
+    return _summarize(spec, graph, _simulate_case(case))
+
+
+def simulate_shard_batch(
+    fleet: FleetSpec,
+    base_trace,
+    specs: Iterable[NodeSpec],
+    policy_of=None,
+    shard_index: Optional[int] = None,
+) -> Dict[int, NodeSummary]:
+    """Run a shard's batch-eligible nodes through one batched engine call.
+
+    The fleet's only batch dispatch.  Eligible nodes (see
+    :func:`~repro.sim.batch.batch_ineligibility`) advance together
+    through one :func:`~repro.sim.batch.simulate_batch`; the rest
+    (``dvfs`` nodes, oversized graphs) are left to
+    :func:`simulate_node`.  Returns the batched nodes' summaries keyed
+    by node id, each bit-identical to :func:`simulate_node`'s (the
+    batched-vs-per-node oracle holds this contract).  ``policy_of`` is
+    the shard's policy loader (:func:`_shard_policies`), so a caller's
+    per-node fallback shares its loads; by default a fresh one.
+
+    When any node is eligible, the batched call runs under one
+    ``batch`` span of the ambient tracer, keyed by ``shard_index``; a
+    shard with nothing to batch opens no span.  If the batched engine
+    raises, the span is annotated ``failed`` and the error propagates.
     """
     from ..sim.batch import batch_ineligibility, simulate_batch
 
-    specs = list(specs)
-    policy_of = _shard_policies(fleet)
-    graphs = [build_graph(s.graph_kind) for s in specs]
-    eligible = [
-        i
-        for i, (s, g) in enumerate(zip(specs, graphs))
-        if batch_ineligibility(s.policy, g) is None
-    ]
-    summaries: List[Optional[NodeSummary]] = [None] * len(specs)
-    if eligible:
-        cases = [
-            _batch_case(
-                specs[i], graphs[i], base_trace, policy_of(specs[i])
+    if policy_of is None:
+        policy_of = _shard_policies(fleet)
+    eligible = []
+    for spec in specs:
+        graph = build_graph(spec.graph_kind)
+        if batch_ineligibility(spec.policy, graph) is None:
+            eligible.append((spec, graph))
+    if not eligible:
+        return {}
+    with current_tracer().span(
+        "batch",
+        key=shard_index,
+        attrs={"shard_index": shard_index, "n_nodes": len(eligible)},
+    ) as span:
+        try:
+            results = simulate_batch(
+                [
+                    _batch_case(spec, graph, base_trace, policy_of(spec))
+                    for spec, graph in eligible
+                ]
             )
-            for i in eligible
-        ]
-        for i, result in zip(eligible, simulate_batch(cases)):
-            summaries[i] = _summarize(specs[i], graphs[i], result)
-    for i, spec in enumerate(specs):
-        if summaries[i] is None:
-            summaries[i] = simulate_node(
-                fleet, base_trace, spec, policy_of(spec)
-            )
-    return [s for s in summaries if s is not None]
+        except Exception as exc:
+            span.annotate(failed=True, error_type=type(exc).__name__)
+            raise
+        span.annotate(n_batched=len(results))
+    return {
+        spec.node_id: _summarize(spec, graph, result)
+        for (spec, graph), result in zip(eligible, results)
+    }
 
 
 def node_spec_digest(spec: NodeSpec) -> str:
@@ -322,25 +356,24 @@ def _run_shard(item):
     shard rather than shipping the power arrays per item.
 
     The work item is ``(spec, node_ids, shard_index, ctx_wire,
-    chaos_plan, node_retries, on_node_error, engine, attempt)``:
-    ``ctx_wire`` is the parent's serialized span context (or ``None``
-    when untraced) and ``attempt`` is the supervisor's re-dispatch
-    count (chaos keys first-attempt-only faults off it).  The worker
-    opens a ``shard`` span keyed by the shard index and one ``node``
-    span per per-node-simulated id — explicit keys, so the span ids
-    are identical whichever process (or attempt) runs the shard — and
-    returns the collected span records with the summaries for the
-    parent to re-emit.
+    chaos_plan, node_retries, on_node_error, attempt)``: ``ctx_wire``
+    is the parent's serialized span context (or ``None`` when
+    untraced) and ``attempt`` is the supervisor's re-dispatch count
+    (chaos keys first-attempt-only faults off it).  The worker opens a
+    ``shard`` span keyed by the shard index — explicit keys, so the
+    span ids are identical whichever process (or attempt) runs the
+    shard — and returns the collected span records with the summaries
+    for the parent to re-emit.
 
-    With ``engine="batch"`` (and no chaos plan — chaos faults are
-    keyed per node, so chaos runs always step per node) the shard's
-    batch-eligible nodes advance together through one
-    :mod:`repro.sim.batch` engine under a single ``batch`` child span
-    instead of per-node ``node`` spans; ineligible nodes — and, if the
-    batched engine itself raises, every node it covered — fall back to
-    the per-node loop below, which keeps its retry/quarantine
-    semantics.  Summaries are reassembled in ``node_ids`` order either
-    way, so the executor never shows through the fingerprint.
+    Without a chaos plan (chaos faults are keyed per node, so chaos
+    runs always step per node) the shard's batch-eligible nodes first
+    advance together through :func:`simulate_shard_batch`, which opens
+    a single ``batch`` child span if there are any.  The other nodes —
+    and, if the batched engine raises, every node it covered — run through
+    the per-node loop below, one ``node`` span each, which keeps its
+    retry/quarantine semantics.  Summaries are reassembled in
+    ``node_ids`` order either way, so the engine never shows through
+    the fingerprint.
 
     A node whose simulation raises is retried up to ``node_retries``
     times in place (immediately — the engine is deterministic, the
@@ -351,7 +384,7 @@ def _run_shard(item):
     """
     (
         fleet, node_ids, shard_index, ctx_wire,
-        chaos, node_retries, on_node_error, engine, attempt,
+        chaos, node_retries, on_node_error, attempt,
     ) = item
     if chaos is not None:
         chaos.on_shard_start(shard_index, attempt)
@@ -366,56 +399,21 @@ def _run_shard(item):
         with tracer.span(
             "shard",
             key=shard_index,
-            attrs={
-                "shard_index": shard_index,
-                "n_nodes": len(node_ids),
-                "engine": engine,
-            },
+            attrs={"shard_index": shard_index, "n_nodes": len(node_ids)},
         ):
-            if engine == "batch" and chaos is None:
-                from ..sim.batch import batch_ineligibility, simulate_batch
-
-                eligible = []
-                for node_id, spec in specs.items():
-                    graph = build_graph(spec.graph_kind)
-                    if batch_ineligibility(spec.policy, graph) is None:
-                        eligible.append((node_id, spec, graph))
-                if eligible:
-                    with tracer.span(
-                        "batch",
-                        key=shard_index,
-                        attrs={
-                            "shard_index": shard_index,
-                            "n_nodes": len(eligible),
-                        },
-                    ) as span:
-                        try:
-                            results = simulate_batch(
-                                [
-                                    _batch_case(
-                                        spec, graph, base, policy_of(spec)
-                                    )
-                                    for _, spec, graph in eligible
-                                ]
-                            )
-                        except KeyboardInterrupt:
-                            raise
-                        except Exception as exc:
-                            # Whole-batch failure: annotate and let the
-                            # per-node loop (with its retry/quarantine
-                            # machinery) re-run every covered node.
-                            span.annotate(
-                                failed=True,
-                                error_type=type(exc).__name__,
-                            )
-                        else:
-                            for (node_id, spec, graph), result in zip(
-                                eligible, results
-                            ):
-                                done[node_id] = _summarize(
-                                    spec, graph, result
-                                )
-                            span.annotate(n_batched=len(results))
+            if chaos is None:
+                try:
+                    done.update(
+                        simulate_shard_batch(
+                            fleet, base, specs.values(), policy_of,
+                            shard_index=shard_index,
+                        )
+                    )
+                except Exception:
+                    # Whole-batch failure (annotated on the batch
+                    # span): the per-node loop, with its
+                    # retry/quarantine machinery, re-runs every node.
+                    pass
             for node_id in node_ids:
                 if node_id in done:
                     continue
@@ -481,14 +479,6 @@ class FleetRunner:
     shard_size:
         Nodes per work item (default :func:`default_shard_size` of the
         nodes that run and the worker count).  Never affects results.
-    engine:
-        Shard executor (:data:`ENGINES`): ``"batch"`` (default)
-        advances every batch-eligible node of a shard through one
-        node-major :mod:`repro.sim.batch` engine and steps the rest
-        per node; ``"per-node"`` forces the scalar engine everywhere.
-        Bit-identical by contract, so it never affects results — only
-        nodes/s — and shard checkpoints are shared across engines.
-        Chaos runs always execute per node (faults key on node ids).
     cache:
         Shard-checkpoint store.  ``None`` uses the default artifact
         cache when caching is enabled (``REPRO_NO_CACHE`` unset);
@@ -519,7 +509,9 @@ class FleetRunner:
     exclude_nodes:
         Node ids to skip entirely — the tool for reproducing a
         degraded run's healthy subset fault-free.  Never affects the
-        summaries of the nodes that do run.
+        summaries of the nodes that do run.  An id outside
+        ``[0, spec.n_nodes)`` is a ``ValueError``: a mistyped subset
+        would otherwise run a different fleet without a word.
     """
 
     def __init__(
@@ -534,14 +526,9 @@ class FleetRunner:
         on_node_error: str = "quarantine",
         chaos: Optional[ChaosSpec] = None,
         exclude_nodes: Optional[Sequence[int]] = None,
-        engine: str = "batch",
     ) -> None:
         if shard_size is not None and shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-        if engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {engine!r}"
-            )
         if on_node_error not in ("quarantine", "fail"):
             raise ValueError(
                 "on_node_error must be 'quarantine' or 'fail', got "
@@ -567,12 +554,19 @@ class FleetRunner:
         self.exclude_nodes: FrozenSet[int] = frozenset(
             exclude_nodes or ()
         )
+        outside = sorted(
+            i for i in self.exclude_nodes if not 0 <= i < spec.n_nodes
+        )
+        if outside:
+            raise ValueError(
+                f"exclude_nodes {outside} outside the fleet's node ids "
+                f"0..{spec.n_nodes - 1}"
+            )
         self.shard_size = (
             int(shard_size)
             if shard_size is not None
             else default_shard_size(len(self._run_ids()), self.workers)
         )
-        self.engine = engine
 
     # ------------------------------------------------------------------
     def shards(self) -> List[Tuple[int, ...]]:
@@ -596,9 +590,6 @@ class FleetRunner:
         ]
 
     def _shard_digest(self, node_ids: Sequence[int]) -> str:
-        # Deliberately engine-independent: both executors are
-        # bit-identical (oracle-guarded), so a checkpoint written by
-        # either serves both.
         key = {
             "artifact": SHARD_KIND,
             "fleet": self.spec.describe(),
@@ -624,15 +615,15 @@ class FleetRunner:
         """
         return [
             FailedNode(
-                node_id=node_id,
-                policy=self.spec.node_spec(node_id).policy,
-                graph_kind=self.spec.node_spec(node_id).graph_kind,
+                node_id=spec.node_id,
+                policy=spec.policy,
+                graph_kind=spec.graph_kind,
                 error_type=failure.error_type,
                 message=f"shard failed: {failure.message}",
-                spec_digest=node_spec_digest(self.spec.node_spec(node_id)),
+                spec_digest=node_spec_digest(spec),
                 retries=failure.retries,
             )
-            for node_id in node_ids
+            for spec in map(self.spec.node_spec, node_ids)
         ]
 
     def _emit_quarantines(self, failed: Sequence[FailedNode]) -> None:
@@ -806,8 +797,7 @@ class FleetRunner:
             base_items = [
                 (
                     self.spec, shards[i], i, wire,
-                    plan, self.max_retries, self.on_node_error,
-                    self.engine, 0,
+                    plan, self.max_retries, self.on_node_error, 0,
                 )
                 for i in pending
             ]
@@ -875,7 +865,6 @@ class FleetRunner:
                 **self.spec.describe(),
                 "workers": self.workers,
                 "shard_size": self.shard_size,
-                "engine": self.engine,
                 "shards": len(shards),
                 "wall_time_s": wall,
                 "nodes_per_s": len(nodes) / wall if wall > 0 else 0.0,
@@ -906,31 +895,3 @@ class FleetRunner:
         )
         return result
 
-
-def run_fleet(
-    spec: FleetSpec,
-    workers: Optional[int] = None,
-    shard_size: Optional[int] = None,
-    cache=None,
-    observer: Optional[Observer] = None,
-    max_retries: int = 2,
-    task_timeout: Optional[float] = None,
-    on_node_error: str = "quarantine",
-    chaos: Optional[ChaosSpec] = None,
-    exclude_nodes: Optional[Sequence[int]] = None,
-    engine: str = "batch",
-) -> FleetResult:
-    """One-call convenience wrapper around :class:`FleetRunner`."""
-    return FleetRunner(
-        spec,
-        workers=workers,
-        shard_size=shard_size,
-        cache=cache,
-        observer=observer,
-        max_retries=max_retries,
-        task_timeout=task_timeout,
-        on_node_error=on_node_error,
-        chaos=chaos,
-        exclude_nodes=exclude_nodes,
-        engine=engine,
-    ).run()

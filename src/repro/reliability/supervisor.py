@@ -29,10 +29,12 @@ death-and-resume:
   ``(seed, index, attempt)``, never from wall-clock or a shared RNG,
   so two runs back off identically);
 - **per-task timeouts** — a task that exceeds ``task_timeout`` seconds
-  is charged an attempt and re-dispatched; the stuck worker cannot be
-  cancelled cooperatively, so the pool is rebuilt and every *innocent*
-  in-flight task is re-submitted without an attempt charge (straggler
-  re-submission);
+  is charged an attempt and re-dispatched.  At most one task per
+  worker is in flight, so the clock starts when a worker is free for
+  the task, never while it queues behind others.  The stuck worker
+  cannot be cancelled cooperatively, so the pool is rebuilt and every
+  *innocent* in-flight task is re-submitted without an attempt charge
+  (straggler re-submission);
 - **pool recovery** — a dying worker (``BrokenProcessPool``) rebuilds
   the pool and re-dispatches the in-flight tasks, each charged one
   attempt (this bounds a poison task that kills its worker every
@@ -477,7 +479,7 @@ class _Supervisor:
             while to_submit or inflight:
                 now = time.monotonic()
                 held: List[Tuple[int, int, float]] = []
-                while to_submit:
+                while to_submit and len(inflight) < workers:
                     index, attempt, not_before = to_submit.popleft()
                     if now < not_before:
                         held.append((index, attempt, not_before))

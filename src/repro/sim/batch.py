@@ -74,16 +74,17 @@ byte-for-byte.  The layout decisions that make this work:
 
 Eligibility: :func:`batch_ineligibility` names why a case cannot take
 the batched path (``dvfs``, too many tasks for the exact
-subset-enumeration table, a fault injector).  :func:`simulate_cases`
-dispatches — batched where possible, the per-node engine otherwise —
-so callers get one uniform entry point.
+subset-enumeration table).  This module runs eligible cases only; the
+fleet's shard executor (:func:`repro.fleet.runner.simulate_shard_batch`)
+is the one dispatcher, and it steps every other node on the per-node
+engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,7 +110,6 @@ __all__ = [
     "BatchCase",
     "batch_ineligibility",
     "simulate_batch",
-    "simulate_cases",
 ]
 
 #: Policies the batched core implements (same decision rules as the
@@ -142,9 +142,6 @@ class BatchCase:
     capacitors: Tuple[SuperCapacitor, ...]
     policy: str
     scheduler_seed: int = 0
-    #: Present only so dispatchers can carry fault-scenario cases; a
-    #: non-None injector always routes to the per-node engine.
-    fault_injector: object = None
     #: ``proposed`` only: the offline stage's
     #: :class:`~repro.core.offline.TrainedPolicy` (anything with
     #: ``make_scheduler()`` and ``switch_threshold``, the ``E_th`` of
@@ -153,15 +150,11 @@ class BatchCase:
 
 
 def batch_ineligibility(
-    policy: str,
-    graph: Optional[TaskGraph],
-    fault_injector: object = None,
+    policy: str, graph: Optional[TaskGraph]
 ) -> Optional[str]:
     """Why a case cannot take the batched path; ``None`` when it can."""
     if policy not in BATCH_POLICIES:
         return f"policy {policy!r} not batched"
-    if fault_injector is not None:
-        return "fault injection is per-node"
     if graph is not None and len(graph) > MAX_BATCH_TASKS:
         return f"{len(graph)} tasks exceeds MAX_BATCH_TASKS"
     return None
@@ -184,62 +177,16 @@ def simulate_batch(cases: Sequence[BatchCase]) -> List[SimulationResult]:
     """Simulate every case in one node-major batch; results in order.
 
     Every case must be batch-eligible (see :func:`batch_ineligibility`)
-    and share one timeline; use :func:`simulate_cases` for transparent
-    per-node fallback.
+    and share one timeline.
     """
     cases = list(cases)
     if not cases:
         return []
     for i, case in enumerate(cases):
-        reason = batch_ineligibility(
-            case.policy, case.graph, case.fault_injector
-        )
+        reason = batch_ineligibility(case.policy, case.graph)
         if reason is not None:
             raise ValueError(f"case {i} is not batch-eligible: {reason}")
     return _BatchEngine(cases).run()
-
-
-def simulate_cases(cases: Sequence[BatchCase]) -> List[SimulationResult]:
-    """Batch the eligible cases, per-node the rest; results in order."""
-    cases = list(cases)
-    eligible = [
-        i for i, c in enumerate(cases)
-        if batch_ineligibility(c.policy, c.graph, c.fault_injector) is None
-    ]
-    results: Dict[int, SimulationResult] = {}
-    if eligible:
-        for i, res in zip(
-            eligible, simulate_batch([cases[i] for i in eligible])
-        ):
-            results[i] = res
-    for i, case in enumerate(cases):
-        if i not in results:
-            results[i] = _simulate_per_node(case)
-    return [results[i] for i in range(len(cases))]
-
-
-def _simulate_per_node(case: BatchCase) -> SimulationResult:
-    """Per-node reference path for ineligible cases (and the oracle)."""
-    from ..node.node import SensorNode
-    from .engine import simulate
-
-    scheduler = make_scheduler(
-        case.policy, case.scheduler_seed, case.trained
-    )
-    node_kwargs = {}
-    if case.trained is not None:
-        node_kwargs["switch_threshold"] = case.trained.switch_threshold
-    node = SensorNode(
-        list(case.capacitors), num_nvps=case.graph.num_nvps, **node_kwargs
-    )
-    return simulate(
-        node,
-        case.graph,
-        case.trace,
-        scheduler,
-        strict=False,
-        fault_injector=case.fault_injector,
-    )
 
 
 #: Per-row task/position sets are uint16 bitmasks, bit ``j`` standing

@@ -573,15 +573,18 @@ def oracle_batch_vs_per_node(
     Simulates ``n_nodes`` heterogeneous fleet nodes (every fleet
     policy, ``proposed`` with the fleet's small training budget, and
     mixed bank sizes and panel scales — the ``fleet_variations``
-    population of the seed) once through the node-major batched engine
-    (:func:`~repro.fleet.runner.simulate_shard_batch`) and once
-    through the scalar per-node engine, then compares the complete
-    :class:`~repro.fleet.result.NodeSummary` of every node — the
-    fingerprint and each derived metric.  Any mismatch is reported as
+    population of the seed) through the fleet's own shard executor,
+    :func:`~repro.fleet.runner.simulate_shard_batch`, and compares the
+    complete :class:`~repro.fleet.result.NodeSummary` of every batched
+    node — the fingerprint and each derived metric — with
+    :func:`~repro.fleet.runner.simulate_node`'s.  A node the executor
+    leaves out must be batch-ineligible.  Any mismatch is reported as
     one Violation per offending node, naming its index and config.
     """
     from ..fleet.runner import simulate_node, simulate_shard_batch
     from ..fleet.spec import FLEET_POLICIES, FleetSpec
+    from ..sim.batch import batch_ineligibility
+    from .strategies import build_graph
 
     out = CheckOutcome(name="oracle/batch-vs-per-node", subject=label)
     fleet = FleetSpec(n_nodes=n_nodes, seed=seed, policies=FLEET_POLICIES)
@@ -589,7 +592,28 @@ def oracle_batch_vs_per_node(
     specs = [fleet.node_spec(i) for i in range(n_nodes)]
     batched = simulate_shard_batch(fleet, base, specs)
     out.checked = n_nodes
-    for spec, got in zip(specs, batched):
+    for spec in specs:
+        got = batched.get(spec.node_id)
+        if got is None:
+            reason = batch_ineligibility(
+                spec.policy, build_graph(spec.graph_kind)
+            )
+            if reason is None:
+                out.violations.append(
+                    Violation(
+                        check=out.name,
+                        message=(
+                            f"batch-eligible node {spec.node_id} was "
+                            "not batched"
+                        ),
+                        details={
+                            "node_id": spec.node_id,
+                            "policy": spec.policy,
+                            "graph_kind": spec.graph_kind,
+                        },
+                    )
+                )
+            continue
         want = simulate_node(fleet, base, spec)
         if got == want:
             continue

@@ -3,8 +3,7 @@
 The batched engine's contract is *bit-identity* with the per-node
 scalar engine — not statistical agreement.  This suite pins it:
 
-- differential conformance over the 4 canonical solar days, all 7
-  runtime fault scenarios (via the dispatcher's per-node fallback) and
+- differential conformance over the 4 canonical solar days and
   heterogeneous ``fleet_variations`` populations;
 - ``proposed`` rows (trained DBN and scripted coarse stages) beside
   the baseline rows: Eq. (22) switches accepted and refused, δ-fallback
@@ -27,11 +26,17 @@ from repro import DEFAULT_BANK_FARADS, quick_node
 from repro.core.offline import OfflinePipeline
 from repro.core.online import CoarsePolicy, ProposedScheduler
 from repro.energy.capacitor import SuperCapacitor
-from repro.fleet import FleetRunner, FleetSpec, simulate_node, simulate_shard_batch
+from repro.fleet import (
+    FleetResult,
+    FleetRunner,
+    FleetSpec,
+    simulate_node,
+    simulate_shard_batch,
+)
+from repro.fleet.runner import _simulate_case
 from repro.node.node import SensorNode
 from repro.obs import Observer
-from repro.reliability import RUNTIME_SCENARIOS, FaultInjector, runtime_scenario
-from repro.schedulers import GreedyEDFScheduler, IntraTaskScheduler
+from repro.schedulers import IntraTaskScheduler
 from repro.sim import result_fingerprint
 from repro.sim.batch import (
     BATCH_POLICIES,
@@ -39,7 +44,6 @@ from repro.sim.batch import (
     BatchCase,
     batch_ineligibility,
     simulate_batch,
-    simulate_cases,
 )
 from repro.sim.engine import simulate
 from repro.solar import four_day_trace, synthetic_trace
@@ -138,11 +142,7 @@ def _case_from_variation(var, trace):
 
 def _per_node_reference(case):
     """The scalar engine run the batched result must match bit-for-bit."""
-    from repro.sim.batch import _simulate_per_node
-
-    return _simulate_per_node(
-        dataclasses.replace(case)
-    )
+    return _simulate_case(dataclasses.replace(case))
 
 
 def _assert_identical(batched, reference, label=""):
@@ -177,51 +177,6 @@ class TestCanonicalConformance:
             )
             _assert_identical(batched, reference, f"canonical-day{day + 1}")
 
-    def test_all_fault_scenarios_via_dispatcher(self):
-        """Fault cases route per-node; the dispatcher must not disturb
-        them and must interleave them correctly with batched cases."""
-        graph = paper_benchmarks()["WAM"]
-        tl = Timeline(1, 24, 20, 30.0)
-        trace = synthetic_trace(tl, seed=3)
-        cases = []
-        for scenario in sorted(RUNTIME_SCENARIOS):
-            cases.append(
-                BatchCase(
-                    graph=graph,
-                    trace=trace,
-                    capacitors=_default_bank(),
-                    policy="asap",
-                    fault_injector=FaultInjector(
-                        runtime_scenario(scenario, tl, seed=0), tl
-                    ),
-                )
-            )
-            # Interleave an eligible case so batched/per-node results
-            # must reassemble in input order.
-            cases.append(
-                BatchCase(
-                    graph=graph, trace=trace,
-                    capacitors=_default_bank(), policy="asap",
-                )
-            )
-        results = simulate_cases(cases)
-        assert len(results) == len(cases)
-        for scenario, batched in zip(sorted(RUNTIME_SCENARIOS), results[::2]):
-            reference = simulate(
-                quick_node(graph), graph, trace, GreedyEDFScheduler(),
-                strict=False,
-                fault_injector=FaultInjector(
-                    runtime_scenario(scenario, tl, seed=0), tl
-                ),
-            )
-            _assert_identical(batched, reference, f"fault-{scenario}")
-        clean = simulate(
-            quick_node(graph), graph, trace, GreedyEDFScheduler(),
-            strict=False,
-        )
-        for batched in results[1::2]:
-            _assert_identical(batched, clean, "interleaved-clean")
-
     def test_heterogeneous_fleet_population(self):
         """Mixed policies, banks, panel scales: the fleet shard adapter
         equals a simulate_node map, summary for summary."""
@@ -229,10 +184,11 @@ class TestCanonicalConformance:
         base = fleet.base_trace()
         specs = [fleet.node_spec(i) for i in range(fleet.n_nodes)]
         batched = simulate_shard_batch(fleet, base, specs)
-        for spec, got in zip(specs, batched):
-            assert got == simulate_node(fleet, base, spec), (
-                f"node {spec.node_id} ({spec.policy}/{spec.graph_kind})"
-            )
+        assert set(batched) == {s.node_id for s in specs}
+        for spec in specs:
+            assert batched[spec.node_id] == simulate_node(
+                fleet, base, spec
+            ), f"node {spec.node_id} ({spec.policy}/{spec.graph_kind})"
 
 
 class TestDegenerateShapes:
@@ -299,9 +255,6 @@ class TestEligibility:
         assert batch_ineligibility("asap", graph) is None
         assert "not batched" in batch_ineligibility("dvfs", graph)
         assert batch_ineligibility("proposed", graph) is None
-        assert "per-node" in batch_ineligibility(
-            "asap", graph, fault_injector=object()
-        )
         wide = TaskGraph(
             [
                 Task(f"t{i}", 60.0, 600.0, 0.01, nvp=0)
@@ -658,17 +611,12 @@ class TestOracleTeeth:
 # ----------------------------------------------------------------------
 class TestFleetEngines:
     def test_engine_fingerprints_identical(self):
+        """The runner's shard executor (batched where eligible) equals
+        the per-node reference mapped over every node."""
         spec = FleetSpec(n_nodes=24, seed=9)
-        batch = FleetRunner(
-            spec, workers=1, cache=False, engine="batch"
-        ).run()
-        per_node = FleetRunner(
-            spec, workers=1, cache=False, engine="per-node"
-        ).run()
-        assert batch.fingerprint() == per_node.fingerprint()
-        assert batch.config["engine"] == "batch"
-        assert per_node.config["engine"] == "per-node"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            FleetRunner(FleetSpec(n_nodes=2, seed=0), engine="warp")
+        base = spec.base_trace()
+        fleet = FleetRunner(spec, workers=1, cache=False).run()
+        per_node = FleetResult(
+            [simulate_node(spec, base, s) for s in spec.node_specs()]
+        )
+        assert fleet.fingerprint() == per_node.fingerprint()

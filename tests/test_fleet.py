@@ -17,7 +17,6 @@ from repro.fleet import (
     NodeSummary,
     default_shard_size,
     node_trace,
-    run_fleet,
     simulate_node,
 )
 from repro.obs import Observer
@@ -246,11 +245,11 @@ class TestFleetResult:
 # ----------------------------------------------------------------------
 class TestFleetRunner:
     def test_fingerprint_invariant_to_workers_and_shards(self):
-        reference = run_fleet(SMALL, workers=1, cache=False)
+        reference = FleetRunner(SMALL, workers=1, cache=False).run()
         for workers, shard_size in ((1, 3), (4, 2), (2, None)):
-            again = run_fleet(
+            again = FleetRunner(
                 SMALL, workers=workers, shard_size=shard_size, cache=False
-            )
+            ).run()
             assert again.fingerprint() == reference.fingerprint(), (
                 f"workers={workers} shard_size={shard_size}"
             )
@@ -292,7 +291,7 @@ class TestFleetRunner:
         spec = FleetSpec(n_nodes=96, seed=3)
         default = FleetRunner(spec, workers=1, cache=False)
         assert default.shard_size == 48
-        narrow = run_fleet(spec, workers=1, shard_size=32, cache=False)
+        narrow = FleetRunner(spec, workers=1, shard_size=32, cache=False).run()
         assert default.run().fingerprint() == narrow.fingerprint()
 
     def test_shard_checkpoints_hit_on_rerun(self, tmp_path):
@@ -366,12 +365,12 @@ class TestFleetRunner:
         spec = FleetSpec(
             n_nodes=3, seed=0, policies=("proposed",), task_mix=("wam",)
         )
-        result = run_fleet(spec, workers=1, cache=False)
+        result = FleetRunner(spec, workers=1, cache=False).run()
         assert all(n.policy == "proposed" for n in result.nodes)
         # One distinct workload -> exactly one trained-policy artifact.
         policies = list((tmp_path / "cache" / "policy").glob("*.pkl"))
         assert len(policies) == 1
-        again = run_fleet(spec, workers=1, cache=False)
+        again = FleetRunner(spec, workers=1, cache=False).run()
         assert again.fingerprint() == result.fingerprint()
 
 
@@ -392,10 +391,14 @@ class TestFleetRunner:
         spec = FleetSpec(
             n_nodes=4, seed=0, policies=("proposed",), task_mix=("wam",)
         )
-        one_shard = run_fleet(spec, workers=1, shard_size=4, cache=False)
+        one_shard = FleetRunner(
+            spec, workers=1, shard_size=4, cache=False
+        ).run()
         assert len(calls) == 1
         calls.clear()
-        two_shards = run_fleet(spec, workers=1, shard_size=2, cache=False)
+        two_shards = FleetRunner(
+            spec, workers=1, shard_size=2, cache=False
+        ).run()
         assert len(calls) == 2
         assert one_shard.fingerprint() == two_shards.fingerprint()
         base = spec.base_trace()
@@ -406,8 +409,12 @@ class TestFleetRunner:
     def test_policy_loaded_once_per_workload_per_shard(
         self, tmp_path, monkeypatch
     ):
-        """Every proposed node of a shard shares one policy load."""
+        """Every proposed node of a shard shares one policy load,
+        batched or stepped per node."""
         from repro.perf.cache import ArtifactCache
+        import repro.fleet.runner as fleet_runner
+        import repro.sim.batch as sim_batch
+        from repro.reliability.chaos import ChaosPlan
 
         monkeypatch.delenv("REPRO_NO_CACHE")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -422,12 +429,32 @@ class TestFleetRunner:
         spec = FleetSpec(
             n_nodes=4, seed=0, policies=("proposed",), task_mix=("wam",)
         )
-        for engine in ("batch", "per-node"):
-            gets.clear()
-            run_fleet(
-                spec, workers=1, shard_size=4, cache=False, engine=engine
-            )
-            assert gets == ["policy"], engine
+        batched = FleetRunner(spec, workers=1, shard_size=4, cache=False)
+        reference = batched.run()
+        assert gets == ["policy"]
+
+        # A chaos plan (even an empty one) steps every node per node.
+        # Chaos runs force a pool, so drive the shard in-process.
+        gets.clear()
+        summaries, failed, _, _ = fleet_runner._run_shard(
+            (spec, list(range(4)), 0, None, ChaosPlan(), 0,
+             "quarantine", 0)
+        )
+        assert gets == ["policy"]
+        assert not failed and summaries == reference.nodes
+
+        # A whole-batch failure falls back to the per-node loop, which
+        # reuses the shard's load.
+        def broken(cases):
+            raise RuntimeError("batched engine down")
+
+        monkeypatch.setattr(sim_batch, "simulate_batch", broken)
+        gets.clear()
+        fallback = FleetRunner(
+            spec, workers=1, shard_size=4, cache=False
+        ).run()
+        assert gets == ["policy"]
+        assert fallback.fingerprint() == reference.fingerprint()
 
 
 class TestFleetAggregateIntegration:
@@ -512,13 +539,38 @@ class TestFleetSoak:
     def test_acceptance_200_nodes_worker_invariant(self):
         """The ISSUE acceptance check, in-process."""
         spec = FleetSpec(n_nodes=200, seed=0)
-        serial = run_fleet(spec, workers=1, cache=False)
-        pooled = run_fleet(spec, workers=4, cache=False)
+        serial = FleetRunner(spec, workers=1, cache=False).run()
+        pooled = FleetRunner(spec, workers=4, cache=False).run()
         assert serial.fingerprint() == pooled.fingerprint()
         assert len(serial) == 200
         summary = serial.summary()
         assert 0.0 <= summary["mean_dmr"] <= 1.0
         assert set(serial.by_policy()) <= set(FLEET_POLICIES)
+
+    @pytest.mark.parametrize(
+        "policies",
+        [None, ("random", "intra-task"), ("proposed", "intra-task")],
+        ids=["default", "random-intra", "proposed-intra"],
+    )
+    def test_200_nodes_equal_per_node_reference(
+        self, policies, tmp_path, monkeypatch
+    ):
+        """The runner (batched where eligible) gives the fingerprint of
+        the per-node engine mapped over every node.  ``random`` and
+        ``intra-task`` rows are the batched decision code furthest from
+        the per-node schedulers (draw buffers, subset tables);
+        ``proposed`` rows add the per-row DBN coarse stage and
+        capacitor switches."""
+        monkeypatch.delenv("REPRO_NO_CACHE")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        kwargs = {"policies": policies} if policies else {}
+        spec = FleetSpec(n_nodes=200, seed=0, **kwargs)
+        base = spec.base_trace()
+        fleet = FleetRunner(spec, workers=1, cache=False).run()
+        per_node = FleetResult(
+            [simulate_node(spec, base, s) for s in spec.node_specs()]
+        )
+        assert fleet.fingerprint() == per_node.fingerprint()
 
     def test_all_policies_all_workloads(self):
         """Every policy and every named workload simulates cleanly."""
@@ -528,6 +580,6 @@ class TestFleetSoak:
             policies=FLEET_POLICIES,
             task_mix=FLEET_TASK_MIX,
         )
-        result = run_fleet(spec, workers=1, cache=False)
+        result = FleetRunner(spec, workers=1, cache=False).run()
         assert len(result) == 24
         assert all(0.0 <= n.dmr <= 1.0 for n in result.nodes)

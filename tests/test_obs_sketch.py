@@ -153,11 +153,14 @@ class TestFixedHistogram:
     def test_quantile_error_bounded_by_bin_width(self, values, q):
         hist = hist_of(values, bins=16)
         estimate = hist.quantile(q)
-        # The documented bound is vs the nearest-rank sample (numpy's
-        # method="lower"), not the interpolated percentile — with two
-        # samples {0, 1} the interpolated median falls in an empty bin
-        # no histogram sketch could point at.
-        exact = float(np.percentile(values, 100.0 * q, method="lower"))
+        # The documented bound is vs the nearest-rank sample
+        # sorted(values)[floor(q * (n - 1))], not the interpolated
+        # percentile — with two samples {0, 1} the interpolated median
+        # falls in an empty bin no histogram sketch could point at.
+        # Computed from q directly: numpy's percentile path (100 * q,
+        # then / 100) can round the rank across an integer, e.g.
+        # q = 0.3333333333333333 with n = 4 picks rank 0, not 1.
+        exact = sorted(values)[math.floor(q * (len(values) - 1))]
         assert abs(estimate - exact) <= hist.bin_width + 1e-12
         assert hist.min <= estimate <= hist.max
 

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.fleet import FailedNode, FleetResult, FleetSpec, run_fleet
+from repro.fleet import FailedNode, FleetResult, FleetSpec
 from repro.fleet.runner import SHARD_KIND, FleetRunner
 from repro.obs import Observer, RingBufferSink
 from repro.perf.cache import ArtifactCache
@@ -84,6 +84,11 @@ def _hang_first_attempt(payload):
     if x == 2 and attempt == 0:
         time.sleep(60)
     return x * 2
+
+
+def _sleep_half_second(x):
+    time.sleep(0.5)
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +292,21 @@ class TestPoolSupervision:
         assert sup.results == [0, None, 4]
         assert [f.index for f in sup.failures] == [1]
 
+    def test_queued_task_not_charged_for_its_wait(self):
+        # Four 0.5 s tasks on one worker under a 1 s budget: each runs
+        # well inside it, though the last one starts 1.5 s after the
+        # map began.  Charging queue time would time tasks 1-3 out.
+        sup = supervised_map(
+            _sleep_half_second, list(range(4)),
+            policy=SupervisorPolicy(
+                task_timeout=1.0, max_retries=0, on_error="quarantine",
+                **NO_BACKOFF,
+            ),
+            n_workers=1,
+        )
+        assert sup.results == [0, 1, 2, 3]
+        assert sup.timeouts == 0 and sup.ok
+
     def test_timeout_forces_pool_on_serial_plan(self):
         # One worker on (possibly) one CPU would plan serial; a
         # timeout policy must force process isolation anyway.
@@ -426,21 +446,21 @@ class TestDegradedFleet:
         saved = os.environ.get("REPRO_NO_CACHE")
         os.environ["REPRO_NO_CACHE"] = "1"
         try:
-            degraded_1w = run_fleet(
+            degraded_1w = FleetRunner(
                 FLEET, workers=1, shard_size=8, chaos=CHAOS,
                 task_timeout=1.25,
-            )
-            degraded_4w = run_fleet(
+            ).run()
+            degraded_4w = FleetRunner(
                 FLEET, workers=4, shard_size=8, chaos=CHAOS,
                 task_timeout=1.25,
-            )
+            ).run()
             quarantined = sorted(
                 f.node_id for f in degraded_1w.failed_nodes
             )
-            clean_subset = run_fleet(
+            clean_subset = FleetRunner(
                 FLEET, workers=1, shard_size=8,
                 exclude_nodes=quarantined,
-            )
+            ).run()
         finally:
             if saved is None:
                 os.environ.pop("REPRO_NO_CACHE", None)
@@ -493,34 +513,40 @@ class TestDegradedFleet:
 class TestFleetFailurePolicies:
     def test_on_node_error_fail_aborts(self):
         with pytest.raises(SupervisorError):
-            run_fleet(
+            FleetRunner(
                 FleetSpec(n_nodes=6, seed=0, days=1),
                 workers=1, shard_size=3,
                 chaos=ChaosSpec(seed=1, poison_nodes=1),
                 on_node_error="fail",
-            )
+            ).run()
 
     def test_all_nodes_failed_raises(self):
         with pytest.raises(SupervisorError):
-            run_fleet(
+            FleetRunner(
                 FleetSpec(n_nodes=3, seed=0, days=1),
                 workers=1, shard_size=3,
                 chaos=ChaosSpec(seed=1, poison_nodes=3),
-            )
+            ).run()
 
     def test_rejects_bad_on_node_error(self):
         with pytest.raises(ValueError):
             FleetRunner(FLEET, on_node_error="shrug")
 
+    @pytest.mark.parametrize("bad", [[7], [-1], [0, 4]])
+    def test_rejects_exclude_nodes_outside_fleet(self, bad):
+        spec = FleetSpec(n_nodes=4, seed=0, days=1)
+        with pytest.raises(ValueError, match="outside the fleet"):
+            FleetRunner(spec, exclude_nodes=bad)
+
     def test_node_quarantined_events(self):
         ring = RingBufferSink(capacity=256)
         obs = Observer(sinks=[ring])
-        result = run_fleet(
+        result = FleetRunner(
             FleetSpec(n_nodes=6, seed=0, days=1),
             workers=1, shard_size=3,
             chaos=ChaosSpec(seed=1, poison_nodes=1),
             observer=obs,
-        )
+        ).run()
         events = ring.of_kind("node_quarantined")
         assert len(events) == 1
         assert events[0]["node_id"] == result.failed_nodes[0].node_id
@@ -530,11 +556,11 @@ class TestFleetFailurePolicies:
 
 class TestFailedNodeRoundTrip:
     def test_json_round_trip(self, tmp_path):
-        result = run_fleet(
+        result = FleetRunner(
             FleetSpec(n_nodes=6, seed=0, days=1),
             workers=1, shard_size=3,
             chaos=ChaosSpec(seed=1, poison_nodes=1),
-        )
+        ).run()
         path = result.write_json(tmp_path / "fleet.json")
         loaded = FleetResult.load_json(path)
         assert loaded.degraded
@@ -543,9 +569,9 @@ class TestFailedNodeRoundTrip:
         assert loaded.summary()["failed_nodes"] == 1
 
     def test_duplicate_ids_across_healthy_and_failed_rejected(self):
-        result = run_fleet(
+        result = FleetRunner(
             FleetSpec(n_nodes=4, seed=0, days=1), workers=1
-        )
+        ).run()
         dup = FailedNode(
             node_id=result.nodes[0].node_id, policy="asap",
             graph_kind="WAM", error_type="X", message="",
@@ -563,7 +589,7 @@ class TestShardCheckpointRecovery:
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         cache = ArtifactCache(tmp_path / "cache")
         spec = FleetSpec(n_nodes=6, seed=0, days=1)
-        first = run_fleet(spec, workers=1, shard_size=3, cache=cache)
+        first = FleetRunner(spec, workers=1, shard_size=3, cache=cache).run()
 
         # Corrupt one checkpoint two ways: garbage bytes, and a valid
         # pickle of the wrong shape (a formatting migration gone bad).
@@ -576,7 +602,7 @@ class TestShardCheckpointRecovery:
             pickle.dumps({"not": "a shard"})
         )
 
-        second = run_fleet(spec, workers=1, shard_size=3, cache=cache)
+        second = FleetRunner(spec, workers=1, shard_size=3, cache=cache).run()
         assert second.fingerprint() == first.fingerprint()
 
     def test_legacy_list_checkpoints_still_load(self, tmp_path,
@@ -584,7 +610,7 @@ class TestShardCheckpointRecovery:
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         cache = ArtifactCache(tmp_path / "cache")
         spec = FleetSpec(n_nodes=6, seed=0, days=1)
-        first = run_fleet(spec, workers=1, shard_size=3, cache=cache)
+        first = FleetRunner(spec, workers=1, shard_size=3, cache=cache).run()
 
         # Rewrite every checkpoint in the pre-supervision format (a
         # bare summary list, no failure channel).
@@ -597,7 +623,7 @@ class TestShardCheckpointRecovery:
             assert failed == []
             cache.put(SHARD_KIND, digest, summaries)
 
-        second = run_fleet(spec, workers=1, shard_size=3, cache=cache)
+        second = FleetRunner(spec, workers=1, shard_size=3, cache=cache).run()
         assert second.fingerprint() == first.fingerprint()
 
     def test_chaos_digest_isolated_from_clean_cache(self, tmp_path):
@@ -654,7 +680,7 @@ class TestCacheWriteFailure:
             "REPRO_CACHE_DIR", str(self._broken_cache_root(tmp_path))
         )
         spec = FleetSpec(n_nodes=4, seed=0, days=1)
-        result = run_fleet(spec, workers=1, shard_size=2)
+        result = FleetRunner(spec, workers=1, shard_size=2).run()
         assert len(result.nodes) == 4 and not result.degraded
 
 
@@ -706,6 +732,12 @@ class TestFleetCLIDegraded:
             if line.startswith("fingerprint:")
         ][0].split()[-1]
         assert fp_clean == fp_degraded
+
+    def test_out_of_range_exclude_nodes_exits_2(self):
+        code, _ = _run_cli(
+            "fleet", "run", "--nodes", "4", "--exclude-nodes", "7",
+        )
+        assert code == 2
 
     def test_on_node_error_fail_exits_4(self):
         code, _ = _run_cli(

@@ -2,9 +2,9 @@
 
 The acceptance contract: a multi-worker fleet run's span records
 reassemble into a *single rooted tree* — fleet_run → shard → node →
-engine_run with the per-node executor, fleet_run → shard → batch with
-the batched one — with correct parents, no orphans, and tracing never
-changes a result fingerprint (on, off, or NULL_OBSERVER).
+engine_run for nodes stepped per node (``dvfs``), fleet_run → shard →
+batch for batched ones — with correct parents, no orphans, and tracing
+never changes a result fingerprint (on, off, or NULL_OBSERVER).
 """
 
 import io
@@ -213,13 +213,14 @@ class TestFleetTrace:
         }
         engines = [r for r in spans if r["name"] == "engine_run"]
         assert len(engines) == n_nodes
+        # A shard with nothing to batch opens no `batch` span.
+        assert not [r for r in spans if r["name"] == "batch"]
 
     def test_serial_run_builds_single_tree(self):
         observer, sink = collecting_observer()
-        spec = FleetSpec(n_nodes=6, seed=0)
+        spec = FleetSpec(n_nodes=6, seed=0, policies=("dvfs",))
         FleetRunner(
-            spec, workers=1, shard_size=2, observer=observer, cache=False,
-            engine="per-node",
+            spec, workers=1, shard_size=2, observer=observer, cache=False
         ).run()
         self.assert_fleet_tree(spans_of(sink), n_nodes=6)
 
@@ -230,8 +231,7 @@ class TestFleetTrace:
         observer, sink = collecting_observer()
         spec = FleetSpec(n_nodes=6, seed=0)
         FleetRunner(
-            spec, workers=1, shard_size=2, observer=observer, cache=False,
-            engine="batch",
+            spec, workers=1, shard_size=2, observer=observer, cache=False
         ).run()
         spans = spans_of(sink)
         tree = build_span_tree(spans)
@@ -239,6 +239,7 @@ class TestFleetTrace:
         batches = [r for r in spans if r["name"] == "batch"]
         shards = [r for r in spans if r["name"] == "shard"]
         assert len(batches) == len(shards) == 3
+        assert sum(r["attrs"]["n_batched"] for r in batches) == 6
         by_id = tree.by_id
         assert {by_id[str(r["parent"])]["name"] for r in batches} == {
             "shard"
@@ -248,17 +249,14 @@ class TestFleetTrace:
     def test_four_workers_fifty_nodes_single_tree(self, monkeypatch):
         monkeypatch.setattr(supervisor, "host_cpus", lambda: 8)
         observer, sink = collecting_observer()
-        spec = FleetSpec(n_nodes=50, seed=0)
+        spec = FleetSpec(n_nodes=50, seed=0, policies=("dvfs",))
         traced = FleetRunner(
-            spec, workers=4, shard_size=8, observer=observer, cache=False,
-            engine="per-node",
+            spec, workers=4, shard_size=8, observer=observer, cache=False
         ).run()
         self.assert_fleet_tree(spans_of(sink), n_nodes=50)
         # Tracing must not perturb the simulation: bit-identical
         # fingerprints with tracing on, off, and fully unobserved.
-        plain = FleetRunner(
-            spec, workers=4, shard_size=8, cache=False, engine="per-node"
-        ).run()
+        plain = FleetRunner(spec, workers=4, shard_size=8, cache=False).run()
         serial = FleetRunner(
             spec, workers=1, shard_size=50, cache=False
         ).run()
