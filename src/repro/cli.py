@@ -61,12 +61,13 @@ subcommand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 from . import quick_node
 from .obs import (
@@ -526,42 +527,68 @@ def _cmd_simulate(args, out) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _perf_env(no_cache: bool, workers: Optional[int] = None) -> Iterator[None]:
+    """Export ``--no-cache``/``--workers`` as ``REPRO_NO_CACHE``/
+    ``REPRO_WORKERS`` for one command.
+
+    Every helper (the disk cache, the worker pool, pool children) reads
+    the knobs from the environment, so no argument is threaded through
+    each figure module.  The previous values, or their absence, are
+    restored on every exit path: an in-process :func:`main` call leaves
+    the environment as it found it.
+    """
+    values: Dict[str, str] = {}
+    if no_cache:
+        values["REPRO_NO_CACHE"] = "1"
+    if workers is not None:
+        values["REPRO_WORKERS"] = str(workers)
+    previous = {key: os.environ.get(key) for key in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for key, value in previous.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
 def _cmd_experiment(args, out) -> int:
     from pathlib import Path
 
     from .experiments.common import write_experiment_manifest
 
-    # Propagate the perf knobs through the environment so every helper
-    # (train_policy's disk cache, evaluation_suite's worker pool) sees
-    # them without threading arguments through each figure module.
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {args.workers}")
-        os.environ["REPRO_WORKERS"] = str(args.workers)
-    if args.no_cache:
-        os.environ["REPRO_NO_CACHE"] = "1"
+    if args.workers is not None and args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
 
     names = list(EXPERIMENTS) if args.name == "all" else [args.name]
     failed = 0
-    for name in names:
-        run, checks = EXPERIMENTS[name]
-        t0 = time.perf_counter()
-        table = run()
-        wall = time.perf_counter() - t0
-        print(table.render(), file=out)
-        if args.results_dir:
-            results_dir = Path(args.results_dir)
-            results_dir.mkdir(parents=True, exist_ok=True)
-            (results_dir / f"{name}.txt").write_text(table.render() + "\n")
-            path = write_experiment_manifest(
-                name, table, results_dir, wall_time_s=wall
-            )
-            logger.info("wrote experiment manifest to %s", path)
-            print(f"manifest: {path}", file=out)
-        for check, ok, detail in checks(table):
-            if not ok:
-                failed += 1
-                print(f"check failed: {name}.{check}: {detail}", file=out)
+    with _perf_env(args.no_cache, args.workers):
+        for name in names:
+            run, checks = EXPERIMENTS[name]
+            t0 = time.perf_counter()
+            table = run()
+            wall = time.perf_counter() - t0
+            print(table.render(), file=out)
+            if args.results_dir:
+                results_dir = Path(args.results_dir)
+                results_dir.mkdir(parents=True, exist_ok=True)
+                (results_dir / f"{name}.txt").write_text(
+                    table.render() + "\n"
+                )
+                path = write_experiment_manifest(
+                    name, table, results_dir, wall_time_s=wall
+                )
+                logger.info("wrote experiment manifest to %s", path)
+                print(f"manifest: {path}", file=out)
+            for check, ok, detail in checks(table):
+                if not ok:
+                    failed += 1
+                    print(
+                        f"check failed: {name}.{check}: {detail}", file=out
+                    )
     return 6 if failed else 0
 
 
@@ -708,8 +735,6 @@ def _cmd_fleet(args, out) -> int:
             p.strip() for p in args.policies.split(",") if p.strip()
         )
     spec = FleetSpec(**spec_kwargs)
-    if args.no_cache:
-        os.environ["REPRO_NO_CACHE"] = "1"
 
     chaos = None
     if args.chaos_poison or args.chaos_hangs or args.chaos_kills:
@@ -739,17 +764,18 @@ def _cmd_fleet(args, out) -> int:
 
     t0 = time.perf_counter()
     try:
-        result = FleetRunner(
-            spec,
-            workers=args.workers,
-            shard_size=args.shard_size,
-            observer=observer,
-            max_retries=args.max_retries,
-            task_timeout=args.task_timeout,
-            on_node_error=args.on_node_error,
-            chaos=chaos,
-            exclude_nodes=exclude,
-        ).run()
+        with _perf_env(args.no_cache):
+            result = FleetRunner(
+                spec,
+                workers=args.workers,
+                shard_size=args.shard_size,
+                observer=observer,
+                max_retries=args.max_retries,
+                task_timeout=args.task_timeout,
+                on_node_error=args.on_node_error,
+                chaos=chaos,
+                exclude_nodes=exclude,
+            ).run()
     except KeyboardInterrupt:
         # The supervisor has already torn the pool down on the way
         # out; flush what the run produced so far and say so.

@@ -14,7 +14,6 @@ from .longterm import (
     TrainingSample,
     trace_period_matrix,
 )
-from .lut import LookupTable, LUTEntry, solar_classes
 from .features import ALPHA_SCALE, FeatureCodec
 from .ann import DBN, RBM, HeadSpec, MultiHeadMLP
 from .online import (
@@ -27,7 +26,6 @@ from .online import (
     NearestSamplePolicy,
     ProposedScheduler,
     close_subset,
-    fine_grained_decision,
     validate_coarse_decision,
 )
 from .optimal import StaticOptimalScheduler
@@ -46,9 +44,6 @@ __all__ = [
     "LongTermPlan",
     "LongTermOptimizer",
     "trace_period_matrix",
-    "LookupTable",
-    "LUTEntry",
-    "solar_classes",
     "FeatureCodec",
     "ALPHA_SCALE",
     "RBM",
@@ -65,7 +60,6 @@ __all__ = [
     "HeuristicPolicy",
     "ProposedScheduler",
     "close_subset",
-    "fine_grained_decision",
     "StaticOptimalScheduler",
     "RecedingHorizonScheduler",
     "OfflinePipeline",

@@ -23,12 +23,13 @@ import numpy as np
 
 from ..energy.capacitor import SuperCapacitor
 from ..schedulers.base import Scheduler
+from ..schedulers.intratask import fine_grained_decision
 from ..sim.views import PeriodEndView, PeriodStartView, SlotView
 from ..solar.prediction import SolarPredictor, WCMAPredictor
 from ..tasks.graph import TaskGraph
 from ..timeline import Timeline
 from .longterm import DPConfig, LongTermOptimizer
-from .online import close_subset, fine_grained_decision
+from .online import close_subset
 
 __all__ = ["RecedingHorizonScheduler"]
 

@@ -19,7 +19,7 @@ the PMU's Eq. (22) threshold rule.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -28,9 +28,8 @@ from ..obs.events import (
     DeltaFallbackEvent,
     PolicyFallbackEvent,
 )
-from ..schedulers.base import Scheduler, nvp_filter
-from ..schedulers.greedy import must_run_now
-from ..schedulers.intratask import best_power_match
+from ..schedulers.base import Scheduler
+from ..schedulers.intratask import fine_grained_decision
 from ..sim.views import PeriodStartView, SlotView
 from ..tasks.graph import TaskGraph
 from .ann.dbn import DBN
@@ -45,7 +44,6 @@ __all__ = [
     "NearestSamplePolicy",
     "HeuristicPolicy",
     "ProposedScheduler",
-    "fine_grained_decision",
     "close_subset",
     "validate_coarse_decision",
     "ALPHA_MAX",
@@ -117,41 +115,6 @@ def close_subset(graph: TaskGraph, te: np.ndarray) -> np.ndarray:
             for p in graph.predecessors(i):
                 te[p] = True
     return te
-
-
-def fine_grained_decision(
-    view: SlotView, selected: Set[int], intra_mode: bool
-) -> List[int]:
-    """The per-slot fine pass shared by the online schedulers.
-
-    ``intra_mode=True`` runs the load-matching pass of [9] restricted
-    to the selected subset; ``False`` runs the cheap lazy inter-task
-    pass (urgent tasks plus whatever current solar fully covers).
-    Urgent (slack-exhausted) tasks always run.
-    """
-    ready = [t for t in view.ready if t in selected]
-    if not ready:
-        return []
-    ready.sort(key=lambda i: (view.deadline_slots[i], i))
-    per_nvp = nvp_filter(view.graph, ready)
-
-    urgent = [t for t in per_nvp if must_run_now(view, t)]
-    chosen = list(urgent)
-    load = sum(view.graph.tasks[t].power for t in chosen)
-    optional = [t for t in per_nvp if t not in urgent]
-
-    if intra_mode:
-        budget = max(view.solar_power - load, 0.0)
-        powers = [view.graph.tasks[t].power for t in optional]
-        for idx in best_power_match(powers, budget):
-            chosen.append(optional[idx])
-    else:
-        for t in optional:
-            extra = view.graph.tasks[t].power
-            if load + extra <= view.solar_power + 1e-12:
-                chosen.append(t)
-                load += extra
-    return chosen
 
 
 class CoarsePolicy(abc.ABC):

@@ -28,9 +28,10 @@ from typing import Optional, Sequence, Set
 import numpy as np
 
 from ..schedulers.base import Scheduler
+from ..schedulers.intratask import fine_grained_decision
 from ..sim.views import PeriodStartView, SlotView
 from .longterm import LongTermPlan
-from .online import close_subset, fine_grained_decision
+from .online import close_subset
 
 __all__ = ["StaticOptimalScheduler"]
 

@@ -46,7 +46,6 @@ from .events import (
     FaultInjectionEvent,
     FaultScenarioEvent,
     FleetShardEvent,
-    InvariantViolationEvent,
     KNOWN_RECORD_KINDS,
     NodeQuarantinedEvent,
     NULL_OBSERVER,
@@ -105,7 +104,6 @@ __all__ = [
     "PolicyFallbackEvent",
     "FaultScenarioEvent",
     "CheckpointEvent",
-    "InvariantViolationEvent",
     "FleetShardEvent",
     "PoolDecisionEvent",
     "TaskRetryEvent",

@@ -39,7 +39,6 @@ __all__ = [
     "PolicyFallbackEvent",
     "FaultScenarioEvent",
     "CheckpointEvent",
-    "InvariantViolationEvent",
     "FleetShardEvent",
     "PoolDecisionEvent",
     "TaskRetryEvent",
@@ -284,25 +283,6 @@ class CheckpointEvent(Event):
 
     path: str
     flat_period: int
-
-
-@dataclasses.dataclass(frozen=True)
-class InvariantViolationEvent(Event):
-    """An online invariant monitor flagged a physics/accounting breach.
-
-    Emitted through the engine's ``monitors`` hook (see
-    :mod:`repro.verify.invariants`); ``severity`` is ``error`` or
-    ``warning`` with the semantics of
-    :class:`~repro.verify.report.Violation`.
-    """
-
-    kind = "invariant_violation"
-    counter = "invariant_violations_total"
-    clock = "period"
-
-    check: str
-    message: str
-    severity: str = "error"
 
 
 @dataclasses.dataclass(frozen=True)

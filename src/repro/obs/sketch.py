@@ -15,7 +15,7 @@ aggregates in any grouping or order (guarded by hypothesis tests).
 * :class:`FixedHistogram` — fixed-bin counts with exact ``count`` /
   ``min`` / ``max`` / ``sum``; quantile queries interpolate inside a
   bin, so the error is bounded by one bin width.  Linear bins suit
-  DMR/utilization on [0, 1]; logarithmic bins suit throughputs.
+  DMR/utilization on [0, 1].
 * :class:`P2Quantile` — the classic P² streaming estimator (Jain &
   Chlamtac 1985): five markers, one quantile, no stored samples.
   **Not mergeable** — it is a per-stream estimator for live readouts
@@ -100,19 +100,6 @@ class FixedHistogram:
         if bins < 1:
             raise ValueError(f"bins must be >= 1, got {bins}")
         return cls(np.linspace(float(lo), float(hi), bins + 1))
-
-    @classmethod
-    def logarithmic(
-        cls, lo: float, hi: float, bins: int
-    ) -> "FixedHistogram":
-        """``bins`` log-spaced bins over ``[lo, hi]`` (throughputs)."""
-        if bins < 1:
-            raise ValueError(f"bins must be >= 1, got {bins}")
-        if not 0 < lo < hi:
-            raise ValueError(
-                f"log bins need 0 < lo < hi, got [{lo}, {hi}]"
-            )
-        return cls(np.geomspace(float(lo), float(hi), bins + 1))
 
     # -- ingestion ------------------------------------------------------
     def add(self, value: float) -> "FixedHistogram":

@@ -2,7 +2,7 @@
 
 The event bus of :mod:`repro.obs.events` sees *flat* per-process
 streams; this module adds the missing structure.  A :class:`Tracer`
-opens nested spans (offline training, LUT build, fleet run → shard →
+opens nested spans (offline training, long-term DP, fleet run → shard →
 node, verify sections, experiment cells) and emits one ``span`` record
 per closed span through whatever sink the observer already has.  Span
 records carry ``trace`` / ``span`` / ``parent`` identifiers, so a run

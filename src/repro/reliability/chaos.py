@@ -38,7 +38,7 @@ import dataclasses
 import hashlib
 import os
 import time
-from typing import Dict, FrozenSet, Optional, Sequence
+from typing import Dict, FrozenSet, Sequence
 
 __all__ = [
     "ChaosError",
@@ -176,14 +176,3 @@ class ChaosPlan:
             )
         if attempt == 0 and node_id in self.hang:
             time.sleep(self.hang_seconds)
-
-
-def maybe_plan(
-    spec: Optional[ChaosSpec],
-    node_ids: Sequence[int],
-    n_shards: int,
-) -> Optional[ChaosPlan]:
-    """``spec.plan(...)`` when the spec is present and active."""
-    if spec is None or not spec.active:
-        return None
-    return spec.plan(node_ids, n_shards)

@@ -11,7 +11,11 @@ from typing import Callable, Dict
 from .base import Scheduler, StaticLargestCapacitorMixin, nvp_filter
 from .greedy import GreedyEDFScheduler, must_run_now, slack_slots
 from .lsa import InterTaskScheduler, admit_by_energy
-from .intratask import IntraTaskScheduler, best_power_match
+from .intratask import (
+    IntraTaskScheduler,
+    best_power_match,
+    fine_grained_decision,
+)
 from .dvfs import DVFSLoadMatchingScheduler
 from .plan import PlanScheduler, SchedulePlan
 from .randomized import RandomScheduler
@@ -30,6 +34,7 @@ __all__ = [
     "admit_by_energy",
     "IntraTaskScheduler",
     "best_power_match",
+    "fine_grained_decision",
     "PlanScheduler",
     "RandomScheduler",
     "SchedulePlan",

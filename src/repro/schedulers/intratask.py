@@ -16,13 +16,13 @@ match against.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Sequence, Tuple
+from typing import Container, List, Sequence, Tuple
 
 from ..sim.views import PeriodStartView, SlotView
 from .base import Scheduler, StaticLargestCapacitorMixin, nvp_filter
 from .greedy import must_run_now
 
-__all__ = ["IntraTaskScheduler", "best_power_match"]
+__all__ = ["IntraTaskScheduler", "best_power_match", "fine_grained_decision"]
 
 
 def best_power_match(
@@ -60,40 +60,51 @@ def best_power_match(
     return tuple(sorted(chosen))
 
 
+def fine_grained_decision(
+    view: SlotView, selected: Container[int], intra_mode: bool
+) -> List[int]:
+    """The per-slot fine pass of every per-node load-matching policy.
+
+    ``intra_mode=True`` runs the load-matching pass of [9] restricted
+    to the ``selected`` tasks; ``False`` runs the cheap lazy inter-task
+    pass (urgent tasks plus whatever current solar fully covers).
+    Urgent (slack-exhausted) tasks always run.
+    """
+    ready = [t for t in view.ready if t in selected]
+    if not ready:
+        return []
+    ready.sort(key=lambda i: (view.deadline_slots[i], i))
+    per_nvp = nvp_filter(view.graph, ready)
+
+    urgent = [t for t in per_nvp if must_run_now(view, t)]
+    chosen = list(urgent)
+    load = sum(view.graph.tasks[t].power for t in chosen)
+    optional = [t for t in per_nvp if t not in urgent]
+
+    if intra_mode:
+        budget = max(view.solar_power - load, 0.0)
+        powers = [view.graph.tasks[t].power for t in optional]
+        for idx in best_power_match(powers, budget):
+            chosen.append(optional[idx])
+    else:
+        for t in optional:
+            extra = view.graph.tasks[t].power
+            if load + extra <= view.solar_power + 1e-12:
+                chosen.append(t)
+                load += extra
+    return chosen
+
+
 class IntraTaskScheduler(StaticLargestCapacitorMixin, Scheduler):
-    """Per-slot best load matching against the measured solar power."""
+    """Per-slot best load matching against the measured solar power:
+    the intra-mode :func:`fine_grained_decision` over every task."""
 
     name = "intra-task"
 
     def on_period_start(self, view: PeriodStartView) -> None:
         self.pin_largest(view)
 
-    def __init__(self, allow_storage_for_urgent: bool = True) -> None:
-        """
-        Parameters
-        ----------
-        allow_storage_for_urgent:
-            When True (default), tasks with no slack run even if solar
-            does not cover them (drawing storage); when False the
-            policy is pure load matching.
-        """
-        self.allow_storage_for_urgent = allow_storage_for_urgent
-
     def on_slot(self, view: SlotView) -> Sequence[int]:
-        ready = sorted(view.ready, key=lambda i: (view.deadline_slots[i], i))
-        per_nvp = nvp_filter(view.graph, ready)
-        if not per_nvp:
-            return ()
-
-        urgent = (
-            [t for t in per_nvp if must_run_now(view, t)]
-            if self.allow_storage_for_urgent
-            else []
+        return fine_grained_decision(
+            view, range(len(view.graph)), intra_mode=True
         )
-        urgent_load = sum(view.graph.tasks[t].power for t in urgent)
-
-        optional = [t for t in per_nvp if t not in urgent]
-        budget = max(view.solar_power - urgent_load, 0.0)
-        powers = [view.graph.tasks[t].power for t in optional]
-        picked = best_power_match(powers, budget)
-        return urgent + [optional[i] for i in picked]

@@ -64,7 +64,7 @@ byte-for-byte.  The layout decisions that make this work:
   ladder have one implementation.  Its subset ``te`` becomes the row's
   admission mask; intra-mode rows join the intra-task subset table and
   δ-fallback rows take the lazy greedy pass of
-  :func:`~repro.core.online.fine_grained_decision`.
+  :func:`~repro.schedulers.intratask.fine_grained_decision`.
 * **Per-row active column, switched at period starts only.**  Eq. (22)
   capacitor requests of ``proposed`` rows move the row's active
   column; the active column's constants (capacitance, regulator

@@ -35,7 +35,6 @@ from ..obs.events import (
     BrownoutEvent,
     CheckpointEvent,
     DeadlineMissEvent,
-    InvariantViolationEvent,
     Observer,
     PeriodEndEvent,
     SlotDecisionEvent,
@@ -97,13 +96,6 @@ class SimulationEngine:
         Optional :class:`~repro.sim.checkpoint.CheckpointConfig`;
         when given, the run's mutable state is serialized at period
         boundaries so a crashed run can resume bit-identically.
-    monitors:
-        Online invariant monitors (see
-        :class:`~repro.verify.invariants.InvariantMonitor`): objects
-        with ``on_period(record)`` and ``on_finish(result)`` returning
-        violations, which are re-emitted as ``invariant_violation``
-        events when an observer is attached.  Monitors only read the
-        period records, so they never perturb the simulation.
     """
 
     def __init__(
@@ -117,7 +109,6 @@ class SimulationEngine:
         observer: Optional[Observer] = None,
         fault_injector=None,
         checkpoint: Optional[CheckpointConfig] = None,
-        monitors: Sequence = (),
     ) -> None:
         if graph.num_nvps > node.num_nvps:
             raise ValueError(
@@ -134,7 +125,6 @@ class SimulationEngine:
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.fault_injector = fault_injector
         self.checkpoint = checkpoint
-        self.monitors = tuple(monitors)
 
     # ------------------------------------------------------------------
     def _bank_view(self) -> BankView:
@@ -475,14 +465,6 @@ class SimulationEngine:
                 active_index=active_at_start,
             )
             period_records.append(record)
-            for mon in self.monitors:
-                for violation in mon.on_period(record):
-                    if active:
-                        obs.emit(InvariantViolationEvent(
-                            check=violation.check,
-                            message=violation.message,
-                            severity=violation.severity,
-                        ))
             if active:
                 obs.emit(PeriodEndEvent(
                     dmr=dmr,
@@ -539,14 +521,6 @@ class SimulationEngine:
             periods=period_records,
             slots=slot_arrays,
         )
-        for mon in self.monitors:
-            for violation in mon.on_finish(result):
-                if active:
-                    obs.emit(InvariantViolationEvent(
-                        check=violation.check,
-                        message=violation.message,
-                        severity=violation.severity,
-                    ))
         if active:
             obs.finish(result.summary(), scheduler=result.scheduler_name)
         return result
@@ -652,7 +626,6 @@ def simulate(
     checkpoint: Optional[CheckpointConfig] = None,
     resume_from: Optional[Union[str, Path]] = None,
     stop_after_periods: Optional[int] = None,
-    monitors: Sequence = (),
 ) -> SimulationResult:
     """One-call convenience wrapper around :class:`SimulationEngine`.
 
@@ -674,7 +647,6 @@ def simulate(
         observer=observer,
         fault_injector=fault_injector,
         checkpoint=checkpoint,
-        monitors=monitors,
     )
     tracer = getattr(observer, "tracer", None) or current_tracer()
     if not tracer.enabled:

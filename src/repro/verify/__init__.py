@@ -6,9 +6,9 @@ Three independent lines of defence against a silently wrong engine:
   run (energy conservation, voltage bounds, NVP charge accounting,
   DMR bookkeeping, brownout discipline, slot legality);
 * :mod:`repro.verify.oracles` — two implementations, one answer
-  (scalar vs vectorized bank, LUT lookup vs exhaustive scan, DP plan
-  vs brute force, checkpoint-resume vs straight-through, committed
-  reference fingerprints);
+  (scalar vs vectorized bank, DP plan vs brute force,
+  checkpoint-resume vs straight-through, batched vs per-node engine,
+  committed reference fingerprints);
 * :mod:`repro.verify.metamorphic` — how outputs must move when inputs
   move (more sun never hurts, more capacity never hurts, permuting
   equal-priority tasks changes nothing).
@@ -20,8 +20,6 @@ property-based tests draw from, and :func:`run_verification` is the
 
 from .invariants import (
     INVARIANT_CHECKS,
-    InvariantMonitor,
-    InvariantViolationError,
     RunContext,
     verify_run,
 )
@@ -34,7 +32,6 @@ from .oracles import (
     default_fingerprint_path,
     load_reference_fingerprints,
     oracle_checkpoint_resume,
-    oracle_lut_vs_scan,
     oracle_plan_vs_bruteforce,
     oracle_reference_fingerprints,
     oracle_scalar_vs_vectorized,
@@ -50,14 +47,11 @@ __all__ = [
     "CheckOutcome",
     "VerificationReport",
     "RunContext",
-    "InvariantMonitor",
-    "InvariantViolationError",
     "INVARIANT_CHECKS",
     "verify_run",
     "ScalarReferenceBank",
     "scalar_reference_node",
     "oracle_scalar_vs_vectorized",
-    "oracle_lut_vs_scan",
     "brute_force_best_dmr",
     "oracle_plan_vs_bruteforce",
     "oracle_checkpoint_resume",

@@ -32,10 +32,9 @@ scheduler:
     one-task-per-NVP rule (Eq. 9), and the recorded load power equals
     the sum of the chosen tasks' powers (no-DVFS runs).
 
-:class:`InvariantMonitor` is the online sibling: attached through the
-engine's ``monitors`` hook it re-checks the per-period accounting as
-records are produced, so a long run fails at the first bad period
-instead of at the end.
+:func:`verify_run` applies every check to one finished run;
+:func:`~repro.verify.runner.verified_simulation` is its observed-run
+driver.
 """
 
 from __future__ import annotations
@@ -45,14 +44,12 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..sim.recorder import PeriodRecord, SimulationResult
+from ..sim.recorder import SimulationResult
 from ..tasks.graph import TaskGraph
 from .report import CheckOutcome, Violation
 
 __all__ = [
     "RunContext",
-    "InvariantMonitor",
-    "InvariantViolationError",
     "INVARIANT_CHECKS",
     "check_energy_conservation",
     "check_voltage_bounds",
@@ -62,14 +59,6 @@ __all__ = [
     "check_slot_legality",
     "verify_run",
 ]
-
-
-class InvariantViolationError(RuntimeError):
-    """Raised by a fail-fast :class:`InvariantMonitor`."""
-
-    def __init__(self, violation: Violation) -> None:
-        super().__init__(f"{violation.check}: {violation.message}")
-        self.violation = violation
 
 
 @dataclasses.dataclass
@@ -521,106 +510,3 @@ INVARIANT_CHECKS: Dict[str, Callable[[RunContext], CheckOutcome]] = {
 def verify_run(ctx: RunContext) -> List[CheckOutcome]:
     """Run every registered invariant checker over one finished run."""
     return [check(ctx) for check in INVARIANT_CHECKS.values()]
-
-
-# ----------------------------------------------------------------------
-class InvariantMonitor:
-    """Online per-period invariant checks for the engine's ``monitors``
-    hook.
-
-    The engine calls :meth:`on_period` after each period record; any
-    violations returned are emitted as ``invariant_violation`` events
-    through the run's observer.  With ``fail_fast=True`` the first
-    violation raises :class:`InvariantViolationError` instead, killing
-    a long run at the first bad period.
-    """
-
-    def __init__(
-        self, graph: TaskGraph, fail_fast: bool = False, abs_tol: float = 1e-9
-    ) -> None:
-        self.graph = graph
-        self.fail_fast = fail_fast
-        self.abs_tol = abs_tol
-        self.violations: List[Violation] = []
-        self.periods_checked = 0
-        self._solar_sum = 0.0
-        self._load_sum = 0.0
-
-    def _record(self, violation: Violation) -> Violation:
-        self.violations.append(violation)
-        if self.fail_fast:
-            raise InvariantViolationError(violation)
-        return violation
-
-    def on_period(self, record: PeriodRecord) -> List[Violation]:
-        self.periods_checked += 1
-        found: List[Violation] = []
-        n = len(self.graph)
-        if abs(
-            record.load_energy
-            - (record.direct_energy + record.storage_energy)
-        ) > self.abs_tol:
-            found.append(
-                Violation(
-                    check="online/energy-conservation",
-                    message=(
-                        f"load {record.load_energy!r} J != direct + "
-                        "storage"
-                    ),
-                    day=record.day,
-                    period=record.period,
-                )
-            )
-        self._solar_sum += record.solar_energy
-        self._load_sum += record.load_energy
-        if self._load_sum > self._solar_sum + 1e-6:
-            found.append(
-                Violation(
-                    check="online/energy-conservation",
-                    message=(
-                        f"cumulative load {self._load_sum!r} J exceeds "
-                        f"cumulative harvest {self._solar_sum!r} J"
-                    ),
-                    day=record.day,
-                    period=record.period,
-                )
-            )
-        if not (
-            0 <= record.miss_count <= n
-            and abs(record.dmr - record.miss_count / n) <= 1e-12
-        ):
-            found.append(
-                Violation(
-                    check="online/dmr-accounting",
-                    message=(
-                        f"dmr {record.dmr!r} inconsistent with "
-                        f"miss_count {record.miss_count}/{n}"
-                    ),
-                    day=record.day,
-                    period=record.period,
-                )
-            )
-        for violation in found:
-            self._record(violation)
-        return found
-
-    def on_finish(self, result: SimulationResult) -> List[Violation]:
-        found: List[Violation] = []
-        if not 0.0 <= result.dmr <= 1.0:
-            found.append(
-                Violation(
-                    check="online/dmr-accounting",
-                    message=f"long-term DMR {result.dmr!r} outside [0, 1]",
-                )
-            )
-        for violation in found:
-            self._record(violation)
-        return found
-
-    def outcome(self, subject: str = "") -> CheckOutcome:
-        return CheckOutcome(
-            name="online-invariants",
-            subject=subject,
-            violations=list(self.violations),
-            checked=self.periods_checked,
-        )

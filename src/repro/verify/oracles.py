@@ -1,6 +1,6 @@
 """Differential oracles: two independent routes to the same answer.
 
-Five oracles, each pitting the production implementation against a
+Four oracles, each pitting the production implementation against a
 slower but obviously-correct reference:
 
 ``scalar-vs-vectorized``
@@ -9,11 +9,6 @@ slower but obviously-correct reference:
     ``view_arrays``).  :class:`ScalarReferenceBank` re-implements both
     as plain per-capacitor Python loops with the identical IEEE
     operation order; a run on each must produce bit-identical results.
-``lut-vs-scan``
-    The vectorized :meth:`~repro.core.lut.LookupTable.query` and
-    ``best_for_budget`` against the exhaustive linear scans
-    (``query_scan`` / ``best_for_budget_scan``) on random off-grid
-    inputs — same entry object, by identity.
 ``plan-vs-bruteforce``
     On single-task instances small enough to enumerate every per-slot
     schedule, the long-term DP's replayed plan must match the
@@ -47,7 +42,6 @@ import numpy as np
 
 from .. import quick_node
 from ..core import DPConfig, LongTermOptimizer, StaticOptimalScheduler
-from ..core.lut import LookupTable
 from ..energy.bank import CapacitorBank
 from ..energy.capacitor import SuperCapacitor
 from ..node.node import SensorNode
@@ -75,7 +69,6 @@ __all__ = [
     "ScalarReferenceBank",
     "scalar_reference_node",
     "oracle_scalar_vs_vectorized",
-    "oracle_lut_vs_scan",
     "brute_force_best_dmr",
     "oracle_plan_vs_bruteforce",
     "oracle_checkpoint_resume",
@@ -189,56 +182,6 @@ def oracle_scalar_vs_vectorized(
                 },
             )
         )
-    return out
-
-
-# ----------------------------------------------------------------------
-# LUT vectorized lookup vs exhaustive scan
-# ----------------------------------------------------------------------
-def oracle_lut_vs_scan(
-    table: LookupTable,
-    cases: int = 60,
-    seed: int = 0,
-    label: str = "",
-) -> CheckOutcome:
-    """Random off-grid queries: vectorized vs linear-scan, by identity."""
-    out = CheckOutcome(name="oracle/lut-vs-scan", subject=label)
-    rng = np.random.default_rng(seed)
-    slots = table.timeline.slots_per_period
-    for case in range(cases):
-        solar = rng.uniform(0.0, 0.2, size=slots)
-        cap = int(rng.integers(len(table.capacitors)))
-        volt = float(rng.uniform(0.0, 6.0))
-        dmr = float(rng.uniform(0.0, 1.0))
-        feasible_only = bool(rng.integers(2))
-        budget = float(rng.uniform(0.0, 50.0))
-        out.checked += 2
-        fast = table.query(dmr, solar, cap, volt, feasible_only)
-        slow = table.query_scan(dmr, solar, cap, volt, feasible_only)
-        if fast is not slow:
-            out.violations.append(
-                Violation(
-                    check=out.name,
-                    message=(
-                        f"query() case {case} picked a different entry "
-                        "than the exhaustive scan"
-                    ),
-                    details={"dmr": dmr, "cap": cap, "voltage": volt},
-                )
-            )
-        fast_b = table.best_for_budget(solar, cap, volt, budget)
-        slow_b = table.best_for_budget_scan(solar, cap, volt, budget)
-        if fast_b is not slow_b:
-            out.violations.append(
-                Violation(
-                    check=out.name,
-                    message=(
-                        f"best_for_budget() case {case} picked a "
-                        "different entry than the exhaustive scan"
-                    ),
-                    details={"budget": budget, "cap": cap, "voltage": volt},
-                )
-            )
     return out
 
 

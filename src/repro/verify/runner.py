@@ -7,15 +7,15 @@
 ``quick``
     A couple of minutes.  The full reference matrix — 4 canonical
     solar days and all 7 runtime fault scenarios — each run under
-    observation with online monitors, the complete invariant suite,
-    and a digest comparison against the committed reference
-    fingerprints; plus all curated oracle instances and the
-    metamorphic relations.  This is the CI gate.
+    observation through the complete invariant suite, and a digest
+    comparison against the committed reference fingerprints; plus all
+    curated oracle instances and the metamorphic relations.  This is
+    the CI gate.
 ``deep``
     Everything in ``quick`` plus seeded randomized sweeps: extra
-    scalar-vs-vectorized replays under random weather and fault plans,
-    a larger LUT query sample, and random brute-force instances
-    (where DP suboptimality is reported as a warning, not a failure).
+    scalar-vs-vectorized replays under random weather, and random
+    brute-force instances (where DP suboptimality is reported as a
+    warning, not a failure).
 """
 
 from __future__ import annotations
@@ -25,17 +25,13 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .. import quick_node
-from ..core.lut import LookupTable
-from ..energy.capacitor import SuperCapacitor
 from ..obs import Observer
 from ..obs.sinks import RingBufferSink
 from ..reliability import FaultInjector, runtime_scenario
 from ..schedulers import GreedyEDFScheduler, IntraTaskScheduler
 from ..sim import result_fingerprint
 from ..sim.engine import simulate
-from ..solar import synthetic_trace
-from ..tasks import paper_benchmarks
-from .invariants import InvariantMonitor, RunContext, verify_run
+from .invariants import RunContext, verify_run
 from .metamorphic import (
     relation_capacity_monotonicity,
     relation_irradiance_monotonicity,
@@ -46,7 +42,6 @@ from .oracles import (
     load_reference_fingerprints,
     oracle_batch_vs_per_node,
     oracle_checkpoint_resume,
-    oracle_lut_vs_scan,
     oracle_plan_vs_bruteforce,
     oracle_reference_fingerprints,
     oracle_scalar_vs_vectorized,
@@ -73,10 +68,10 @@ def verified_simulation(
 
     ``kwargs`` is a :func:`~repro.verify.oracles.reference_run_specs`
     build product: node / graph / trace / scheduler / fault_injector.
-    The run gets a ring-buffer event stream, per-slot arrays and an
-    online :class:`InvariantMonitor`; afterwards the whole invariant
-    suite replays over the result and — when a committed reference is
-    supplied — the period-level fingerprint is compared against it.
+    The run gets a ring-buffer event stream and per-slot arrays;
+    afterwards the whole invariant suite replays over the result and —
+    when a committed reference is supplied — the period-level
+    fingerprint is compared against it.
     """
     node = kwargs["node"]
     graph = kwargs["graph"]
@@ -85,13 +80,12 @@ def verified_simulation(
     injector = kwargs.get("fault_injector")
     if injector is not None:
         injector.observer = observer
-    monitor = InvariantMonitor(graph)
     v_max = max(s.capacitor.v_full for s in node.bank.states)
     initial = float(sum(s.usable_energy for s in node.bank.states))
     result = simulate(
         node, graph, kwargs["trace"], kwargs["scheduler"],
         strict=False, record_slots=True, observer=observer,
-        fault_injector=injector, monitors=(monitor,),
+        fault_injector=injector,
     )
     ctx = RunContext(
         result=result,
@@ -102,7 +96,6 @@ def verified_simulation(
         initial_usable_energy=initial,
     )
     outcomes = verify_run(ctx)
-    outcomes.append(monitor.outcome(subject=key))
     if reference is not None:
         fingerprint = result_fingerprint(result, include_slots=False)
         outcomes.append(
@@ -117,15 +110,6 @@ def _tiny_spec(seed: int = 3) -> tuple:
     return graph, tl, trace
 
 
-def _small_lut() -> LookupTable:
-    graph = paper_benchmarks()["WAM"]
-    tl = tiny_timeline(periods_per_day=8)
-    trace = synthetic_trace(tl, seed=11)
-    periods = trace.power.reshape(-1, tl.slots_per_period)
-    caps = [SuperCapacitor(capacitance=2.0), SuperCapacitor(capacitance=10.0)]
-    return LookupTable(graph, tl, caps, num_solar_classes=4).build(periods)
-
-
 def run_verification(
     level: str = "quick",
     seed: int = 0,
@@ -134,8 +118,8 @@ def run_verification(
 ) -> VerificationReport:
     """Run the invariant + oracle suite at ``level``; see module doc.
 
-    ``seed`` steers only the randomized extras (LUT query sample and
-    the deep-level sweeps); the canonical matrix is deterministic.
+    ``seed`` steers only the deep-level sweeps; the canonical matrix
+    is deterministic.
     """
     if level not in LEVELS:
         raise ValueError(
@@ -205,15 +189,6 @@ def run_verification(
                         ),
                     )
                 )
-
-            log("oracle: LUT query vs exhaustive scan")
-            table = _small_lut()
-            cases = {"smoke": 20, "quick": 60, "deep": 200}[level]
-            report.add(
-                oracle_lut_vs_scan(
-                    table, cases=cases, seed=seed, label="small-lut"
-                )
-            )
 
             log("oracle: DP plan vs brute force")
             if level == "smoke":

@@ -1,12 +1,10 @@
 """Shared workload/weather/fault generators for tests and verification.
 
-This module is the single source of the task-graph, solar-day,
-capacitor-bank and fault-plan generators that used to be copy-pasted
-across ``tests/test_dp_properties.py``, ``tests/test_property_engine.py``
-and ``tests/test_runtime_faults.py``.  The deterministic helpers at the
-top need only numpy; the ``hypothesis`` strategies below import
-hypothesis lazily so the production package never hard-depends on the
-test toolchain.
+This module is the single source of the tiny timelines, solar traces,
+workloads and fleet variations that tests, ``repro verify`` and the
+fleet spec share.  The deterministic helpers at the top need only
+numpy; the ``hypothesis`` strategy below imports hypothesis lazily so
+the production package never hard-depends on the test toolchain.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..reliability.runtime import FaultPlan
 from ..solar.days import FOUR_DAYS, archetype_trace
 from ..solar.trace import SolarTrace
 from ..tasks.benchmarks import random_benchmark
@@ -35,10 +32,6 @@ __all__ = [
     "fleet_variations",
     "FLEET_TASK_MIX",
     "FLEET_BANK_CHOICES",
-    "task_graphs",
-    "solar_days",
-    "capacitor_banks",
-    "fault_plans",
     "engine_setups",
 ]
 
@@ -143,8 +136,7 @@ def identical_task_graph(
 #: paper benchmarks, ``random`` to a seeded :func:`random_benchmark`.
 FLEET_TASK_MIX: Tuple[str, ...] = ("wam", "ecg", "shm", "random")
 
-#: Capacitances a heterogeneous bank draws from (same candidate set as
-#: :func:`capacitor_banks`).
+#: Capacitances a heterogeneous bank draws from.
 FLEET_BANK_CHOICES: Tuple[float, ...] = (0.5, 1.0, 2.0, 4.7, 10.0, 47.0)
 
 
@@ -233,57 +225,9 @@ def _st():
     except ImportError as exc:  # pragma: no cover - test-only dep
         raise ImportError(
             "hypothesis is required for repro.verify.strategies' "
-            "strategy builders (pip extra: repro[test])"
+            "strategy builder (pip extra: repro[test])"
         ) from exc
     return st
-
-
-def task_graphs(max_seed: int = 300):
-    """Random benchmark task graphs (4-8 tasks, seeded)."""
-    st = _st()
-    return st.builds(random_benchmark, st.integers(0, max_seed))
-
-
-def solar_days(max_seed: int = 300, periods: Tuple[int, int] = (1, 3)):
-    """Random one-day traces on a tiny timeline."""
-    st = _st()
-
-    @st.composite
-    def _solar_days(draw):
-        n_periods = draw(st.integers(*periods))
-        tl = Timeline(1, n_periods, 20, 30.0)
-        return random_trace(tl, draw(st.integers(0, max_seed)))
-
-    return _solar_days()
-
-
-def capacitor_banks(max_size: int = 4):
-    """Banks of 1-``max_size`` supercapacitors with varied farads."""
-    st = _st()
-    from ..energy.capacitor import SuperCapacitor
-
-    return st.lists(
-        st.sampled_from([0.5, 1.0, 2.0, 4.7, 10.0, 47.0]),
-        min_size=1,
-        max_size=max_size,
-    ).map(lambda farads: tuple(SuperCapacitor(capacitance=c) for c in farads))
-
-
-def fault_plans(timeline: Optional[Timeline] = None, max_seed: int = 300):
-    """Seeded random fault plans over ``timeline`` (default tiny)."""
-    st = _st()
-    tl = timeline if timeline is not None else tiny_timeline()
-
-    @st.composite
-    def _fault_plans(draw):
-        return FaultPlan.generate(
-            tl,
-            seed=draw(st.integers(0, max_seed)),
-            dropouts_per_day=draw(st.floats(0.0, 30.0)),
-            leak_spikes_per_day=draw(st.floats(0.0, 15.0)),
-        )
-
-    return _fault_plans()
 
 
 def engine_setups(max_seed: int = 300):

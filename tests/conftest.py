@@ -1,8 +1,8 @@
 """Shared test fixtures.
 
 The generator *functions* live in :mod:`repro.verify.strategies` (the
-single source for task-graph / solar-day / fault-plan generators, used
-by both this suite and ``repro verify``); this file only binds the
+single source for the tiny timelines, traces and workloads used by
+both this suite and ``repro verify``); this file only binds the
 common ones as fixtures and makes ``pytest`` work from a source
 checkout without an installed package.
 """

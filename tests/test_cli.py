@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import os
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,79 @@ class TestExperimentCommand:
         assert "holds" not in text
         assert (tmp_path / "fig5.txt").exists()
         assert (tmp_path / "fig5.manifest.json").exists()
+
+
+class TestPerfKnobsScopedToCommand:
+    """``--no-cache``/``--workers`` reach the environment only while
+    their command runs: an in-process ``main`` call must not turn the
+    cache off, or change the pool size, for whatever runs after it."""
+
+    @pytest.fixture(autouse=True)
+    def _isolated_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+    @staticmethod
+    def _spy_experiment(monkeypatch, fail=False):
+        """Make ``fig5`` record the environment it runs under."""
+        from repro.experiments import EXPERIMENTS, Experiment
+
+        run, checks = EXPERIMENTS["fig5"]
+        seen = []
+
+        def spy():
+            seen.append(
+                (os.environ.get("REPRO_WORKERS"),
+                 os.environ.get("REPRO_NO_CACHE"))
+            )
+            if fail:
+                raise ValueError("planted failure")
+            return run()
+
+        monkeypatch.setitem(EXPERIMENTS, "fig5", Experiment(spy, checks))
+        return seen
+
+    @pytest.mark.parametrize("previous", [None, "3"])
+    def test_experiment_restores_workers_and_no_cache(
+        self, monkeypatch, previous
+    ):
+        for key in ("REPRO_WORKERS", "REPRO_NO_CACHE"):
+            if previous is None:
+                monkeypatch.delenv(key, raising=False)
+            else:
+                monkeypatch.setenv(key, previous)
+        seen = self._spy_experiment(monkeypatch)
+        code, _ = run_cli("experiment", "fig5", "--workers", "2", "--no-cache")
+        assert code == 0
+        assert seen == [("2", "1")]
+        assert os.environ.get("REPRO_WORKERS") == previous
+        assert os.environ.get("REPRO_NO_CACHE") == previous
+
+    def test_experiment_restores_on_error_exit(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        seen = self._spy_experiment(monkeypatch, fail=True)
+        code, _ = run_cli("experiment", "fig5", "--workers", "2", "--no-cache")
+        assert code == 2
+        assert seen == [("2", "1")]
+        assert "REPRO_WORKERS" not in os.environ
+        assert "REPRO_NO_CACHE" not in os.environ
+
+    def test_fleet_run_restores_no_cache(self, monkeypatch):
+        from repro.fleet import FleetRunner
+
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        real_run = FleetRunner.run
+        seen = []
+
+        def spy(self):
+            seen.append(os.environ.get("REPRO_NO_CACHE"))
+            return real_run(self)
+
+        monkeypatch.setattr(FleetRunner, "run", spy)
+        code, _ = run_cli("fleet", "run", "--nodes", "2", "--no-cache")
+        assert code == 0
+        assert seen == ["1"]
+        assert "REPRO_NO_CACHE" not in os.environ
 
 
 class TestExportCommand:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.online import fine_grained_decision
+from repro.schedulers.intratask import fine_grained_decision
 from repro.sim.views import BankView, SlotView
 from repro.tasks import Task, TaskGraph
 from repro.timeline import Timeline

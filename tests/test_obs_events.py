@@ -150,12 +150,6 @@ TABLE = [
         "period", {"checkpoints_written_total": 1},
     ),
     (
-        "InvariantViolationEvent", dict(
-            check="energy", message="leak", severity="warning",
-        ),
-        "period", {"invariant_violations_total": 1},
-    ),
-    (
         "FleetShardEvent", dict(
             shard_index=1, num_shards=4, node_ids=(4, 5, 6), cached=True,
             seconds=0, p50_dmr_est=0.5,
@@ -259,7 +253,7 @@ def test_each_kind_record_and_counters(cls_name, payload, clock, deltas):
 def test_table_covers_every_kind():
     kinds = {getattr(obs_pkg, row[0]).kind for row in TABLE}
     assert kinds == KNOWN_RECORD_KINDS - {"run_summary", "span"}
-    assert len(TABLE) == 19
+    assert len(TABLE) == 18
 
 
 @pytest.mark.parametrize(

@@ -338,52 +338,6 @@ class TestAdaptivePoolPlan:
 
 
 # ----------------------------------------------------------------------
-# Vectorized LUT lookup vs the scalar reference
-# ----------------------------------------------------------------------
-class TestVectorizedLUT:
-    """The scalar reference scans now live on :class:`LookupTable`
-    itself (``query_scan`` / ``best_for_budget_scan``) so that both
-    this suite and ``repro verify`` exercise the same oracle."""
-    @pytest.fixture(scope="class")
-    def table(self):
-        from repro.core.lut import LookupTable
-
-        graph = paper_benchmarks()["WAM"]
-        timeline = _timeline(2)
-        policy_caps = _tiny_policy(graph).capacitors
-        trace = synthetic_trace(timeline, seed=11)
-        periods = trace.power.reshape(-1, timeline.slots_per_period)
-        return LookupTable(
-            graph, timeline, policy_caps, num_solar_classes=4
-        ).build(periods)
-
-    def test_query_matches_scalar_scan(self, table):
-        rng = np.random.default_rng(0)
-        slots = table.timeline.slots_per_period
-        for _ in range(60):
-            solar = rng.uniform(0.0, 0.2, size=slots)
-            cap = int(rng.integers(len(table.capacitors)))
-            volt = float(rng.uniform(0.0, 6.0))
-            dmr = float(rng.uniform(0.0, 1.0))
-            feas = bool(rng.integers(2))
-            assert table.query(dmr, solar, cap, volt, feas) is (
-                table.query_scan(dmr, solar, cap, volt, feas)
-            )
-
-    def test_best_for_budget_matches_scalar_scan(self, table):
-        rng = np.random.default_rng(1)
-        slots = table.timeline.slots_per_period
-        for _ in range(60):
-            solar = rng.uniform(0.0, 0.2, size=slots)
-            cap = int(rng.integers(len(table.capacitors)))
-            volt = float(rng.uniform(0.0, 6.0))
-            budget = float(rng.uniform(0.0, 50.0))
-            assert table.best_for_budget(solar, cap, volt, budget) is (
-                table.best_for_budget_scan(solar, cap, volt, budget)
-            )
-
-
-# ----------------------------------------------------------------------
 # Buffered JSONL sink
 # ----------------------------------------------------------------------
 class TestBufferedJsonlSink:

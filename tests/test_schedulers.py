@@ -167,18 +167,6 @@ class TestIntraTask:
         early_load = result.slots.load_power[:5]
         assert np.all(early_load <= 0.03 + 1e-9)
 
-    def test_pure_matching_never_uses_storage(self):
-        graph = wam()
-        tl = tl_of(periods=1, slots=20)
-        result = simulate(
-            quick_node(graph),
-            graph,
-            constant_trace(tl, 0.0),
-            IntraTaskScheduler(allow_storage_for_urgent=False),
-        )
-        assert result.total_load_energy == 0.0
-        assert result.dmr == 1.0
-
 
 class TestPlanScheduler:
     def test_replays_matrix(self):

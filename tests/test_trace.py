@@ -402,7 +402,7 @@ class TestStageSpans:
         names = {r["name"] for r in records}
         assert {
             "verify", "verify_invariants", "verify_oracles",
-            "verify_metamorphic", "lut_build", "engine_run",
+            "verify_metamorphic", "engine_run",
         } <= names
         tree = build_span_tree(records)
         assert len(tree.roots) == 1 and not tree.orphans

@@ -1,6 +1,6 @@
 """The conformance subsystem itself: report shapes, invariant
-checkers against deliberately doctored runs, the online monitor hook,
-metamorphic relations, and the ``repro verify`` CLI contract —
+checkers against deliberately doctored runs, metamorphic relations,
+and the ``repro verify`` CLI contract —
 including the acceptance demo that breaking the physics on purpose
 exits with code 6 and a structured violation report."""
 
@@ -17,8 +17,6 @@ from repro.sim.recorder import SimulationResult
 from repro.verify import (
     INVARIANT_CHECKS,
     CheckOutcome,
-    InvariantMonitor,
-    InvariantViolationError,
     RunContext,
     VerificationReport,
     Violation,
@@ -152,6 +150,21 @@ class TestInvariantCheckers:
         assert (v.day, v.period) == (p.day, p.period)
         assert "load" in v.message
 
+    def test_load_beyond_cumulative_harvest_caught(self, observed_run):
+        """Balanced books that spend energy never harvested."""
+        _, clean, _, _ = observed_run
+        p = clean.periods[0]
+        load = p.solar_energy + 1.0
+        bad = _doctor(
+            clean,
+            load_energy=load,
+            direct_energy=load - p.storage_energy,
+        )
+        out = check_energy_conservation(_ctx(observed_run, result=bad))
+        messages = [v.message for v in out.errors]
+        assert any("exceeds cumulative harvest" in m for m in messages)
+        assert not any("!= direct" in m for m in messages)
+
     def test_negative_flow_caught(self, observed_run):
         _, clean, _, _ = observed_run
         bad = _doctor(clean, solar_energy=-0.5)
@@ -198,6 +211,14 @@ class TestInvariantCheckers:
         bad = _doctor(clean, dmr=0.987)
         out = check_dmr_accounting(_ctx(observed_run, result=bad))
         assert not out.passed
+
+    def test_accumulated_dmr_outside_unit_interval_caught(
+        self, observed_run
+    ):
+        graph, clean, _, _ = observed_run
+        bad = _doctor(clean, dmr=1.5, miss_count=len(graph))
+        out = check_dmr_accounting(_ctx(observed_run, result=bad))
+        assert any("accumulated DMR" in v.message for v in out.errors)
 
     def test_impossible_brownout_count_caught(self, observed_run):
         _, clean, _, _ = observed_run
@@ -256,70 +277,6 @@ class TestInvariantCheckers:
             out = checker(ctx)
             assert out.passed
             assert "skipped" in out.notes
-
-
-# ----------------------------------------------------------------------
-# Online monitor + engine hook
-# ----------------------------------------------------------------------
-class TestInvariantMonitor:
-    def test_doctored_record_fires(self, observed_run):
-        graph, clean, _, _ = observed_run
-        p = dataclasses.replace(
-            clean.periods[0], load_energy=clean.periods[0].load_energy + 1.0
-        )
-        monitor = InvariantMonitor(graph)
-        found = monitor.on_period(p)
-        assert found
-        assert {v.check for v in found} == {"online/energy-conservation"}
-        assert monitor.violations == found
-        assert not monitor.outcome(subject="doctored").passed
-
-    def test_fail_fast_raises(self, observed_run):
-        graph, clean, _, _ = observed_run
-        p = dataclasses.replace(clean.periods[0], miss_count=len(graph) + 1)
-        monitor = InvariantMonitor(graph, fail_fast=True)
-        with pytest.raises(InvariantViolationError, match="dmr"):
-            monitor.on_period(p)
-
-    def test_clean_engine_run_emits_no_violation_events(self):
-        graph, tl, trace = tiny_env()
-        sink = RingBufferSink()
-        monitor = InvariantMonitor(graph)
-        simulate(
-            quick_node(graph), graph, trace, GreedyEDFScheduler(),
-            strict=False, observer=Observer(sinks=[sink]),
-            monitors=(monitor,),
-        )
-        assert sink.of_kind("invariant_violation") == []
-        assert monitor.periods_checked == tl.total_periods
-        assert monitor.outcome().passed
-
-    def test_engine_routes_monitor_violations_to_observer(self):
-        """The ``monitors`` hook must surface what a monitor returns as
-        ``invariant_violation`` events on the run's observer."""
-
-        class AlwaysFire:
-            def on_period(self, record):
-                return [
-                    Violation(
-                        check="stub", message="fired", severity="warning"
-                    )
-                ]
-
-            def on_finish(self, result):
-                return []
-
-        graph, tl, trace = tiny_env()
-        sink = RingBufferSink()
-        simulate(
-            quick_node(graph), graph, trace, GreedyEDFScheduler(),
-            strict=False, observer=Observer(sinks=[sink]),
-            monitors=(AlwaysFire(),),
-        )
-        events = sink.of_kind("invariant_violation")
-        assert len(events) == tl.total_periods
-        assert events[0]["check"] == "stub"
-        assert events[0]["severity"] == "warning"
 
 
 # ----------------------------------------------------------------------
@@ -404,7 +361,6 @@ class TestVerifyCLI:
             for v in o["violations"]
         }
         assert "energy-conservation" in checks
-        assert "online/energy-conservation" in checks
         # Violations carry the simulation clock.
         located = [
             v

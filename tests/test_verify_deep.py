@@ -14,15 +14,10 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro import quick_node, simulate  # noqa: E402
-from repro.core.lut import LookupTable  # noqa: E402
-from repro.energy.capacitor import SuperCapacitor  # noqa: E402
 from repro.reliability import FaultInjector, FaultPlan  # noqa: E402
 from repro.schedulers import GreedyEDFScheduler  # noqa: E402
-from repro.solar import synthetic_trace  # noqa: E402
-from repro.tasks import paper_benchmarks  # noqa: E402
 from repro.verify import (  # noqa: E402
     RunContext,
-    oracle_lut_vs_scan,
     oracle_scalar_vs_vectorized,
     run_verification,
     verify_run,
@@ -100,22 +95,6 @@ class TestOracleSweeps:
         )
         assert out.passed, [v.message for v in out.errors]
 
-    def test_lut_scan_agrees_on_a_large_sample(self):
-        graph = paper_benchmarks()["WAM"]
-        tl = tiny_timeline(periods_per_day=8)
-        trace = synthetic_trace(tl, seed=11)
-        periods = trace.power.reshape(-1, tl.slots_per_period)
-        caps = [
-            SuperCapacitor(capacitance=2.0),
-            SuperCapacitor(capacitance=10.0),
-        ]
-        table = LookupTable(graph, tl, caps, num_solar_classes=4).build(
-            periods
-        )
-        out = oracle_lut_vs_scan(table, cases=500, seed=0, label="deep")
-        assert out.passed
-        assert out.checked == 1000
-
     @SWEEP
     @given(seed=st.integers(0, 10_000))
     def test_scalar_reference_agrees_on_random_weather(self, seed):
@@ -136,10 +115,8 @@ class TestEndToEnd:
         names = {o.name for o in report.outcomes}
         assert {
             "energy-conservation",
-            "online-invariants",
             "oracle/reference-fingerprint",
             "oracle/scalar-vs-vectorized",
-            "oracle/lut-vs-scan",
             "oracle/plan-vs-bruteforce",
             "oracle/checkpoint-resume",
             "metamorphic/more-sun-never-hurts",

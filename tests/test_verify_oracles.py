@@ -8,24 +8,20 @@ oracle."""
 import numpy as np
 import pytest
 
-from repro.core.lut import LookupTable
 from repro.energy.bank import CapacitorBank
 from repro.energy.capacitor import SuperCapacitor
 from repro.schedulers import GreedyEDFScheduler
-from repro.solar import synthetic_trace
-from repro.tasks import paper_benchmarks
 from repro.verify import (
     BRUTEFORCE_INSTANCES,
     ScalarReferenceBank,
     load_reference_fingerprints,
     oracle_checkpoint_resume,
-    oracle_lut_vs_scan,
     oracle_plan_vs_bruteforce,
     oracle_reference_fingerprints,
     oracle_scalar_vs_vectorized,
     reference_run_specs,
 )
-from repro.verify.strategies import tiny_env, tiny_timeline
+from repro.verify.strategies import tiny_env
 
 
 # ----------------------------------------------------------------------
@@ -80,35 +76,6 @@ class TestScalarVsVectorized:
         )
         assert not out.passed
         assert "diverged" in out.errors[0].message
-
-
-# ----------------------------------------------------------------------
-# lut-vs-scan
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def small_table():
-    graph = paper_benchmarks()["WAM"]
-    tl = tiny_timeline(periods_per_day=8)
-    trace = synthetic_trace(tl, seed=11)
-    periods = trace.power.reshape(-1, tl.slots_per_period)
-    caps = [SuperCapacitor(capacitance=2.0), SuperCapacitor(capacitance=10.0)]
-    return LookupTable(graph, tl, caps, num_solar_classes=4).build(periods)
-
-
-class TestLutVsScan:
-    def test_oracle_green_on_seeded_queries(self, small_table):
-        out = oracle_lut_vs_scan(small_table, cases=40, seed=5, label="small")
-        assert out.passed
-        assert out.checked == 80  # query + best_for_budget per case
-
-    def test_oracle_catches_a_wrong_pick(self, small_table, monkeypatch):
-        first = small_table.entries[0]
-        monkeypatch.setattr(
-            LookupTable, "query", lambda self, *a, **k: first
-        )
-        out = oracle_lut_vs_scan(small_table, cases=10, seed=5, label="bad")
-        assert not out.passed
-        assert "query()" in out.errors[0].message
 
 
 # ----------------------------------------------------------------------
