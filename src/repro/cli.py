@@ -320,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_run.add_argument(
         "--shard-size", type=int, metavar="N",
-        help="nodes per work item (default: the nodes that run over "
-        "2 x workers, clamped to 32..128); never changes the results",
+        help="nodes per work item (default: every node that runs when "
+        "serial, else those nodes over 2 x workers; clamped to "
+        "32..256); never changes the results",
     )
     fleet_run.add_argument(
         "--no-cache", action="store_true",

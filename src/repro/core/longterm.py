@@ -164,7 +164,7 @@ class StorageGrid:
         return cap_index * self.buckets
 
     def transition(
-        self, need, surplus, duration: float
+        self, need, surplus, duration: float, states=None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Apply (need, surplus) pairs to every state, one row per pair.
 
@@ -172,45 +172,54 @@ class StorageGrid:
         returns ``(feasible, next_index, drawn)`` of shape
         ``need.shape + (num_states,)``.  ``feasible`` is False where
         the state cannot deliver ``need``.  A row with no need (or no
-        surplus) skips the discharge (or charge) exactly.
+        surplus) skips the discharge (or charge) exactly.  ``states``
+        (a sequence of state indices) evaluates only those states, in
+        that order, with the same elementwise operations; the last
+        axis then has ``len(states)`` entries.
         """
-        shape = np.shape(need) + (self.num_states,)
+        at = slice(None) if states is None else np.asarray(states, dtype=int)
+        cap = self.state_cap[at]
+        shape = np.shape(need) + np.shape(cap)
         need = np.asarray(need, dtype=float).reshape(-1, 1)
         surplus = np.asarray(surplus, dtype=float).reshape(-1, 1)
         has_need = need > 0
         has_surplus = surplus > 0
 
-        eta_dis = self._eta_dis
+        eta_dis = self._eta_dis[at]
         with np.errstate(divide="ignore"):
             want = np.where(
                 eta_dis > 0, need / np.maximum(eta_dis, 1e-12), np.inf
             )
-        feasible = ~has_need | (want <= self.state_usable + 1e-9)
+        feasible = ~has_need | (want <= self.state_usable[at] + 1e-9)
         drawn = np.where(has_need & feasible, want, 0.0)
-        energy = self.state_energy - drawn
+        energy = self.state_energy[at] - drawn
 
-        voltage = np.sqrt(np.maximum(2.0 * energy / self.state_capacitance, 0.0))
-        vp = voltage**self._in_exp
-        eta_chr = self._in_eta_max * vp / (vp + self._in_v_half_pow) * self._cycle
+        capacitance = self.state_capacitance[at]
+        voltage = np.sqrt(np.maximum(2.0 * energy / capacitance, 0.0))
+        vp = voltage**self._in_exp[at]
+        eta_chr = (
+            self._in_eta_max[at] * vp / (vp + self._in_v_half_pow[at])
+            * self._cycle[at]
+        )
         stored = np.minimum(
-            surplus * eta_chr, np.maximum(self._full_energy - energy, 0)
+            surplus * eta_chr, np.maximum(self._full_energy[at] - energy, 0)
         )
         energy = np.where(has_surplus, energy + stored, energy)
 
-        voltage = np.sqrt(np.maximum(2.0 * energy / self.state_capacitance, 0.0))
+        voltage = np.sqrt(np.maximum(2.0 * energy / capacitance, 0.0))
         leak = (
-            self._leak_coeff * self.state_capacitance * voltage**self._leak_exp
-            + self._parasitic
+            self._leak_coeff[at] * capacitance * voltage**self._leak_exp[at]
+            + self._parasitic[at]
         )
         energy = np.maximum(energy - leak * duration, 0.0)
 
-        usable_next = np.maximum(energy - self._floor[self.state_cap], 0.0)
-        frac = usable_next / np.maximum(self._usable_caps[self.state_cap], 1e-30)
+        usable_next = np.maximum(energy - self._floor[cap], 0.0)
+        frac = usable_next / np.maximum(self._usable_caps[cap], 1e-30)
         # Floor: never round stored energy upward (see DPConfig).
         bucket = np.floor(
             np.clip(frac, 0.0, 1.0) * (self.buckets - 1) + 1e-9
         ).astype(int)
-        next_index = self.state_cap * self.buckets + bucket
+        next_index = cap * self.buckets + bucket
         return (
             feasible.reshape(shape),
             next_index.reshape(shape),
@@ -436,15 +445,17 @@ class LongTermOptimizer:
 
             dmr_sum += prof.dmr_of(k)
             prev_solar = solar_periods[t]
+            # Only the current state's successor is needed.
             f, nx, _ = self.grid.transition(
-                prof.storage_need[k], prof.surplus[k], duration
+                prof.storage_need[k], prof.surplus[k], duration, [state]
             )
-            if not f[state]:  # defensive; k=0 is always feasible
+            if not f[0]:  # defensive; k=0 is always feasible
                 k = 0
                 _, nx, _ = self.grid.transition(
-                    prof.storage_need[0], prof.surplus[0], duration
+                    prof.storage_need[0], prof.surplus[0], duration,
+                    [state],
                 )
-            state = int(nx[state])
+            state = int(nx[0])
 
         if npd:
             plan.capacitor_by_day = {

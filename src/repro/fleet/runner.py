@@ -13,8 +13,8 @@ span records.
 
 Shards are sized for the batched engine (:func:`default_shard_size`):
 its per-slot numpy dispatch amortizes over the shard width, so the
-default is as wide as load balance allows, capped where the width
-sweep flattens.
+default is one shard for a serial run and as wide as load balance
+allows for a pool, capped at :data:`MAX_SHARD_SIZE`.
 
 Two layers of reuse ride on the existing artifact cache:
 
@@ -101,24 +101,30 @@ __all__ = [
 ]
 
 #: Bounds of the default shard size.  Below 32 nodes the batched
-#: engine's per-slot numpy dispatch dominates.  Past 128 it still gets
-#: faster (one 256-node shard ran the default 256-node fleet 2-16%
-#: faster than two 128-node shards, 2-vCPU VM), but its heap (per-row
-#: period records, intra-task subset temporaries) grows with the width
-#: (+3.8 MB peak RSS at 256) and checkpoints and load balance coarsen.
+#: engine's per-slot numpy dispatch dominates.  Its cost per node-slot,
+#: engine plus summaries, keeps falling with the width: 9.86, 6.17,
+#: 4.25, 3.32, 2.82 and 2.54 us at 32, 64, 128, 256, 512 and 1024 nodes
+#: (1024-node fleet, seed 0, best of 3, 2-vCPU VM).  A batched run keeps
+#: its period outcomes in node-major arrays and builds a row's records
+#: only when the row is summarized, so a wider shard adds no per-row
+#: heap.  The cap is 256 because checkpoints and load balance coarsen
+#: with the width.
 MIN_SHARD_SIZE = 32
-MAX_SHARD_SIZE = 128
+MAX_SHARD_SIZE = 256
 
 
 def default_shard_size(n_nodes: int, workers: int) -> int:
     """Nodes per work item when the caller does not choose.
 
-    As wide as possible for the batched engine while every worker
-    still gets at least two shards (load balance), clamped to
-    ``[MIN_SHARD_SIZE, MAX_SHARD_SIZE]``.  ``n_nodes`` counts only the
-    nodes that run.  Never affects results, only wall-clock.
+    A serial run (``workers <= 1``) takes every node in one shard; a
+    pool gives every worker at least two shards (load balance).  Either
+    way the size is clamped to ``[MIN_SHARD_SIZE, MAX_SHARD_SIZE]``.
+    ``n_nodes`` counts only the nodes that run.  Never affects results,
+    only wall-clock.
     """
-    per_worker = math.ceil(n_nodes / (2 * max(workers, 1)))
+    per_worker = (
+        n_nodes if workers <= 1 else math.ceil(n_nodes / (2 * workers))
+    )
     return min(MAX_SHARD_SIZE, max(MIN_SHARD_SIZE, per_worker))
 
 #: Artifact-cache namespace of shard checkpoints.
@@ -175,8 +181,11 @@ def _summarize(spec: NodeSpec, graph, result) -> NodeSummary:
     """Reduce one node's :class:`SimulationResult` to its summary.
 
     Shared by the per-node and batched executors so both paths derive
-    the fingerprint (and every aggregate input) identically.
+    the fingerprint (and every aggregate input) identically.  The
+    fingerprint is taken first: it reads every period record, so a
+    batched row builds its records there.
     """
+    fingerprint = result_fingerprint(result)
     return NodeSummary(
         node_id=spec.node_id,
         graph_kind=spec.graph_kind,
@@ -190,7 +199,7 @@ def _summarize(spec: NodeSpec, graph, result) -> NodeSummary:
         brownout_slots=result.total_brownout_slots,
         solar_energy=result.total_solar_energy,
         load_energy=result.total_load_energy,
-        fingerprint=result_fingerprint(result),
+        fingerprint=fingerprint,
     )
 
 
@@ -292,7 +301,8 @@ def simulate_shard_batch(
     through one :func:`~repro.sim.batch.simulate_batch`; the rest
     (``dvfs`` nodes, oversized graphs) are left to
     :func:`simulate_node`.  Returns the batched nodes' summaries keyed
-    by node id, each bit-identical to :func:`simulate_node`'s (the
+    by node id, summarized row by row (only one row's period records
+    exist at a time), each bit-identical to :func:`simulate_node`'s (the
     batched-vs-per-node oracle holds this contract).  ``policy_of`` is
     the shard's policy loader (:func:`_shard_policies`), so a caller's
     per-node fallback shares its loads; by default a fresh one.

@@ -17,7 +17,8 @@ picks.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+import functools
+from typing import Dict, Optional, Tuple
 
 __all__ = ["DVFSModel"]
 
@@ -54,16 +55,33 @@ class DVFSModel:
             )
 
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def _power_factors(self) -> Dict[float, float]:
+        """Power factor of each table level, keyed by the exact level.
+
+        A level equal to a table entry is valid by construction, so
+        looking it up here skips the tolerance scan of :meth:`_check`;
+        any other level a caller passes still goes through it.
+        """
+        return {level: self._scaled_power(level) for level in self.levels}
+
+    def _scaled_power(self, level: float) -> float:
+        dynamic = 1.0 - self.static_fraction
+        return self.static_fraction + dynamic * level**3
+
     def rate(self, level: float) -> float:
         """Execution progress per wall-clock second at ``level``."""
-        self._check(level)
+        if level not in self._power_factors:
+            self._check(level)
         return level
 
     def power_factor(self, level: float) -> float:
         """Power at ``level`` relative to nominal (level 1.0)."""
-        self._check(level)
-        dynamic = 1.0 - self.static_fraction
-        return self.static_fraction + dynamic * level**3
+        factor = self._power_factors.get(level)
+        if factor is None:
+            self._check(level)
+            factor = self._scaled_power(level)
+        return factor
 
     def energy_factor(self, level: float) -> float:
         """Energy per unit of work relative to nominal."""
@@ -83,6 +101,10 @@ class DVFSModel:
 
     def most_efficient(self) -> float:
         """Level with the lowest energy per unit of work."""
+        return self._most_efficient
+
+    @functools.cached_property
+    def _most_efficient(self) -> float:
         return min(self.levels, key=self.energy_factor)
 
     def _check(self, level: float) -> None:

@@ -36,13 +36,20 @@ byte-for-byte.  The layout decisions that make this work:
   ancestors, tasks per NVP).  Each slot therefore costs a fixed number
   of numpy calls, whatever the task count, and that cost amortizes
   over the batch width.
-* **Python pow where the scalar engine uses it.**  numpy's pow ufunc
-  is not bit-identical to libm's ``**`` on some platforms; the leakage
-  voltage power keeps the per-element libm ``pow`` exactly like
-  :meth:`~repro.energy.bank.CapacitorBank.leak_all`.  The regulator
-  curves go through the same ``np.power`` ufunc in both scalar and
-  array form (see :class:`~repro.energy.regulator.RegulatorCurve`), so
-  they vectorize directly.
+* **Python pow where the scalar engine uses it, on live cells only.**
+  numpy's pow ufunc is not bit-identical to libm's ``**`` on some
+  platforms; the leakage voltage power keeps the per-element libm
+  ``pow`` exactly like :meth:`~repro.energy.bank.CapacitorBank.leak_all`.
+  A slot runs it only on the cells the run can change: each row's
+  active column, and every column of a ``proposed`` row.  An idle
+  column of any other row leaks from its cut-off voltage with no other
+  input, so its powers come from one trajectory per distinct set of
+  its own leak constants, computed once per run by the same elementwise
+  expressions (:meth:`_BatchEngine._setup_leak`); padded columns keep
+  ``pow(0, 1) = 0``.  The regulator curves go through the same
+  ``np.power`` ufunc in both scalar and array form (see
+  :class:`~repro.energy.regulator.RegulatorCurve`), so they vectorize
+  directly.
 * **Masked physics recurrences.**  Charge/discharge run the active
   column through :func:`~repro.energy.capacitor.charge_columns` /
   :func:`~repro.energy.capacitor.discharge_columns`: the 4-substep
@@ -71,6 +78,15 @@ byte-for-byte.  The layout decisions that make this work:
   curves, stop voltages) are re-gathered for the rows that switched,
   never inside the slot loop.  Every other policy's column is fixed
   for the whole run.
+* **Node-major output, rows built on read.**  Each period's outcome is
+  written into ``(n, periods)`` arrays (miss counts, the seven energy
+  terms, brownouts, active column) and ``(n, periods, tasks)`` /
+  ``(n, periods, capacitors)`` blocks (executed sets, start voltages).
+  :func:`simulate_batch` returns a :class:`BatchResults` sequence whose
+  rows are :class:`~repro.sim.recorder.SimulationResult` objects; a
+  row's :class:`~repro.sim.recorder.PeriodRecord` list is built the
+  first time that row's periods are read, so a caller that summarizes
+  row by row never holds every row's records at once.
 
 Eligibility: :func:`batch_ineligibility` names why a case cannot take
 the batched path (``dvfs``, too many tasks for the exact
@@ -83,8 +99,9 @@ engine.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence as SequenceABC
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,6 +117,7 @@ from ..schedulers.lsa import admit_by_energy
 from ..solar.prediction import WCMAPredictor
 from ..solar.trace import SolarTrace
 from ..tasks.graph import TaskGraph
+from ..timeline import Timeline
 from .recorder import PeriodRecord, SimulationResult
 from .state import COMPLETION_EPS
 from .views import BankView, PeriodStartView
@@ -108,6 +126,7 @@ __all__ = [
     "BATCH_POLICIES",
     "MAX_BATCH_TASKS",
     "BatchCase",
+    "BatchResults",
     "batch_ineligibility",
     "simulate_batch",
 ]
@@ -173,11 +192,13 @@ def _node_leak_row(
     return [d.leak_coeff * d.capacitance for d in devices]
 
 
-def simulate_batch(cases: Sequence[BatchCase]) -> List[SimulationResult]:
+def simulate_batch(cases: Sequence[BatchCase]) -> Sequence[SimulationResult]:
     """Simulate every case in one node-major batch; results in order.
 
     Every case must be batch-eligible (see :func:`batch_ineligibility`)
-    and share one timeline.
+    and share one timeline.  The result is a :class:`BatchResults`
+    sequence (``[]`` for no cases); a row's period records are built
+    when that row's periods are first read.
     """
     cases = list(cases)
     if not cases:
@@ -187,6 +208,108 @@ def simulate_batch(cases: Sequence[BatchCase]) -> List[SimulationResult]:
         if reason is not None:
             raise ValueError(f"case {i} is not batch-eligible: {reason}")
     return _BatchEngine(cases).run()
+
+
+#: The seven per-period energy terms, in :class:`PeriodRecord` order.
+_ENERGY_TERMS = (
+    "solar_energy",
+    "load_energy",
+    "direct_energy",
+    "storage_energy",
+    "charged_energy",
+    "offered_surplus",
+    "leakage_energy",
+)
+
+
+class BatchResults(SequenceABC):
+    """One batched run's outcomes, node-major; ``results[i]`` is row ``i``.
+
+    Holds ``(n, periods)`` arrays (miss counts, the energy terms,
+    brownouts, active column) and the ``(n, periods, t_max)`` executed
+    and ``(n, periods, c_max)`` start-voltage blocks.  Reading a row
+    gives a fresh :class:`SimulationResult` whose ``periods`` build that
+    row's :class:`PeriodRecord` list on first use; nothing is cached
+    here, so records live only as long as the row's result.
+    """
+
+    def __init__(
+        self,
+        tl: Timeline,
+        names: List[str],
+        t_ns: List[int],
+        c_ns: List[int],
+        n_tasks: int,
+        n_caps: int,
+    ) -> None:
+        n, p = len(names), tl.total_periods
+        self.timeline = tl
+        self.names = names
+        self.t_ns = t_ns
+        self.c_ns = c_ns
+        # Counts fit small ints: misses <= MAX_BATCH_TASKS, brownouts
+        # <= slots per period, active index < bank size.
+        self.miss_count = np.zeros((n, p), dtype=np.int16)
+        self.energy: Dict[str, np.ndarray] = {
+            name: np.zeros((n, p)) for name in _ENERGY_TERMS
+        }
+        self.brownout_slots = np.zeros((n, p), dtype=np.int32)
+        self.active_index = np.zeros((n, p), dtype=np.int16)
+        self.executed = np.zeros((n, p, n_tasks), dtype=bool)
+        self.start_voltages = np.zeros((n, p, n_caps))
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        row = range(len(self))[index]
+        return SimulationResult(
+            self.timeline, self.names[row], _RowPeriods(self, row)
+        )
+
+    def records(self, row: int) -> List[PeriodRecord]:
+        """Build row ``row``'s period records from the arrays."""
+        t_n, c_n = self.t_ns[row], self.c_ns[row]
+        tl = self.timeline
+        columns = zip(
+            self.miss_count[row].tolist(),
+            self.executed[row, :, :t_n].copy(),
+            *(self.energy[name][row].tolist() for name in _ENERGY_TERMS),
+            self.brownout_slots[row].tolist(),
+            self.start_voltages[row, :, :c_n].copy(),
+            self.active_index[row].tolist(),
+        )
+        return [
+            PeriodRecord(
+                *tl.unflatten_period(flat_p), miss / t_n, miss, *rest
+            )
+            for flat_p, (miss, *rest) in enumerate(columns)
+        ]
+
+
+class _RowPeriods(SequenceABC):
+    """A row's period records, built from :class:`BatchResults` on first read."""
+
+    def __init__(self, results: BatchResults, row: int) -> None:
+        self._results = results
+        self._row = row
+        self._built: Optional[List[PeriodRecord]] = None
+
+    def _records(self) -> List[PeriodRecord]:
+        if self._built is None:
+            self._built = self._results.records(self._row)
+        return self._built
+
+    def __len__(self) -> int:
+        return self._results.timeline.total_periods
+
+    def __getitem__(self, index):
+        return self._records()[index]
+
+    def __iter__(self):
+        return iter(self._records())
 
 
 #: Per-row task/position sets are uint16 bitmasks, bit ``j`` standing
@@ -220,6 +343,16 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
+def _leak_terms(powv, v, leak_cc, parasitic, capacitance, dt):
+    """The leak step of every cell as if idle, as CapacitorBank.leak_all
+    computes it: ``(leak power, stored energy, energy after)``."""
+    leak_power = leak_cc * powv + parasitic
+    before = 0.5 * capacitance * v * v
+    # The parasitic term is subtracted back out, not omitted.
+    idle_power = np.maximum(leak_power - parasitic, 0.0)
+    return leak_power, before, np.maximum(before - idle_power * dt, 0.0)
+
+
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -241,6 +374,7 @@ class _BatchEngine:
         self._setup_tasks()
         self._setup_bank()
         self._setup_policies()
+        self._setup_leak()
         # Per-node (total_periods, slots) views of the traces; each
         # period stacks its slice rather than the engine holding a
         # second copy of every trace.
@@ -346,7 +480,7 @@ class _BatchEngine:
         self._col_tables = {
             name: np.zeros((n, c_max)) for name in COLUMN_CONSTANTS
         }
-        self.exps_flat: List[float] = []
+        self.leak_exp = np.ones((n, c_max))
         active = np.zeros(n, dtype=np.int64)
         for row, devices in enumerate(banks):
             c_n = self.c_ns[row]
@@ -361,8 +495,7 @@ class _BatchEngine:
                 self._col_tables[name][row, :c_n] = [
                     value(d) for d in devices
                 ]
-            self.exps_flat.extend(d.leak_exponent for d in devices)
-            self.exps_flat.extend(1.0 for _ in range(c_max - c_n))
+            self.leak_exp[row, :c_n] = [d.leak_exponent for d in devices]
             if self.cases[row].policy not in ("random", "proposed"):
                 caps = np.array([d.capacitance for d in devices])
                 active[row] = int(caps.argmax())
@@ -373,6 +506,53 @@ class _BatchEngine:
             **{name: np.zeros(n) for name in COLUMN_CONSTANTS}
         )
         self._gather_active(self._rows)
+
+    def _setup_leak(self) -> None:
+        """Where the leak's per-cell ``pow`` runs, and the idle trajectories.
+
+        Live cells (every column of a ``proposed`` row, the active
+        column of any other row) run ``pow`` each slot.  An idle column
+        of a row whose active column never moves only leaks, from its
+        cut-off voltage: its per-slot powers are one trajectory per
+        distinct ``(v0, leak * C, exponent, parasitic, C)`` of the row's
+        own constants, run once here through the same elementwise
+        expressions as :meth:`_leak`.  Padded columns stay at
+        ``pow(0, 1) = 0``.
+        """
+        n, c_max = self.n, self.c_max
+        live = self.cap_valid & self.is_prop[:, None]
+        live.flat[self.active_flat] = True
+        self.live_flat = np.flatnonzero(live)
+        self.live_exps = self.leak_exp.take(self.live_flat).tolist()
+        self.idle_flat = np.flatnonzero(self.cap_valid & ~live)
+        self.powv = np.zeros((n, c_max))
+        consts = np.stack(
+            [
+                table.take(self.idle_flat)
+                for table in (
+                    self.v0, self.leak_coeff_cap, self.leak_exp,
+                    self.parasitic, self.capacitance,
+                )
+            ],
+            axis=1,
+        )
+        # Distinct constant sets, compared byte for byte.
+        raw = consts.view(np.dtype((np.void, consts.itemsize * 5))).ravel()
+        _, first, self.idle_key = np.unique(
+            raw, return_index=True, return_inverse=True
+        )
+        uniq = consts[first]
+        v, leak_cc, e, parasitic, capacitance = uniq.T.copy()
+        e = e.tolist()
+        dt = self.tl.slot_seconds
+        self.idle_pow = np.zeros((self.tl.total_slots, len(first)))
+        for step in range(self.tl.total_slots if first.size else 0):
+            powv = np.array(list(map(pow, v.tolist(), e)))
+            self.idle_pow[step] = powv
+            _, _, new_energy = _leak_terms(
+                powv, v, leak_cc, parasitic, capacitance, dt
+            )
+            v = np.sqrt(2.0 * new_energy / capacitance)
 
     def _gather_active(self, rows: np.ndarray) -> None:
         """Re-gather the active-column constants of ``rows``."""
@@ -536,23 +716,28 @@ class _BatchEngine:
         v.put(self.active_flat, v_col)
         return delivered
 
-    def _leak(self, v: np.ndarray, dt: float) -> np.ndarray:
+    def _leak(self, v: np.ndarray, dt: float, step: int) -> np.ndarray:
         """CapacitorBank.leak_all over every row; returns lost energy.
 
-        The voltage power term stays per-element libm ``pow`` (same
-        reason as leak_all); everything else is the identical
+        The voltage power term is per-element libm ``pow`` (same reason
+        as leak_all) on the live cells and the precomputed idle
+        trajectories elsewhere (:meth:`_setup_leak`; ``step`` counts
+        the slots run so far); everything else is the identical
         elementwise expression.  Padded columns hold 0 V / zero leak
         constants, so their contribution is exactly ``+0.0`` and the
         per-column accumulation matches the scalar per-capacitor sum.
         """
         flat = self.active_flat
-        powv = np.array(
-            list(map(pow, v.ravel().tolist(), self.exps_flat))
-        ).reshape(v.shape)
-        leak_power = self.leak_coeff_cap * powv + self.parasitic
-        before = 0.5 * self.capacitance * v * v
-        idle_power = np.maximum(leak_power - self.parasitic, 0.0)
-        new_energy = np.maximum(before - idle_power * dt, 0.0)
+        powv = self.powv
+        powv.put(self.idle_flat, self.idle_pow[step].take(self.idle_key))
+        powv.put(
+            self.live_flat,
+            list(map(pow, v.take(self.live_flat).tolist(), self.live_exps)),
+        )
+        leak_power, before, new_energy = _leak_terms(
+            powv, v, self.leak_coeff_cap, self.parasitic,
+            self.capacitance, dt,
+        )
         e_a = before.take(flat) - leak_power.take(flat) * dt
         e_a = np.minimum(np.maximum(e_a, 0.0), self.active.e_full)
         new_energy.put(flat, e_a)
@@ -563,7 +748,7 @@ class _BatchEngine:
         return np.add.accumulate(diffs, axis=1)[:, -1]
 
     # ------------------------------------------------------------------
-    def run(self) -> List[SimulationResult]:
+    def run(self) -> BatchResults:
         tl = self.tl
         n, t_max, k_max = self.n, self.t_max, self.k_max
         dt = tl.slot_seconds
@@ -581,7 +766,12 @@ class _BatchEngine:
         # rows restrict per period (cold-start admits the full set)
         # and each proposed row's coarse subset ``te``.
         admitted = np.ones((n, t_max), dtype=bool)
-        records: List[List[PeriodRecord]] = [[] for _ in range(n)]
+        out = BatchResults(
+            tl, [s.name for s in self.schedulers], self.t_ns, self.c_ns,
+            t_max, self.c_max,
+        )
+        energy_out = [out.energy[name] for name in _ENERGY_TERMS]
+        step = 0
 
         for flat_p in range(tl.total_periods):
             day, period = tl.unflatten_period(flat_p)
@@ -592,7 +782,8 @@ class _BatchEngine:
             if has_random:
                 self._refill_random()
             idx_intra, idx_lazy = self.idx_intra, self.idx_lazy
-            v_snapshot = v.copy()
+            out.start_voltages[:, flat_p] = v
+            out.active_index[:, flat_p] = self.active_col
             remaining = self.exec0.copy()
             missed = np.zeros((n, t_max), dtype=bool)
             started = np.zeros((n, t_max), dtype=bool)
@@ -750,7 +941,8 @@ class _BatchEngine:
                     self._discharge(v, cmask, cycle_cost)
                 brownouts += brown
 
-                lost = self._leak(v, dt)
+                lost = self._leak(v, dt, step)
+                step += 1
 
                 solar_e += solar_vec * dt
                 load_e += direct + storage
@@ -764,42 +956,24 @@ class _BatchEngine:
             # collapse to "every incomplete valid task is missed".
             missed |= self.valid & ~(remaining <= COMPLETION_EPS)
             miss_count = missed.sum(axis=1)
-            for row in range(n):
-                t_n = self.t_ns[row]
-                records[row].append(
-                    PeriodRecord(
-                        day=day,
-                        period=period,
-                        dmr=int(miss_count[row]) / t_n,
-                        miss_count=int(miss_count[row]),
-                        executed=started[row, :t_n].copy(),
-                        solar_energy=float(solar_e[row]),
-                        load_energy=float(load_e[row]),
-                        direct_energy=float(direct_e[row]),
-                        storage_energy=float(storage_e[row]),
-                        charged_energy=float(charged_e[row]),
-                        offered_surplus=float(offered_e[row]),
-                        leakage_energy=float(leak_e[row]),
-                        brownout_slots=int(brownouts[row]),
-                        start_voltages=v_snapshot[
-                            row, : self.c_ns[row]
-                        ].copy(),
-                        active_index=int(self.active_col[row]),
-                    )
-                )
+            out.miss_count[:, flat_p] = miss_count
+            out.executed[:, flat_p] = started
+            out.brownout_slots[:, flat_p] = brownouts
+            for column, term in zip(energy_out, (
+                solar_e, load_e, direct_e, storage_e,
+                charged_e, offered_e, leak_e,
+            )):
+                column[:, flat_p] = term
             for i in self.idx_lsa:
                 self.predictors[int(i)].observe(
                     day, period, float(solar_e[i])
                 )
             if has_prop:
                 for i in self.dmr_sum:
-                    self.dmr_sum[i] += records[i][-1].dmr
+                    self.dmr_sum[i] += int(miss_count[i]) / self.t_ns[i]
                 self.last_solar_e = solar_e
 
-        return [
-            SimulationResult(tl, self.schedulers[row].name, records[row])
-            for row in range(n)
-        ]
+        return out
 
     # ------------------------------------------------------------------
     def _admit_lsa(

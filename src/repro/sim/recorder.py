@@ -10,7 +10,7 @@ figures aggregate.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class SimulationResult:
         self,
         timeline: Timeline,
         scheduler_name: str,
-        periods: List[PeriodRecord],
+        periods: Sequence[PeriodRecord],
         slots: Optional[SlotArrays] = None,
     ) -> None:
         if len(periods) != timeline.total_periods:

@@ -347,7 +347,7 @@ def check_dmr_accounting(ctx: RunContext) -> CheckOutcome:
                 Violation(
                     check=out.name,
                     message=(
-                        f"dmr {p.dmr!r} != miss_count/{n} = "
+                        f"dmr {float(p.dmr)!r} != miss_count/{n} = "
                         f"{p.miss_count / n!r}"
                     ),
                     day=p.day,
@@ -355,24 +355,28 @@ def check_dmr_accounting(ctx: RunContext) -> CheckOutcome:
                 )
             )
     # Eq. (19): the accumulated DMR is the running mean of the series,
-    # so it must obey acc_t = (t*acc_{t-1} + dmr_t) / (t+1) exactly.
+    # so it must obey acc_t = (t*acc_{t-1} + dmr_t) / (t+1) exactly,
+    # and, as a mean of rates, stay within [0, 1].
     acc = ctx.result.accumulated_dmr()
     series = ctx.result.dmr_series()
     out.checked += len(acc)
     prev = 0.0
-    for t, (a, d) in enumerate(zip(acc, series)):
+    for t, (a, d) in enumerate(zip(acc.tolist(), series.tolist())):
         expected = (prev * t + d) / (t + 1)
-        if not 0.0 <= a <= 1.0 or abs(a - expected) > 1e-9:
+        problems = []
+        if not 0.0 <= a <= 1.0:
+            problems.append(f"accumulated DMR {a!r} outside [0, 1]")
+        if abs(a - expected) > 1e-9:
+            problems.append(
+                f"accumulated DMR {a!r} breaks the Eq. 19 recurrence "
+                f"(expected {expected!r})"
+            )
+        for message in problems:
             p = ctx.result.periods[t]
             out.violations.append(
                 Violation(
-                    check=out.name,
-                    message=(
-                        f"accumulated DMR {a!r} breaks the Eq. 19 "
-                        f"recurrence (expected {expected!r})"
-                    ),
-                    day=p.day,
-                    period=p.period,
+                    check=out.name, message=message,
+                    day=p.day, period=p.period,
                 )
             )
         prev = a

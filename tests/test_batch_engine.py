@@ -46,6 +46,7 @@ from repro.sim.batch import (
     simulate_batch,
 )
 from repro.sim.engine import simulate
+from repro.sim.recorder import PeriodRecord
 from repro.solar import four_day_trace, synthetic_trace
 from repro.tasks import Task, TaskGraph, paper_benchmarks
 from repro.timeline import Timeline
@@ -241,6 +242,45 @@ class TestDegenerateShapes:
 
     def test_empty_batch(self):
         assert simulate_batch([]) == []
+
+    def test_rows_build_records_only_when_read(self, monkeypatch):
+        """The batched run keeps node-major arrays; a row's period
+        records are built the first time that row's periods are read,
+        once, and reading one row builds no other row's."""
+        import repro.sim.batch as batch_mod
+
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return PeriodRecord(*args)
+
+        monkeypatch.setattr(batch_mod, "PeriodRecord", counting)
+        cases = [
+            self._clean_case(seed=i, policy=p)
+            for i, p in enumerate(("asap", "intra-task", "random"))
+        ]
+        results = simulate_batch(cases)
+        assert len(results) == 3 and built == []
+        periods = cases[0].trace.timeline.total_periods
+        middle = results[1]
+        assert len(middle.periods) == periods and built == []
+        assert [r.scheduler_name for r in results] == [
+            "asap-edf", "intra-task", "random"
+        ]
+        assert built == []
+        fingerprint = result_fingerprint(middle)
+        assert len(built) == periods
+        assert 0.0 <= middle.dmr <= 1.0
+        assert middle.total_solar_energy >= 0.0
+        assert len(built) == periods
+        assert fingerprint == result_fingerprint(
+            _per_node_reference(cases[1])
+        )
+        assert result_fingerprint(results[-1]) == result_fingerprint(
+            _per_node_reference(cases[2])
+        )
+        assert len(built) == 2 * periods
 
     def test_ineligible_case_raises(self):
         case = self._clean_case()
@@ -514,7 +554,8 @@ def test_batch_split_invariance(seed, n_nodes, data):
     whole = [result_fingerprint(r) for r in simulate_batch(cases)]
     split = [
         result_fingerprint(r)
-        for r in simulate_batch(cases[:cut]) + simulate_batch(cases[cut:])
+        for part in (cases[:cut], cases[cut:])
+        for r in simulate_batch(part)
     ]
     assert whole == split
 
@@ -604,6 +645,30 @@ class TestOracleTeeth:
         assert "fingerprint" in v.details["differing_fields"]
         assert v.details["policy"] == "proposed"
         assert v.details["graph_kind"]
+
+    def test_corrupted_idle_column_names_the_node(self, monkeypatch):
+        """A corruption planted only in an idle column of a baseline
+        row (node 0, asap, bank 10/47/0.5 F: the 47 F column is active)
+        must still come back naming that node and no other.  Idle
+        columns of such rows leak along precomputed trajectories, so
+        this proves the trajectories follow each row's own constants
+        (node 5's idle 10 F column shares the clean constants)."""
+        import repro.sim.batch as batch_mod
+
+        real = batch_mod._node_leak_row
+
+        def corrupt(node_index, devices):
+            row = real(node_index, devices)
+            if node_index == 0:
+                assert [d.capacitance for d in devices] == [10.0, 47.0, 0.5]
+                row[0] = row[0] * 1.5 + 1e-7
+            return row
+
+        monkeypatch.setattr(batch_mod, "_node_leak_row", corrupt)
+        out = oracle_batch_vs_per_node(n_nodes=6, seed=1, label="idle")
+        assert not out.passed
+        assert {v.details["node_id"] for v in out.violations} == {0}
+        assert out.violations[0].details["policy"] == "asap"
 
 
 # ----------------------------------------------------------------------

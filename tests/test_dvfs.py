@@ -88,6 +88,21 @@ class TestDVFSModel:
         model = DVFSModel()
         with pytest.raises(ValueError):
             model.rate(0.33)
+        with pytest.raises(ValueError):
+            model.power_factor(0.33)
+
+    def test_table_levels_and_near_levels_share_the_formula(self):
+        """Table levels come from a precomputed table; a level within
+        the tolerance of one is still checked and computed directly."""
+        model = DVFSModel(static_fraction=0.15)
+        for level in model.levels:
+            assert model.power_factor(level) == 0.15 + 0.85 * level**3
+        near = 0.5 + 1e-12
+        assert model.rate(near) == near
+        assert model.power_factor(near) == 0.15 + 0.85 * near**3
+        assert model.most_efficient() == min(
+            model.levels, key=model.energy_factor
+        )
 
 
 class TestEngineDVFSSupport:

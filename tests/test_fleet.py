@@ -267,10 +267,11 @@ class TestFleetRunner:
 
     @pytest.mark.parametrize(
         "n_nodes, workers, expected",
-        [(256, 1, 128), (256, 2, 64), (200, 4, 32), (1024, 1, 128)],
+        [(256, 1, 256), (256, 2, 64), (200, 4, 32), (1024, 1, 256)],
     )
     def test_default_shard_size(self, n_nodes, workers, expected):
-        """Two shards per worker at least, clamped to 32..128 nodes."""
+        """One shard when serial, two per worker at least in a pool,
+        clamped to 32..256 nodes."""
         spec = FleetSpec(n_nodes=n_nodes, seed=0)
         runner = FleetRunner(spec, workers=workers, cache=False)
         assert runner.shard_size == expected
@@ -290,7 +291,8 @@ class TestFleetRunner:
     def test_default_layout_fingerprint_matches_narrow_shards(self):
         spec = FleetSpec(n_nodes=96, seed=3)
         default = FleetRunner(spec, workers=1, cache=False)
-        assert default.shard_size == 48
+        assert default.shard_size == 96
+        assert len(default.shards()) == 1
         narrow = FleetRunner(spec, workers=1, shard_size=32, cache=False).run()
         assert default.run().fingerprint() == narrow.fingerprint()
 

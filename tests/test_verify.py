@@ -218,7 +218,25 @@ class TestInvariantCheckers:
         graph, clean, _, _ = observed_run
         bad = _doctor(clean, dmr=1.5, miss_count=len(graph))
         out = check_dmr_accounting(_ctx(observed_run, result=bad))
-        assert any("accumulated DMR" in v.message for v in out.errors)
+        messages = [v.message for v in out.errors]
+        assert "accumulated DMR 1.5 outside [0, 1]" in messages
+        # The running mean itself is intact: only the range is named.
+        assert not any("recurrence" in m for m in messages)
+        assert not any("np.float64" in m for m in messages)
+
+    def test_accumulated_dmr_off_the_recurrence_caught(self, observed_run):
+        _, clean, _, _ = observed_run
+        bad = _doctor(clean)
+        acc = clean.accumulated_dmr()
+        # The last period, so no later step builds on the bad value.
+        acc[-1] = acc[-1] + 0.25 if acc[-1] < 0.5 else acc[-1] - 0.25
+        bad.accumulated_dmr = lambda: acc
+        out = check_dmr_accounting(_ctx(observed_run, result=bad))
+        messages = [v.message for v in out.errors]
+        assert len(messages) == 1
+        assert "breaks the Eq. 19 recurrence" in messages[0]
+        assert "outside" not in messages[0]
+        assert "np.float64" not in messages[0]
 
     def test_impossible_brownout_count_caught(self, observed_run):
         _, clean, _, _ = observed_run
