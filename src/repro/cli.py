@@ -23,8 +23,6 @@ Commands
     hierarchical call tree with total/self wall-clock per span and
     the hot-span table (``--check`` exits 6 unless the tree is a
     single root with no orphans).
-``export-trace``
-    Write a synthetic solar trace as a MIDC-style CSV.
 ``cache``
     Offline-artifact cache utilities: ``cache info`` shows the entry
     counts and sizes, ``cache clear`` removes cached artifacts.
@@ -70,6 +68,7 @@ import time
 from typing import Dict, Iterator, Optional, Sequence
 
 from . import quick_node
+from .node import DVFSModel
 from .obs import (
     NULL_TRACER,
     JsonlSink,
@@ -96,7 +95,6 @@ from .experiments import EXPERIMENTS
 from .fleet.spec import FLEET_POLICIES
 from .sim.engine import InvalidDecisionError, simulate
 from .solar import four_day_trace, synthetic_trace
-from .solar.dataset import MIDCFormatError, write_midc_csv
 from .tasks import paper_benchmarks
 from .timeline import Timeline
 
@@ -234,13 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 6 unless the trace reassembles into exactly one "
         "rooted tree with no orphan spans",
     )
-
-    export = commands.add_parser(
-        "export-trace", help="write synthetic weather as MIDC CSV"
-    )
-    export.add_argument("--days", type=int, default=4)
-    export.add_argument("--seed", type=int, default=0)
-    export.add_argument("--out", required=True)
 
     cache_cmd = commands.add_parser(
         "cache", help="offline-artifact cache utilities"
@@ -421,7 +412,11 @@ def _cmd_simulate(args, out) -> int:
             f"--max-slots guard of {args.max_slots}"
         )
     scheduler = make_scheduler(args.scheduler)
-    node = quick_node(graph)
+    # The dvfs policy's reduced levels need a node that can run them;
+    # without a DVFSModel the engine would reset each one to 1.0.
+    node = quick_node(
+        graph, dvfs=DVFSModel() if args.scheduler == "dvfs" else None
+    )
 
     fault_injector = None
     if args.fault_scenario:
@@ -851,17 +846,6 @@ def _cmd_fleet(args, out) -> int:
     return 7 if result.degraded else 0
 
 
-def _cmd_export(args, out) -> int:
-    trace = _trace(args.days, args.seed)
-    write_midc_csv(args.out, trace)
-    print(
-        f"wrote {trace.timeline.total_slots} rows covering "
-        f"{args.days} day(s) to {args.out}",
-        file=out,
-    )
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """Entry point; returns the process exit code."""
     out = out or sys.stdout
@@ -876,8 +860,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return _cmd_experiment(args, out)
         if args.command == "obs":
             return _cmd_obs(args, out)
-        if args.command == "export-trace":
-            return _cmd_export(args, out)
         if args.command == "cache":
             return _cmd_cache(args, out)
         if args.command == "verify":
@@ -898,7 +880,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     #     by _cmd_experiment when a table's check fails),
     # 7 = completed degraded (returned directly by _cmd_fleet),
     # 130 = interrupted (returned directly by _cmd_fleet).
-    except (MIDCFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckpointError as exc:

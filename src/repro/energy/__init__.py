@@ -11,7 +11,6 @@ from .migration import (
     MigrationResult,
     NonidealParams,
     migration_efficiency,
-    optimal_capacity,
     simulate_migration,
 )
 from .sizing import (
@@ -36,7 +35,6 @@ __all__ = [
     "NonidealParams",
     "simulate_migration",
     "migration_efficiency",
-    "optimal_capacity",
     "migration_series",
     "DayMigrationResult",
     "simulate_day_migration",

@@ -24,7 +24,7 @@ This module provides both sides of that validation:
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "NonidealParams",
     "simulate_migration",
     "migration_efficiency",
-    "optimal_capacity",
 ]
 
 
@@ -267,29 +266,3 @@ def migration_efficiency(
     return simulate_migration(
         capacitor, pattern, time_step=time_step, nonideal=nonideal
     ).efficiency
-
-
-def optimal_capacity(
-    pattern: MigrationPattern,
-    candidates: Sequence[float],
-    time_step: float = 30.0,
-    **capacitor_kwargs,
-) -> tuple[float, float]:
-    """Best capacitance (and its efficiency) for a migration pattern.
-
-    Used by the Figure 2 motivation experiment: small capacitors win
-    short/small migrations, large ones win long/large migrations.
-    """
-    if not candidates:
-        raise ValueError("need at least one candidate capacitance")
-    best_c, best_eff = None, -1.0
-    for c in candidates:
-        eff = migration_efficiency(
-            SuperCapacitor(capacitance=c, **capacitor_kwargs),
-            pattern,
-            time_step=time_step,
-        )
-        if eff > best_eff:
-            best_c, best_eff = c, eff
-    assert best_c is not None
-    return best_c, best_eff

@@ -9,8 +9,8 @@ Zero-dependency events, counters, tracing and run provenance:
   sinks; :data:`NULL_OBSERVER` is the disabled default the engine uses
   when no observer is supplied (call sites guard with
   ``observer.enabled``, so it costs one boolean check);
-* :mod:`repro.obs.sinks` — JSONL trace files, ring buffers, console
-  summaries, and the ``repro obs summarize`` renderer;
+* :mod:`repro.obs.sinks` — JSONL trace files, ring buffers, progress
+  heartbeats, and the ``repro obs summarize`` renderer;
 * :mod:`repro.obs.manifest` — reproducibility manifests written next
   to experiment results;
 * :mod:`repro.obs.trace` — hierarchical spans with deterministic ids
@@ -67,7 +67,6 @@ from .manifest import (
     timeline_dict,
 )
 from .sinks import (
-    ConsoleSummarySink,
     HeartbeatSink,
     JsonlSink,
     OBS_SCHEMA,
@@ -134,7 +133,6 @@ __all__ = [
     "HeartbeatSink",
     "JsonlSink",
     "RingBufferSink",
-    "ConsoleSummarySink",
     "read_jsonl",
     "summarize_jsonl",
     "RunManifest",

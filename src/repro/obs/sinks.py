@@ -1,4 +1,4 @@
-"""Event sinks: JSONL trace files, ring buffers, console summaries.
+"""Event sinks: JSONL trace files, ring buffers, progress heartbeats.
 
 Sinks receive plain dict records from an
 :class:`~repro.obs.events.Observer` — one dict per event plus a final
@@ -19,7 +19,6 @@ __all__ = [
     "OBS_SCHEMA",
     "JsonlSink",
     "RingBufferSink",
-    "ConsoleSummarySink",
     "HeartbeatSink",
     "read_jsonl",
     "summarize_jsonl",
@@ -96,55 +95,6 @@ class RingBufferSink:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-class ConsoleSummarySink:
-    """Counts records per kind; renders a human-readable digest.
-
-    Record kinds this build does not know (traces written by a newer
-    build, hand-edited files) are *skipped and counted* rather than
-    mixed into the event table or treated as an error.
-    """
-
-    def __init__(self, stream=None) -> None:
-        self.stream = stream
-        self.counts: Dict[str, int] = collections.Counter()
-        self.unknown: Dict[str, int] = collections.Counter()
-        self.trailer: Optional[Dict[str, object]] = None
-
-    def write(self, record: Dict[str, object]) -> None:
-        from .events import KNOWN_RECORD_KINDS
-
-        if not isinstance(record, dict):
-            self.unknown["<not a record>"] += 1
-            return
-        kind = str(record.get("kind"))
-        if kind == "run_summary":
-            self.trailer = record
-        elif kind in KNOWN_RECORD_KINDS:
-            self.counts[kind] += 1
-        else:
-            self.unknown[kind] += 1
-
-    def render(self) -> str:
-        lines = ["event counts:"]
-        for kind, count in sorted(self.counts.items()):
-            lines.append(f"  {kind:<24} {count}")
-        if not self.counts:
-            lines.append("  (none)")
-        if self.unknown:
-            total = sum(self.unknown.values())
-            kinds = ", ".join(sorted(self.unknown))
-            lines.append(
-                f"skipped {total} record(s) of unknown kind: {kinds}"
-            )
-        if self.trailer is not None:
-            lines.append(_render_trailer(self.trailer))
-        return "\n".join(lines)
-
-    def close(self) -> None:
-        if self.stream is not None:
-            print(self.render(), file=self.stream)
 
 
 class HeartbeatSink:
@@ -250,19 +200,44 @@ def _render_trailer(trailer: Dict[str, object]) -> str:
 def summarize_jsonl(path: Union[str, Path]) -> str:
     """Render a trace file the way ``repro obs summarize`` prints it.
 
-    Unknown record kinds are skipped and counted (see
-    :class:`ConsoleSummarySink`), so a trace written by a newer build
-    still summarizes; malformed JSON still raises — a corrupt file is
-    an error, a forward-compatible one is not.
+    Records are counted per kind.  Record kinds this build does not
+    know (traces written by a newer build, hand-edited files) are
+    *skipped and counted* rather than mixed into the event table, so
+    a trace written by a newer build still summarizes; malformed JSON
+    still raises — a corrupt file is an error, a forward-compatible
+    one is not.
     """
+    from .events import KNOWN_RECORD_KINDS
+
     records = read_jsonl(path)
-    summary = ConsoleSummarySink()
+    counts: Dict[str, int] = collections.Counter()
+    unknown: Dict[str, int] = collections.Counter()
+    trailer: Optional[Dict[str, object]] = None
     for record in records:
-        summary.write(record)
-    scheduler = (
-        summary.trailer.get("scheduler") if summary.trailer else None
-    )
-    header = [f"trace: {path}", f"records: {len(records)}"]
+        if not isinstance(record, dict):
+            unknown["<not a record>"] += 1
+            continue
+        kind = str(record.get("kind"))
+        if kind == "run_summary":
+            trailer = record
+        elif kind in KNOWN_RECORD_KINDS:
+            counts[kind] += 1
+        else:
+            unknown[kind] += 1
+
+    lines = [f"trace: {path}", f"records: {len(records)}"]
+    scheduler = trailer.get("scheduler") if trailer else None
     if scheduler:
-        header.append(f"scheduler: {scheduler}")
-    return "\n".join(header) + "\n" + summary.render()
+        lines.append(f"scheduler: {scheduler}")
+    lines.append("event counts:")
+    for kind, count in sorted(counts.items()):
+        lines.append(f"  {kind:<24} {count}")
+    if not counts:
+        lines.append("  (none)")
+    if unknown:
+        total = sum(unknown.values())
+        kinds = ", ".join(sorted(unknown))
+        lines.append(f"skipped {total} record(s) of unknown kind: {kinds}")
+    if trailer is not None:
+        lines.append(_render_trailer(trailer))
+    return "\n".join(lines)

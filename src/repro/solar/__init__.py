@@ -22,13 +22,6 @@ from .prediction import (
     SolarPredictor,
     WCMAPredictor,
 )
-from .dataset import MIDCFormatError, read_midc_csv, write_midc_csv
-from .iv import (
-    FixedVoltageHarvester,
-    PerfectMPPT,
-    SingleDiodePanel,
-    tracking_ratio,
-)
 
 __all__ = [
     "ClearSkyModel",
@@ -49,11 +42,4 @@ __all__ = [
     "WCMAPredictor",
     "EWMAPredictor",
     "PerfectPredictor",
-    "read_midc_csv",
-    "write_midc_csv",
-    "MIDCFormatError",
-    "SingleDiodePanel",
-    "PerfectMPPT",
-    "FixedVoltageHarvester",
-    "tracking_ratio",
 ]

@@ -1,11 +1,12 @@
 """Clear-sky solar irradiance from solar geometry.
 
-The paper drives its experiments from measured irradiance (NREL MIDC
-[15]).  Offline datasets are not available here, so this module builds
-the deterministic clear-sky component from first principles: solar
-declination and hour angle give the solar elevation for a site latitude
-and day of year, and the Haurwitz clear-sky model maps elevation to
-global horizontal irradiance (GHI).  Stochastic cloud attenuation is
+The paper drives its experiments from measured irradiance (NREL's
+Measurement and Instrumentation Data Center [15]).  No measured data
+ships with this repository, so this module builds the deterministic
+clear-sky component from first principles: solar declination and hour
+angle give the solar elevation for a site latitude and day of year,
+and the Haurwitz clear-sky model maps elevation to global horizontal
+irradiance (GHI).  Stochastic cloud attenuation is
 layered on top by :mod:`repro.solar.clouds`.
 
 All irradiance values are W/m²; all times are seconds since local
@@ -83,8 +84,8 @@ class ClearSkyModel:
     ----------
     latitude_deg:
         Site latitude; the default (39.74° N) matches NREL's Solar
-        Radiation Research Laboratory in Golden, CO, the flagship MIDC
-        station the paper's dataset [15] comes from.
+        Radiation Research Laboratory in Golden, CO, the flagship
+        station of the network the paper's dataset [15] comes from.
     """
 
     latitude_deg: float = 39.74

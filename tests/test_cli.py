@@ -66,6 +66,32 @@ class TestSimulateCommand:
         assert code == 0
         assert "dvfs-load-matching" in text
 
+    def test_dvfs_runs_its_reduced_levels(self):
+        """The CLI's dvfs node can run every level the policy picks.
+
+        A strict run raises on a level the node cannot run, so equal
+        fingerprints mean the CLI dropped none of them.
+        """
+        from repro import quick_node, simulate
+        from repro.cli import _trace
+        from repro.node import DVFSModel
+        from repro.schedulers import make_scheduler
+        from repro.sim import result_fingerprint
+        from repro.tasks import paper_benchmarks
+
+        code, text = run_cli(
+            "simulate", "--benchmark", "WAM", "--scheduler", "dvfs",
+            "--days", "1",
+        )
+        assert code == 0
+        graph = paper_benchmarks()["WAM"]
+        ref = simulate(
+            quick_node(graph, dvfs=DVFSModel()), graph, _trace(1, 0),
+            make_scheduler("dvfs"), strict=True,
+        )
+        assert f"DMR:                {ref.dmr:.4f}" in text
+        assert _fingerprint(text) == result_fingerprint(ref)
+
 
 class TestExperimentCommand:
     def test_fig5(self):
@@ -182,19 +208,6 @@ class TestPerfKnobsScopedToCommand:
         assert code == 0
         assert seen == ["1"]
         assert "REPRO_NO_CACHE" not in os.environ
-
-
-class TestExportCommand:
-    def test_writes_csv(self, tmp_path):
-        out_file = tmp_path / "trace.csv"
-        code, text = run_cli(
-            "export-trace", "--days", "1", "--seed", "5",
-            "--out", str(out_file),
-        )
-        assert code == 0
-        assert out_file.exists()
-        header = out_file.read_text().splitlines()[0]
-        assert "Global Horizontal" in header
 
 
 def _fingerprint(text):
@@ -427,12 +440,12 @@ def _case_value_error(tmp_path, monkeypatch):
     return ["simulate", "--days", "4", "--max-slots", "10"]
 
 
-def _case_midc_error(tmp_path, monkeypatch):
+def _case_graph_error(tmp_path, monkeypatch):
     import repro.cli as cli
-    from repro.solar.dataset import MIDCFormatError
+    from repro.tasks.graph import CycleError
 
     def boom(args, out):
-        raise MIDCFormatError("line 7: negative irradiance")
+        raise CycleError("task graph has a cycle")
 
     monkeypatch.setattr(cli, "_cmd_simulate", boom)
     return ["simulate", "--days", "1"]
@@ -494,7 +507,7 @@ def _case_degraded_fleet(tmp_path, monkeypatch):
 EXIT_CODE_MATRIX = [
     ("success", _case_ok, 0),
     ("bad-input-value", _case_value_error, 2),
-    ("bad-input-midc", _case_midc_error, 2),
+    ("bad-input-graph", _case_graph_error, 2),
     ("checkpoint", _case_checkpoint_error, 3),
     ("simulation", _case_invalid_decision, 4),
     ("verify-failure", _case_verify_failure, 6),

@@ -9,7 +9,6 @@ from repro.energy import (
     NonidealParams,
     SuperCapacitor,
     migration_efficiency,
-    optimal_capacity,
     simulate_migration,
 )
 
@@ -139,22 +138,3 @@ class TestTable2Shape:
         """Paper: up to 30.5% efficiency difference between sizes."""
         eff = self.efficiencies(30, 400)
         assert max(eff.values()) - min(eff.values()) > 0.05
-
-
-class TestOptimalCapacity:
-    def test_picks_small_for_short_migration(self):
-        best, eff = optimal_capacity(
-            MigrationPattern.table2(7, 60), candidates=[1.0, 10.0, 100.0]
-        )
-        assert best == 1.0
-        assert eff > 0
-
-    def test_picks_larger_for_long_migration(self):
-        best, _ = optimal_capacity(
-            MigrationPattern.table2(30, 400), candidates=[1.0, 10.0, 100.0]
-        )
-        assert best == 10.0
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            optimal_capacity(MigrationPattern.table2(7, 60), candidates=[])

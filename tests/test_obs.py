@@ -12,7 +12,6 @@ from repro.energy import SuperCapacitor
 from repro.node import SensorNode
 from repro.obs import (
     BrownoutEvent,
-    ConsoleSummarySink,
     DeadlineMissEvent,
     JsonlSink,
     NULL_OBSERVER,
@@ -60,6 +59,12 @@ def tiny_node(graph, caps=(10.0,)):
         [SuperCapacitor(capacitance=c) for c in caps],
         num_nvps=graph.num_nvps,
     )
+
+
+def write_lines(path, *records):
+    with path.open("w") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
 
 
 class TestMetrics:
@@ -275,14 +280,25 @@ class TestJsonlRoundTrip:
         # Timing is the span tree's job (``repro obs trace``).
         assert "per-phase timing" not in text
 
-    def test_console_summary_sink(self):
-        sink = ConsoleSummarySink()
-        sink.write({"kind": "slot_decision"})
-        sink.write({"kind": "slot_decision"})
-        sink.write({"kind": "run_summary", "result": {"dmr": 0.5}})
-        text = sink.render()
-        assert "slot_decision" in text and "2" in text
-        assert "dmr" in text
+    def test_summarize_counts_per_kind(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_lines(
+            path,
+            {"kind": "slot_decision"},
+            {"kind": "slot_decision"},
+            {"kind": "span"},
+            {"kind": "run_summary", "result": {"dmr": 0.5, "slots": 3}},
+        )
+        lines = summarize_jsonl(path).splitlines()
+        assert lines[1:] == [
+            "records: 4",
+            "event counts:",
+            "  slot_decision            2",
+            "  span                     1",
+            "headline result:",
+            "  dmr                      0.5",
+            "  slots                    3",
+        ]
 
 
 class TestSchemaAndUnknownKinds:
@@ -298,17 +314,22 @@ class TestSchemaAndUnknownKinds:
         assert records[0]["schema"] == OBS_SCHEMA == 1
         assert records[1]["schema"] == 9  # an existing stamp wins
 
-    def test_console_summary_counts_unknown_kinds(self):
-        sink = ConsoleSummarySink()
-        sink.write({"kind": "slot_decision"})
-        sink.write({"kind": "from_the_future"})
-        sink.write({"kind": "from_the_future"})
-        sink.write(["not", "a", "record"])
-        text = sink.render()
-        assert "slot_decision" in text
-        assert "skipped 3 record(s) of unknown kind" in text
-        assert "from_the_future" in text
-        assert "<not a record>" in text
+    def test_summarize_counts_unknown_kinds(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_lines(
+            path,
+            {"kind": "slot_decision"},
+            {"kind": "from_the_future"},
+            {"kind": "from_the_future"},
+            ["not", "a", "record"],
+        )
+        text = summarize_jsonl(path)
+        assert "  slot_decision            1" in text
+        assert (
+            "skipped 3 record(s) of unknown kind: <not a record>, "
+            "from_the_future"
+        ) in text
+        assert "headline result" not in text
 
     def test_summarize_skips_unknown_kinds(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -20,6 +20,10 @@ PACKAGES = [
     "repro.core.ann",
     "repro.reliability",
     "repro.experiments",
+    "repro.obs",
+    "repro.fleet",
+    "repro.verify",
+    "repro.perf",
 ]
 
 
