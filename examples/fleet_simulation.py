@@ -7,7 +7,7 @@ workload, scheduler, capacitor bank, panel scale and cloud jitter from
 the fleet seed — and prints the population view: DMR percentiles,
 brownout pressure, and the per-policy comparison.  It then re-runs the
 same fleet with a different worker count and shard size to demonstrate
-the determinism contract: the aggregate fingerprint is bit-identical.
+the determinism contract: the fleet fingerprint is bit-identical.
 
 Run:  python examples/fleet_simulation.py
 Fast: REPRO_EXAMPLE_FAST=1 python examples/fleet_simulation.py
@@ -36,7 +36,7 @@ def main() -> None:
     print(result.render())
 
     fp = result.fingerprint()
-    print(f"\naggregate fingerprint: {fp}")
+    print(f"\nfleet fingerprint:     {fp}")
 
     # Same fleet, different execution shape -> same fingerprint.
     reshaped = FleetRunner(

@@ -35,7 +35,7 @@ Commands
 ``fleet``
     Fleet-scale simulation: ``fleet run --nodes N --seed S`` simulates
     N heterogeneous nodes sharing one base solar trace and prints the
-    population report plus the deterministic aggregate fingerprint
+    population report plus the deterministic fleet fingerprint
     (bit-identical for any ``--workers``/``--shard-size``; nodes the
     batched engine covers run batched, the rest per node);
     ``fleet report result.json`` re-renders a saved ``--out`` file.
@@ -117,7 +117,7 @@ def _timeline(days: int) -> Timeline:
 def _trace(days: int, seed: int):
     if days == 4 and seed == 0:
         return four_day_trace(_timeline(4))
-    return synthetic_trace(_timeline(days), seed=seed or 2016)
+    return synthetic_trace(_timeline(days), seed=seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--days", type=int, default=4)
     sim.add_argument(
         "--seed", type=int, default=0,
-        help="weather seed (0 + 4 days = the paper's canonical days)",
+        help="weather seed (default 0); with --days 4, seed 0 gives "
+        "the paper's four canonical days",
     )
     sim.add_argument(
         "--trace", metavar="PATH",

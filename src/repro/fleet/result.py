@@ -12,15 +12,10 @@ comparisons across heterogeneous hardware and workloads.
 order, so it is bit-identical for any worker count or shard size and
 serves as the determinism contract of a fleet run.
 
-:class:`FleetAggregate` is the memory-bounded companion (the on-ramp
-to ROADMAP item 3): per-shard mergeable sketches — DMR and
-utilization histograms, counters, per-policy partial sums — that fold
-associatively in any grouping, plus per-shard *sub-fingerprints*
-whose order-independent combination gives the aggregate its own
-determinism witness without holding the node list.  ``FleetResult``
-delegates its percentile/histogram fields to the aggregate, so the
-population numbers a 100-node run reports are computed exactly the
-way a 1M-node streaming run would compute them.
+:class:`FleetAggregate` holds the two histograms the report reads its
+DMR percentiles and utilization bar from.  The runner builds one per
+shard and folds them as shards land; bin counts are integers and
+min/max are order-free, so the landing order changes no number.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..obs.sketch import CounterBag, FixedHistogram
+from ..obs.sketch import FixedHistogram
 
 __all__ = ["NodeSummary", "FailedNode", "FleetResult", "FleetAggregate"]
 
@@ -42,7 +37,7 @@ FLEET_RESULT_SCHEMA = 1
 
 __all__.append("FLEET_RESULT_SCHEMA")
 
-#: Sketch resolutions: DMR quantiles are read off a 256-bin histogram
+#: Histogram resolutions: DMR quantiles are read off a 256-bin histogram
 #: (error ≤ 1/256), utilization histograms from a 100-bin one so every
 #: divisor view (2/4/5/10/20/25/50 bins) downsamples exactly.
 DMR_SKETCH_BINS = 256
@@ -106,238 +101,44 @@ class FailedNode:
         return cls(**rec)
 
 
-def _node_digest(node: "NodeSummary") -> int:
-    """256-bit content digest of one node summary (fold-able)."""
-    h = hashlib.sha256(
-        repr(
-            (
-                node.node_id,
-                node.graph_kind,
-                node.policy,
-                node.num_tasks,
-                node.panel_scale,
-                tuple(node.bank_farads),
-                node.dmr,
-                node.energy_utilization,
-                node.migration_efficiency,
-                node.brownout_slots,
-                node.solar_energy,
-                node.load_energy,
-                node.fingerprint,
-            )
-        ).encode()
-    )
-    return int(h.hexdigest(), 16)
-
-
 class FleetAggregate:
-    """Mergeable, memory-bounded population statistics for one fleet.
+    """The population histograms of one fleet (or one shard of it).
 
-    Built per shard (:meth:`from_nodes`) and folded with
-    :meth:`merge`, which is associative and commutative: any grouping
-    of the same shards yields the same aggregate — including
-    :meth:`fingerprint`, which combines per-node digests with an
-    order-independent XOR fold recorded per shard in
-    ``sub_fingerprints``.  The node-sorted
-    :meth:`FleetResult.fingerprint` stays the primary determinism
-    contract; this one is the streaming-scale witness that never
-    needs the node list in memory.
+    ``dmr`` (:data:`DMR_SKETCH_BINS` bins) serves the DMR percentiles
+    and ``util`` (:data:`UTIL_SKETCH_BINS` bins) the utilization
+    histogram.  Built per shard by :meth:`from_nodes` and folded with
+    :meth:`merge`, which is exact in any grouping or order.
     """
 
     def __init__(
         self,
         dmr: Optional[FixedHistogram] = None,
         util: Optional[FixedHistogram] = None,
-        counters: Optional[CounterBag] = None,
-        policies: Optional[Dict[str, Dict[str, float]]] = None,
-        sub_fingerprints: Optional[
-            Sequence[Dict[str, object]]
-        ] = None,
     ) -> None:
         self.dmr = dmr or FixedHistogram.linear(0.0, 1.0, DMR_SKETCH_BINS)
         self.util = util or FixedHistogram.linear(
             0.0, 1.0, UTIL_SKETCH_BINS
         )
-        self.counters = counters or CounterBag()
-        self.policies: Dict[str, Dict[str, float]] = {
-            k: dict(v) for k, v in (policies or {}).items()
-        }
-        self.sub_fingerprints: List[Dict[str, object]] = [
-            dict(s) for s in (sub_fingerprints or [])
-        ]
 
-    # ------------------------------------------------------------------
     @classmethod
-    def from_nodes(
-        cls,
-        nodes: Iterable["NodeSummary"],
-        failed: Iterable["FailedNode"] = (),
-    ) -> "FleetAggregate":
-        """Absorb one shard's summaries (and casualties) into a fresh
-        aggregate.  Failed nodes only bump the ``nodes_failed``
-        counter: they contribute nothing to the healthy-subset
-        sketches or sub-fingerprints."""
+    def from_nodes(cls, nodes: Iterable["NodeSummary"]) -> "FleetAggregate":
+        """Histograms of one shard's healthy node summaries."""
+        nodes = list(nodes)
         agg = cls()
-        for _ in failed:
-            agg.counters.inc("nodes_failed")
-        fold = 0
-        ids: List[int] = []
-        for node in sorted(nodes, key=lambda n: n.node_id):
-            ids.append(node.node_id)
-            fold ^= _node_digest(node)
-            agg.dmr.add(node.dmr)
-            agg.util.add(min(max(node.energy_utilization, 0.0), 1.0))
-            agg.counters.inc("nodes")
-            agg.counters.inc("brownout_slots", node.brownout_slots)
-            if node.brownout_slots > 0:
-                agg.counters.inc("nodes_with_brownouts")
-            stats = agg.policies.setdefault(
-                node.policy,
-                {
-                    "nodes": 0.0,
-                    "dmr_sum": 0.0,
-                    "util_sum": 0.0,
-                    "brownout_slots": 0.0,
-                },
-            )
-            stats["nodes"] += 1
-            stats["dmr_sum"] += node.dmr
-            stats["util_sum"] += node.energy_utilization
-            stats["brownout_slots"] += node.brownout_slots
-        if ids:
-            if len(set(ids)) != len(ids):
-                raise ValueError("duplicate node ids in shard")
-            agg.sub_fingerprints = [
-                {
-                    "lo": min(ids),
-                    "hi": max(ids),
-                    "n": len(ids),
-                    "digest": f"{fold:064x}",
-                }
-            ]
+        agg.dmr.add_many([n.dmr for n in nodes])
+        agg.util.add_many(
+            np.clip([n.energy_utilization for n in nodes], 0.0, 1.0)
+        )
         return agg
 
-    # ------------------------------------------------------------------
     @property
     def n_nodes(self) -> int:
         return self.dmr.count
 
     def merge(self, other: "FleetAggregate") -> "FleetAggregate":
-        """Associative, commutative fold of two disjoint aggregates.
-
-        Shards must cover disjoint node-id *ranges* (fleet shards are
-        contiguous), which is how duplicate ingestion is caught
-        without remembering individual ids.
-        """
-        for a in self.sub_fingerprints:
-            for b in other.sub_fingerprints:
-                if a["lo"] <= b["hi"] and b["lo"] <= a["hi"]:
-                    raise ValueError(
-                        "cannot merge aggregates with overlapping "
-                        f"node-id ranges [{a['lo']}, {a['hi']}] and "
-                        f"[{b['lo']}, {b['hi']}]"
-                    )
-        policies = {k: dict(v) for k, v in self.policies.items()}
-        for name, theirs in other.policies.items():
-            mine = policies.setdefault(
-                name,
-                {
-                    "nodes": 0.0,
-                    "dmr_sum": 0.0,
-                    "util_sum": 0.0,
-                    "brownout_slots": 0.0,
-                },
-            )
-            for field, value in theirs.items():
-                mine[field] = mine.get(field, 0.0) + value
-        subs = sorted(
-            self.sub_fingerprints + other.sub_fingerprints,
-            key=lambda s: (s["lo"], s["hi"]),
-        )
+        """Associative, commutative fold of two disjoint aggregates."""
         return FleetAggregate(
-            dmr=self.dmr.merge(other.dmr),
-            util=self.util.merge(other.util),
-            counters=self.counters.merge(other.counters),
-            policies=policies,
-            sub_fingerprints=subs,
-        )
-
-    def fingerprint(self) -> str:
-        """Order-independent digest over the per-shard sub-digests."""
-        fold = 0
-        for sub in self.sub_fingerprints:
-            fold ^= int(str(sub["digest"]), 16)
-        return hashlib.sha256(
-            repr(("fleet-aggregate", self.n_nodes, f"{fold:064x}")).encode()
-        ).hexdigest()
-
-    # ------------------------------------------------------------------
-    @property
-    def mean_dmr(self) -> float:
-        return self.dmr.mean
-
-    def dmr_percentiles(
-        self, percentiles: Sequence[float] = (5, 25, 50, 75, 95, 99)
-    ) -> Dict[str, float]:
-        return self.dmr.percentiles(percentiles)
-
-    def utilization_histogram(
-        self, bins: int = 10
-    ) -> Tuple[List[int], List[float]]:
-        return self.util.downsample(bins)
-
-    @property
-    def nodes_failed(self) -> int:
-        return int(self.counters["nodes_failed"])
-
-    @property
-    def degraded(self) -> bool:
-        """True when any ingested shard quarantined a node."""
-        return self.nodes_failed > 0
-
-    @property
-    def total_brownout_slots(self) -> int:
-        return int(self.counters["brownout_slots"])
-
-    @property
-    def brownout_node_fraction(self) -> float:
-        n = self.n_nodes
-        return self.counters["nodes_with_brownouts"] / n if n else 0.0
-
-    def by_policy(self) -> Dict[str, Dict[str, float]]:
-        """Per-policy partial-sum aggregates (means, not percentiles)."""
-        out: Dict[str, Dict[str, float]] = {}
-        for policy, stats in sorted(self.policies.items()):
-            n = max(stats["nodes"], 1.0)
-            out[policy] = {
-                "nodes": stats["nodes"],
-                "mean_dmr": stats["dmr_sum"] / n,
-                "mean_utilization": stats["util_sum"] / n,
-                "brownout_slots": stats["brownout_slots"],
-            }
-        return out
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": FLEET_RESULT_SCHEMA,
-            "n_nodes": self.n_nodes,
-            "fingerprint": self.fingerprint(),
-            "dmr": self.dmr.to_dict(),
-            "util": self.util.to_dict(),
-            "counters": self.counters.to_dict(),
-            "policies": {k: dict(v) for k, v in self.policies.items()},
-            "sub_fingerprints": [dict(s) for s in self.sub_fingerprints],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FleetAggregate":
-        return cls(
-            dmr=FixedHistogram.from_dict(data["dmr"]),
-            util=FixedHistogram.from_dict(data["util"]),
-            counters=CounterBag.from_dict(data["counters"]),
-            policies=data.get("policies") or {},
-            sub_fingerprints=data.get("sub_fingerprints") or [],
+            dmr=self.dmr.merge(other.dmr), util=self.util.merge(other.util)
         )
 
 
@@ -381,7 +182,7 @@ class FleetResult:
 
     @property
     def aggregate(self) -> FleetAggregate:
-        """The mergeable sketch view (built on demand if not supplied)."""
+        """The population histograms (built on demand if not supplied)."""
         if self._aggregate is None:
             self._aggregate = FleetAggregate.from_nodes(self.nodes)
         return self._aggregate
@@ -399,12 +200,11 @@ class FleetResult:
     def dmr_percentiles(
         self, percentiles: Sequence[float] = (5, 25, 50, 75, 95, 99)
     ) -> Dict[str, float]:
-        """Population DMR quantiles, read off the mergeable sketch.
-
-        Same numbers a streaming fleet would report: within one sketch
-        bin (1/:data:`DMR_SKETCH_BINS`) of the nearest-rank sample.
+        """Population DMR quantiles, read off the aggregate's histogram:
+        within one bin (1/:data:`DMR_SKETCH_BINS`) of the nearest-rank
+        sample.
         """
-        return self.aggregate.dmr_percentiles(percentiles)
+        return self.aggregate.dmr.percentiles(percentiles)
 
     @property
     def total_brownout_slots(self) -> int:
@@ -422,12 +222,12 @@ class FleetResult:
     ) -> Tuple[List[int], List[float]]:
         """Energy-utilization counts over ``bins`` equal bins on [0, 1].
 
-        Served by downsampling the aggregate's fixed 100-bin sketch
+        Served by downsampling the aggregate's fixed 100-bin histogram
         (bit-identical to ``np.histogram`` for any divisor of 100);
         other bin counts fall back to the exact per-node computation.
         """
         try:
-            return self.aggregate.utilization_histogram(bins)
+            return self.aggregate.util.downsample(bins)
         except ValueError:
             values = np.clip(
                 [n.energy_utilization for n in self.nodes], 0.0, 1.0
@@ -534,7 +334,6 @@ class FleetResult:
                 np.mean([n.energy_utilization for n in self.nodes])
             ),
             "fingerprint": self.fingerprint(),
-            "aggregate_fingerprint": self.aggregate.fingerprint(),
         }
 
     def render(self) -> str:
@@ -592,7 +391,6 @@ class FleetResult:
             "config": self.config,
             "fingerprint": self.fingerprint(),
             "summary": self.summary(),
-            "aggregate": self.aggregate.to_dict(),
             "nodes": [n.to_dict() for n in self.nodes],
             "failed_nodes": [f.to_dict() for f in self.failed_nodes],
         }

@@ -66,7 +66,6 @@ from ..obs.events import (
     NodeQuarantinedEvent,
     Observer,
 )
-from ..obs.sketch import P2Quantile
 from ..obs.trace import (
     NULL_TRACER,
     activate,
@@ -678,9 +677,11 @@ class FleetRunner:
         shards fan out over the supervised process pool, are
         checkpointed as they land, and emit their ``fleet_shard``
         event *at completion* (in completion order — this is the
-        live-progress pulse).  Summaries always combine in node-id
-        order, so the aggregate fingerprint is independent of all of
-        this — including retries, quarantines and pool rebuilds.
+        live-progress pulse) with the running DMR median of every shard
+        folded so far.  Summaries always combine in node-id order, so
+        the fingerprint is independent of all of this — including
+        retries, quarantines and pool rebuilds — and the population
+        histograms fold exactly in any order.
 
         When the observer is enabled the run is traced: a ``fleet_run``
         root span whose context rides inside each worker payload, so
@@ -713,8 +714,15 @@ class FleetRunner:
         ready: Dict[int, List[NodeSummary]] = {}
         failed_by_shard: Dict[int, List[FailedNode]] = {}
         pending: List[int] = []
-        shard_aggs: dict = {}
-        dmr_stream = P2Quantile(0.5)
+        aggregate = FleetAggregate()
+
+        def _fold(summaries: List[NodeSummary]) -> float:
+            """Merge one landed shard; return the running DMR median."""
+            nonlocal aggregate
+            aggregate = aggregate.merge(FleetAggregate.from_nodes(summaries))
+            return (
+                aggregate.dmr.quantile(0.5) if aggregate.n_nodes else -1.0
+            )
 
         with tracer.span(
             "fleet_run",
@@ -750,13 +758,11 @@ class FleetRunner:
                         },
                     ):
                         pass
-                    for summary in summaries:
-                        dmr_stream.add(summary.dmr)
+                    p50 = _fold(summaries)
                     if obs.enabled:
                         obs.emit(FleetShardEvent(
                             index, len(shards), node_ids, cached=True,
-                            seconds=0.0,
-                            p50_dmr_est=dmr_stream.estimate(-1.0),
+                            seconds=0.0, p50_dmr_est=p50,
                         ))
                 else:
                     pending.append(index)
@@ -780,13 +786,11 @@ class FleetRunner:
                         self._shard_digest(shards[index]),
                         (summaries, failed),
                     )
-                for summary in summaries:
-                    dmr_stream.add(summary.dmr)
+                p50 = _fold(summaries)
                 if obs.enabled:
                     obs.emit(FleetShardEvent(
                         index, len(shards), shards[index], cached=False,
-                        seconds=seconds,
-                        p50_dmr_est=dmr_stream.estimate(-1.0),
+                        seconds=seconds, p50_dmr_est=p50,
                     ))
 
             policy = SupervisorPolicy(
@@ -830,18 +834,6 @@ class FleetRunner:
                 failed = self._quarantine_shard(shards[index], failure)
                 failed_by_shard[index] = failed
                 self._emit_quarantines(failed)
-
-        for index in sorted(ready):
-            shard_aggs[index] = FleetAggregate.from_nodes(
-                ready[index], failed_by_shard.get(index, ())
-            )
-        aggregate: Optional[FleetAggregate] = None
-        for index in sorted(shard_aggs):
-            aggregate = (
-                shard_aggs[index]
-                if aggregate is None
-                else aggregate.merge(shard_aggs[index])
-            )
 
         nodes = [s for index in sorted(ready) for s in ready[index]]
         failed_nodes = [
@@ -900,8 +892,7 @@ class FleetRunner:
             aggregate=aggregate,
             failed_nodes=failed_nodes,
         )
-        self.observer.finish(
-            result_summary=result.summary(), scheduler="fleet"
-        )
+        if obs.enabled:
+            obs.finish(result_summary=result.summary(), scheduler="fleet")
         return result
 

@@ -18,9 +18,9 @@ Zero-dependency events, counters, tracing and run provenance:
   multi-worker run into one rooted tree).  Spans are the only timer:
   the simulation packages (``sim``, ``core``, ``schedulers``,
   ``energy``, ``node``) read no clock;
-* :mod:`repro.obs.sketch` — memory-bounded mergeable aggregates
-  (counters, fixed-bin histograms, P² quantiles) with an associative
-  ``merge()`` for shard → fleet fold-ins.
+* :mod:`repro.obs.sketch` — counters and fixed-bin histograms; the
+  histograms ``merge()`` exactly, so the fleet runner folds shards in
+  landing order.
 
 Quickstart::
 
@@ -74,7 +74,7 @@ from .sinks import (
     read_jsonl,
     summarize_jsonl,
 )
-from .sketch import SKETCH_SCHEMA, CounterBag, FixedHistogram, P2Quantile
+from .sketch import CounterBag, FixedHistogram
 from .trace import (
     NULL_TRACER,
     SPAN_SCHEMA,
@@ -127,8 +127,6 @@ __all__ = [
     "render_span_tree",
     "CounterBag",
     "FixedHistogram",
-    "P2Quantile",
-    "SKETCH_SCHEMA",
     "OBS_SCHEMA",
     "HeartbeatSink",
     "JsonlSink",

@@ -301,8 +301,8 @@ class FleetShardEvent(Event):
     node_ids: Tuple[int, ...]
     cached: bool
     seconds: float
-    #: Running P² estimate of the fleet's median node DMR at the time
-    #: this shard landed; ``-1.0`` when unknown (no nodes seen yet).
+    #: Median node DMR of every shard landed so far, read off the
+    #: runner's running DMR histogram; ``-1.0`` when no node has landed.
     p50_dmr_est: float = -1.0
 
     def counts(self):

@@ -92,6 +92,32 @@ class TestSimulateCommand:
         assert f"DMR:                {ref.dmr:.4f}" in text
         assert _fingerprint(text) == result_fingerprint(ref)
 
+    def test_seed_zero_is_its_own_weather(self):
+        """Outside the four canonical days, ``--seed 0`` is weather
+        seed 0, not an alias of another seed."""
+        from repro import quick_node, simulate
+        from repro.cli import _timeline
+        from repro.schedulers import make_scheduler
+        from repro.sim import result_fingerprint
+        from repro.solar import synthetic_trace
+        from repro.tasks import paper_benchmarks
+
+        prints = {}
+        for seed in ("0", "2016"):
+            code, text = run_cli(
+                "simulate", "--benchmark", "WAM", "--scheduler", "asap",
+                "--days", "1", "--seed", seed,
+            )
+            assert code == 0
+            prints[seed] = _fingerprint(text)
+        assert prints["0"] != prints["2016"]
+        graph = paper_benchmarks()["WAM"]
+        ref = simulate(
+            quick_node(graph), graph, synthetic_trace(_timeline(1), seed=0),
+            make_scheduler("asap"),
+        )
+        assert prints["0"] == result_fingerprint(ref)
+
 
 class TestExperimentCommand:
     def test_fig5(self):

@@ -1,9 +1,12 @@
 """Tests for the fleet-scale simulation subsystem (``repro.fleet``).
 
 The headline contract under test: a fleet is a pure function of its
-spec — same fleet seed → bit-identical aggregate fingerprint for any
+spec — same fleet seed → bit-identical fingerprint and report for any
 worker count, shard size or checkpoint state.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import pytest
 from repro.fleet import (
     MIN_SHARD_SIZE,
     FLEET_POLICIES,
+    FleetAggregate,
     FleetResult,
     FleetRunner,
     FleetSpec,
@@ -37,6 +41,7 @@ def _no_default_cache(monkeypatch):
 
 
 SMALL = FleetSpec(n_nodes=8, seed=7)
+DATA = Path(__file__).parent / "data"
 
 
 # ----------------------------------------------------------------------
@@ -460,23 +465,24 @@ class TestFleetRunner:
 
 
 class TestFleetAggregateIntegration:
-    """The runner builds the mergeable aggregate shard by shard."""
+    """The runner folds each shard's histograms as the shard lands."""
 
     def test_runner_attaches_shard_built_aggregate(self):
         result = FleetRunner(SMALL, shard_size=3, cache=False).run()
         agg = result.aggregate
         assert agg.n_nodes == len(result)
-        # Three shards -> three disjoint sub-fingerprints.
-        assert [s["n"] for s in agg.sub_fingerprints] == [3, 3, 2]
-        assert agg.sub_fingerprints[0]["lo"] == 0
-        assert agg.sub_fingerprints[-1]["hi"] == SMALL.n_nodes - 1
+        whole = FleetAggregate.from_nodes(result.nodes)
+        for ours, ref in ((agg.dmr, whole.dmr), (agg.util, whole.util)):
+            assert ours.counts.tolist() == ref.counts.tolist()
+            assert (ours.min, ours.max) == (ref.min, ref.max)
 
-    def test_aggregate_fingerprint_shard_split_invariant(self):
+    def test_aggregate_shard_split_invariant(self):
         wide = FleetRunner(SMALL, shard_size=8, cache=False).run()
         narrow = FleetRunner(SMALL, shard_size=2, cache=False).run()
         assert wide.fingerprint() == narrow.fingerprint()
         assert (
-            wide.aggregate.fingerprint() == narrow.aggregate.fingerprint()
+            wide.aggregate.dmr.counts.tolist()
+            == narrow.aggregate.dmr.counts.tolist()
         )
         assert wide.dmr_percentiles() == narrow.dmr_percentiles()
         assert (
@@ -496,14 +502,12 @@ class TestFleetAggregateIntegration:
         for est, ref in zip(sketch.values(), exact):
             assert abs(est - ref) <= 1.0 / DMR_SKETCH_BINS + 1e-12
 
-    def test_summary_carries_aggregate_fingerprint(self):
+    def test_summary_carries_one_fingerprint(self):
         result = FleetRunner(SMALL, cache=False).run()
         summary = result.summary()
-        assert (
-            summary["aggregate_fingerprint"]
-            == result.aggregate.fingerprint()
-        )
-        assert summary["aggregate_fingerprint"] != summary["fingerprint"]
+        assert summary["fingerprint"] == result.fingerprint()
+        assert "aggregate_fingerprint" not in summary
+        assert "aggregate" not in result.to_dict()
 
     def test_shard_events_carry_live_p50_estimate(self):
         from repro.obs.sinks import RingBufferSink
@@ -517,10 +521,8 @@ class TestFleetAggregateIntegration:
         assert len(shards) == 2
         for event in shards:
             assert 0.0 <= event["p50_dmr_est"] <= 1.0
-        # After the last shard the running median has seen every node.
-        final = shards[-1]["p50_dmr_est"]
-        exact = float(np.percentile(result.dmr_values(), 50))
-        assert abs(final - exact) < 0.25
+        # After the last shard the running histogram holds every node.
+        assert shards[-1]["p50_dmr_est"] == result.dmr_percentiles()["p50"]
 
     def test_result_json_roundtrip_keeps_aggregate_numbers(self, tmp_path):
         result = FleetRunner(SMALL, cache=False).run()
@@ -531,9 +533,60 @@ class TestFleetAggregateIntegration:
         # summaries; the numbers must agree with the shard-built one.
         assert loaded.dmr_percentiles() == result.dmr_percentiles()
         assert (
-            loaded.aggregate.fingerprint()
-            == result.aggregate.fingerprint()
+            loaded.utilization_histogram() == result.utilization_histogram()
         )
+
+    def test_unobserved_run_builds_no_summary(self, monkeypatch):
+        from repro.obs.sinks import RingBufferSink
+
+        def refuse(self):
+            raise AssertionError("summary built for a disabled observer")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FleetResult, "summary", refuse)
+            FleetRunner(SMALL, cache=False).run()
+        sink = RingBufferSink()
+        result = FleetRunner(
+            SMALL, cache=False, observer=Observer(sinks=[sink])
+        ).run()
+        (trailer,) = sink.of_kind("run_summary")
+        assert trailer["result"]["fingerprint"] == result.fingerprint()
+
+
+class TestFleetReportGolden:
+    """The fleet report, byte for byte, as the code printed it while
+    ``FleetAggregate`` still carried its streaming layer (per-policy
+    sums, an XOR-fold fingerprint and JSON serialization)."""
+
+    GOLDEN = DATA / "fleet_report_golden.json"
+    SPEC = FleetSpec(n_nodes=24, seed=0)
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(self.GOLDEN.read_text())
+
+    @pytest.mark.parametrize("shard_size", [8, 24])
+    def test_report_reproduced(self, golden, shard_size):
+        result = FleetRunner(
+            self.SPEC, workers=1, shard_size=shard_size, cache=False
+        ).run()
+        assert result.fingerprint() == golden["fingerprint"]
+        assert result.render() == golden["render"]
+        assert result.dmr_percentiles() == golden["dmr_percentiles"]
+        for bins in (10, 7):
+            assert (
+                list(result.utilization_histogram(bins))
+                == golden[f"utilization_histogram_{bins}"]
+            )
+
+    def test_saved_result_with_aggregate_key_loads(self, golden):
+        """A schema-1 file that still carries the retired ``aggregate``
+        block loads and renders as it did when it was written."""
+        path = DATA / "fleet_result_schema1.json"
+        assert "aggregate" in json.loads(path.read_text())
+        loaded = FleetResult.load_json(path)
+        assert loaded.fingerprint() == golden["fingerprint"]
+        assert loaded.render() == golden["render"]
 
 
 @pytest.mark.slow

@@ -1,8 +1,8 @@
-"""Property tests of the mergeable streaming aggregates.
+"""Property tests of the mergeable histograms.
 
 The contract under test (see :mod:`repro.obs.sketch`): ``merge()`` is
 associative and commutative — any grouping of the same shards yields
-the same aggregate — quantile estimates are within one bin width of
+the same histogram — quantile estimates are within one bin width of
 exact ``np.percentile``, and histogram views are invariant under how
 the value stream was split into shards.
 """
@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.fleet import FleetAggregate
 from repro.fleet.result import NodeSummary
-from repro.obs.sketch import CounterBag, FixedHistogram, P2Quantile
+from repro.obs.sketch import CounterBag, FixedHistogram
 
 UNIT_FLOATS = st.floats(
     min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False
@@ -30,7 +30,6 @@ def assert_hist_equal(a: FixedHistogram, b: FixedHistogram):
     assert np.array_equal(a.counts, b.counts)
     assert a.count == b.count
     assert a.min == b.min and a.max == b.max
-    assert a.total == pytest.approx(b.total, abs=1e-9)
 
 
 class TestCounterBag:
@@ -43,37 +42,6 @@ class TestCounterBag:
         assert bag["b"] == 0.5
         assert bag["missing"] == 0
         assert bag.items() == [("a", 3), ("b", 0.5)]
-
-    def test_roundtrip(self):
-        bag = CounterBag({"x": 4, "y": 1.5})
-        assert CounterBag.from_dict(bag.to_dict()).items() == bag.items()
-
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from("abcd"), st.integers(-5, 5)),
-            max_size=20,
-        ),
-        st.lists(
-            st.tuples(st.sampled_from("abcd"), st.integers(-5, 5)),
-            max_size=20,
-        ),
-        st.lists(
-            st.tuples(st.sampled_from("abcd"), st.integers(-5, 5)),
-            max_size=20,
-        ),
-    )
-    def test_merge_associative_commutative(self, xs, ys, zs):
-        bags = []
-        for entries in (xs, ys, zs):
-            bag = CounterBag()
-            for name, value in entries:
-                bag.inc(name, value)
-            bags.append(bag)
-        a, b, c = bags
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        swapped = c.merge(a).merge(b)
-        assert left.items() == right.items() == swapped.items()
 
 
 class TestFixedHistogram:
@@ -93,7 +61,6 @@ class TestFixedHistogram:
         expected, _ = np.histogram(values, bins=10, range=(0.0, 1.0))
         assert np.array_equal(hist.counts, expected)
         assert hist.count == 500
-        assert hist.mean == pytest.approx(values.mean())
 
     def test_out_of_range_clamped_but_min_max_exact(self):
         hist = hist_of([-0.5, 1.5, 0.5], bins=4)
@@ -125,13 +92,6 @@ class TestFixedHistogram:
             hist_of([]).quantile(0.5)
         with pytest.raises(ValueError):
             hist_of([0.5]).quantile(1.5)
-
-    def test_roundtrip(self):
-        hist = hist_of([0.2, 0.4, 0.9])
-        back = FixedHistogram.from_dict(hist.to_dict())
-        assert_hist_equal(hist, back)
-        empty = FixedHistogram.from_dict(hist_of([]).to_dict())
-        assert empty.count == 0 and empty.min == math.inf
 
     @given(
         st.lists(UNIT_FLOATS, max_size=40),
@@ -188,45 +148,6 @@ class TestFixedHistogram:
             assert whole.downsample(bins) == parts.downsample(bins)
 
 
-class TestP2Quantile:
-    def test_rejects_bad_p(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    def test_empty(self):
-        sketch = P2Quantile()
-        with pytest.raises(ValueError):
-            sketch.value()
-        assert sketch.estimate(-1.0) == -1.0
-
-    def test_exact_below_five_samples(self):
-        sketch = P2Quantile(0.5)
-        for v in (3.0, 1.0, 2.0):
-            sketch.add(v)
-        assert sketch.value() == pytest.approx(2.0)
-
-    def test_median_accuracy_on_uniform_stream(self):
-        rng = np.random.default_rng(0)
-        values = rng.uniform(0.0, 1.0, size=2000)
-        sketch = P2Quantile(0.5)
-        for v in values:
-            sketch.add(v)
-        exact = float(np.percentile(values, 50))
-        assert abs(sketch.value() - exact) < 0.03
-        assert values.min() <= sketch.value() <= values.max()
-
-    def test_tail_quantile(self):
-        rng = np.random.default_rng(1)
-        values = rng.normal(0.0, 1.0, size=3000)
-        sketch = P2Quantile(0.95)
-        for v in values:
-            sketch.add(v)
-        exact = float(np.percentile(values, 95))
-        assert abs(sketch.value() - exact) < 0.15
-
-
 # ----------------------------------------------------------------------
 # FleetAggregate rides the same contract
 # ----------------------------------------------------------------------
@@ -272,34 +193,15 @@ class TestFleetAggregateMerge:
         right = shards[-1]
         for s in reversed(shards[:-1]):
             right = right.merge(s)
-        for folded in (left, right):
-            assert folded.fingerprint() == whole.fingerprint()
-            assert folded.n_nodes == whole.n_nodes
-            assert np.array_equal(folded.dmr.counts, whole.dmr.counts)
-            assert folded.total_brownout_slots == whole.total_brownout_slots
-            # Sums are exact up to float summation order only.
-            theirs, ours = folded.by_policy(), whole.by_policy()
-            assert sorted(theirs) == sorted(ours)
-            for policy, stats in ours.items():
-                assert theirs[policy] == pytest.approx(stats, abs=1e-9)
-            assert folded.dmr_percentiles() == whole.dmr_percentiles()
+        # from_nodes fills each histogram in one call; it must bin
+        # every node exactly as a one-value add would.
+        one_by_one = FleetAggregate()
+        for node in nodes:
+            one_by_one.dmr.add_many([node.dmr])
+            one_by_one.util.add_many([node.energy_utilization])
+        for folded in (left, right, one_by_one):
+            assert folded.n_nodes == whole.n_nodes == len(nodes)
+            assert_hist_equal(folded.dmr, whole.dmr)
+            assert_hist_equal(folded.util, whole.util)
+            assert folded.dmr.percentiles() == whole.dmr.percentiles()
 
-    def test_duplicate_ids_rejected(self):
-        nodes = [make_node(0, 0.5), make_node(0, 0.6)]
-        with pytest.raises(ValueError):
-            FleetAggregate.from_nodes(nodes)
-
-    def test_overlapping_ranges_rejected(self):
-        a = FleetAggregate.from_nodes([make_node(i, 0.5) for i in range(4)])
-        b = FleetAggregate.from_nodes([make_node(3, 0.5), make_node(4, 0.5)])
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_roundtrip(self):
-        agg = FleetAggregate.from_nodes(
-            [make_node(i, i / 10) for i in range(8)]
-        )
-        back = FleetAggregate.from_dict(agg.to_dict())
-        assert back.fingerprint() == agg.fingerprint()
-        assert back.by_policy() == agg.by_policy()
-        assert back.utilization_histogram() == agg.utilization_histogram()

@@ -265,9 +265,7 @@ class TestFleetTrace:
             == plain.fingerprint()
             == serial.fingerprint()
         )
-        assert (
-            traced.aggregate.fingerprint() == serial.aggregate.fingerprint()
-        )
+        assert traced.render() == serial.render()
 
     def test_cached_shards_still_parent_under_root(self, tmp_path,
                                                    monkeypatch):
