@@ -55,6 +55,10 @@ DEFAULT_LEAK_EXPONENT = 4.3
 #: Fixed parasitic drain of the storage path when a capacitor is
 #: connected (monitor + switch leakage), watts.
 DEFAULT_PARASITIC_W = 2.0e-6
+#: Sub-increments of one charge/discharge call, so the voltage-dependent
+#: regulator efficiency tracks the voltage within a slot.  The scalar
+#: methods and the column recurrences both use it.
+SUBSTEPS = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -170,10 +174,10 @@ class CapacitorState:
     """Mutable terminal state of one super capacitor.
 
     All mutators work in energy terms and keep the voltage inside
-    ``[0, V_H]``.  Charge/discharge are applied in ``substeps``
+    ``[0, V_H]``.  Charge/discharge are applied in :data:`SUBSTEPS`
     sub-increments so the voltage-dependent efficiencies track the
-    voltage trajectory within a slot rather than the slot-start value;
-    ``substeps=1`` reproduces the paper's coarse slot update Eq. (1).
+    voltage trajectory within a slot rather than the slot-start value
+    of the paper's coarse slot update Eq. (1).
     """
 
     def __init__(self, capacitor: SuperCapacitor, voltage: float) -> None:
@@ -213,7 +217,7 @@ class CapacitorState:
         self.voltage = self.capacitor.voltage_at(energy)
 
     # ------------------------------------------------------------------
-    def charge(self, energy_in: float, substeps: int = 4) -> float:
+    def charge(self, energy_in: float) -> float:
         """Push ``energy_in`` joules of surplus into the capacitor.
 
         Returns the energy actually *stored* (input × efficiency,
@@ -223,8 +227,6 @@ class CapacitorState:
         """
         if energy_in < 0:
             raise ValueError(f"energy_in must be >= 0, got {energy_in}")
-        if substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {substeps}")
         # Hot path of PMU.supply_slot: the substep recurrence is kept in
         # locals and written back once.  Operation order matches the
         # original property-based loop exactly (bit-identical results).
@@ -238,8 +240,8 @@ class CapacitorState:
         energy = 0.5 * c * v * v
         v_stop = v_full - 1e-12
         stored_total = 0.0
-        chunk = energy_in / substeps
-        for _ in range(substeps):
+        chunk = energy_in / SUBSTEPS
+        for _ in range(SUBSTEPS):
             if v >= v_stop:
                 break
             eta = regulator.efficiency(v) * cycle_eta
@@ -260,7 +262,7 @@ class CapacitorState:
         self.voltage = v
         return stored_total
 
-    def discharge(self, energy_needed: float, substeps: int = 4) -> float:
+    def discharge(self, energy_needed: float) -> float:
         """Draw energy to deliver ``energy_needed`` joules to the load.
 
         Returns the energy actually *delivered* (≤ ``energy_needed``);
@@ -269,8 +271,6 @@ class CapacitorState:
         """
         if energy_needed < 0:
             raise ValueError(f"energy_needed must be >= 0, got {energy_needed}")
-        if substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {substeps}")
         cap = self.capacitor
         c = cap.capacitance
         e_full = 0.5 * c * cap.v_full * cap.v_full
@@ -281,8 +281,8 @@ class CapacitorState:
         energy = 0.5 * c * v * v
         v_stop = cap.v_cutoff + 1e-12
         delivered_total = 0.0
-        chunk = energy_needed / substeps
-        for _ in range(substeps):
+        chunk = energy_needed / SUBSTEPS
+        for _ in range(SUBSTEPS):
             if v <= v_stop:
                 break
             eta = regulator.efficiency(v) * cycle_eta
@@ -395,10 +395,10 @@ class CapacitorColumns:
 
 
 # The two recurrences below replay CapacitorState.charge/discharge
-# (4 substeps) elementwise in the same IEEE-754 operation order, so a
-# column ends bit-identical to a scalar CapacitorState.  An ``alive``
-# mask stands in for the scalar ``break``: a column that stops
-# updating never resumes.
+# (SUBSTEPS sub-increments) elementwise in the same IEEE-754 operation
+# order, so a column ends bit-identical to a scalar CapacitorState.
+# An ``alive`` mask stands in for the scalar ``break``: a column that
+# stops updating never resumes.
 
 
 def charge_columns(
@@ -415,8 +415,8 @@ def charge_columns(
     c, half_c = cols.c, cols.half_c
     energy = half_c * v * v
     stored_total = np.zeros(len(v))
-    chunk = energy_in / 4
-    for _ in range(4):
+    chunk = energy_in / SUBSTEPS
+    for _ in range(SUBSTEPS):
         alive = mask & (v < cols.v_stop_chg)
         if not alive.any():
             break
@@ -448,8 +448,8 @@ def discharge_columns(
     c, half_c = cols.c, cols.half_c
     energy = half_c * v * v
     delivered_total = np.zeros(len(v))
-    chunk = energy_needed / 4
-    for _ in range(4):
+    chunk = energy_needed / SUBSTEPS
+    for _ in range(SUBSTEPS):
         alive = mask & (v > cols.v_stop_dis)
         if not alive.any():
             break

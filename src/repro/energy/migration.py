@@ -213,7 +213,7 @@ def simulate_migration(
     for _ in range(steps):
         chunk = p_in * dt
         offered += chunk
-        stored = state.charge(chunk * eff_bias, substeps=4)
+        stored = state.charge(chunk * eff_bias)
         absorbed += stored
         if stored < chunk * 1e-6 or state.headroom <= 1e-12:
             overflow_loss += max(chunk - stored / max(eff_bias, 1e-9), 0.0)
@@ -235,7 +235,7 @@ def simulate_migration(
         remaining_steps = steps - step
         want = state.usable_energy / remaining_steps
         before = state.stored_energy
-        got = state.discharge(want, substeps=4) * eff_bias
+        got = state.discharge(want) * eff_bias
         delivered += got
         drawn += before - state.stored_energy
         leak_step(dt)

@@ -268,7 +268,7 @@ def evaluation_suite(
         sup = supervised_map(
             _suite_cell,
             cells,
-            policy=SupervisorPolicy.from_env(on_error="fail"),
+            policy=SupervisorPolicy(on_error="fail"),
             n_workers=workers,
             labels=list(include),
             span="suite_cell",

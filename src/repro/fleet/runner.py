@@ -104,10 +104,10 @@ __all__ = [
 #: engine plus summaries, keeps falling with the width: 9.86, 6.17,
 #: 4.25, 3.32, 2.82 and 2.54 us at 32, 64, 128, 256, 512 and 1024 nodes
 #: (1024-node fleet, seed 0, best of 3, 2-vCPU VM).  A batched run keeps
-#: its period outcomes in node-major arrays and builds a row's records
-#: only when the row is summarized, so a wider shard adds no per-row
-#: heap.  The cap is 256 because checkpoints and load balance coarsen
-#: with the width.
+#: its period outcomes in one node-major table and a row is summarized
+#: straight from its columns, so a wider shard adds no per-row heap.
+#: The cap is 256 because checkpoints and load balance coarsen with the
+#: width.
 MIN_SHARD_SIZE = 32
 MAX_SHARD_SIZE = 256
 
@@ -180,9 +180,9 @@ def _summarize(spec: NodeSpec, graph, result) -> NodeSummary:
     """Reduce one node's :class:`SimulationResult` to its summary.
 
     Shared by the per-node and batched executors so both paths derive
-    the fingerprint (and every aggregate input) identically.  The
-    fingerprint is taken first: it reads every period record, so a
-    batched row builds its records there.
+    the fingerprint (and every aggregate input) identically.  Every
+    number is read from the row's period-table columns; no
+    :class:`~repro.sim.recorder.PeriodRecord` is built.
     """
     fingerprint = result_fingerprint(result)
     return NodeSummary(
@@ -300,8 +300,8 @@ def simulate_shard_batch(
     through one :func:`~repro.sim.batch.simulate_batch`; the rest
     (``dvfs`` nodes, oversized graphs) are left to
     :func:`simulate_node`.  Returns the batched nodes' summaries keyed
-    by node id, summarized row by row (only one row's period records
-    exist at a time), each bit-identical to :func:`simulate_node`'s (the
+    by node id, each summarized from its row of the batch's period
+    table and bit-identical to :func:`simulate_node`'s (the
     batched-vs-per-node oracle holds this contract).  ``policy_of`` is
     the shard's policy loader (:func:`_shard_policies`), so a caller's
     per-node fallback shares its loads; by default a fresh one.
@@ -399,9 +399,6 @@ def _run_shard(item):
         chaos.on_shard_start(shard_index, attempt)
     start = time.perf_counter()
     tracer, records = collecting_tracer(ctx_wire)
-    base = fleet.base_trace()
-    specs = {node_id: fleet.node_spec(node_id) for node_id in node_ids}
-    policy_of = _shard_policies(fleet)
     done: Dict[int, NodeSummary] = {}
     failed: List[FailedNode] = []
     with activate(tracer):
@@ -410,6 +407,13 @@ def _run_shard(item):
             key=shard_index,
             attrs={"shard_index": shard_index, "n_nodes": len(node_ids)},
         ):
+            # Inside the span, so weather and spec expansion are
+            # attributed in every worker.
+            base = fleet.base_trace()
+            specs = {
+                node_id: fleet.node_spec(node_id) for node_id in node_ids
+            }
+            policy_of = _shard_policies(fleet)
             if chaos is None:
                 try:
                     done.update(
@@ -655,12 +659,9 @@ class FleetRunner:
     def _load_checkpoint(cached):
         """Tolerant shard-checkpoint read.
 
-        Pre-supervision checkpoints stored a bare summary list; the
-        supervised format is ``(summaries, failed)``.  Anything else
-        is a corrupt entry — reported as ``None`` (recompute).
+        A checkpoint is ``(summaries, failed)``.  Anything else is a
+        corrupt entry — reported as ``None`` (recompute and rewrite).
         """
-        if isinstance(cached, list):
-            return cached, []
         if (
             isinstance(cached, tuple)
             and len(cached) == 2

@@ -93,8 +93,6 @@ from ..obs.events import (
 from ..obs.trace import activate, collecting_tracer, current_tracer
 
 __all__ = [
-    "ENV_MAX_RETRIES",
-    "ENV_TASK_TIMEOUT",
     "ENV_WORKERS",
     "MIN_POOL_ITEMS",
     "SupervisedResult",
@@ -108,8 +106,6 @@ __all__ = [
     "supervised_map",
 ]
 
-ENV_MAX_RETRIES = "REPRO_MAX_RETRIES"
-ENV_TASK_TIMEOUT = "REPRO_TASK_TIMEOUT"
 ENV_WORKERS = "REPRO_WORKERS"
 
 #: Below this many items a pool's startup cost cannot amortise.
@@ -228,32 +224,6 @@ class SupervisorPolicy:
                 f"on_error must be 'fail' or 'quarantine', got "
                 f"{self.on_error!r}"
             )
-
-    @classmethod
-    def from_env(cls, **overrides) -> "SupervisorPolicy":
-        """Policy with ``$REPRO_MAX_RETRIES``/``$REPRO_TASK_TIMEOUT``
-        defaults; explicit keyword overrides win."""
-        fields: Dict[str, object] = {}
-        env_retries = os.environ.get(ENV_MAX_RETRIES)
-        if env_retries:
-            try:
-                fields["max_retries"] = int(env_retries)
-            except ValueError:
-                raise ValueError(
-                    f"{ENV_MAX_RETRIES} must be an integer, got "
-                    f"{env_retries!r}"
-                ) from None
-        env_timeout = os.environ.get(ENV_TASK_TIMEOUT)
-        if env_timeout:
-            try:
-                fields["task_timeout"] = float(env_timeout)
-            except ValueError:
-                raise ValueError(
-                    f"{ENV_TASK_TIMEOUT} must be a number, got "
-                    f"{env_timeout!r}"
-                ) from None
-        fields.update(overrides)
-        return cls(**fields)
 
 
 def backoff_delay(
@@ -767,7 +737,7 @@ def supervised_map(
     picklable.  ``on_result(index, result)`` fires in this process as
     each item *completes* (completion order in pool mode, input order
     in serial mode).  Failures follow the retry/timeout/pool-recovery
-    ladder of ``policy`` (default :meth:`SupervisorPolicy.from_env`).
+    ladder of ``policy`` (default ``SupervisorPolicy()``).
     An enabled ``observer`` records the fan-out plan as a
     ``pool_decision`` event and every supervisor action as its own
     event.
@@ -783,7 +753,7 @@ def supervised_map(
     label when the ambient tracer is enabled (see the module doc).
     """
     work = list(items)
-    policy = policy if policy is not None else SupervisorPolicy.from_env()
+    policy = policy if policy is not None else SupervisorPolicy()
     observer = observer if observer is not None else NULL_OBSERVER
     label_list = (
         [str(l) for l in labels]

@@ -8,7 +8,7 @@ from .views import (
     PeriodStartView,
     SlotView,
 )
-from .recorder import PeriodRecord, SimulationResult, SlotArrays
+from .recorder import PeriodRecord, PeriodTable, SimulationResult, SlotArrays
 from .checkpoint import (
     CheckpointConfig,
     CheckpointError,
@@ -28,6 +28,7 @@ __all__ = [
     "PeriodEndView",
     "PeriodFaultFlags",
     "PeriodRecord",
+    "PeriodTable",
     "SlotArrays",
     "SimulationResult",
     "SimulationEngine",

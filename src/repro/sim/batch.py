@@ -78,15 +78,14 @@ byte-for-byte.  The layout decisions that make this work:
   curves, stop voltages) are re-gathered for the rows that switched,
   never inside the slot loop.  Every other policy's column is fixed
   for the whole run.
-* **Node-major output, rows built on read.**  Each period's outcome is
-  written into ``(n, periods)`` arrays (miss counts, the seven energy
-  terms, brownouts, active column) and ``(n, periods, tasks)`` /
-  ``(n, periods, capacitors)`` blocks (executed sets, start voltages).
-  :func:`simulate_batch` returns a :class:`BatchResults` sequence whose
-  rows are :class:`~repro.sim.recorder.SimulationResult` objects; a
-  row's :class:`~repro.sim.recorder.PeriodRecord` list is built the
-  first time that row's periods are read, so a caller that summarizes
-  row by row never holds every row's records at once.
+* **Node-major output.**  Each period's outcome is written into one
+  column of a :class:`~repro.sim.recorder.PeriodTable`, the same table
+  the per-node engine fills: ``(n, periods)`` arrays (miss counts, the
+  seven energy terms, brownouts, active column) and ``(n, periods,
+  tasks)`` / ``(n, periods, capacitors)`` blocks (executed sets, start
+  voltages).  :func:`simulate_batch` returns the table; its rows are
+  :class:`~repro.sim.recorder.SimulationResult` views whose metrics
+  and fingerprint read the columns.
 
 Eligibility: :func:`batch_ineligibility` names why a case cannot take
 the batched path (``dvfs``, too many tasks for the exact
@@ -99,9 +98,8 @@ engine.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence as SequenceABC
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,8 +115,7 @@ from ..schedulers.lsa import admit_by_energy
 from ..solar.prediction import WCMAPredictor
 from ..solar.trace import SolarTrace
 from ..tasks.graph import TaskGraph
-from ..timeline import Timeline
-from .recorder import PeriodRecord, SimulationResult
+from .recorder import ENERGY_TERMS, PeriodTable, SimulationResult
 from .state import COMPLETION_EPS
 from .views import BankView, PeriodStartView
 
@@ -126,7 +123,6 @@ __all__ = [
     "BATCH_POLICIES",
     "MAX_BATCH_TASKS",
     "BatchCase",
-    "BatchResults",
     "batch_ineligibility",
     "simulate_batch",
 ]
@@ -196,9 +192,9 @@ def simulate_batch(cases: Sequence[BatchCase]) -> Sequence[SimulationResult]:
     """Simulate every case in one node-major batch; results in order.
 
     Every case must be batch-eligible (see :func:`batch_ineligibility`)
-    and share one timeline.  The result is a :class:`BatchResults`
-    sequence (``[]`` for no cases); a row's period records are built
-    when that row's periods are first read.
+    and share one timeline.  The result is the run's
+    :class:`~repro.sim.recorder.PeriodTable` (``[]`` for no cases),
+    a sequence of one :class:`SimulationResult` per case.
     """
     cases = list(cases)
     if not cases:
@@ -208,108 +204,6 @@ def simulate_batch(cases: Sequence[BatchCase]) -> Sequence[SimulationResult]:
         if reason is not None:
             raise ValueError(f"case {i} is not batch-eligible: {reason}")
     return _BatchEngine(cases).run()
-
-
-#: The seven per-period energy terms, in :class:`PeriodRecord` order.
-_ENERGY_TERMS = (
-    "solar_energy",
-    "load_energy",
-    "direct_energy",
-    "storage_energy",
-    "charged_energy",
-    "offered_surplus",
-    "leakage_energy",
-)
-
-
-class BatchResults(SequenceABC):
-    """One batched run's outcomes, node-major; ``results[i]`` is row ``i``.
-
-    Holds ``(n, periods)`` arrays (miss counts, the energy terms,
-    brownouts, active column) and the ``(n, periods, t_max)`` executed
-    and ``(n, periods, c_max)`` start-voltage blocks.  Reading a row
-    gives a fresh :class:`SimulationResult` whose ``periods`` build that
-    row's :class:`PeriodRecord` list on first use; nothing is cached
-    here, so records live only as long as the row's result.
-    """
-
-    def __init__(
-        self,
-        tl: Timeline,
-        names: List[str],
-        t_ns: List[int],
-        c_ns: List[int],
-        n_tasks: int,
-        n_caps: int,
-    ) -> None:
-        n, p = len(names), tl.total_periods
-        self.timeline = tl
-        self.names = names
-        self.t_ns = t_ns
-        self.c_ns = c_ns
-        # Counts fit small ints: misses <= MAX_BATCH_TASKS, brownouts
-        # <= slots per period, active index < bank size.
-        self.miss_count = np.zeros((n, p), dtype=np.int16)
-        self.energy: Dict[str, np.ndarray] = {
-            name: np.zeros((n, p)) for name in _ENERGY_TERMS
-        }
-        self.brownout_slots = np.zeros((n, p), dtype=np.int32)
-        self.active_index = np.zeros((n, p), dtype=np.int16)
-        self.executed = np.zeros((n, p, n_tasks), dtype=bool)
-        self.start_voltages = np.zeros((n, p, n_caps))
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        row = range(len(self))[index]
-        return SimulationResult(
-            self.timeline, self.names[row], _RowPeriods(self, row)
-        )
-
-    def records(self, row: int) -> List[PeriodRecord]:
-        """Build row ``row``'s period records from the arrays."""
-        t_n, c_n = self.t_ns[row], self.c_ns[row]
-        tl = self.timeline
-        columns = zip(
-            self.miss_count[row].tolist(),
-            self.executed[row, :, :t_n].copy(),
-            *(self.energy[name][row].tolist() for name in _ENERGY_TERMS),
-            self.brownout_slots[row].tolist(),
-            self.start_voltages[row, :, :c_n].copy(),
-            self.active_index[row].tolist(),
-        )
-        return [
-            PeriodRecord(
-                *tl.unflatten_period(flat_p), miss / t_n, miss, *rest
-            )
-            for flat_p, (miss, *rest) in enumerate(columns)
-        ]
-
-
-class _RowPeriods(SequenceABC):
-    """A row's period records, built from :class:`BatchResults` on first read."""
-
-    def __init__(self, results: BatchResults, row: int) -> None:
-        self._results = results
-        self._row = row
-        self._built: Optional[List[PeriodRecord]] = None
-
-    def _records(self) -> List[PeriodRecord]:
-        if self._built is None:
-            self._built = self._results.records(self._row)
-        return self._built
-
-    def __len__(self) -> int:
-        return self._results.timeline.total_periods
-
-    def __getitem__(self, index):
-        return self._records()[index]
-
-    def __iter__(self):
-        return iter(self._records())
 
 
 #: Per-row task/position sets are uint16 bitmasks, bit ``j`` standing
@@ -748,7 +642,7 @@ class _BatchEngine:
         return np.add.accumulate(diffs, axis=1)[:, -1]
 
     # ------------------------------------------------------------------
-    def run(self) -> BatchResults:
+    def run(self) -> PeriodTable:
         tl = self.tl
         n, t_max, k_max = self.n, self.t_max, self.k_max
         dt = tl.slot_seconds
@@ -766,11 +660,10 @@ class _BatchEngine:
         # rows restrict per period (cold-start admits the full set)
         # and each proposed row's coarse subset ``te``.
         admitted = np.ones((n, t_max), dtype=bool)
-        out = BatchResults(
-            tl, [s.name for s in self.schedulers], self.t_ns, self.c_ns,
-            t_max, self.c_max,
+        out = PeriodTable(
+            tl, [s.name for s in self.schedulers], self.t_ns, self.c_ns
         )
-        energy_out = [out.energy[name] for name in _ENERGY_TERMS]
+        energy_out = [out.energy[name] for name in ENERGY_TERMS]
         step = 0
 
         for flat_p in range(tl.total_periods):

@@ -5,8 +5,8 @@ zero — the meta-level mirror of the NVP backup/restore the node model
 itself implements.  At any period boundary the engine can serialize
 everything mutable about a run — capacitor voltages, the active
 capacitor, NVP power states, the scheduler (with whatever it has
-learned), accumulated period records and running aggregates — into a
-checkpoint file.  Resuming restores that state and continues the
+learned), the run's :class:`~repro.sim.recorder.PeriodTable` so far and
+running aggregates — into a checkpoint file.  Resuming restores that state and continues the
 period loop; the resumed run is **bit-identical** to an uninterrupted
 one (guarded by test), because the engine itself is deterministic and
 every piece of mutable state is captured exactly.
@@ -30,6 +30,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .recorder import ENERGY_TERMS
+
 __all__ = [
     "CheckpointConfig",
     "CheckpointError",
@@ -43,7 +45,7 @@ __all__ = [
 ]
 
 #: Bump when the payload layout changes; old files are rejected.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _CHECKPOINT_GLOB = "period-*.ckpt"
 
@@ -144,35 +146,34 @@ def result_fingerprint(result, include_slots: bool = True) -> str:
 
     Bit-identity oracle for resume-equivalence checks: two results
     with equal fingerprints have identical per-period DMRs, energy
-    books and executed sets.  ``include_slots=False`` digests the
-    period records only, so a run captured with ``record_slots=True``
-    can be compared against a reference captured without it (the
-    per-slot arrays are derived observations; period records do not
-    depend on them).
+    books and executed sets.  Each period hashes the ``repr`` of its
+    :class:`~repro.sim.recorder.PeriodRecord` scalars, then its
+    executed set and start voltages, read from the row's columns.
+    ``include_slots=False`` digests the periods only, so a run captured
+    with ``record_slots=True`` can be compared against a reference
+    captured without it (the per-slot arrays are derived observations;
+    period outcomes do not depend on them).
     """
     h = hashlib.sha256()
-    for p in result.periods:
+    table, row = result.table, result.row
+    t_n, c_n = table.t_ns[row], table.c_ns[row]
+    # Whole-row blocks; period ``p`` is the ``p``-th fixed-width chunk.
+    executed = table.executed[row, :, :t_n].tobytes()
+    voltages = table.start_voltages[row, :, :c_n].tobytes()
+    c_w = table.start_voltages.itemsize * c_n
+    columns = zip(
+        table.miss_count[row].tolist(),
+        *(table.energy[name][row].tolist() for name in ENERGY_TERMS),
+        table.brownout_slots[row].tolist(),
+        table.active_index[row].tolist(),
+    )
+    unflatten = result.timeline.unflatten_period
+    for flat_p, (miss, *rest) in enumerate(columns):
         h.update(
-            repr(
-                (
-                    p.day,
-                    p.period,
-                    p.dmr,
-                    p.miss_count,
-                    p.solar_energy,
-                    p.load_energy,
-                    p.direct_energy,
-                    p.storage_energy,
-                    p.charged_energy,
-                    p.offered_surplus,
-                    p.leakage_energy,
-                    p.brownout_slots,
-                    p.active_index,
-                )
-            ).encode()
+            repr((*unflatten(flat_p), miss / t_n, miss, *rest)).encode()
         )
-        h.update(np.ascontiguousarray(p.executed).tobytes())
-        h.update(np.ascontiguousarray(p.start_voltages).tobytes())
+        h.update(executed[flat_p * t_n : (flat_p + 1) * t_n])
+        h.update(voltages[flat_p * c_w : (flat_p + 1) * c_w])
     if include_slots and result.slots is not None:
         for name in (
             "solar_power",

@@ -12,8 +12,10 @@ on a :class:`~repro.node.node.SensorNode`:
    PMU routes energy (direct channel first, storage for the deficit),
    task progress advances by the powered fraction of the slot, and all
    capacitors leak;
-3. at period end, unfinished tasks are marked missed, the period DMR
-   is recorded and the scheduler's feedback hook runs.
+3. at period end, unfinished tasks are marked missed, the period's
+   outcome is written into column ``flat_p`` of a one-row
+   :class:`~repro.sim.recorder.PeriodTable` (the batched engine's
+   output format) and the scheduler's feedback hook runs.
 
 Energy semantics of a brownout: when storage cannot cover the deficit,
 the load runs for the covered fraction of the slot and the NVPs retain
@@ -53,7 +55,7 @@ from .checkpoint import (
     run_fingerprint,
     save_checkpoint,
 )
-from .recorder import PeriodRecord, SimulationResult, SlotArrays
+from .recorder import ENERGY_TERMS, PeriodTable, SimulationResult, SlotArrays
 from .state import PeriodRuntime
 from .views import BankView, PeriodEndView, PeriodStartView, SlotView
 
@@ -222,7 +224,10 @@ class SimulationEngine:
             tl, self.graph, self.trace, self.scheduler.name
         )
 
-        period_records: List[PeriodRecord] = []
+        table = PeriodTable(
+            tl, [self.scheduler.name], [len(self.graph)],
+            [len(self.node.bank)],
+        )
         slot_arrays: Optional[SlotArrays] = None
         if self.record_slots:
             n = tl.total_slots
@@ -246,7 +251,7 @@ class SimulationEngine:
             self._verify_payload(payload, fingerprint)
             self._restore_node(payload)
             self.scheduler = pickle.loads(payload["scheduler"])
-            period_records = list(payload["period_records"])
+            table = payload["table"]
             slot_arrays = payload["slot_arrays"]
             dmr_sum = payload["dmr_sum"]
             periods_done = payload["periods_done"]
@@ -269,6 +274,7 @@ class SimulationEngine:
         # Hot-loop hoists: everything here is invariant across slots
         # (the fault injector swaps capacitor *devices* in place, never
         # the bank/NVP/DVFS objects themselves).
+        energy_out = [table.energy[name][0] for name in ENERGY_TERMS]
         graph = self.graph
         bank = self.node.bank
         nvps = self.node.nvps
@@ -314,8 +320,8 @@ class SimulationEngine:
             )
             self.scheduler.on_period_start(start_view)
 
-            start_voltages = self.node.bank.voltages()
-            active_at_start = self.node.bank.active_index
+            table.start_voltages[0, flat_p] = bank.voltages()
+            table.active_index[0, flat_p] = bank.active_index
             solar_energy = load_energy = direct_energy = 0.0
             storage_energy = charged_energy = offered_surplus = 0.0
             leakage_energy = 0.0
@@ -447,24 +453,14 @@ class SimulationEngine:
             last_period_energy = solar_energy
             last_period_powers = period_powers
 
-            record = PeriodRecord(
-                day=day,
-                period=period,
-                dmr=dmr,
-                miss_count=runtime.miss_count,
-                executed=runtime.started.copy(),
-                solar_energy=solar_energy,
-                load_energy=load_energy,
-                direct_energy=direct_energy,
-                storage_energy=storage_energy,
-                charged_energy=charged_energy,
-                offered_surplus=offered_surplus,
-                leakage_energy=leakage_energy,
-                brownout_slots=brownouts,
-                start_voltages=start_voltages,
-                active_index=active_at_start,
-            )
-            period_records.append(record)
+            table.miss_count[0, flat_p] = runtime.miss_count
+            table.executed[0, flat_p] = runtime.started
+            table.brownout_slots[0, flat_p] = brownouts
+            for column, term in zip(energy_out, (
+                solar_energy, load_energy, direct_energy, storage_energy,
+                charged_energy, offered_surplus, leakage_energy,
+            )):
+                column[flat_p] = term
             if active:
                 obs.emit(PeriodEndEvent(
                     dmr=dmr,
@@ -497,7 +493,7 @@ class SimulationEngine:
                 path = self._write_checkpoint(
                     done,
                     fingerprint,
-                    period_records,
+                    table,
                     slot_arrays,
                     dmr_sum,
                     periods_done,
@@ -516,10 +512,7 @@ class SimulationEngine:
         if inj is not None:
             inj.finish(self.node)
         result = SimulationResult(
-            timeline=tl,
-            scheduler_name=self.scheduler.name,
-            periods=period_records,
-            slots=slot_arrays,
+            tl, self.scheduler.name, table, 0, slot_arrays
         )
         if active:
             obs.finish(result.summary(), scheduler=result.scheduler_name)
@@ -567,7 +560,7 @@ class SimulationEngine:
         self,
         next_flat_period: int,
         fingerprint: str,
-        period_records: List[PeriodRecord],
+        table: PeriodTable,
         slot_arrays: Optional[SlotArrays],
         dmr_sum: float,
         periods_done: int,
@@ -595,7 +588,7 @@ class SimulationEngine:
             "periods_done": periods_done,
             "last_period_energy": last_period_energy,
             "last_period_powers": last_period_powers,
-            "period_records": list(period_records),
+            "table": table,
             "slot_arrays": slot_arrays,
             "bank_voltages": [s.voltage for s in bank.states],
             "bank_active_index": bank.active_index,

@@ -372,11 +372,11 @@ def check_dmr_accounting(ctx: RunContext) -> CheckOutcome:
                 f"(expected {expected!r})"
             )
         for message in problems:
-            p = ctx.result.periods[t]
+            day, period = ctx.result.timeline.unflatten_period(t)
             out.violations.append(
                 Violation(
                     check=out.name, message=message,
-                    day=p.day, period=p.period,
+                    day=day, period=period,
                 )
             )
         prev = a

@@ -243,44 +243,29 @@ class TestDegenerateShapes:
     def test_empty_batch(self):
         assert simulate_batch([]) == []
 
-    def test_rows_build_records_only_when_read(self, monkeypatch):
-        """The batched run keeps node-major arrays; a row's period
-        records are built the first time that row's periods are read,
-        once, and reading one row builds no other row's."""
-        import repro.sim.batch as batch_mod
-
+    def test_shard_batch_builds_no_period_record(self, monkeypatch):
+        """A fleet shard summarizes every batched row from the period
+        table's columns; a PeriodRecord exists only when a caller reads
+        a row's ``periods``."""
         built = []
+        init = PeriodRecord.__init__
 
-        def counting(*args):
+        def counting(self, *args, **kwargs):
             built.append(args)
-            return PeriodRecord(*args)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(batch_mod, "PeriodRecord", counting)
-        cases = [
-            self._clean_case(seed=i, policy=p)
-            for i, p in enumerate(("asap", "intra-task", "random"))
-        ]
-        results = simulate_batch(cases)
-        assert len(results) == 3 and built == []
-        periods = cases[0].trace.timeline.total_periods
-        middle = results[1]
-        assert len(middle.periods) == periods and built == []
-        assert [r.scheduler_name for r in results] == [
-            "asap-edf", "intra-task", "random"
-        ]
+        monkeypatch.setattr(PeriodRecord, "__init__", counting)
+        fleet = FleetSpec(n_nodes=8, seed=2)
+        base = fleet.base_trace()
+        specs = [fleet.node_spec(i) for i in range(fleet.n_nodes)]
+        summaries = simulate_shard_batch(fleet, base, specs)
+        assert len(summaries) == fleet.n_nodes and built == []
+        results = simulate_batch([self._clean_case(policy="random")])
         assert built == []
-        fingerprint = result_fingerprint(middle)
-        assert len(built) == periods
-        assert 0.0 <= middle.dmr <= 1.0
-        assert middle.total_solar_energy >= 0.0
-        assert len(built) == periods
-        assert fingerprint == result_fingerprint(
-            _per_node_reference(cases[1])
+        periods = results[0].periods
+        assert len(built) == len(periods) == (
+            results[0].timeline.total_periods
         )
-        assert result_fingerprint(results[-1]) == result_fingerprint(
-            _per_node_reference(cases[2])
-        )
-        assert len(built) == 2 * periods
 
     def test_ineligible_case_raises(self):
         case = self._clean_case()

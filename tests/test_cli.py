@@ -2,11 +2,18 @@
 
 import io
 import os
+import pickle
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.checkpoint import (
+    CHECKPOINT_VERSION,
+    CheckpointError,
+    latest_checkpoint,
+    load_checkpoint,
+)
 
 RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
@@ -305,6 +312,32 @@ class TestRobustCli:
         )
         assert code == 0
         assert _fingerprint(resumed_text) == _fingerprint(full_text)
+
+    def test_version_1_checkpoint_exit_code_3(self, tmp_path, capsys):
+        """Version-1 checkpoints held a period-record list; version 2
+        holds the period table, so a version-1 file is refused."""
+        base = (
+            "simulate", "--benchmark", "SHM", "--scheduler", "asap",
+            "--days", "1", "--seed", "3",
+        )
+        ckdir = tmp_path / "ck"
+        code, _ = run_cli(
+            *base, "--checkpoint-dir", str(ckdir),
+            "--stop-after-periods", "8",
+        )
+        assert code == 0
+        path = latest_checkpoint(ckdir)
+        payload = pickle.loads(path.read_bytes())
+        assert payload["version"] == CHECKPOINT_VERSION == 2
+        del payload["table"]
+        payload.update(version=1, period_records=[])
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(path)
+        capsys.readouterr()
+        code, _ = run_cli(*base, "--checkpoint-dir", str(ckdir), "--resume")
+        assert code == 3
+        assert "checkpoint version 1" in capsys.readouterr().err
 
 
 class TestObsCommand:

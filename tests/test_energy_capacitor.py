@@ -207,13 +207,3 @@ class TestCapacitorState:
         before = state.stored_energy
         state.leak(duration)
         assert state.stored_energy <= before + 1e-12
-
-    def test_substep_charging_tracks_voltage(self):
-        """More substeps -> efficiency follows the rising voltage."""
-        coarse = self.make_state(c=1.0, v=1.0)
-        fine = self.make_state(c=1.0, v=1.0)
-        coarse.charge(8.0, substeps=1)
-        fine.charge(8.0, substeps=64)
-        # Charging at the (higher) average voltage is more efficient
-        # than pricing everything at the initial low voltage.
-        assert fine.stored_energy > coarse.stored_energy

@@ -116,20 +116,6 @@ class TestPolicy:
         with pytest.raises(ValueError):
             SupervisorPolicy(**kwargs)
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "5")
-        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "7.5")
-        p = SupervisorPolicy.from_env()
-        assert p.max_retries == 5 and p.task_timeout == 7.5
-        # explicit overrides beat the environment
-        p = SupervisorPolicy.from_env(max_retries=1)
-        assert p.max_retries == 1 and p.task_timeout == 7.5
-
-    def test_from_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "many")
-        with pytest.raises(ValueError):
-            SupervisorPolicy.from_env()
-
 
 class TestBackoff:
     def test_deterministic_and_no_wall_clock(self):
@@ -604,26 +590,38 @@ class TestShardCheckpointRecovery:
         second = FleetRunner(spec, workers=1, shard_size=3, cache=cache).run()
         assert second.fingerprint() == first.fingerprint()
 
-    def test_legacy_list_checkpoints_still_load(self, tmp_path,
+    def test_bare_list_checkpoint_is_recomputed(self, tmp_path,
                                                 monkeypatch):
+        """A bare summary list (no failure channel) is a corrupt entry:
+        the shard is recomputed and rewritten in the supervised format."""
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         cache = ArtifactCache(tmp_path / "cache")
         spec = FleetSpec(n_nodes=6, seed=0, days=1)
         first = FleetRunner(spec, workers=1, shard_size=3, cache=cache).run()
 
-        # Rewrite every checkpoint in the pre-supervision format (a
-        # bare summary list, no failure channel).
         runner = FleetRunner(spec, shard_size=3, cache=cache)
-        for ids in runner.shards():
-            digest = runner._shard_digest(ids)
+        digests = [runner._shard_digest(ids) for ids in runner.shards()]
+        for digest in digests:
+            summaries, failed = cache.get(SHARD_KIND, digest)
+            assert failed == []
+            cache.put(SHARD_KIND, digest, summaries)
+            assert runner._load_checkpoint(
+                cache.get(SHARD_KIND, digest)
+            ) is None
+
+        ring = RingBufferSink()
+        second = FleetRunner(
+            spec, workers=1, shard_size=3, cache=cache,
+            observer=Observer(sinks=[ring]),
+        ).run()
+        assert second.fingerprint() == first.fingerprint()
+        shards = ring.of_kind("fleet_shard")
+        assert [e["cached"] for e in shards] == [False, False]
+        for digest in digests:
             summaries, failed = runner._load_checkpoint(
                 cache.get(SHARD_KIND, digest)
             )
             assert failed == []
-            cache.put(SHARD_KIND, digest, summaries)
-
-        second = FleetRunner(spec, workers=1, shard_size=3, cache=cache).run()
-        assert second.fingerprint() == first.fingerprint()
 
     def test_chaos_digest_isolated_from_clean_cache(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")

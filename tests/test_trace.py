@@ -246,6 +246,24 @@ class TestFleetTrace:
         }
         assert not [r for r in spans if r["name"] in ("node", "engine_run")]
 
+    def test_shard_setup_runs_under_the_shard_tracer(self, monkeypatch):
+        """A shard builds its weather, node specs and policy loader
+        inside its ``shard`` span, so that time is attributed."""
+        seen = []
+        real = FleetSpec.base_trace
+
+        def recording(self):
+            seen.append(current_tracer().enabled)
+            return real(self)
+
+        monkeypatch.setattr(FleetSpec, "base_trace", recording)
+        observer, _ = collecting_observer()
+        FleetRunner(
+            FleetSpec(n_nodes=4, seed=0), workers=1, shard_size=2,
+            observer=observer, cache=False,
+        ).run()
+        assert seen == [True, True]
+
     def test_four_workers_fifty_nodes_single_tree(self, monkeypatch):
         monkeypatch.setattr(supervisor, "host_cpus", lambda: 8)
         observer, sink = collecting_observer()

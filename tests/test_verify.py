@@ -4,6 +4,7 @@ and the ``repro verify`` CLI contract —
 including the acceptance demo that breaking the physics on purpose
 exits with code 6 and a structured violation report."""
 
+import copy
 import dataclasses
 import json
 
@@ -13,7 +14,7 @@ from repro import quick_node, simulate
 from repro.node.pmu import PMU
 from repro.obs import Observer, RingBufferSink
 from repro.schedulers import GreedyEDFScheduler
-from repro.sim.recorder import SimulationResult
+from repro.sim.recorder import ENERGY_TERMS, SimulationResult
 from repro.verify import (
     INVARIANT_CHECKS,
     CheckOutcome,
@@ -123,12 +124,25 @@ def _ctx(observed_run, result=None, events=None):
     )
 
 
-def _doctor(result, index=0, **changes):
-    """Copy of ``result`` with one period record tampered."""
-    periods = list(result.periods)
-    periods[index] = dataclasses.replace(periods[index], **changes)
+def _doctor(result, index=0, tasks=None, **changes):
+    """Copy of ``result`` with one period's columns tampered.
+
+    ``changes`` name :class:`PeriodRecord` fields stored as columns;
+    ``tasks`` overrides the row's task count, the divisor of its DMR.
+    """
+    table = copy.deepcopy(result.table)
+    row = result.row
+    for name, value in changes.items():
+        if name == "start_voltages":
+            table.start_voltages[row, index, : len(value)] = value
+        elif name in ENERGY_TERMS:
+            table.energy[name][row, index] = value
+        else:
+            getattr(table, name)[row, index] = value
+    if tasks is not None:
+        table.t_ns[row] = tasks
     return SimulationResult(
-        result.timeline, result.scheduler_name, periods, result.slots
+        result.timeline, result.scheduler_name, table, row, result.slots
     )
 
 
@@ -207,8 +221,9 @@ class TestInvariantCheckers:
         assert any("miss_count" in v.message for v in out.errors)
 
     def test_dmr_miss_count_mismatch_caught(self, observed_run):
-        _, clean, _, _ = observed_run
-        bad = _doctor(clean, dmr=0.987)
+        # The row's DMR divides by a task count the graph does not have.
+        graph, clean, _, _ = observed_run
+        bad = _doctor(clean, miss_count=1, tasks=len(graph) + 1)
         out = check_dmr_accounting(_ctx(observed_run, result=bad))
         assert not out.passed
 
@@ -216,7 +231,8 @@ class TestInvariantCheckers:
         self, observed_run
     ):
         graph, clean, _, _ = observed_run
-        bad = _doctor(clean, dmr=1.5, miss_count=len(graph))
+        assert len(graph) >= 3
+        bad = _doctor(clean, miss_count=3, tasks=2)  # DMR 3 / 2 = 1.5
         out = check_dmr_accounting(_ctx(observed_run, result=bad))
         messages = [v.message for v in out.errors]
         assert "accumulated DMR 1.5 outside [0, 1]" in messages
