@@ -14,6 +14,7 @@ the parasitic drain of the connected monitoring/switch circuitry.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 import numpy as np
@@ -21,36 +22,6 @@ import numpy as np
 from .capacitor import CapacitorState, SuperCapacitor
 
 __all__ = ["CapacitorBank"]
-
-
-class _DeviceConstants:
-    """Per-device constant arrays derived from a bank's device models.
-
-    Everything here is a pure function of the immutable
-    :class:`SuperCapacitor` devices, so a bank can compute it once and
-    reuse it every slot; :meth:`CapacitorBank._constants` revalidates by
-    device identity so fault-injection swaps rebuild it automatically.
-    """
-
-    def __init__(self, devices: tuple) -> None:
-        self.devices = devices
-        self.capacitance = np.array([d.capacitance for d in devices])
-        readonly = self.capacitance.copy()
-        readonly.setflags(write=False)
-        self.capacitance_readonly = readonly
-        # leakage_power(V) = leak_coeff * C * V**exp + parasitic; the
-        # leading product is constant per device.
-        self.leak_coeff_cap = np.array(
-            [d.leak_coeff * d.capacitance for d in devices]
-        )
-        self.parasitic = np.array([d.parasitic_power for d in devices])
-        self.leak_exponents = [d.leak_exponent for d in devices]
-        self.cutoff_energy = np.array(
-            [0.5 * d.capacitance * d.v_cutoff * d.v_cutoff for d in devices]
-        )
-        self.full_energy = np.array(
-            [0.5 * d.capacitance * d.v_full * d.v_full for d in devices]
-        )
 
 
 class CapacitorBank:
@@ -96,26 +67,6 @@ class CapacitorBank:
             )
         self._active = active_index
         self.switch_count = 0
-        # Per-device constant arrays for the vectorized slot update;
-        # rebuilt lazily whenever a device model changes (swap_device,
-        # including direct CapacitorState.swap_device calls).
-        self._device_cache: _DeviceConstants | None = None
-
-    # ------------------------------------------------------------------
-    def _constants(self) -> "_DeviceConstants":
-        """Cached per-device constants, revalidated by identity."""
-        cache = self._device_cache
-        if cache is not None:
-            devices = cache.devices
-            for i, state in enumerate(self.states):
-                if state.capacitor is not devices[i]:
-                    cache = None
-                    break
-        if cache is None:
-            cache = self._device_cache = _DeviceConstants(
-                tuple(s.capacitor for s in self.states)
-            )
-        return cache
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -135,35 +86,14 @@ class CapacitorBank:
         """Terminal voltage of every capacitor, bank order."""
         return np.array([s.voltage for s in self.states])
 
-    def usable_energies(self) -> np.ndarray:
-        """Usable (above cut-off) energy of every capacitor, joules."""
-        return np.array([s.usable_energy for s in self.states])
-
-    def total_stored(self) -> float:
-        """Sum of stored energy across the bank, joules."""
-        return float(sum(s.stored_energy for s in self.states))
-
-    def total_usable(self) -> float:
-        """Sum of usable energy across the bank, joules."""
-        return float(sum(s.usable_energy for s in self.states))
-
-    def capacitances(self) -> np.ndarray:
-        """Capacitance of every bank member, farads."""
-        return np.array([s.capacitor.capacitance for s in self.states])
-
     def view_arrays(self) -> tuple:
-        """``(capacitances, voltages, usable_energies)`` for a BankView.
-
-        The hot-loop variant of the three array helpers above: the
-        capacitance array is a shared read-only constant and the usable
-        energies are derived from the voltage vector in one vectorized
-        pass instead of one property chain per capacitor.
-        """
-        consts = self._constants()
-        voltages = np.array([s.voltage for s in self.states])
-        stored = 0.5 * consts.capacitance * voltages * voltages
-        usable = np.maximum(stored - consts.cutoff_energy, 0.0)
-        return consts.capacitance_readonly, voltages, usable
+        """``(capacitances, voltages, usable_energies)`` for a BankView."""
+        states = self.states
+        return (
+            np.array([s.capacitor.capacitance for s in states]),
+            self.voltages(),
+            np.array([s.usable_energy for s in states]),
+        )
 
     # ------------------------------------------------------------------
     def select(self, index: int) -> None:
@@ -208,11 +138,6 @@ class CapacitorBank:
             )
         return self.states[index].swap_device(capacitor)
 
-    def richest_index(self) -> int:
-        """Capacitor with the most usable energy (ties → smaller C)."""
-        energies = self.usable_energies()
-        return int(np.argmax(energies))
-
     # ------------------------------------------------------------------
     def leak_all(self, duration: float) -> float:
         """Self-discharge every capacitor for ``duration`` seconds.
@@ -221,43 +146,36 @@ class CapacitorBank:
         active capacitor; idle capacitors see pure self-leakage.
         Returns the total energy lost.
 
-        The update runs vectorized over the whole bank.  The voltage
-        power term keeps per-element Python ``**`` (numpy's pow ufunc
-        is not bit-identical to libm's), so results match the original
-        per-capacitor update exactly; everything else is elementwise
-        IEEE arithmetic with the same operation order as
-        :meth:`~repro.energy.capacitor.CapacitorState.leak`.
+        The active capacitor's update is
+        :meth:`~repro.energy.capacitor.CapacitorState.leak`'s, float op
+        for float op, written out here because this loop runs once per
+        slot.
         """
         if duration < 0:
             raise ValueError(f"duration must be >= 0, got {duration}")
-        consts = self._constants()
-        states = self.states
-        volts = [s.voltage for s in states]
-        powv = np.array(
-            [v**e for v, e in zip(volts, consts.leak_exponents)]
-        )
-        v_arr = np.array(volts)
-        # P_leak(V) = (k·C)·V**exp + p0, as in SuperCapacitor.leakage_power.
-        leak_power = consts.leak_coeff_cap * powv + consts.parasitic
-        before = 0.5 * consts.capacitance * v_arr * v_arr
-        # Idle capacitors: the parasitic term is subtracted back out
-        # (not omitted — (x + p0) - p0 is not x in floating point).
-        idle_power = np.maximum(leak_power - consts.parasitic, 0.0)
-        new_energy = np.maximum(before - idle_power * duration, 0.0)
-        # The active capacitor pays the full drain and clamps the way
-        # CapacitorState._set_energy does ([0, E_full]).
-        a = self._active
-        e_a = before[a] - leak_power[a] * duration
-        e_a = min(max(e_a, 0.0), consts.full_energy[a])
-        new_energy[a] = e_a
-        new_volts = np.sqrt(2.0 * new_energy / consts.capacitance)
-        after = 0.5 * consts.capacitance * new_volts * new_volts
-        diffs = before - after
         lost = 0.0
-        for i, state in enumerate(states):
-            state.voltage = float(new_volts[i])
-            lost += diffs[i]
-        return float(lost)
+        for i, state in enumerate(self.states):
+            cap = state.capacitor
+            v = state.voltage
+            leak_power = (
+                cap.leak_coeff * cap.capacitance * v**cap.leak_exponent
+                + cap.parasitic_power
+            )
+            before = 0.5 * cap.capacitance * v * v
+            if i == self._active:
+                # Full drain, clamped to [0, E_full].
+                energy = before - leak_power * duration
+                full = 0.5 * cap.capacitance * cap.v_full * cap.v_full
+                energy = min(max(energy, 0.0), full)
+            else:
+                # The parasitic term is subtracted back out, not
+                # omitted: (x + p0) - p0 is not x in floating point.
+                idle_power = max(leak_power - cap.parasitic_power, 0.0)
+                energy = max(before - idle_power * duration, 0.0)
+            new_v = math.sqrt(2.0 * energy / cap.capacitance)
+            state.voltage = new_v
+            lost += before - 0.5 * cap.capacitance * new_v * new_v
+        return lost
 
     def __repr__(self) -> str:
         caps = ", ".join(

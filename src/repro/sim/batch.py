@@ -39,7 +39,8 @@ byte-for-byte.  The layout decisions that make this work:
 * **Python pow where the scalar engine uses it, on live cells only.**
   numpy's pow ufunc is not bit-identical to libm's ``**`` on some
   platforms; the leakage voltage power keeps the per-element libm
-  ``pow`` exactly like :meth:`~repro.energy.bank.CapacitorBank.leak_all`.
+  ``pow`` that the per-node engine's per-capacitor loop
+  (:meth:`~repro.energy.bank.CapacitorBank.leak_all`) evaluates.
   A slot runs it only on the cells the run can change: each row's
   active column, and every column of a ``proposed`` row.  An idle
   column of any other row leaks from its cut-off voltage with no other
@@ -920,7 +921,7 @@ class _BatchEngine:
             c_n = self.c_ns[i]
             caps = self.capacitance[i, :c_n].copy()
             volts = v[i, :c_n].copy()
-            # As CapacitorBank.view_arrays computes them.
+            # CapacitorState.usable_energy, elementwise.
             usable = np.maximum(
                 0.5 * caps * volts * volts
                 - self._col_tables["e_cutoff"][i, :c_n],

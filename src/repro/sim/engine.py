@@ -129,16 +129,6 @@ class SimulationEngine:
         self.checkpoint = checkpoint
 
     # ------------------------------------------------------------------
-    def _bank_view(self) -> BankView:
-        bank = self.node.bank
-        capacitances, voltages, usable = bank.view_arrays()
-        return BankView(
-            capacitances=capacitances,
-            voltages=voltages,
-            usable_energies=usable,
-            active_index=bank.active_index,
-        )
-
     def _validate(
         self, decision: Sequence, ready: Sequence[int]
     ) -> List[tuple]:
@@ -310,7 +300,9 @@ class SimulationEngine:
                 graph=self.graph,
                 day=day,
                 period=period,
-                bank=self._bank_view(),
+                bank=BankView(
+                    *bank.view_arrays(), active_index=bank.active_index
+                ),
                 accumulated_dmr=accumulated,
                 last_period_energy=last_period_energy,
                 last_period_powers=powers_for_view,
@@ -361,7 +353,6 @@ class SimulationEngine:
                         missed=runtime.missed.copy(),
                         deadline_slots=runtime.deadline_slots.copy(),
                         ready=ready,
-                        bank=self._bank_view(),
                     )
                 )
                 chosen = self._validate(decision, ready)
@@ -471,13 +462,7 @@ class SimulationEngine:
                 ))
             self.scheduler.on_period_end(
                 PeriodEndView(
-                    day=day,
-                    period=period,
-                    dmr=dmr,
-                    missed=runtime.missed.copy(),
-                    observed_energy=solar_energy,
-                    observed_powers=period_powers.copy(),
-                    bank=self._bank_view(),
+                    day=day, period=period, observed_energy=solar_energy
                 )
             )
 

@@ -78,20 +78,10 @@ class PeriodRuntime:
         ready = ~done & ~self.missed & (slot < self.deadline_slots) & ~blocked
         return tuple(np.flatnonzero(ready).tolist())
 
-    def advance(self, tasks: Sequence[int], seconds: float) -> None:
-        """Progress the given tasks by ``seconds`` of execution."""
-        if seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {seconds}")
-        for i in tasks:
-            if self.missed[i]:
-                continue
-            self.started[i] = True
-            self.remaining[i] = max(self.remaining[i] - seconds, 0.0)
-
     def advance_scaled(
         self, task_seconds: Sequence[Tuple[int, float]]
     ) -> None:
-        """Progress each ``(task, seconds)`` pair (DVFS-scaled slots)."""
+        """Progress each ``task`` by its ``seconds`` of execution."""
         for i, seconds in task_seconds:
             if seconds < 0:
                 raise ValueError(f"seconds must be >= 0, got {seconds}")

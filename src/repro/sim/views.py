@@ -100,12 +100,6 @@ class SlotView:
     missed: np.ndarray
     deadline_slots: np.ndarray
     ready: Tuple[int, ...]
-    bank: BankView
-
-    @property
-    def slots_left(self) -> int:
-        """Slots remaining in the period including this one."""
-        return self.timeline.slots_per_period - self.slot
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,8 +108,4 @@ class PeriodEndView:
 
     day: int
     period: int
-    dmr: float
-    missed: np.ndarray
     observed_energy: float
-    observed_powers: np.ndarray
-    bank: BankView

@@ -6,9 +6,8 @@ Three independent lines of defence against a silently wrong engine:
   run (energy conservation, voltage bounds, NVP charge accounting,
   DMR bookkeeping, brownout discipline, slot legality);
 * :mod:`repro.verify.oracles` — two implementations, one answer
-  (scalar vs vectorized bank, DP plan vs brute force,
-  checkpoint-resume vs straight-through, batched vs per-node engine,
-  committed reference fingerprints);
+  (DP plan vs brute force, checkpoint-resume vs straight-through,
+  batched vs per-node engine, committed reference fingerprints);
 * :mod:`repro.verify.metamorphic` — how outputs must move when inputs
   move (more sun never hurts, more capacity never hurts, permuting
   equal-priority tasks changes nothing).
@@ -26,7 +25,6 @@ from .invariants import (
 from .metamorphic import METAMORPHIC_RELATIONS, verify_metamorphic
 from .oracles import (
     BRUTEFORCE_INSTANCES,
-    ScalarReferenceBank,
     brute_force_best_dmr,
     capture_reference_fingerprints,
     default_fingerprint_path,
@@ -34,9 +32,7 @@ from .oracles import (
     oracle_checkpoint_resume,
     oracle_plan_vs_bruteforce,
     oracle_reference_fingerprints,
-    oracle_scalar_vs_vectorized,
     reference_run_specs,
-    scalar_reference_node,
     write_reference_fingerprints,
 )
 from .report import CheckOutcome, VerificationReport, Violation
@@ -49,9 +45,6 @@ __all__ = [
     "RunContext",
     "INVARIANT_CHECKS",
     "verify_run",
-    "ScalarReferenceBank",
-    "scalar_reference_node",
-    "oracle_scalar_vs_vectorized",
     "brute_force_best_dmr",
     "oracle_plan_vs_bruteforce",
     "oracle_checkpoint_resume",

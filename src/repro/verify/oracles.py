@@ -1,14 +1,8 @@
 """Differential oracles: two independent routes to the same answer.
 
-Four oracles, each pitting the production implementation against a
+Three oracles, each pitting the production implementation against a
 slower but obviously-correct reference:
 
-``scalar-vs-vectorized``
-    The engine's hot loop vectorizes the capacitor-bank update
-    (:meth:`~repro.energy.bank.CapacitorBank.leak_all` /
-    ``view_arrays``).  :class:`ScalarReferenceBank` re-implements both
-    as plain per-capacitor Python loops with the identical IEEE
-    operation order; a run on each must produce bit-identical results.
 ``plan-vs-bruteforce``
     On single-task instances small enough to enumerate every per-slot
     schedule, the long-term DP's replayed plan must match the
@@ -19,7 +13,7 @@ slower but obviously-correct reference:
     bit-identical to the uninterrupted run (meta-level NVP semantics).
 ``batch-vs-per-node``
     A heterogeneous fleet shard through the node-major batched engine
-    (:mod:`repro.sim.batch`) and through one scalar engine per node;
+    (:mod:`repro.sim.batch`) and through the per-node engine;
     every :class:`~repro.fleet.result.NodeSummary` — fingerprint
     included — must match bit for bit.
 
@@ -33,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import tempfile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -42,7 +35,6 @@ import numpy as np
 
 from .. import quick_node
 from ..core import DPConfig, LongTermOptimizer, StaticOptimalScheduler
-from ..energy.bank import CapacitorBank
 from ..energy.capacitor import SuperCapacitor
 from ..node.node import SensorNode
 from ..reliability import RUNTIME_SCENARIOS, FaultInjector, runtime_scenario
@@ -66,9 +58,6 @@ from ..timeline import Timeline
 from .report import CheckOutcome, Violation
 
 __all__ = [
-    "ScalarReferenceBank",
-    "scalar_reference_node",
-    "oracle_scalar_vs_vectorized",
     "brute_force_best_dmr",
     "oracle_plan_vs_bruteforce",
     "oracle_checkpoint_resume",
@@ -80,109 +69,6 @@ __all__ = [
     "load_reference_fingerprints",
     "default_fingerprint_path",
 ]
-
-
-# ----------------------------------------------------------------------
-# Scalar-vs-vectorized engine replay
-# ----------------------------------------------------------------------
-class ScalarReferenceBank(CapacitorBank):
-    """Per-capacitor reference for the bank's two vectorized paths.
-
-    Replicates the pre-vectorization update exactly — same formulas,
-    same operation order, plain Python floats — so that a run on this
-    bank is the independent route to the vectorized hot loop's bits.
-    """
-
-    def leak_all(self, duration: float) -> float:
-        if duration < 0:
-            raise ValueError(f"duration must be >= 0, got {duration}")
-        lost = 0.0
-        for i, state in enumerate(self.states):
-            cap = state.capacitor
-            v = state.voltage
-            leak_power = (
-                cap.leak_coeff * cap.capacitance * v**cap.leak_exponent
-                + cap.parasitic_power
-            )
-            before = 0.5 * cap.capacitance * v * v
-            if i == self._active:
-                # Full drain, clamped to [0, E_full] the way
-                # CapacitorState._set_energy does.
-                energy = before - leak_power * duration
-                full = 0.5 * cap.capacitance * cap.v_full * cap.v_full
-                energy = min(max(energy, 0.0), full)
-            else:
-                # Idle: the parasitic term is subtracted back out.
-                idle_power = max(leak_power - cap.parasitic_power, 0.0)
-                energy = max(before - idle_power * duration, 0.0)
-            new_v = math.sqrt(2.0 * energy / cap.capacitance)
-            after = 0.5 * cap.capacitance * new_v * new_v
-            state.voltage = float(new_v)
-            lost += before - after
-        return float(lost)
-
-    def view_arrays(self) -> tuple:
-        capacitances = []
-        voltages = []
-        usable = []
-        for state in self.states:
-            cap = state.capacitor
-            v = state.voltage
-            stored = 0.5 * cap.capacitance * v * v
-            cutoff = 0.5 * cap.capacitance * cap.v_cutoff * cap.v_cutoff
-            capacitances.append(cap.capacitance)
-            voltages.append(v)
-            usable.append(max(stored - cutoff, 0.0))
-        return (
-            np.array(capacitances),
-            np.array(voltages),
-            np.array(usable),
-        )
-
-
-def scalar_reference_node(graph: TaskGraph, **node_kwargs) -> SensorNode:
-    """A :func:`~repro.quick_node` whose bank is the scalar reference."""
-    node = quick_node(graph, **node_kwargs)
-    bank = ScalarReferenceBank([s.capacitor for s in node.bank.states])
-    node.bank = bank
-    node.pmu.bank = bank
-    return node
-
-
-def oracle_scalar_vs_vectorized(
-    graph: TaskGraph,
-    trace: SolarTrace,
-    scheduler_factory: Callable,
-    label: str = "",
-    injector_factory: Optional[Callable] = None,
-) -> CheckOutcome:
-    """Run vectorized and scalar-reference engines; demand bit-identity."""
-    out = CheckOutcome(name="oracle/scalar-vs-vectorized", subject=label)
-    inj = injector_factory or (lambda: None)
-    vectorized = simulate(
-        quick_node(graph), graph, trace, scheduler_factory(),
-        strict=False, record_slots=True, fault_injector=inj(),
-    )
-    scalar = simulate(
-        scalar_reference_node(graph), graph, trace, scheduler_factory(),
-        strict=False, record_slots=True, fault_injector=inj(),
-    )
-    out.checked = trace.timeline.total_slots
-    if result_fingerprint(vectorized) != result_fingerprint(scalar):
-        out.violations.append(
-            Violation(
-                check=out.name,
-                message=(
-                    "vectorized engine diverged from the scalar "
-                    "reference bank"
-                ),
-                details={
-                    "vectorized": vectorized.summary(),
-                    "scalar": scalar.summary(),
-                },
-            )
-        )
-    return out
 
 
 # ----------------------------------------------------------------------

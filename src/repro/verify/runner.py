@@ -12,8 +12,7 @@
     curated oracle instances and the metamorphic relations.  This is
     the CI gate.
 ``deep``
-    Everything in ``quick`` plus seeded randomized sweeps: extra
-    scalar-vs-vectorized replays under random weather, and random
+    Everything in ``quick`` plus a seeded randomized sweep of
     brute-force instances (where DP suboptimality is reported as a
     warning, not a failure).
 """
@@ -27,8 +26,7 @@ import numpy as np
 from .. import quick_node
 from ..obs import Observer
 from ..obs.sinks import RingBufferSink
-from ..reliability import FaultInjector, runtime_scenario
-from ..schedulers import GreedyEDFScheduler, IntraTaskScheduler
+from ..schedulers import GreedyEDFScheduler
 from ..sim import result_fingerprint
 from ..sim.engine import simulate
 from .invariants import RunContext, verify_run
@@ -44,11 +42,10 @@ from .oracles import (
     oracle_checkpoint_resume,
     oracle_plan_vs_bruteforce,
     oracle_reference_fingerprints,
-    oracle_scalar_vs_vectorized,
     reference_run_specs,
 )
 from .report import CheckOutcome, VerificationReport
-from .strategies import random_trace, tiny_env, tiny_timeline
+from .strategies import tiny_env
 
 __all__ = ["LEVELS", "run_verification", "verified_simulation"]
 
@@ -105,11 +102,6 @@ def verified_simulation(
 
 
 # ----------------------------------------------------------------------
-def _tiny_spec(seed: int = 3) -> tuple:
-    graph, tl, trace = tiny_env(seed=seed)
-    return graph, tl, trace
-
-
 def run_verification(
     level: str = "quick",
     seed: int = 0,
@@ -134,7 +126,7 @@ def run_verification(
     with tracer.span(
         "verify", key=level, attrs={"level": level, "seed": seed}
     ):
-        graph, tl, trace = _tiny_spec()
+        graph, _, trace = tiny_env(seed=3)
         reference = load_reference_fingerprints(fingerprint_path)
 
         # ---- observed runs through the full invariant suite ----
@@ -173,23 +165,6 @@ def run_verification(
 
         # ---- differential oracles ----
         with tracer.span("verify_oracles"):
-            log("oracle: scalar vs vectorized")
-            report.add(
-                oracle_scalar_vs_vectorized(
-                    graph, trace, GreedyEDFScheduler, label="tiny/greedy-edf"
-                )
-            )
-            if level != "smoke":
-                report.add(
-                    oracle_scalar_vs_vectorized(
-                        graph, trace, IntraTaskScheduler,
-                        label="tiny/intra-task",
-                        injector_factory=lambda: FaultInjector(
-                            runtime_scenario("chaos", tl, seed=0), tl
-                        ),
-                    )
-                )
-
             log("oracle: DP plan vs brute force")
             if level == "smoke":
                 curated = ["marginal"]
@@ -230,20 +205,6 @@ def run_verification(
         if level == "deep":
             with tracer.span("verify_deep_sweeps"):
                 rng = np.random.default_rng(seed)
-                for i in range(4):
-                    sweep_tl = tiny_timeline(
-                        periods_per_day=int(rng.integers(2, 5))
-                    )
-                    sweep_trace = random_trace(
-                        sweep_tl, int(rng.integers(0, 10_000))
-                    )
-                    log(f"deep sweep {i}: scalar vs vectorized, random weather")
-                    report.add(
-                        oracle_scalar_vs_vectorized(
-                            graph, sweep_trace, GreedyEDFScheduler,
-                            label=f"sweep-{i}/random-weather",
-                        )
-                    )
                 for i in range(3):
                     rows = (
                         rng.uniform(0.0, 0.12, size=(2, 4)).round(3).tolist()

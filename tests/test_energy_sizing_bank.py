@@ -175,7 +175,6 @@ class TestCapacitorBank:
         bank = self.make_bank()
         assert len(bank) == 3
         assert bank.active_index == 0
-        assert bank.total_usable() == pytest.approx(0.0)
 
     def test_select_counts_switches(self):
         bank = self.make_bank()
@@ -203,16 +202,46 @@ class TestCapacitorBank:
         assert bank.request_switch(0, energy_threshold=0.0)
         assert bank.switch_count == 0
 
-    def test_leak_all_only_active_pays_parasitic(self):
-        bank = self.make_bank(voltages=[1.0, 1.0, 1.0])
-        # At the cut-off voltage self-leak may be nonzero but the idle
-        # capacitors must lose no more than the active one per farad.
-        lost = bank.leak_all(3600.0)
-        assert lost >= 0.0
+    @staticmethod
+    def twin_bank(volts=3.0):
+        """Two identical 2 F capacitors, self-leak 1e-3·C·V, p0 10 mW.
 
-    def test_richest_index(self):
-        bank = self.make_bank(voltages=[1.0, 4.0, 1.5])
-        assert bank.richest_index() == 1
+        At 3 V each holds ½·2·3² = 9 J and self-leaks 1e-3·2·3 = 6 mW.
+        """
+        cap = SuperCapacitor(
+            capacitance=2.0, leak_coeff=1e-3, leak_exponent=1.0,
+            parasitic_power=0.01,
+        )
+        return CapacitorBank([cap, cap], initial_voltages=[volts, volts])
+
+    def test_leak_all_only_active_pays_parasitic(self):
+        bank = self.twin_bank()
+        lost = bank.leak_all(100.0)
+        active, idle = (s.stored_energy for s in bank.states)
+        # Active: (6 mW + 10 mW) · 100 s = 1.6 J; idle: 6 mW · 100 s.
+        assert active == pytest.approx(9.0 - 1.6, rel=1e-12)
+        assert idle == pytest.approx(9.0 - 0.6, rel=1e-12)
+        assert idle - active == pytest.approx(0.01 * 100.0, rel=1e-12)
+        assert lost == pytest.approx(1.6 + 0.6, rel=1e-12)
+
+    def test_leak_all_active_clamps_to_stored_range(self):
+        # 1000 s drains the active 16 J from its 9 J: it stops at 0 J,
+        # while the idle twin loses its 6 J of pure self-leak.
+        bank = self.twin_bank()
+        lost = bank.leak_all(1000.0)
+        active, idle = bank.states
+        assert active.voltage == 0.0
+        assert idle.stored_energy == pytest.approx(3.0, rel=1e-12)
+        assert lost == pytest.approx(9.0 + 6.0, rel=1e-12)
+        # Above V_H the active capacitor clamps down to E_full; an idle
+        # one is left where it is.
+        bank = self.twin_bank()
+        for state in bank.states:
+            state.voltage = 5.5
+        bank.leak_all(0.0)
+        active, idle = bank.states
+        assert active.voltage == pytest.approx(5.0, rel=1e-12)
+        assert idle.voltage == 5.5
 
     def test_voltages_order(self):
         bank = self.make_bank(voltages=[1.0, 2.0, 3.0])

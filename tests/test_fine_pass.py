@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.schedulers.intratask import fine_grained_decision
-from repro.sim.views import BankView, SlotView
+from repro.sim.views import SlotView
 from repro.tasks import Task, TaskGraph
 from repro.timeline import Timeline
 
@@ -24,12 +24,6 @@ def make_view(graph, remaining, slot=0, solar=0.05, slots=10, dt=30.0):
         and slot < deadline_slots[i]
         and all(done[p] for p in graph.predecessors(i))
     )
-    bank = BankView(
-        capacitances=np.array([10.0]),
-        voltages=np.array([3.0]),
-        usable_energies=np.array([40.0]),
-        active_index=0,
-    )
     return SlotView(
         timeline=tl,
         graph=graph,
@@ -43,7 +37,6 @@ def make_view(graph, remaining, slot=0, solar=0.05, slots=10, dt=30.0):
         missed=np.zeros(len(graph), dtype=bool),
         deadline_slots=deadline_slots,
         ready=ready,
-        bank=bank,
     )
 
 

@@ -1,6 +1,7 @@
-"""Tests for the performance layer: bit-identity of the vectorized
-engine, the offline-artifact disk cache, the supervised pool's planner
-and ordering, the vectorized LUT lookup and the buffered JSONL sink."""
+"""Tests for the performance layer: bit-identity of the per-node
+engine with its committed reference, the offline-artifact disk cache,
+the supervised pool's planner and ordering and the buffered JSONL
+sink."""
 
 import importlib.util
 import json
@@ -54,15 +55,15 @@ def _tiny_policy(graph):
 
 
 # ----------------------------------------------------------------------
-# Bit-identity of the vectorized engine
+# Bit-identity of the per-node engine
 # ----------------------------------------------------------------------
 class TestEngineFingerprints:
-    """The hot-loop rewrite must not move a single bit.
+    """No change to the slot loop may move a single bit.
 
     ``tests/data/engine_fingerprints.json`` was captured from the
-    scalar pre-vectorization engine (see ``capture_fingerprints.py``
-    next to it); replaying the same 4 canonical days and 7 fault
-    scenarios must reproduce every digest exactly.
+    per-capacitor scalar engine (see ``capture_fingerprints.py`` next
+    to it); replaying the same 4 canonical days and 7 fault scenarios
+    must reproduce every digest exactly.
     """
 
     @pytest.fixture(scope="class")

@@ -1,13 +1,16 @@
 """Tests for the simulation engine and result records."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import quick_node, simulate
-from repro.energy import SuperCapacitor
+from repro.energy import CapacitorBank, SuperCapacitor
 from repro.node import SensorNode
 from repro.schedulers import GreedyEDFScheduler, Scheduler
 from repro.sim import InvalidDecisionError, SimulationEngine
+from repro.sim.views import PeriodEndView, SlotView
 from repro.solar import SolarTrace
 from repro.tasks import Task, TaskGraph
 from repro.timeline import Timeline
@@ -293,3 +296,25 @@ class TestSchedulerHooks:
         assert seen["starts"][0][2] is None
         assert seen["starts"][1][2] == pytest.approx(0.04 * 10 * 30.0)
         assert len(seen["ends"]) == 3
+
+    def test_bank_is_read_once_per_period_start(self, monkeypatch):
+        """Only the coarse hook sees the bank: one snapshot per period,
+        none per slot or at period end."""
+        real = CapacitorBank.view_arrays
+        calls = []
+
+        def counting(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(CapacitorBank, "view_arrays", counting)
+        graph = tiny_graph()
+        tl = tiny_timeline(days=2, periods=3)
+        simulate(
+            tiny_node(graph, caps=(2.0, 10.0)), graph,
+            constant_trace(tl, 0.04), GreedyEDFScheduler(),
+        )
+        assert len(calls) == tl.total_periods
+        for view in (SlotView, PeriodEndView):
+            names = {f.name for f in dataclasses.fields(view)}
+            assert "bank" not in names

@@ -33,13 +33,13 @@ class TestReadiness:
 
     def test_dependent_ready_after_producer_completes(self):
         rt = PeriodRuntime(chain_graph(), timeline())
-        rt.advance([0], 60.0)  # finish a
+        rt.advance_scaled([(0, 60.0)])  # finish a
         assert rt.is_completed(0)
         assert 1 in rt.ready_tasks(2)
 
     def test_completed_not_ready(self):
         rt = PeriodRuntime(chain_graph(), timeline())
-        rt.advance([2], 30.0)
+        rt.advance_scaled([(2, 30.0)])
         assert 2 not in rt.ready_tasks(1)
 
     def test_past_deadline_not_ready(self):
@@ -52,38 +52,38 @@ class TestReadiness:
 class TestProgress:
     def test_advance_reduces_remaining(self):
         rt = PeriodRuntime(chain_graph(), timeline())
-        rt.advance([0], 25.0)
+        rt.advance_scaled([(0, 25.0)])
         assert rt.remaining[0] == pytest.approx(35.0)
         assert rt.started[0]
 
     def test_advance_clamps_at_zero(self):
         rt = PeriodRuntime(chain_graph(), timeline())
-        rt.advance([2], 500.0)
+        rt.advance_scaled([(2, 500.0)])
         assert rt.remaining[2] == 0.0
 
     def test_advance_negative_rejected(self):
         rt = PeriodRuntime(chain_graph(), timeline())
         with pytest.raises(ValueError):
-            rt.advance([0], -1.0)
+            rt.advance_scaled([(0, -1.0)])
 
     def test_missed_task_does_not_progress(self):
         rt = PeriodRuntime(chain_graph(), timeline())
         rt.missed[0] = True
-        rt.advance([0], 30.0)
+        rt.advance_scaled([(0, 30.0)])
         assert rt.remaining[0] == pytest.approx(60.0)
 
 
 class TestDeadlines:
     def test_incomplete_at_deadline_is_missed(self):
         rt = PeriodRuntime(chain_graph(), timeline())
-        rt.advance([0], 30.0)  # half done
+        rt.advance_scaled([(0, 30.0)])  # half done
         missed = rt.check_deadlines(6)  # a's deadline slot
         assert 0 in missed
         assert rt.missed[0]
 
     def test_complete_at_deadline_not_missed(self):
         rt = PeriodRuntime(chain_graph(), timeline())
-        rt.advance([0], 60.0)
+        rt.advance_scaled([(0, 60.0)])
         assert rt.check_deadlines(6) == ()
 
     def test_miss_cascades_to_dependents(self):
@@ -95,15 +95,15 @@ class TestDeadlines:
     def test_cascade_skips_completed_dependents(self):
         graph = chain_graph()
         rt = PeriodRuntime(graph, timeline())
-        rt.advance([0], 60.0)  # a done
-        rt.advance([1], 60.0)  # b done early
+        rt.advance_scaled([(0, 60.0)])  # a done
+        rt.advance_scaled([(1, 60.0)])  # b done early
         # c misses its own deadline at slot 10 but has no dependents.
         missed = rt.check_deadlines(10)
         assert set(missed) == {2}
 
     def test_finalize_marks_stragglers(self):
         rt = PeriodRuntime(chain_graph(), timeline())
-        rt.advance([0], 60.0)
+        rt.advance_scaled([(0, 60.0)])
         newly = rt.finalize()
         assert set(newly) == {1, 2}
         assert rt.miss_count == 2
@@ -111,8 +111,8 @@ class TestDeadlines:
 
     def test_dmr_zero_when_all_complete(self):
         rt = PeriodRuntime(chain_graph(), timeline())
-        rt.advance([0], 60.0)
-        rt.advance([1, 2], 60.0)
+        rt.advance_scaled([(0, 60.0)])
+        rt.advance_scaled([(1, 60.0), (2, 60.0)])
         rt.finalize()
         assert rt.dmr == 0.0
 
@@ -134,6 +134,6 @@ class TestWithRealBenchmark:
                 if graph.nvp_of(i) not in used:
                     chosen.append(i)
                     used.add(graph.nvp_of(i))
-            rt.advance(chosen, tl.slot_seconds)
+            rt.advance_scaled([(i, tl.slot_seconds) for i in chosen])
         rt.finalize()
         assert rt.dmr == 0.0

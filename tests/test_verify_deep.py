@@ -3,8 +3,8 @@
 Everything here is ``slow``-marked — deselected from tier-1 by the
 default ``-m 'not slow'`` addopts; run with ``pytest -m slow`` (CI's
 nightly-style job does).  The sweeps draw from the shared strategy
-library in :mod:`repro.verify.strategies` and push the differential
-oracles well past the curated instances the quick level replays."""
+library in :mod:`repro.verify.strategies` and push the invariant suite
+well past the curated instances the quick level replays."""
 
 import pytest
 
@@ -15,19 +15,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro import quick_node, simulate  # noqa: E402
 from repro.reliability import FaultInjector, FaultPlan  # noqa: E402
-from repro.schedulers import GreedyEDFScheduler  # noqa: E402
 from repro.verify import (  # noqa: E402
     RunContext,
-    oracle_scalar_vs_vectorized,
     run_verification,
     verify_run,
 )
-from repro.verify.strategies import (  # noqa: E402
-    engine_setups,
-    random_trace,
-    tiny_env,
-    tiny_timeline,
-)
+from repro.verify.strategies import engine_setups  # noqa: E402
 
 pytestmark = pytest.mark.slow
 
@@ -83,30 +76,6 @@ class TestInvariantSweeps:
         _verify_clean(graph, node, result)
 
 
-class TestOracleSweeps:
-    @SWEEP
-    @given(setup=engine_setups())
-    def test_scalar_reference_agrees_on_random_setups(self, setup):
-        graph, tl, trace, scheduler_proto = setup
-        out = oracle_scalar_vs_vectorized(
-            graph, trace,
-            lambda: type(scheduler_proto)(scheduler_proto.seed),
-            label="sweep",
-        )
-        assert out.passed, [v.message for v in out.errors]
-
-    @SWEEP
-    @given(seed=st.integers(0, 10_000))
-    def test_scalar_reference_agrees_on_random_weather(self, seed):
-        graph, _, _ = tiny_env()
-        tl = tiny_timeline(periods_per_day=2)
-        out = oracle_scalar_vs_vectorized(
-            graph, random_trace(tl, seed), GreedyEDFScheduler,
-            label=f"weather-{seed}",
-        )
-        assert out.passed, [v.message for v in out.errors]
-
-
 class TestEndToEnd:
     def test_deep_verification_is_clean(self):
         """The full ``repro verify --level deep`` pipeline, in-process."""
@@ -116,7 +85,6 @@ class TestEndToEnd:
         assert {
             "energy-conservation",
             "oracle/reference-fingerprint",
-            "oracle/scalar-vs-vectorized",
             "oracle/plan-vs-bruteforce",
             "oracle/checkpoint-resume",
             "metamorphic/more-sun-never-hurts",

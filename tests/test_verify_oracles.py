@@ -5,77 +5,18 @@ Each oracle gets (a) a green run on its curated instance and (b) a
 demand the oracle catches it.  An oracle that cannot fail is not an
 oracle."""
 
-import numpy as np
 import pytest
 
-from repro.energy.bank import CapacitorBank
-from repro.energy.capacitor import SuperCapacitor
 from repro.schedulers import GreedyEDFScheduler
 from repro.verify import (
     BRUTEFORCE_INSTANCES,
-    ScalarReferenceBank,
     load_reference_fingerprints,
     oracle_checkpoint_resume,
     oracle_plan_vs_bruteforce,
     oracle_reference_fingerprints,
-    oracle_scalar_vs_vectorized,
     reference_run_specs,
 )
 from repro.verify.strategies import tiny_env
-
-
-# ----------------------------------------------------------------------
-# scalar-vs-vectorized
-# ----------------------------------------------------------------------
-class TestScalarVsVectorized:
-    def test_banks_agree_bit_for_bit(self):
-        """The scalar reference replicates leak_all/view_arrays exactly,
-        across active indices and durations."""
-        caps = [
-            SuperCapacitor(capacitance=2.0),
-            SuperCapacitor(capacitance=10.0),
-        ]
-        fast = CapacitorBank(list(caps))
-        slow = ScalarReferenceBank(list(caps))
-        for bank in (fast, slow):
-            for state, v in zip(bank.states, (1.7, 3.2)):
-                state.voltage = v
-        for active in (0, 1):
-            fast.select(active)
-            slow.select(active)
-            for duration in (30.0, 1.0, 0.0):
-                assert fast.leak_all(duration) == slow.leak_all(duration)
-                for a, b in zip(fast.view_arrays(), slow.view_arrays()):
-                    np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(
-                fast.voltages(), slow.voltages()
-            )
-
-    def test_oracle_green_on_tiny_run(self):
-        graph, tl, trace = tiny_env()
-        out = oracle_scalar_vs_vectorized(
-            graph, trace, GreedyEDFScheduler, label="tiny"
-        )
-        assert out.passed
-        assert out.checked == tl.total_slots
-
-    def test_oracle_catches_a_drifted_reference(self, monkeypatch):
-        """Plant a one-part-in-a-million leak error in the scalar side;
-        the bit-identity demand must flag it."""
-        real = ScalarReferenceBank.leak_all
-
-        def drifted(self, duration):
-            lost = real(self, duration)
-            self.states[0].voltage *= 1.0 - 1e-6
-            return lost
-
-        monkeypatch.setattr(ScalarReferenceBank, "leak_all", drifted)
-        graph, _, trace = tiny_env()
-        out = oracle_scalar_vs_vectorized(
-            graph, trace, GreedyEDFScheduler, label="drifted"
-        )
-        assert not out.passed
-        assert "diverged" in out.errors[0].message
 
 
 # ----------------------------------------------------------------------
