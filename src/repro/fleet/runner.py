@@ -307,9 +307,11 @@ def simulate_shard_batch(
     per-node fallback shares its loads; by default a fresh one.
 
     When any node is eligible, the batched call runs under one
-    ``batch`` span of the ambient tracer, keyed by ``shard_index``; a
-    shard with nothing to batch opens no span.  If the batched engine
-    raises, the span is annotated ``failed`` and the error propagates.
+    ``batch`` span of the ambient tracer, keyed by ``shard_index``,
+    whose ``batch_cases`` child times the case-list build (node traces,
+    banks, policy loads); a shard with nothing to batch opens no span.
+    If the batched engine raises, the span is annotated ``failed`` and
+    the error propagates.
     """
     from ..sim.batch import batch_ineligibility, simulate_batch
 
@@ -322,18 +324,19 @@ def simulate_shard_batch(
             eligible.append((spec, graph))
     if not eligible:
         return {}
-    with current_tracer().span(
+    tracer = current_tracer()
+    with tracer.span(
         "batch",
         key=shard_index,
         attrs={"shard_index": shard_index, "n_nodes": len(eligible)},
     ) as span:
         try:
-            results = simulate_batch(
-                [
+            with tracer.span("batch_cases"):
+                cases = [
                     _batch_case(spec, graph, base_trace, policy_of(spec))
                     for spec, graph in eligible
                 ]
-            )
+            results = simulate_batch(cases)
         except Exception as exc:
             span.annotate(failed=True, error_type=type(exc).__name__)
             raise

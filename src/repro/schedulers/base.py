@@ -17,7 +17,7 @@ the observed solar energy so causal predictors can update.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..obs.events import NULL_OBSERVER, Observer
 from ..sim.views import PeriodEndView, PeriodStartView, SlotView
@@ -84,11 +84,10 @@ def nvp_filter(graph: TaskGraph, candidates: Sequence[int]) -> List[int]:
     wins (so pass candidates in priority order).
     """
     chosen: List[int] = []
-    used: Dict[int, bool] = {}
+    used = set()
     for task in candidates:
         nvp = graph.nvp_of(task)
-        if used.get(nvp):
-            continue
-        used[nvp] = True
-        chosen.append(task)
+        if nvp not in used:
+            used.add(nvp)
+            chosen.append(task)
     return chosen

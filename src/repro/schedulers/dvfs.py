@@ -16,6 +16,7 @@ third (DVFS integrated into load matching).
 
 from __future__ import annotations
 
+from math import inf
 from typing import List, Sequence, Tuple
 
 from ..node.dvfs import DVFSModel
@@ -39,35 +40,34 @@ class DVFSLoadMatchingScheduler(StaticLargestCapacitorMixin, Scheduler):
         self.pin_largest(view)
 
     # ------------------------------------------------------------------
-    def _chain_rate(self, view: SlotView, task: int, skip_seconds: float) -> float:
-        """Worst-case required execution rate for ``task``.
+    def _chain_rates(self, view: SlotView, task: int) -> Tuple[float, float]:
+        """Worst-case required rates for ``task``: run now, idle a slot.
 
         Slowing a producer eats its consumers' slack, so the required
         rate must consider every dependence path: for each descendant
         path the cumulative remaining work must finish before the
-        path-end deadline.  ``skip_seconds`` shrinks the available time
-        (to test the consequence of idling this slot).
+        path-end deadline.  Idling this slot takes one slot off every
+        path's available time; both rates come from one walk.
         """
-        graph = view.graph
-        best = 0.0
+        successors = view.graph.successors
+        remaining, deadline_slots = view.remaining, view.deadline_slots
+        completed, missed = view.completed, view.missed
+        slot, dt = view.slot, view.slot_seconds
+        best_now = best_skip = 0.0
 
         def dfs(node: int, work_before: float) -> None:
-            nonlocal best
-            work = work_before + view.remaining[node]
-            time_left = (
-                (view.deadline_slots[node] - view.slot) * view.slot_seconds
-                - skip_seconds
-            )
-            if time_left <= 0:
-                best = max(best, float("inf"))
-            else:
-                best = max(best, work / time_left)
-            for succ in graph.successors(node):
-                if not view.completed[succ] and not view.missed[succ]:
+            nonlocal best_now, best_skip
+            work = work_before + remaining[node]
+            t_now = (deadline_slots[node] - slot) * dt
+            t_skip = t_now - dt
+            best_now = max(best_now, work / t_now if t_now > 0 else inf)
+            best_skip = max(best_skip, work / t_skip if t_skip > 0 else inf)
+            for succ in successors(node):
+                if not completed[succ] and not missed[succ]:
                     dfs(succ, work)
 
         dfs(task, 0.0)
-        return best
+        return best_now, best_skip
 
     def on_slot(self, view: SlotView) -> Sequence[Tuple[int, float]]:
         ready = sorted(view.ready, key=lambda i: (view.deadline_slots[i], i))
@@ -79,11 +79,8 @@ class DVFSLoadMatchingScheduler(StaticLargestCapacitorMixin, Scheduler):
         load = 0.0
         optional: List[Tuple[int, float]] = []
         for task in per_nvp:
-            rate_now = self._chain_rate(view, task, skip_seconds=0.0)
+            rate_now, rate_if_skip = self._chain_rates(view, task)
             level_now = self.dvfs.slowest_meeting(rate_now)
-            rate_if_skip = self._chain_rate(
-                view, task, skip_seconds=view.slot_seconds
-            )
             if self.dvfs.slowest_meeting(rate_if_skip) is None:
                 # Skipping this slot would make the chain infeasible:
                 # the task is urgent; run at the slowest safe level

@@ -3,9 +3,9 @@
 Drives a :class:`~repro.schedulers.base.Scheduler` over a solar trace
 on a :class:`~repro.node.node.SensorNode`:
 
-1. at each period start, a fresh :class:`PeriodRuntime` is created and
-   the scheduler's coarse hook runs (it may request a capacitor switch
-   through the PMU's Eq. (22) rule);
+1. at each period start, the run's one :class:`PeriodRuntime` is reset
+   and the scheduler's coarse hook runs (it may request a capacitor
+   switch through the PMU's Eq. (22) rule);
 2. at each slot start, deadlines falling at this boundary are checked
    (Eq. 5), the scheduler picks tasks from the ready set, the engine
    validates the pick (readiness Eq. 7, one task per NVP Eq. 9), the
@@ -274,11 +274,12 @@ class SimulationEngine:
         task_powers = [t.power for t in graph.tasks]
         nvp_of = [graph.nvp_of(i) for i in range(len(graph))]
         slots_per_period = tl.slots_per_period
+        runtime = PeriodRuntime(graph, tl)
 
         for flat_p in range(start_flat, tl.total_periods):
             day, period = tl.unflatten_period(flat_p)
             period_start_slot = flat_p * tl.slots_per_period
-            runtime = PeriodRuntime(self.graph, tl)
+            runtime.reset()
             accumulated = dmr_sum / periods_done if periods_done else 0.0
             if active:
                 obs.set_time(day, period)
@@ -348,10 +349,10 @@ class SimulationEngine:
                         slot=slot,
                         solar_power=solar_power,
                         slot_seconds=dt,
-                        remaining=runtime.remaining.copy(),
+                        remaining=tuple(runtime.remaining),
                         completed=runtime.completed,
-                        missed=runtime.missed.copy(),
-                        deadline_slots=runtime.deadline_slots.copy(),
+                        missed=tuple(runtime.missed),
+                        deadline_slots=runtime.deadline_slots,
                         ready=ready,
                     )
                 )
@@ -489,10 +490,6 @@ class SimulationEngine:
                     obs.emit(CheckpointEvent(str(path), done))
                 if stopping:
                     raise SimulationInterrupted(path, done)
-            elif stopping:
-                # stop_after_periods >= total_periods: fall through and
-                # let the run complete normally.
-                pass
 
         if inj is not None:
             inj.finish(self.node)

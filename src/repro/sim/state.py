@@ -1,17 +1,15 @@
-"""Mutable per-period runtime state of the task set.
+"""Per-period runtime state of the task set, as plain Python lists.
 
 Tracks the remaining execution time ``S'_{i,j,m}(n)`` (Eq. 4), the
 deadline-miss flags ``θ`` (Eq. 5), and readiness under the dependence
-constraint (Eq. 7).  A fresh :class:`PeriodRuntime` is created at every
-period start: tasks executed in one period are independent of those in
-other periods (Section 3.1).
+constraint (Eq. 7).  The static tables are built once per run, and
+:meth:`PeriodRuntime.reset` starts each period afresh: tasks executed
+in one period are independent of those in other periods (Section 3.1).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from ..tasks.graph import TaskGraph
 from ..timeline import Timeline
@@ -35,37 +33,36 @@ class PeriodRuntime:
 
     def __init__(self, graph: TaskGraph, timeline: Timeline) -> None:
         self.graph = graph
-        self.timeline = timeline
-        n = len(graph)
-        self.remaining = np.array(
-            [t.execution_time for t in graph.tasks], dtype=float
-        )
-        self.missed = np.zeros(n, dtype=bool)
-        self.started = np.zeros(n, dtype=bool)
         #: Slot index at whose *start* each task's deadline is checked.
-        self.deadline_slots = np.array(
-            [timeline.deadline_slot(t.deadline) for t in graph.tasks],
-            dtype=int,
+        self.deadline_slots: Tuple[int, ...] = tuple(
+            timeline.deadline_slot(t.deadline) for t in graph.tasks
         )
-        # Hot-loop accelerators: a boolean predecessor matrix so
-        # readiness is one vectorized mask, and a slot -> tasks map so
-        # the per-slot deadline check only touches tasks actually due.
-        pred_mask = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            for p in graph.predecessors(i):
-                pred_mask[i, p] = True
-        self._pred_mask = pred_mask
-        self._deadline_map: dict = {}
-        for i, s in enumerate(self.deadline_slots.tolist()):
+        self._deadline_map: Dict[int, List[int]] = {}
+        for i, s in enumerate(self.deadline_slots):
             self._deadline_map.setdefault(s, []).append(i)
+        self._rows = tuple(
+            (i, s, graph.predecessors(i))
+            for i, s in enumerate(self.deadline_slots)
+        )
+        # In ``descendants``' set order, which orders cascaded misses.
+        self._descendants = tuple(
+            tuple(graph.descendants(i)) for i in range(len(graph))
+        )
+        self.reset()
+
+    def reset(self) -> None:
+        """Start a new period: full remaining work, no misses."""
+        self.remaining = [t.execution_time for t in self.graph.tasks]
+        self.missed = [False] * len(self.remaining)
+        self.started = [False] * len(self.remaining)
 
     # ------------------------------------------------------------------
     @property
-    def completed(self) -> np.ndarray:
-        return self.remaining <= COMPLETION_EPS
+    def completed(self) -> Tuple[bool, ...]:
+        return tuple(r <= COMPLETION_EPS for r in self.remaining)
 
     def is_completed(self, task: int) -> bool:
-        return bool(self.remaining[task] <= COMPLETION_EPS)
+        return self.remaining[task] <= COMPLETION_EPS
 
     def ready_tasks(self, slot: int) -> Tuple[int, ...]:
         """Tasks that may execute in ``slot``.
@@ -73,10 +70,18 @@ class PeriodRuntime:
         Ready = not completed, not missed, deadline not yet reached,
         and every predecessor completed (Eq. 7).
         """
-        done = self.remaining <= COMPLETION_EPS
-        blocked = (self._pred_mask & ~done).any(axis=1)
-        ready = ~done & ~self.missed & (slot < self.deadline_slots) & ~blocked
-        return tuple(np.flatnonzero(ready).tolist())
+        done = [r <= COMPLETION_EPS for r in self.remaining]
+        missed = self.missed
+        ready = []
+        for i, deadline, preds in self._rows:
+            if done[i] or missed[i] or slot >= deadline:
+                continue
+            for p in preds:
+                if not done[p]:
+                    break
+            else:
+                ready.append(i)
+        return tuple(ready)
 
     def advance_scaled(
         self, task_seconds: Sequence[Tuple[int, float]]
@@ -110,7 +115,7 @@ class PeriodRuntime:
             newly_missed.append(i)
         # Cascade: dependents of an incomplete missed task cannot run.
         for i in list(newly_missed):
-            for d in self.graph.descendants(i):
+            for d in self._descendants[i]:
                 if not self.missed[d] and not self.is_completed(d):
                     self.missed[d] = True
                     newly_missed.append(d)
@@ -119,7 +124,7 @@ class PeriodRuntime:
     def finalize(self) -> Tuple[int, ...]:
         """End-of-period sweep: any incomplete task is a miss."""
         newly = []
-        for i in range(len(self.graph)):
+        for i in range(len(self.remaining)):
             if not self.missed[i] and not self.is_completed(i):
                 self.missed[i] = True
                 newly.append(i)
@@ -127,9 +132,9 @@ class PeriodRuntime:
 
     @property
     def miss_count(self) -> int:
-        return int(self.missed.sum())
+        return sum(self.missed)
 
     @property
     def dmr(self) -> float:
         """Deadline miss rate of this period (Eq. 16)."""
-        return self.miss_count / len(self.graph)
+        return self.miss_count / len(self.remaining)

@@ -85,7 +85,8 @@ class SlotView:
 
     The returned decision is a sequence of task indices to execute in
     this slot; the engine enforces readiness and the one-task-per-NVP
-    constraint (Eq. 9).
+    constraint (Eq. 9).  Per-task fields are tuples indexed by task, so
+    a scheduler cannot write into the engine's state.
     """
 
     timeline: Timeline
@@ -95,10 +96,10 @@ class SlotView:
     slot: int
     solar_power: float
     slot_seconds: float
-    remaining: np.ndarray
-    completed: np.ndarray
-    missed: np.ndarray
-    deadline_slots: np.ndarray
+    remaining: Tuple[float, ...]
+    completed: Tuple[bool, ...]
+    missed: Tuple[bool, ...]
+    deadline_slots: Tuple[int, ...]
     ready: Tuple[int, ...]
 
 

@@ -343,12 +343,15 @@ def write_reference_fingerprints(
     graph: Optional[TaskGraph] = None,
 ) -> Tuple[Path, Dict[str, str]]:
     """Regenerate the committed reference (the ``--update-fingerprints``
-    path)."""
+    path).  Entries this matrix does not produce (the test suite's
+    ``policy-*`` runs) are kept as they are."""
     path = Path(path) if path is not None else default_fingerprint_path()
     fingerprints = capture_reference_fingerprints(graph)
+    kept = load_reference_fingerprints(path) or {}
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
-        json.dumps(fingerprints, indent=2, sort_keys=True) + "\n"
+        json.dumps({**kept, **fingerprints}, indent=2, sort_keys=True)
+        + "\n"
     )
     return path, fingerprints
 

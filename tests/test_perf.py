@@ -62,8 +62,10 @@ class TestEngineFingerprints:
 
     ``tests/data/engine_fingerprints.json`` was captured from the
     per-capacitor scalar engine (see ``capture_fingerprints.py`` next
-    to it); replaying the same 4 canonical days and 7 fault scenarios
-    must reproduce every digest exactly.
+    to it); replaying the same 4 canonical days, 7 fault scenarios and
+    the ``policy-*`` runs (inter-task, random, dvfs with and without a
+    DVFS model, captured before the per-node period state became plain
+    Python) must reproduce every digest exactly.
     """
 
     @pytest.fixture(scope="class")
@@ -84,8 +86,10 @@ class TestEngineFingerprints:
     def test_covers_canonical_days_and_fault_scenarios(self, reference):
         days = [k for k in reference if k.startswith("canonical-day")]
         faults = [k for k in reference if k.startswith("fault-")]
+        policies = [k for k in reference if k.startswith("policy-")]
         assert len(days) == 4
         assert len(faults) == 7
+        assert len(policies) == 5
 
     def test_bit_identical_to_reference(self, captured, reference):
         assert set(captured) == set(reference)

@@ -9,10 +9,14 @@ from repro import quick_node, simulate
 from repro.energy import CapacitorBank, SuperCapacitor
 from repro.node import SensorNode
 from repro.schedulers import GreedyEDFScheduler, Scheduler
-from repro.sim import InvalidDecisionError, SimulationEngine
+from repro.sim import (
+    InvalidDecisionError,
+    SimulationEngine,
+    result_fingerprint,
+)
 from repro.sim.views import PeriodEndView, SlotView
 from repro.solar import SolarTrace
-from repro.tasks import Task, TaskGraph
+from repro.tasks import Task, TaskGraph, wam
 from repro.timeline import Timeline
 
 
@@ -318,3 +322,48 @@ class TestSchedulerHooks:
         for view in (SlotView, PeriodEndView):
             names = {f.name for f in dataclasses.fields(view)}
             assert "bank" not in names
+
+    def test_period_tables_built_once_per_run(self, monkeypatch):
+        """Deadline slots, predecessor and descendant tuples are static:
+        one run of many periods reads each task's relations once."""
+        calls = {"predecessors": 0, "descendants": 0}
+        for name in calls:
+            real = getattr(TaskGraph, name)
+
+            def counting(self, task_index, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, task_index)
+
+            monkeypatch.setattr(TaskGraph, name, counting)
+        graph = wam()
+        tl = tiny_timeline(days=2, periods=3, slots=20)
+        simulate(
+            quick_node(graph), graph, constant_trace(tl, 0.01),
+            GreedyEDFScheduler(),
+        )
+        assert calls == {
+            "predecessors": len(graph), "descendants": len(graph)
+        }
+
+    def test_slot_view_is_read_only(self):
+        """Writing into ``view.remaining`` or ``view.missed`` raises, and
+        the engine's task state is untouched: the run is bit-identical
+        to one whose scheduler never tried."""
+        raised = []
+
+        class Vandal(GreedyEDFScheduler):
+            def on_slot(self, view):
+                for field, value in (("remaining", 0.0), ("missed", True)):
+                    try:
+                        getattr(view, field)[0] = value
+                    except TypeError:
+                        raised.append(field)
+                return super().on_slot(view)
+
+        graph = tiny_graph()
+        tl = tiny_timeline(days=1, periods=3)
+        trace = constant_trace(tl, 0.02)
+        vandal = simulate(tiny_node(graph), graph, trace, Vandal())
+        plain = simulate(tiny_node(graph), graph, trace, GreedyEDFScheduler())
+        assert raised == ["remaining", "missed"] * tl.total_slots
+        assert result_fingerprint(vandal) == result_fingerprint(plain)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.sim import PeriodRuntime
+from repro.sim import COMPLETION_EPS, PeriodRuntime
 from repro.tasks import Task, TaskGraph, wam
 from repro.timeline import Timeline
+from repro.verify.strategies import engine_setups
 
 
 def timeline(slots=20, dt=30.0):
@@ -137,3 +139,76 @@ class TestWithRealBenchmark:
             rt.advance_scaled([(i, tl.slot_seconds) for i in chosen])
         rt.finalize()
         assert rt.dmr == 0.0
+
+
+# ----------------------------------------------------------------------
+# The scalar state against the numpy-mask formulation it replaced
+# ----------------------------------------------------------------------
+def mask_ready(pred_mask, remaining, missed, deadline_slots, slot):
+    """Eq. 7 readiness as boolean masks over every task at once."""
+    done = np.asarray(remaining) <= COMPLETION_EPS
+    blocked = (pred_mask & ~done).any(axis=1)
+    ready = (
+        ~done & ~np.asarray(missed) & (slot < np.asarray(deadline_slots))
+        & ~blocked
+    )
+    return tuple(np.flatnonzero(ready).tolist())
+
+
+def mask_check_deadlines(graph, remaining, missed, deadline_slots, slot):
+    """Eq. 5 misses due at ``slot``, then the dependent cascade; returns
+    the new misses in order and the updated flags."""
+    missed = np.array(missed, dtype=bool)
+    done = np.asarray(remaining) <= COMPLETION_EPS
+    due = (np.asarray(deadline_slots) == slot) & ~missed & ~done
+    newly = np.flatnonzero(due).tolist()
+    missed |= due
+    for i in list(newly):
+        for d in graph.descendants(i):
+            if not missed[d] and not done[d]:
+                missed[d] = True
+                newly.append(d)
+    return tuple(newly), missed.tolist()
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(setup=engine_setups(), data=st.data())
+def test_scalar_state_matches_mask_formulas(setup, data):
+    graph, tl, _, _ = setup
+    n = len(graph)
+    pred_mask = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for p in graph.predecessors(i):
+            pred_mask[i, p] = True
+    rt = PeriodRuntime(graph, tl)
+    deadline_slots = [tl.deadline_slot(t.deadline) for t in graph.tasks]
+    assert list(rt.deadline_slots) == deadline_slots
+    for _ in range(2):  # the second period runs on the reset state
+        assert rt.remaining == [t.execution_time for t in graph.tasks]
+        assert not any(rt.missed) and not any(rt.started)
+        for slot in range(tl.slots_per_period + 1):
+            expected, flags = mask_check_deadlines(
+                graph, rt.remaining, rt.missed, deadline_slots, slot
+            )
+            assert rt.check_deadlines(slot) == expected
+            assert rt.missed == flags
+            if slot == tl.slots_per_period:
+                break
+            ready = rt.ready_tasks(slot)
+            assert ready == mask_ready(
+                pred_mask, rt.remaining, rt.missed, deadline_slots, slot
+            )
+            chosen = (
+                data.draw(st.lists(st.sampled_from(ready), unique=True))
+                if ready else []
+            )
+            seconds = data.draw(
+                st.sampled_from([0.0, 7.5, tl.slot_seconds])
+            )
+            rt.advance_scaled([(i, seconds) for i in chosen])
+        rt.finalize()
+        rt.reset()

@@ -244,6 +244,11 @@ class TestFleetTrace:
         assert {by_id[str(r["parent"])]["name"] for r in batches} == {
             "shard"
         }
+        # Each batch times its case-list build in its own leaf span.
+        cases = [r for r in spans if r["name"] == "batch_cases"]
+        assert sorted(str(r["parent"]) for r in cases) == sorted(
+            str(r["span"]) for r in batches
+        )
         assert not [r for r in spans if r["name"] in ("node", "engine_run")]
 
     def test_shard_setup_runs_under_the_shard_tracer(self, monkeypatch):

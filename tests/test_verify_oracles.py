@@ -5,6 +5,8 @@ Each oracle gets (a) a green run on its curated instance and (b) a
 demand the oracle catches it.  An oracle that cannot fail is not an
 oracle."""
 
+import json
+
 import pytest
 
 from repro.schedulers import GreedyEDFScheduler
@@ -94,8 +96,28 @@ class TestReferenceFingerprints:
     def test_committed_reference_covers_the_matrix(self):
         reference = load_reference_fingerprints()
         assert reference is not None
-        assert set(reference) == {k for k, _ in reference_run_specs()}
-        assert len(reference) == 11  # 4 canonical days + 7 fault scenarios
+        # The other entries are the test suite's ``policy-*`` runs.
+        matrix = {k for k in reference if not k.startswith("policy-")}
+        assert matrix == {k for k, _ in reference_run_specs()}
+        assert len(matrix) == 11  # 4 canonical days + 7 fault scenarios
+
+    def test_update_keeps_entries_outside_the_matrix(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.verify.oracles as oracles
+
+        path = tmp_path / "reference.json"
+        path.write_text(json.dumps(
+            {"canonical-day1/intra-task": "old", "policy-x/day": "kept"}
+        ))
+        monkeypatch.setattr(
+            oracles, "capture_reference_fingerprints",
+            lambda graph=None: {"canonical-day1/intra-task": "new"},
+        )
+        oracles.write_reference_fingerprints(path)
+        assert json.loads(path.read_text()) == {
+            "canonical-day1/intra-task": "new", "policy-x/day": "kept"
+        }
 
     def test_match_and_mismatch(self):
         good = oracle_reference_fingerprints("k", "abc", {"k": "abc"})
