@@ -22,7 +22,8 @@ import numpy as np
 
 from repro.core import (
     LongTermOptimizer,
-    StaticOptimalScheduler,
+    PlanPolicy,
+    ProposedScheduler,
     asap_load_profile,
     trace_period_matrix,
 )
@@ -79,12 +80,11 @@ def main() -> None:
         optimizer = LongTermOptimizer(
             graph, eval_trace.timeline, capacitors
         )
-        plan = optimizer.optimize(
-            trace_period_matrix(eval_trace), extract_matrices=False
-        )
+        plan = optimizer.optimize(trace_period_matrix(eval_trace))
         node = SensorNode(capacitors, num_nvps=graph.num_nvps)
         result = simulate(
-            node, graph, eval_trace, StaticOptimalScheduler(plan),
+            node, graph, eval_trace,
+            ProposedScheduler(PlanPolicy(plan), name="optimal"),
             strict=False,
         )
         sizes = "/".join(f"{c.capacitance:g}" for c in capacitors)

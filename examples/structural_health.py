@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from repro.core import DPConfig, RecedingHorizonScheduler
+from repro.core import DPConfig, HorizonPolicy, ProposedScheduler
 from repro.sim.engine import simulate
 from repro.solar import EWMAPredictor, WCMAPredictor, synthetic_trace
 from repro.tasks import shm
@@ -69,11 +69,14 @@ def main() -> None:
     print(f"  sized bank: [{sizes}]")
     for hours in (24,) if FAST else (6, 24, 48):
         horizon = hours * timeline.periods_per_day // 24
-        scheduler = RecedingHorizonScheduler(
-            capacitors,
-            horizon_periods=horizon,
-            replan_every=12,
-            config=DPConfig(energy_buckets=41),
+        scheduler = ProposedScheduler(
+            HorizonPolicy(
+                capacitors,
+                horizon_periods=horizon,
+                replan_every=12,
+                config=DPConfig(energy_buckets=41),
+            ),
+            name="receding-horizon",
         )
         from repro.node import SensorNode
 
@@ -81,7 +84,7 @@ def main() -> None:
         result = simulate(node, graph, trace, scheduler, strict=False)
         print(
             f"  horizon {hours:3d}h: DMR={result.dmr:.3f} "
-            f"(DP transitions {scheduler.transitions_evaluated:,})"
+            f"(DP transitions {scheduler.policy.transitions_evaluated:,})"
         )
     print(
         "\nLonger prediction sees the night coming but leans on less "

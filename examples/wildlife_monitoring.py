@@ -23,7 +23,8 @@ import os
 from repro.core import (
     LongTermOptimizer,
     OfflinePipeline,
-    StaticOptimalScheduler,
+    PlanPolicy,
+    ProposedScheduler,
     trace_period_matrix,
 )
 from repro.schedulers import InterTaskScheduler, IntraTaskScheduler
@@ -84,15 +85,15 @@ def main() -> None:
     optimizer = LongTermOptimizer(
         graph, timeline, list(policy.capacitors)
     )
-    plan = optimizer.optimize(
-        trace_period_matrix(eval_trace), extract_matrices=False
-    )
+    plan = optimizer.optimize(trace_period_matrix(eval_trace))
 
     schedulers = {
         "inter-task [3]": InterTaskScheduler(),
         "intra-task [9]": IntraTaskScheduler(),
         "proposed (DBN)": policy.make_scheduler(),
-        "optimal (oracle)": StaticOptimalScheduler(plan),
+        "optimal (oracle)": ProposedScheduler(
+            PlanPolicy(plan), name="optimal"
+        ),
     }
     results = {}
     for label, scheduler in schedulers.items():

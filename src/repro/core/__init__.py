@@ -28,8 +28,8 @@ from .online import (
     close_subset,
     validate_coarse_decision,
 )
-from .optimal import StaticOptimalScheduler
-from .horizon import RecedingHorizonScheduler
+from .optimal import PlanPolicy
+from .horizon import HorizonPolicy
 from .offline import OfflinePipeline, TrainedPolicy, asap_load_profile
 from .overhead import OverheadModel, OverheadReport
 
@@ -60,8 +60,8 @@ __all__ = [
     "HeuristicPolicy",
     "ProposedScheduler",
     "close_subset",
-    "StaticOptimalScheduler",
-    "RecedingHorizonScheduler",
+    "PlanPolicy",
+    "HorizonPolicy",
     "OfflinePipeline",
     "TrainedPolicy",
     "asap_load_profile",

@@ -23,7 +23,8 @@ Solved backward over the horizon it yields the *static optimal*
 schedule of this planning model (optimal for the fluid model and its
 storage buckets, not a bound on the engine's DMR; see
 :mod:`repro.core.optimal`); its forward extraction
-produces the explicit plan (for engine replay) and the training
+produces the per-period coarse decisions (for
+:class:`~repro.core.optimal.PlanPolicy` replay) and the training
 samples for the DBN.
 """
 
@@ -35,10 +36,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..energy.capacitor import SuperCapacitor
-from ..schedulers.plan import SchedulePlan
 from ..tasks.graph import TaskGraph
 from ..timeline import Timeline
-from .period_profile import PeriodProfiler, build_schedule_matrix
+from .period_profile import PeriodProfiler
 
 __all__ = [
     "DPConfig",
@@ -243,7 +243,6 @@ class TrainingSample:
 class LongTermPlan:
     """Output of the offline optimisation."""
 
-    plan: SchedulePlan
     samples: List[TrainingSample]
     expected_dmr: float
     chosen_k: np.ndarray  # per period
@@ -279,7 +278,6 @@ class LongTermOptimizer:
             graph, timeline, direct_efficiency=direct_efficiency
         )
         self.grid = StorageGrid(self.capacitors, self.config.energy_buckets)
-        self.direct_efficiency = direct_efficiency
 
     # ------------------------------------------------------------------
     def optimize(
@@ -288,7 +286,6 @@ class LongTermOptimizer:
         start_cap: int = 0,
         start_usable: float = 0.0,
         periods_per_day: Optional[int] = None,
-        extract_matrices: bool = True,
         augment_per_period: int = 0,
         augment_seed: int = 17,
     ) -> LongTermPlan:
@@ -384,7 +381,6 @@ class LongTermOptimizer:
 
         # Forward extraction.
         state = self.grid.state_index(start_cap, start_usable)
-        plan = SchedulePlan()
         samples: List[TrainingSample] = []
         chosen_k = np.zeros(num_periods, dtype=int)
         te_by_period = np.zeros((num_periods, n_tasks), dtype=bool)
@@ -412,17 +408,6 @@ class LongTermOptimizer:
                 if k > 0
                 else 0.0
             )
-
-            if extract_matrices:
-                day, period = (t // npd, t % npd) if npd else (0, t)
-                matrix, _ = build_schedule_matrix(
-                    self.graph,
-                    self.timeline,
-                    solar_periods[t],
-                    te,
-                    direct_efficiency=self.direct_efficiency,
-                )
-                plan.set_period(day, period, matrix)
 
             voltages = np.array(
                 [c.v_cutoff for c in self.capacitors], dtype=float
@@ -456,11 +441,6 @@ class LongTermOptimizer:
                     [state],
                 )
             state = int(nx[0])
-
-        if npd:
-            plan.capacitor_by_day = {
-                d: int(cap_by_day[d]) for d in range(num_days)
-            }
 
         if augment_per_period > 0:
             rng = np.random.default_rng(augment_seed)
@@ -505,7 +485,6 @@ class LongTermOptimizer:
                     )
 
         return LongTermPlan(
-            plan=plan,
             samples=samples,
             expected_dmr=dmr_sum / num_periods,
             chosen_k=chosen_k,

@@ -241,7 +241,6 @@ class OfflinePipeline:
             with tracer.span("longterm_dp"):
                 plan = optimizer.optimize(
                     trace_period_matrix(training_trace),
-                    extract_matrices=False,
                     augment_per_period=self.augment_per_period,
                     augment_seed=self.seed + 1,
                 )

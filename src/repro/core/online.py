@@ -7,13 +7,18 @@ capacitor to use, the scheduling-pattern index α, and the task subset
 DBN; :class:`DBNPolicy` implements that, and two alternatives are
 provided for ablation (:class:`NearestSamplePolicy` — LUT-style
 nearest-neighbour over the training samples — and
-:class:`HeuristicPolicy` — a hand-written rule).
+:class:`HeuristicPolicy` — a hand-written rule).  The same stage also
+replays the DP's decisions: Fig. 8's "Optimal" is
+:class:`~repro.core.optimal.PlanPolicy` and Fig. 10(a)'s receding
+horizon is :class:`~repro.core.horizon.HorizonPolicy`, each driving
+this module's one :class:`ProposedScheduler`.
 
 Per slot the **fine** stage executes the subset.  Following Section
 5.2, when ``|1 - α| > δ`` the simple lazy inter-task pass is used (at
 night or under abundant sun the fine matching buys nothing); otherwise
 the intra-task load-matching pass runs.  Capacitor switches go through
-the PMU's Eq. (22) threshold rule.
+the PMU's Eq. (22) threshold rule, except an offline plan's, which are
+forced.
 """
 
 from __future__ import annotations
@@ -30,13 +35,15 @@ from ..obs.events import (
 )
 from ..schedulers.base import Scheduler
 from ..schedulers.intratask import fine_grained_decision
-from ..sim.views import PeriodStartView, SlotView
+from ..sim.views import PeriodEndView, PeriodStartView, SlotView
 from ..tasks.graph import TaskGraph
+from ..timeline import Timeline
 from .ann.dbn import DBN
 from .features import FeatureCodec
 from .longterm import TrainingSample
 
 __all__ = [
+    "CoarseDecision",
     "CoarsePolicy",
     "CoarseDecisionError",
     "InjectedInferenceFault",
@@ -54,6 +61,10 @@ __all__ = [
 #: coarse-stage output beyond this is corrupt, not ambitious.
 ALPHA_MAX = 100.0
 
+#: One period's coarse decision ``(capacitor, α, te)``; a ``None``
+#: capacitor makes no capacitor call this period.
+CoarseDecision = Tuple[Optional[int], float, np.ndarray]
+
 
 class CoarseDecisionError(RuntimeError):
     """A coarse policy produced an invalid (capacitor, α, te) triple."""
@@ -65,26 +76,28 @@ class InjectedInferenceFault(RuntimeError):
 
 def validate_coarse_decision(
     num_tasks: int, num_capacitors: int, cap, alpha, te
-) -> Tuple[int, float, np.ndarray]:
+) -> CoarseDecision:
     """Validate and normalise a coarse decision, or raise.
 
     Checks the three things a corrupted model output gets wrong: the
-    capacitor index must address the bank, α must be a finite
+    capacitor index must address the bank (``None``, "no capacitor
+    call", passes through), α must be a finite
     scheduling-pattern index in ``[0, ALPHA_MAX]``, and the task
     subset must be a finite boolean vector over the task set.  Raises
     :class:`CoarseDecisionError` with a one-line reason; never lets a
     malformed triple reach the slot loop.
     """
-    try:
-        cap = int(cap)
-    except (TypeError, ValueError) as exc:
-        raise CoarseDecisionError(
-            f"capacitor index {cap!r} is not an integer"
-        ) from exc
-    if not 0 <= cap < num_capacitors:
-        raise CoarseDecisionError(
-            f"capacitor index {cap} outside [0, {num_capacitors})"
-        )
+    if cap is not None:
+        try:
+            cap = int(cap)
+        except (TypeError, ValueError) as exc:
+            raise CoarseDecisionError(
+                f"capacitor index {cap!r} is not an integer"
+            ) from exc
+        if not 0 <= cap < num_capacitors:
+            raise CoarseDecisionError(
+                f"capacitor index {cap} outside [0, {num_capacitors})"
+            )
     try:
         alpha = float(alpha)
     except (TypeError, ValueError) as exc:
@@ -118,16 +131,41 @@ def close_subset(graph: TaskGraph, te: np.ndarray) -> np.ndarray:
 
 
 class CoarsePolicy(abc.ABC):
-    """Once-per-period decision: (capacitor, α, task subset)."""
+    """Once-per-period decision: (capacitor, α, task subset).
+
+    :class:`ProposedScheduler` binds its primary policy before a run,
+    asks it once per period and feeds it each period's observed solar
+    at the period end.  The
+    policy type, not the scheduler, says how its capacitor choice is
+    applied and whether a runtime ``inference_failure`` fault hits it.
+    """
+
+    #: True when the capacitor choice is an offline plan's, forced past
+    #: the Eq. (22) threshold rule and a stuck mux; False requests it
+    #: through the PMU.
+    forces_capacitor = False
+    #: True when the decision is a model inference that a runtime
+    #: ``inference_failure`` fault makes fail; a plan lookup has none.
+    inferred = True
+
+    def bind(self, timeline: Timeline, graph: TaskGraph) -> None:
+        """Reset per-run state before a run (default: none)."""
 
     @abc.abstractmethod
     def decide(
-        self,
-        prev_solar: np.ndarray,
-        voltages: np.ndarray,
-        accumulated_dmr: float,
-    ) -> Tuple[int, float, np.ndarray]:
-        """Return ``(capacitor_index, alpha, te_bool_array)``."""
+        self, view: PeriodStartView, prev_solar: np.ndarray
+    ) -> Optional[CoarseDecision]:
+        """Return ``(capacitor_index, alpha, te_bool_array)``.
+
+        ``prev_solar`` is the previous period's per-slot solar power
+        (zeros in the first period).  ``None`` means the policy has no
+        decision for this period (its plan has ended): the scheduler
+        then attempts every task in intra mode and makes no capacitor
+        call.
+        """
+
+    def observe(self, view: PeriodEndView) -> None:
+        """Period-end feedback (default: ignored)."""
 
 
 class DBNPolicy(CoarsePolicy):
@@ -138,12 +176,11 @@ class DBNPolicy(CoarsePolicy):
         self.codec = codec
 
     def decide(
-        self,
-        prev_solar: np.ndarray,
-        voltages: np.ndarray,
-        accumulated_dmr: float,
-    ) -> Tuple[int, float, np.ndarray]:
-        x = self.codec.encode_input(prev_solar, voltages, accumulated_dmr)
+        self, view: PeriodStartView, prev_solar: np.ndarray
+    ) -> CoarseDecision:
+        x = self.codec.encode_input(
+            prev_solar, view.bank.voltages, view.accumulated_dmr
+        )
         cap, alpha_scaled, te = self.dbn.predict_one(x)
         return cap, self.codec.decode_alpha(alpha_scaled), te
 
@@ -169,12 +206,11 @@ class NearestSamplePolicy(CoarsePolicy):
         self._caps = np.array([s.cap_index for s in self.samples])
 
     def decide(
-        self,
-        prev_solar: np.ndarray,
-        voltages: np.ndarray,
-        accumulated_dmr: float,
-    ) -> Tuple[int, float, np.ndarray]:
-        x = self.codec.encode_input(prev_solar, voltages, accumulated_dmr)
+        self, view: PeriodStartView, prev_solar: np.ndarray
+    ) -> CoarseDecision:
+        x = self.codec.encode_input(
+            prev_solar, view.bank.voltages, view.accumulated_dmr
+        )
         distances = ((self._matrix - x[None, :]) ** 2).sum(axis=1)
         best = int(np.argmin(distances))
         return (
@@ -208,15 +244,12 @@ class HeuristicPolicy(CoarsePolicy):
         )
 
     def decide(
-        self,
-        prev_solar: np.ndarray,
-        voltages: np.ndarray,
-        accumulated_dmr: float,
-    ) -> Tuple[int, float, np.ndarray]:
+        self, view: PeriodStartView, prev_solar: np.ndarray
+    ) -> CoarseDecision:
         expected_solar = float(np.mean(prev_solar)) * self.period_seconds
         stored = sum(
             max(cap.energy_at(v) - cap.energy_at(cap.v_cutoff), 0.0)
-            for cap, v in zip(self.capacitors, voltages)
+            for cap, v in zip(self.capacitors, view.bank.voltages)
         )
         budget = expected_solar + self.reserve_factor * stored
         te = np.zeros(len(self.graph), dtype=bool)
@@ -238,6 +271,11 @@ class HeuristicPolicy(CoarsePolicy):
 
 class ProposedScheduler(Scheduler):
     """The paper's online algorithm: coarse policy + δ-selected fine pass.
+
+    This is the repository's one two-stage scheduler: the DBN, its
+    ablations and the DP replays (:class:`~repro.core.optimal.PlanPolicy`,
+    :class:`~repro.core.horizon.HorizonPolicy`) differ only in the
+    :class:`CoarsePolicy` it runs.
 
     The coarse stage is wrapped in a graceful-degradation ladder
     mirroring the paper's δ-fallback philosophy: a failing or corrupt
@@ -329,25 +367,31 @@ class ProposedScheduler(Scheduler):
         """True when this period's fine pass is the intra-task matching."""
         return self._intra_mode
 
+    def bind(self, timeline: Timeline, graph: TaskGraph) -> None:
+        super().bind(timeline, graph)
+        self.policy.bind(timeline, graph)
+
     def _attempt(
         self, policy: CoarsePolicy, view: PeriodStartView,
         prev: np.ndarray, injected_failure: bool,
-    ) -> Tuple[int, float, np.ndarray]:
-        if injected_failure:
+    ) -> Optional[CoarseDecision]:
+        if injected_failure and policy.inferred:
             raise InjectedInferenceFault(
                 "runtime fault plan forced an inference failure"
             )
-        cap, alpha, te = policy.decide(
-            prev, view.bank.voltages, view.accumulated_dmr
-        )
+        decision = policy.decide(view, prev)
+        if decision is None:
+            return None
         return validate_coarse_decision(
-            len(view.graph), len(view.bank.capacitances), cap, alpha, te
+            len(view.graph), len(view.bank.capacitances), *decision
         )
 
     def _coarse_with_degradation(
         self, view: PeriodStartView, prev: np.ndarray
-    ) -> Tuple[int, float, np.ndarray]:
-        """Walk the degradation ladder; always returns a usable triple."""
+    ) -> Tuple[Optional[CoarseDecision], bool]:
+        """Walk the degradation ladder; always returns a usable decision
+        (``None`` only from a policy without one this period) and
+        whether its capacitor is forced."""
         obs = self.observer
         injected = view.faults is not None and view.faults.fail_inference
         last_error: object = None
@@ -378,7 +422,7 @@ class ProposedScheduler(Scheduler):
                     last_error = exc
                 else:
                     self._failure_streak = 0
-                    return result
+                    return result, self.policy.forces_capacitor
             self._failure_streak += 1
             if self._failure_streak >= self.quarantine_threshold:
                 self._quarantine_left = self.quarantine_periods
@@ -404,7 +448,7 @@ class ProposedScheduler(Scheduler):
                         reason=str(last_error),
                         failure_streak=self._failure_streak,
                     ))
-                return result
+                return result, self.fallback_policy.forces_capacitor
 
         # Terminal rung, always valid: keep the active capacitor,
         # attempt every task, and force |1 - α| > δ so the cheap
@@ -420,7 +464,7 @@ class ProposedScheduler(Scheduler):
             view.bank.active_index,
             1.0 + self.delta + 1.0,
             np.ones(len(view.graph), dtype=bool),
-        )
+        ), False
 
     def on_period_start(self, view: PeriodStartView) -> None:
         prev = (
@@ -429,21 +473,34 @@ class ProposedScheduler(Scheduler):
             else np.zeros(view.timeline.slots_per_period)
         )
         obs = self.observer
-        cap, alpha, te = self._coarse_with_degradation(view, prev)
+        decision, forced = self._coarse_with_degradation(view, prev)
+        if decision is None:
+            self._selected = set(range(len(view.graph)))
+            self._intra_mode = True
+            return
+        cap, alpha, te = decision
         te = close_subset(view.graph, np.asarray(te, dtype=bool))
         self._selected = set(np.flatnonzero(te).tolist())
         self._intra_mode = abs(1.0 - alpha) <= self.delta
         if obs.enabled:
             obs.emit(CoarseDecisionEvent(
-                cap_index=cap,
+                # No capacitor call: the period runs on the active one.
+                cap_index=view.bank.active_index if cap is None else cap,
                 alpha=alpha,
                 intra_mode=self._intra_mode,
                 task_subset=tuple(sorted(self._selected)),
             ))
             if not self._intra_mode:
                 obs.emit(DeltaFallbackEvent(alpha=alpha, delta=self.delta))
-        if 0 <= cap < len(view.bank.capacitances):
+        if cap is None:
+            return
+        if forced:
+            view.force_capacitor(cap)
+        else:
             view.request_capacitor(cap)
 
     def on_slot(self, view: SlotView) -> Sequence[int]:
         return fine_grained_decision(view, self._selected, self._intra_mode)
+
+    def on_period_end(self, view: PeriodEndView) -> None:
+        self.policy.observe(view)

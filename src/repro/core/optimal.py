@@ -7,70 +7,64 @@ with the *given* (true) solar power.  Two replay styles are offered:
   explicit slot matrices verbatim — faithful to the formulation but
   brittle when the engine's physics deviates from the fluid planning
   model mid-period;
-* :class:`StaticOptimalScheduler` (this module, used in the figures)
-  takes the DP's *coarse* decisions — the per-period task subset
-  ``te``, the pattern index α, and the per-day capacitor — and runs
-  the same adaptive fine-grained pass as the proposed scheduler: a
-  DP-planned coarse stage replayed through the adaptive fine pass.
+* :class:`PlanPolicy` (this module, used in the figures) is a coarse
+  policy of :class:`~repro.core.online.ProposedScheduler`: it looks up
+  the DP's per-period task subset ``te``, pattern index α and per-day
+  capacitor, and the scheduler runs the same adaptive fine-grained
+  pass as for the DBN.  Build the column as
+  ``ProposedScheduler(PlanPolicy(plan), name="optimal")``.
 
 It is not a bound.  The DP plans on a fluid model with bucketed
 storage, and the fine pass then runs under the engine's physics, so
 the proposed scheduler can beat it: in the committed
 ``benchmarks/results/fig8.txt`` ``proposed`` is below
 ``optimal`` in 9 of 24 cells (worst: SHM day 4, 0.751 vs 0.892).
-Making the column a true bound is ROADMAP item 3.
+Making the column a true bound is ROADMAP item 4.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set
+from typing import Optional
 
 import numpy as np
 
-from ..schedulers.base import Scheduler
-from ..schedulers.intratask import fine_grained_decision
-from ..sim.views import PeriodStartView, SlotView
+from ..sim.views import PeriodStartView
 from .longterm import LongTermPlan
-from .online import close_subset
+from .online import CoarseDecision, CoarsePolicy
 
-__all__ = ["StaticOptimalScheduler"]
+__all__ = ["PlanPolicy"]
 
 
-class StaticOptimalScheduler(Scheduler):
-    """Replay DP coarse decisions with the adaptive fine pass."""
+class PlanPolicy(CoarsePolicy):
+    """The DP's coarse decisions, looked up per period and per day.
 
-    name = "optimal"
+    The plan's capacitor is forced (it bypasses Eq. 22 and a stuck
+    mux), and no runtime inference fault reaches a lookup.  Past the
+    plan's periods there is no decision; past its days, no capacitor
+    call.
+    """
 
-    def __init__(
-        self,
-        plan: LongTermPlan,
-        delta: float = 0.5,
-        name: Optional[str] = None,
-    ) -> None:
+    forces_capacitor = True
+    inferred = False
+
+    def __init__(self, plan: LongTermPlan) -> None:
         if plan.te_by_period.size == 0:
             raise ValueError(
                 "plan has no per-period subsets; run LongTermOptimizer."
                 "optimize on the evaluation trace first"
             )
         self.plan = plan
-        self.delta = delta
-        if name is not None:
-            self.name = name
-        self._selected: Set[int] = set()
-        self._intra_mode = True
 
-    def on_period_start(self, view: PeriodStartView) -> None:
+    def decide(
+        self, view: PeriodStartView, prev_solar: np.ndarray
+    ) -> Optional[CoarseDecision]:
+        plan = self.plan
         t = view.timeline.flat_period(view.day, view.period)
-        if t >= len(self.plan.te_by_period):
-            self._selected = set(range(len(view.graph)))
-            self._intra_mode = True
-            return
-        te = close_subset(view.graph, self.plan.te_by_period[t])
-        self._selected = set(np.flatnonzero(te).tolist())
-        alpha = float(self.plan.alpha_by_period[t])
-        self._intra_mode = abs(1.0 - alpha) <= self.delta
-        if view.day < len(self.plan.capacitor_by_day):
-            view.force_capacitor(int(self.plan.capacitor_by_day[view.day]))
-
-    def on_slot(self, view: SlotView) -> Sequence[int]:
-        return fine_grained_decision(view, self._selected, self._intra_mode)
+        if t >= len(plan.te_by_period):
+            return None
+        cap = (
+            int(plan.capacitor_by_day[view.day])
+            if view.day < len(plan.capacitor_by_day)
+            else None
+        )
+        return cap, float(plan.alpha_by_period[t]), plan.te_by_period[t]

@@ -19,7 +19,8 @@ import numpy as np
 from ..core import (
     LongTermOptimizer,
     OfflinePipeline,
-    StaticOptimalScheduler,
+    PlanPolicy,
+    ProposedScheduler,
     TrainedPolicy,
     trace_period_matrix,
 )
@@ -214,10 +215,8 @@ def _suite_scheduler(
         optimizer = LongTermOptimizer(
             graph, trace.timeline, list(policy.capacitors)
         )
-        plan = optimizer.optimize(
-            trace_period_matrix(trace), extract_matrices=False
-        )
-        return StaticOptimalScheduler(plan)
+        plan = optimizer.optimize(trace_period_matrix(trace))
+        return ProposedScheduler(PlanPolicy(plan), name="optimal")
     return make_scheduler(name, trained=policy)
 
 

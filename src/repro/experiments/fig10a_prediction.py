@@ -16,7 +16,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..core import DPConfig, RecedingHorizonScheduler
+from ..core import DPConfig, HorizonPolicy, ProposedScheduler
 from ..sim.engine import simulate
 from ..solar import synthetic_trace
 from ..tasks import random_case
@@ -43,11 +43,13 @@ def run(
     dmrs = []
     for hours in horizon_hours:
         horizon = max(int(round(hours * periods_per_hour)), 1)
-        scheduler = RecedingHorizonScheduler(
-            list(policy.capacitors),
-            horizon_periods=horizon,
-            replan_every=replan_every,
-            config=DPConfig(energy_buckets=41),
+        scheduler = ProposedScheduler(
+            HorizonPolicy(
+                list(policy.capacitors),
+                horizon_periods=horizon,
+                replan_every=replan_every,
+                config=DPConfig(energy_buckets=41),
+            ),
             name=f"rh-{hours}h",
         )
         result = simulate(
@@ -61,7 +63,7 @@ def run(
             [
                 f"{hours}h",
                 f"{result.dmr:.3f}",
-                f"{scheduler.transitions_evaluated:,}",
+                f"{scheduler.policy.transitions_evaluated:,}",
                 f"10^{paper_exponent:.0f}",
             ]
         )

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..core import LongTermOptimizer, StaticOptimalScheduler, trace_period_matrix
+from ..core import (
+    LongTermOptimizer,
+    PlanPolicy,
+    ProposedScheduler,
+    trace_period_matrix,
+)
 from ..node import SensorNode
 from ..sim.engine import simulate
 from ..solar import four_day_trace
@@ -34,13 +39,10 @@ def run(
     for h in counts:
         capacitors = list(sized_capacitors(graph, num_capacitors=h))
         optimizer = LongTermOptimizer(graph, trace.timeline, capacitors)
-        plan = optimizer.optimize(
-            trace_period_matrix(trace), extract_matrices=False
-        )
+        plan = optimizer.optimize(trace_period_matrix(trace))
         node = SensorNode(capacitors, num_nvps=graph.num_nvps)
-        result = simulate(
-            node, graph, trace, StaticOptimalScheduler(plan), strict=False
-        )
+        scheduler = ProposedScheduler(PlanPolicy(plan), name="optimal")
+        result = simulate(node, graph, trace, scheduler, strict=False)
         day_dmr = float(result.dmr_by_day()[day])
         eff = result.migration_efficiency
         dmrs.append(day_dmr)

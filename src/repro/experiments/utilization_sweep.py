@@ -16,7 +16,12 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..core import LongTermOptimizer, StaticOptimalScheduler, trace_period_matrix
+from ..core import (
+    LongTermOptimizer,
+    PlanPolicy,
+    ProposedScheduler,
+    trace_period_matrix,
+)
 from ..energy import SuperCapacitor
 from ..node import SensorNode
 from ..schedulers import InterTaskScheduler, IntraTaskScheduler
@@ -51,14 +56,12 @@ def run(
         caps = [SuperCapacitor(capacitance=c) for c in BANK]
 
         optimizer = LongTermOptimizer(graph, trace.timeline, caps)
-        plan = optimizer.optimize(
-            trace_period_matrix(trace), extract_matrices=False
-        )
+        plan = optimizer.optimize(trace_period_matrix(trace))
         dmr = {}
         for name, sched in (
             ("inter", InterTaskScheduler()),
             ("intra", IntraTaskScheduler()),
-            ("optimal", StaticOptimalScheduler(plan)),
+            ("optimal", ProposedScheduler(PlanPolicy(plan), name="optimal")),
         ):
             node = SensorNode(
                 [SuperCapacitor(capacitance=c) for c in BANK],

@@ -316,8 +316,11 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
     ``shutdown`` alone joins running workers — which is exactly what a
     hung task never allows — so the worker processes are terminated
-    first.  Touches executor internals; guarded so a layout change in
-    a future stdlib degrades to a plain shutdown.
+    first.  Only for hung, broken or abandoned pools: a pool whose work
+    all landed is shut down with ``shutdown(wait=True)`` instead, since
+    terminating idle workers mid-handshake can make one print an
+    ``EOFError`` traceback.  Touches executor internals; guarded so a
+    layout change in a future stdlib degrades to a plain shutdown.
     """
     processes = getattr(pool, "_processes", None) or {}
     for proc in list(processes.values()):
@@ -555,8 +558,10 @@ class _Supervisor:
             while self._suspects:
                 index, attempt = self._suspects.pop(0)
                 self._probe_solo(index, attempt, timeout)
-        finally:
+        except BaseException:
             _kill_pool(pool)
+            raise
+        pool.shutdown(wait=True)
         return self.finish()
 
     def _probe_solo(
@@ -572,6 +577,7 @@ class _Supervisor:
         """
         while True:
             probe = ProcessPoolExecutor(max_workers=1)
+            landed = False
             try:
                 future = probe.submit(
                     self.fn, _prepare(self.prepare, self.work[index], attempt)
@@ -634,9 +640,13 @@ class _Supervisor:
                     return
                 else:
                     self._land(index, result)
+                    landed = True
                     return
             finally:
-                _kill_pool(probe)
+                if landed:
+                    probe.shutdown(wait=True)
+                else:
+                    _kill_pool(probe)
 
     def _charge(
         self, index: int, attempt: int, reason: str, queue=None

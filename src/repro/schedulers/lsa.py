@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Set
 
 from ..sim.views import PeriodStartView, PeriodEndView, SlotView
-from ..solar.prediction import SolarPredictor, WCMAPredictor
+from ..solar.prediction import WCMAPredictor
 from ..tasks.graph import TaskGraph
 from ..timeline import Timeline
 from .base import Scheduler, StaticLargestCapacitorMixin, nvp_filter
@@ -35,14 +35,12 @@ from .greedy import must_run_now
 __all__ = ["InterTaskScheduler", "admit_by_energy"]
 
 
-def admit_by_energy(
-    graph: TaskGraph, budget: float, margin: float = 1.0
-) -> Set[int]:
+def admit_by_energy(graph: TaskGraph, budget: float) -> Set[int]:
     """Deadline-ordered, dependence-closed greedy admission.
 
     Tasks are considered in deadline order; admitting a task also
     admits its not-yet-admitted ancestors.  A task (with its ancestors)
-    enters iff the running energy total stays within ``budget * margin``.
+    enters iff the running energy total stays within ``budget``.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -51,7 +49,6 @@ def admit_by_energy(
     )
     admitted: Set[int] = set()
     spent = 0.0
-    limit = budget * margin
     for task in order:
         if task in admitted:
             continue
@@ -64,7 +61,7 @@ def admit_by_energy(
             closure.append(p)
             stack.extend(graph.predecessors(p))
         cost = sum(graph.tasks[t].energy for t in closure)
-        if spent + cost <= limit:
+        if spent + cost <= budget:
             admitted.update(closure)
             spent += cost
     return admitted
@@ -75,46 +72,26 @@ class InterTaskScheduler(StaticLargestCapacitorMixin, Scheduler):
 
     name = "inter-task-lsa"
 
-    def __init__(
-        self,
-        predictor: Optional[SolarPredictor] = None,
-        admission_margin: float = 1.0,
-        storage_discount: float = 0.7,
-    ) -> None:
-        """
-        Parameters
-        ----------
-        predictor:
-            Per-period energy predictor; a :class:`WCMAPredictor` is
-            created at bind time when omitted.
-        admission_margin:
-            Multiplier on the energy budget during admission (>1 is
-            optimistic, <1 conservative).
-        storage_discount:
-            Usable storage is discounted by this factor in the budget
-            (round-trip losses mean a stored joule serves less than a
-            direct one).
-        """
-        if not admission_margin > 0:
-            raise ValueError(
-                f"admission_margin must be > 0, got {admission_margin}"
-            )
-        if not 0.0 <= storage_discount <= 1.0:
-            raise ValueError(
-                f"storage_discount must be in [0, 1], got {storage_discount}"
-            )
-        self._predictor_arg = predictor
-        self.predictor: Optional[SolarPredictor] = predictor
-        self.admission_margin = admission_margin
-        self.storage_discount = storage_discount
+    #: Usable storage counts at this fraction in the period budget
+    #: (round-trip losses mean a stored joule serves less than a
+    #: direct one).
+    STORAGE_DISCOUNT = 0.7
+
+    def __init__(self) -> None:
+        self.predictor: Optional[WCMAPredictor] = None
         self._admitted: Set[int] = set()
         self._observed_any = False
 
     def bind(self, timeline: Timeline, graph: TaskGraph) -> None:
         super().bind(timeline, graph)
-        self.predictor = self._predictor_arg or WCMAPredictor(timeline)
+        self.predictor = WCMAPredictor(timeline)
         self._admitted = set()
         self._observed_any = False
+
+    @property
+    def selected(self) -> Set[int]:
+        """This period's admitted task subset."""
+        return self._admitted
 
     # ------------------------------------------------------------------
     def on_period_start(self, view: PeriodStartView) -> None:
@@ -125,10 +102,11 @@ class InterTaskScheduler(StaticLargestCapacitorMixin, Scheduler):
             self._admitted = set(range(len(view.graph)))
             return
         predicted = self.predictor.predict(view.day, view.period)
-        budget = predicted + self.storage_discount * view.bank.active_usable_energy
-        self._admitted = admit_by_energy(
-            view.graph, budget, margin=self.admission_margin
+        budget = (
+            predicted
+            + self.STORAGE_DISCOUNT * view.bank.active_usable_energy
         )
+        self._admitted = admit_by_energy(view.graph, budget)
 
     def on_slot(self, view: SlotView) -> Sequence[int]:
         ready = [t for t in view.ready if t in self._admitted]

@@ -57,22 +57,25 @@ byte-for-byte.  The layout decisions that make this work:
   voltage recurrence of :class:`~repro.energy.capacitor.CapacitorState`
   with an ``alive`` mask standing in for the scalar ``break`` (bank
   sizing runs the same two functions).
-* **Per-node Python only off the hot path.**  WCMA prediction and
-  energy admission (inter-task rows) run per node once per *period*.
-  Each ``random`` row keeps its RandomScheduler's ``Generator``; once
-  per period it tops a buffer up to the period's largest possible draw
-  count (``slots × tasks``), and every slot consumes one draw per ready
-  task through a cursor.  ``Generator.random(k)`` yields the same
-  doubles as ``k`` scalar draws, so the consumed stream is identical.
-* **Per-row coarse stage, array fine pass.**  A ``proposed`` row runs
-  its own, unchanged :meth:`ProposedScheduler.on_period_start
-  <repro.core.online.ProposedScheduler.on_period_start>` once per
-  period on a view built from its row (bank voltages, running DMR,
-  last period's solar), so the DBN forward pass and the degradation
-  ladder have one implementation.  Its subset ``te`` becomes the row's
-  admission mask; intra-mode rows join the intra-task subset table and
-  δ-fallback rows take the lazy greedy pass of
-  :func:`~repro.schedulers.intratask.fine_grained_decision`.
+* **Per-node Python only off the hot path.**  Coarse stages run per
+  node once per *period* (below).  Each ``random`` row keeps its
+  RandomScheduler's ``Generator``; once per period it tops a buffer up
+  to the period's largest possible draw count (``slots × tasks``), and
+  every slot consumes one draw per ready task through a cursor.
+  ``Generator.random(k)`` yields the same doubles as ``k`` scalar
+  draws, so the consumed stream is identical.
+* **Per-row coarse stage, array fine pass.**  A *coarse row* — an
+  ``inter-task`` or ``proposed`` row — runs its own, unchanged
+  scheduler's ``on_period_start`` once per period on the
+  :class:`~repro.sim.views.PeriodStartView` the per-node engine would
+  build from its node (bank voltages, running DMR, last period's
+  solar), and its ``on_period_end`` on the period's solar energy.  So
+  WCMA prediction and admission, the DBN forward pass and the
+  degradation ladder each have one implementation.  The scheduler's
+  subset (``selected``: the admitted set, or the coarse ``te``) becomes
+  the row's admission mask; a ``proposed`` row in intra mode joins the
+  intra-task subset table, and one in δ-fallback takes the lazy greedy
+  pass of :func:`~repro.schedulers.intratask.fine_grained_decision`.
 * **Per-row active column, switched at period starts only.**  Eq. (22)
   capacitor requests of ``proposed`` rows move the row's active
   column; the active column's constants (capacitance, regulator
@@ -112,13 +115,11 @@ from ..energy.capacitor import (
     discharge_columns,
 )
 from ..schedulers import make_scheduler
-from ..schedulers.lsa import admit_by_energy
-from ..solar.prediction import WCMAPredictor
 from ..solar.trace import SolarTrace
 from ..tasks.graph import TaskGraph
 from .recorder import ENERGY_TERMS, PeriodTable, SimulationResult
 from .state import COMPLETION_EPS
-from .views import BankView, PeriodStartView
+from .views import BankView, PeriodEndView, PeriodStartView
 
 __all__ = [
     "BATCH_POLICIES",
@@ -460,8 +461,8 @@ class _BatchEngine:
         """Policy row groups, schedulers and the intra-task subset table."""
         policies = [case.policy for case in self.cases]
         # One scheduler per row from the policy table: it names the
-        # result, a random row draws from its generator and a proposed
-        # row runs its coarse stage.
+        # result, a random row draws from its generator and a coarse
+        # row runs its period hooks.
         self.schedulers = [
             make_scheduler(case.policy, case.scheduler_seed, case.trained)
             for case in self.cases
@@ -470,8 +471,8 @@ class _BatchEngine:
         self.is_lsa = np.array([p == "inter-task" for p in policies])
         self.is_intra = np.array([p == "intra-task" for p in policies])
         self.is_prop = np.array([p == "proposed" for p in policies])
-        self.idx_lsa = np.flatnonzero(self.is_lsa)
         self.idx_prop = np.flatnonzero(self.is_prop)
+        self.idx_coarse = np.flatnonzero(self.is_lsa | self.is_prop)
         # Proposed rows in δ-fallback mode this period.
         self.idx_lazy = self.idx_prop[:0]
         self.idx_random = np.flatnonzero(
@@ -479,8 +480,8 @@ class _BatchEngine:
         )
         if self.idx_random.size:
             self._setup_random()
-        if self.idx_prop.size:
-            self._setup_proposed()
+        if self.idx_coarse.size:
+            self._setup_coarse()
         # The intra group — intra-task rows, plus proposed rows in the
         # periods their coarse stage picks intra mode — enumerates
         # nonempty position subsets the way best_power_match does:
@@ -518,9 +519,6 @@ class _BatchEngine:
             self._group_sums = sums
             self._group_powers_pos = pos
         self._set_intra_rows(self.is_intra[group])
-        self.predictors = {
-            int(i): WCMAPredictor(self.tl) for i in self.idx_lsa
-        }
 
     def _set_intra_rows(self, member: np.ndarray) -> None:
         """Point the intra decision at the ``member`` rows of the group
@@ -560,15 +558,21 @@ class _BatchEngine:
         # RandomScheduler claims NVPs in ascending *task* order.
         self.rand_earlier_bits = _pack(_earlier_same(self.nvp[idx]))
 
-    def _setup_proposed(self) -> None:
-        """Bound schedulers and running state of the proposed rows."""
-        for i in self.idx_prop:
+    def _setup_coarse(self) -> None:
+        """Bound schedulers and running state of the coarse rows."""
+        self.coarse_rows = self.idx_coarse.tolist()
+        for i in self.coarse_rows:
             self.schedulers[i].bind(self.tl, self.graphs[i])
+        # A coarse row's mask before its scheduler's subset: padded
+        # positions stay admitted (they are never ready anyway).
+        self._coarse_pad = ~self.valid[self.idx_coarse]
         # Sum of finished periods' DMRs (the coarse stage's
         # accumulated-DMR input) and last period's solar energy.
-        self.dmr_sum = {int(i): 0.0 for i in self.idx_prop}
+        self.dmr_sum = np.zeros(self.n)
+        self._t_n_arr = np.array(self.t_ns)
         self.last_solar_e = np.zeros(self.n)
-        self.t_prop = max(self.t_ns[i] for i in self.idx_prop)
+        if self.idx_prop.size:
+            self.t_prop = max(self.t_ns[i] for i in self.idx_prop)
 
     def _refill_random(self) -> None:
         """Top every random row's buffer up to one period's capacity.
@@ -650,16 +654,14 @@ class _BatchEngine:
         slots = tl.slots_per_period
         to_pos, to_task = self.to_pos, self.to_task
         powers_pos = self.powers_pos
-        has_lsa = self.idx_lsa.size > 0
+        has_lsa = self.is_lsa.any()
         has_random = self.idx_random.size > 0
-        has_prop = self.idx_prop.size > 0
-        filtered = has_lsa or has_prop
+        has_coarse = self.idx_coarse.size > 0
 
         v = self.v0.copy()
         powered = np.ones((n, k_max), dtype=bool)
-        # Admission filter: everything admitted except what the LSA
-        # rows restrict per period (cold-start admits the full set)
-        # and each proposed row's coarse subset ``te``.
+        # Admission filter: everything admitted except what each coarse
+        # row's scheduler selects per period.
         admitted = np.ones((n, t_max), dtype=bool)
         out = PeriodTable(
             tl, [s.name for s in self.schedulers], self.t_ns, self.c_ns
@@ -669,10 +671,8 @@ class _BatchEngine:
 
         for flat_p in range(tl.total_periods):
             day, period = tl.unflatten_period(flat_p)
-            if has_lsa and flat_p > 0:
-                self._admit_lsa(day, period, v, admitted)
-            if has_prop:
-                self._coarse_proposed(day, period, flat_p, v, admitted)
+            if has_coarse:
+                self._coarse_start(day, period, flat_p, v, admitted)
             if has_random:
                 self._refill_random()
             idx_intra, idx_lazy = self.idx_intra, self.idx_lazy
@@ -725,7 +725,7 @@ class _BatchEngine:
                 # and ``mand_load`` its must-run subsequence.
                 cand = (
                     ready_pos & admitted.take(to_pos)
-                    if filtered
+                    if has_coarse
                     else ready_pos
                 )
                 per_nvp = cand & (
@@ -858,45 +858,21 @@ class _BatchEngine:
                 charged_e, offered_e, leak_e,
             )):
                 column[:, flat_p] = term
-            for i in self.idx_lsa:
-                self.predictors[int(i)].observe(
-                    day, period, float(solar_e[i])
-                )
-            if has_prop:
-                for i in self.dmr_sum:
-                    self.dmr_sum[i] += int(miss_count[i]) / self.t_ns[i]
+            if has_coarse:
+                # The next period start's running-DMR and last-solar
+                # inputs, and each coarse row's own period-end hook.
+                self.dmr_sum += miss_count / self._t_n_arr
                 self.last_solar_e = solar_e
+                energies = solar_e.tolist()
+                for i in self.coarse_rows:
+                    self.schedulers[i].on_period_end(
+                        PeriodEndView(day, period, energies[i])
+                    )
 
         return out
 
     # ------------------------------------------------------------------
-    def _admit_lsa(
-        self, day: int, period: int, v: np.ndarray, admitted: np.ndarray
-    ) -> None:
-        """Per-period WCMA admission for the inter-task rows.
-
-        Cheap per-node Python (once per period, not per slot) so the
-        real predictor and admission code run unchanged — their float
-        sequences are part of the bit-identity contract.
-        """
-        rows, a = self._rows, self.active_col
-        v_a = v[rows, a]
-        stored_a = 0.5 * self.active.c * v_a * v_a
-        usable_a = np.maximum(stored_a - self.active.e_cutoff, 0.0)
-        for i in self.idx_lsa:
-            i = int(i)
-            predicted = self.predictors[i].predict(day, period)
-            budget = predicted + 0.7 * float(usable_a[i])
-            adm = admit_by_energy(self.graphs[i], budget, margin=1.0)
-            # A new period replaces the previous admission set; padded
-            # positions stay admitted (they are never ready anyway).
-            row_adm = np.zeros(self.t_max, dtype=bool)
-            for t in adm:
-                row_adm[t] = True
-            row_adm[self.t_ns[i]:] = True
-            admitted[i] = row_adm
-
-    def _coarse_proposed(
+    def _coarse_start(
         self,
         day: int,
         period: int,
@@ -904,30 +880,32 @@ class _BatchEngine:
         v: np.ndarray,
         admitted: np.ndarray,
     ) -> None:
-        """Every proposed row's coarse stage, once per period.
+        """Every coarse row's own ``on_period_start``, once per period.
 
-        Each row's ProposedScheduler sees the PeriodStartView the
-        per-node engine would build from its node: the row's bank
-        voltages, its running DMR and last period's solar.  Its Eq.
-        (22) requests move the row's active column; its subset ``te``
-        becomes the row's admission mask and its α picks intra or lazy
-        mode for the period's fine pass.
+        Each row's scheduler sees the PeriodStartView the per-node
+        engine would build from its node: the row's bank voltages, its
+        running DMR and last period's solar.  Its capacitor calls move
+        the row's active column; its ``selected`` subset becomes the
+        row's admission mask, and a proposed row's α picks intra or
+        lazy mode for the period's fine pass.
         """
         first = flat_p == 0
+        # CapacitorState.usable_energy, elementwise, for every cell.
+        usable = np.maximum(
+            0.5 * self.capacitance * v * v - self._col_tables["e_cutoff"],
+            0.0,
+        )
         switched: List[int] = []
-        intra_mode = np.zeros(self.n, dtype=bool)
-        for i in self.idx_prop:
-            i = int(i)
+        # Each row's inputs as of the period start (a row's hook moves
+        # only its own active column).
+        active = self.active_col.tolist()
+        dmr_sum = self.dmr_sum.tolist()
+        last_e = self.last_solar_e.tolist()
+        sel_rows: List[int] = []
+        sel_cols: List[int] = []
+        for i in self.coarse_rows:
             c_n = self.c_ns[i]
-            caps = self.capacitance[i, :c_n].copy()
-            volts = v[i, :c_n].copy()
-            # CapacitorState.usable_energy, elementwise.
-            usable = np.maximum(
-                0.5 * caps * volts * volts
-                - self._col_tables["e_cutoff"][i, :c_n],
-                0.0,
-            )
-            request, force = self._bank_callbacks(i, usable, switched)
+            request, force = self._bank_callbacks(i, usable[i], switched)
             scheduler = self.schedulers[i]
             scheduler.on_period_start(
                 PeriodStartView(
@@ -936,14 +914,13 @@ class _BatchEngine:
                     day=day,
                     period=period,
                     bank=BankView(
-                        caps, volts, usable, int(self.active_col[i])
+                        self.capacitance[i, :c_n],
+                        v[i, :c_n].copy(),
+                        usable[i, :c_n],
+                        active[i],
                     ),
-                    accumulated_dmr=(
-                        0.0 if first else self.dmr_sum[i] / flat_p
-                    ),
-                    last_period_energy=(
-                        None if first else float(self.last_solar_e[i])
-                    ),
+                    accumulated_dmr=0.0 if first else dmr_sum[i] / flat_p,
+                    last_period_energy=None if first else last_e[i],
                     last_period_powers=(
                         None if first else self._solar[i][flat_p - 1]
                     ),
@@ -951,17 +928,23 @@ class _BatchEngine:
                     force_capacitor=force,
                 )
             )
-            row_adm = np.zeros(self.t_max, dtype=bool)
-            row_adm[sorted(scheduler.selected)] = True
-            row_adm[self.t_ns[i]:] = True
-            admitted[i] = row_adm
-            intra_mode[i] = scheduler.intra_mode
+            selected = scheduler.selected
+            sel_rows += [i] * len(selected)
+            sel_cols += selected
+        # A new period replaces every coarse row's mask.
+        admitted[self.idx_coarse] = self._coarse_pad
+        admitted[sel_rows, sel_cols] = True
         if switched:
             self._gather_active(np.unique(switched))
-        group = self.intra_group
-        self._set_intra_rows(self.is_intra[group] | intra_mode[group])
-        self.idx_lazy = self.idx_prop[~intra_mode[self.idx_prop]]
-        self.lazy_powers_pos = self.powers_pos[self.idx_lazy]
+        if self.idx_prop.size:
+            intra_mode = np.zeros(self.n, dtype=bool)
+            intra_mode[self.idx_prop] = [
+                self.schedulers[i].intra_mode for i in self.idx_prop
+            ]
+            group = self.intra_group
+            self._set_intra_rows(self.is_intra[group] | intra_mode[group])
+            self.idx_lazy = self.idx_prop[~intra_mode[self.idx_prop]]
+            self.lazy_powers_pos = self.powers_pos[self.idx_lazy]
 
     def _bank_callbacks(self, row: int, usable: np.ndarray, switched: list):
         """A row's ``(request_capacitor, force_capacitor)`` callbacks:
@@ -970,7 +953,6 @@ class _BatchEngine:
         Rows that switch are appended to ``switched``.
         """
         c_n = self.c_ns[row]
-        e_th = self.cases[row].trained.switch_threshold
 
         def force(index: int) -> None:
             if not 0 <= index < c_n:
@@ -983,7 +965,7 @@ class _BatchEngine:
             active = self.active_col[row]
             if index == active:
                 return True
-            if usable[active] < e_th:
+            if usable[active] < self.cases[row].trained.switch_threshold:
                 force(index)
                 return True
             return False

@@ -2,8 +2,9 @@
 
 Schedulers are *causal*: they see the current slot's measured solar
 power, the node's storage state, task progress, and anything they
-observed earlier — never the future of the trace.  Oracle schedulers
-(static optimal) receive the full trace at construction instead.
+observed earlier — never the future of the trace.  Oracle policies
+(the static-optimal :class:`~repro.core.optimal.PlanPolicy`) receive a
+plan of the full trace at construction instead.
 """
 
 from __future__ import annotations

@@ -34,7 +34,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import quick_node
-from ..core import DPConfig, LongTermOptimizer, StaticOptimalScheduler
+from ..core import (
+    DPConfig,
+    LongTermOptimizer,
+    PlanPolicy,
+    ProposedScheduler,
+)
 from ..energy.capacitor import SuperCapacitor
 from ..node.node import SensorNode
 from ..reliability import RUNTIME_SCENARIOS, FaultInjector, runtime_scenario
@@ -163,8 +168,8 @@ def oracle_plan_vs_bruteforce(
     matrix = trace.power.reshape(tl.total_periods, tl.slots_per_period)
     plan = opt.optimize(matrix)
     dp = simulate(
-        node_factory(), graph, trace, StaticOptimalScheduler(plan),
-        strict=False,
+        node_factory(), graph, trace,
+        ProposedScheduler(PlanPolicy(plan), name="optimal"), strict=False,
     ).dmr
     best = brute_force_best_dmr(node_factory, graph, trace)
     out.checked = 1

@@ -6,10 +6,13 @@ Two matrices are pinned in ``engine_fingerprints.json``:
   ``repro verify`` checks at the ``quick`` level: the 4 canonical
   solar days under the intra-task scheduler and the 7 seeded runtime
   fault scenarios under the greedy baseline);
-* the ``policy-*`` runs below: every other per-node policy the fleet
-  runs (inter-task, random, and dvfs on a node with and without a
-  ``DVFSModel``, the latter being the non-strict fleet path) over
-  canonical day 2 (morning cloud, then sun, then night).
+* the ``policy-*`` runs below over canonical day 2 (morning cloud,
+  then sun, then night): every other per-node policy the fleet runs
+  (inter-task, random, and dvfs on a node with and without a
+  ``DVFSModel``, the latter being the non-strict fleet path), and the
+  DP-driven coarse policies (the "Optimal" plan on the day's true
+  solar, alone and under the ``inference-failure`` runtime scenario,
+  and the receding horizon over predicted solar).
 
 The supported way to refresh the first after an *intentional*
 semantic change is::
@@ -25,7 +28,15 @@ exactly the drift these fingerprints exist to catch.
 import json
 
 from repro import quick_node
+from repro.core import (
+    HorizonPolicy,
+    LongTermOptimizer,
+    PlanPolicy,
+    ProposedScheduler,
+    trace_period_matrix,
+)
 from repro.node.dvfs import DVFSModel
+from repro.reliability.runtime import FaultInjector, runtime_scenario
 from repro.schedulers import (
     DVFSLoadMatchingScheduler,
     InterTaskScheduler,
@@ -42,11 +53,24 @@ from repro.verify import (
 )
 
 
-def policy_runs():
-    """``(key, node, graph, scheduler)`` for each ``policy-*`` run."""
+def policy_runs(trace):
+    """``(key, node, graph, scheduler, fault_injector)`` for each
+    ``policy-*`` run over ``trace``."""
     benchmarks = paper_benchmarks()
     wam, ecg = benchmarks["WAM"], benchmarks["ECG"]
-    return [
+    tl = trace.timeline
+    caps = [s.capacitor for s in quick_node(wam).bank.states]
+    plan = LongTermOptimizer(wam, tl, caps).optimize(
+        trace_period_matrix(trace)
+    )
+
+    def optimal():
+        return ProposedScheduler(PlanPolicy(plan), name="optimal")
+
+    inference_failure = FaultInjector(
+        runtime_scenario("inference-failure", tl, seed=0), tl
+    )
+    runs = [
         ("policy-inter-task/canonical-day2", quick_node(wam), wam,
          InterTaskScheduler()),
         ("policy-random/canonical-day2", quick_node(wam), wam,
@@ -58,16 +82,28 @@ def policy_runs():
          DVFSLoadMatchingScheduler()),
         ("policy-dvfs-no-model/canonical-day2", quick_node(wam), wam,
          DVFSLoadMatchingScheduler()),
+        ("policy-optimal/canonical-day2", quick_node(wam), wam, optimal()),
+        ("policy-optimal-inference-failure/canonical-day2",
+         quick_node(wam), wam, optimal(), inference_failure),
+        ("policy-receding-horizon/canonical-day2", quick_node(wam), wam,
+         ProposedScheduler(
+             HorizonPolicy(caps, horizon_periods=12),
+             name="receding-horizon",
+         )),
     ]
+    return [run if len(run) == 5 else (*run, None) for run in runs]
 
 
 def capture_policy_fingerprints() -> dict:
     trace = four_day_trace(Timeline(4, 144, 20, 30.0)).day_slice(1)
     return {
         key: result_fingerprint(
-            simulate(node, graph, trace, scheduler, strict=False)
+            simulate(
+                node, graph, trace, scheduler, strict=False,
+                fault_injector=injector,
+            )
         )
-        for key, node, graph, scheduler in policy_runs()
+        for key, node, graph, scheduler, injector in policy_runs(trace)
     }
 
 

@@ -104,7 +104,7 @@ class _ScriptedCoarse(CoarsePolicy):
         self.fail_every = fail_every
         self.calls = 0
 
-    def decide(self, prev_solar, voltages, accumulated_dmr):
+    def decide(self, view, prev_solar):
         k = self.calls
         self.calls += 1
         if self.fail_every and (k + 1) % self.fail_every == 0:
@@ -509,6 +509,45 @@ class TestProposedRows:
         )
         assert all(len(r.start_voltages) == 4 for r in result.periods)
         assert {r.active_index for r in result.periods} == {0, 1, 2, 3}
+
+
+class TestCoarseRowHooks:
+    def test_inter_task_rows_run_their_scheduler_hooks(self, monkeypatch):
+        """Each inter-task row's own InterTaskScheduler runs the
+        period hooks — one ``on_period_start`` and one
+        ``on_period_end`` per period — and the rows stay bit-identical
+        to the per-node engine."""
+        from repro.schedulers import InterTaskScheduler
+
+        calls = {}
+
+        def counted(hook, kind):
+            def wrapper(self, view):
+                per_row = calls.setdefault(id(self), {"start": 0, "end": 0})
+                per_row[kind] += 1
+                return hook(self, view)
+            return wrapper
+
+        for name, kind in (("on_period_start", "start"),
+                           ("on_period_end", "end")):
+            monkeypatch.setattr(
+                InterTaskScheduler, name,
+                counted(getattr(InterTaskScheduler, name), kind),
+            )
+        tl = tiny_timeline(periods_per_day=6)
+        graph = build_graph("wam")
+        cases = [
+            _make_case(graph, random_trace(tl, 30 + k), (1.0, 47.0), p, k)
+            for k, p in enumerate(("inter-task", "intra-task", "inter-task"))
+        ]
+        results = simulate_batch(cases)
+        periods = tl.total_periods
+        assert list(calls.values()) == [
+            {"start": periods, "end": periods}
+        ] * 2
+        calls.clear()
+        for case, got in zip(cases, results):
+            _assert_identical(got, _per_node_reference(case), case.policy)
 
 
 # ----------------------------------------------------------------------

@@ -142,17 +142,6 @@ class TestLongTermOptimizer:
         assert plan.alpha_by_period.shape == (6,)
         assert len(plan.samples) == 6
         assert plan.capacitor_by_day.shape == (2,)
-        assert len(plan.plan.assignments) == 6
-
-    def test_extract_matrices_optional(self):
-        graph = wam()
-        tl = Timeline(1, 3, 20, 30.0)
-        opt = LongTermOptimizer(graph, tl, bank())
-        plan = opt.optimize(
-            self.constant_solar(tl, 0.1), extract_matrices=False
-        )
-        assert len(plan.plan.assignments) == 0
-        assert plan.te_by_period.shape[0] == 3
 
     def test_capacitor_choice_adapts_to_surplus(self):
         """Large daily surplus favours the larger capacitor."""
@@ -199,7 +188,7 @@ class TestLongTermOptimizer:
     def test_dp_expectation_close_to_replay(self):
         """DP expectation within a few points of engine replay."""
         from repro import simulate
-        from repro.core import StaticOptimalScheduler
+        from repro.core import PlanPolicy, ProposedScheduler
         from repro.node import SensorNode
 
         graph = wam()
@@ -212,7 +201,8 @@ class TestLongTermOptimizer:
         plan = opt.optimize(trace_period_matrix(solar_trace))
         node = SensorNode(caps, num_nvps=graph.num_nvps)
         result = simulate(
-            node, graph, solar_trace, StaticOptimalScheduler(plan),
+            node, graph, solar_trace,
+            ProposedScheduler(PlanPolicy(plan), name="optimal"),
             strict=False,
         )
         assert abs(result.dmr - plan.expected_dmr) < 0.15

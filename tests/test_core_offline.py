@@ -1,4 +1,4 @@
-"""Tests for the offline pipeline, the optimal scheduler and overhead."""
+"""Tests for the offline pipeline, the plan policy and overhead."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,8 @@ from repro.core import (
     LongTermOptimizer,
     OfflinePipeline,
     OverheadModel,
-    StaticOptimalScheduler,
+    PlanPolicy,
+    ProposedScheduler,
     asap_load_profile,
     trace_period_matrix,
 )
@@ -90,6 +91,8 @@ class TestOfflinePipeline:
 
 
 class TestStaticOptimalScheduler:
+    """The "Optimal" column: ProposedScheduler driving a PlanPolicy."""
+
     def test_requires_populated_plan(self, small_env):
         graph, tl, trace, policy = small_env
         plan = policy.training_plan
@@ -99,11 +102,13 @@ class TestStaticOptimalScheduler:
             plan, te_by_period=np.zeros((0, 0), dtype=bool)
         )
         with pytest.raises(ValueError):
-            StaticOptimalScheduler(empty)
+            PlanPolicy(empty)
 
     def test_beats_or_matches_do_nothing(self, small_env):
         graph, tl, trace, policy = small_env
-        sched = StaticOptimalScheduler(policy.training_plan)
+        sched = ProposedScheduler(
+            PlanPolicy(policy.training_plan), name="optimal"
+        )
         result = simulate(
             policy.make_node(), graph, trace, sched, strict=False
         )
@@ -113,11 +118,40 @@ class TestStaticOptimalScheduler:
         graph, tl, trace, policy = small_env
         if len(policy.capacitors) < 2:
             pytest.skip("bank collapsed to one capacitor")
-        sched = StaticOptimalScheduler(policy.training_plan)
+        sched = ProposedScheduler(
+            PlanPolicy(policy.training_plan), name="optimal"
+        )
         node = policy.make_node()
         simulate(node, graph, trace, sched, strict=False)
         planned = int(policy.training_plan.capacitor_by_day[-1])
         assert node.bank.active_index == planned
+
+
+    def test_no_capacitor_call_past_the_plan(self, small_env):
+        """Past the plan's periods there is no decision (every task, no
+        capacitor call, no coarse event); past its days — a plan without
+        day boundaries holds one capacitor entry — only the capacitor
+        call stops.  Every call the plan makes is forced."""
+        from repro.obs import Observer, RingBufferSink
+
+        graph, tl, trace, policy = small_env
+        matrix = trace_period_matrix(trace)
+        optimizer = LongTermOptimizer(graph, tl, list(policy.capacitors))
+        short = optimizer.optimize(matrix[: tl.periods_per_day])
+        undivided = optimizer.optimize(matrix, periods_per_day=0)
+        for plan, decisions in (
+            (short, tl.periods_per_day), (undivided, tl.total_periods),
+        ):
+            ring = RingBufferSink(capacity=100_000)
+            simulate(
+                policy.make_node(), graph, trace,
+                ProposedScheduler(PlanPolicy(plan), name="optimal"),
+                strict=False, observer=Observer(sinks=[ring]),
+            )
+            switches = ring.of_kind("capacitor_switch")
+            assert {e["day"] for e in switches} == {0}
+            assert all(e["forced"] for e in switches)
+            assert len(ring.of_kind("coarse_decision")) == decisions
 
 
 class TestOverheadModel:

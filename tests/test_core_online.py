@@ -6,6 +6,7 @@ import pytest
 from repro import simulate
 from repro.core import (
     ALPHA_SCALE,
+    CoarsePolicy,
     FeatureCodec,
     HeuristicPolicy,
     NearestSamplePolicy,
@@ -15,6 +16,7 @@ from repro.core import (
 from repro.core.longterm import TrainingSample
 from repro.energy import SuperCapacitor
 from repro.node import SensorNode
+from repro.sim.views import BankView, PeriodStartView
 from repro.solar import SolarTrace
 from repro.tasks import Task, TaskGraph, wam
 from repro.timeline import Timeline
@@ -29,6 +31,24 @@ def codec_of(slots=10, caps=None):
         slots_per_period=slots,
         capacitors=caps or caps_of(),
         solar_scale=0.0945,
+    )
+
+
+def view_of(voltages, accumulated_dmr, graph=None):
+    """A period-start view carrying only what the feature policies read:
+    the bank voltages and the accumulated DMR."""
+    volts = np.asarray(voltages, dtype=float)
+    return PeriodStartView(
+        timeline=Timeline(1, 1, 10, 30.0),
+        graph=graph or wam(),
+        day=0,
+        period=0,
+        bank=BankView(np.ones_like(volts), volts, np.zeros_like(volts), 0),
+        accumulated_dmr=accumulated_dmr,
+        last_period_energy=None,
+        last_period_powers=None,
+        request_capacitor=lambda index: False,
+        force_capacitor=lambda index: None,
     )
 
 
@@ -116,7 +136,7 @@ class TestNearestSamplePolicy:
         far = sample_of(cap=1, alpha=2.0, seed=2)
         policy = NearestSamplePolicy([near, far], codec)
         cap, alpha, te = policy.decide(
-            near.prev_solar, near.voltages, near.accumulated_dmr
+            view_of(near.voltages, near.accumulated_dmr), near.prev_solar
         )
         assert cap == 0
         assert alpha == pytest.approx(0.2)
@@ -133,7 +153,7 @@ class TestHeuristicPolicy:
         policy = HeuristicPolicy(graph, caps_of(), period_seconds=600.0)
         # Zero history, zero storage: nothing affordable.
         cap, alpha, te = policy.decide(
-            np.zeros(10), np.array([1.0, 1.0]), 0.0
+            view_of([1.0, 1.0], 0.0, graph), np.zeros(10)
         )
         assert not te.any()
 
@@ -141,7 +161,7 @@ class TestHeuristicPolicy:
         graph = wam()
         policy = HeuristicPolicy(graph, caps_of(), period_seconds=600.0)
         cap, alpha, te = policy.decide(
-            np.full(10, 0.5), np.array([5.0, 5.0]), 0.0
+            view_of([5.0, 5.0], 0.0, graph), np.full(10, 0.5)
         )
         assert te.all()
         assert 0 <= cap < 2
@@ -180,8 +200,8 @@ class TestProposedScheduler:
     def test_te_shedding_saves_energy(self):
         """A policy that selects nothing consumes nothing."""
 
-        class NullPolicy:
-            def decide(self, prev_solar, voltages, accumulated_dmr):
+        class NullPolicy(CoarsePolicy):
+            def decide(self, view, prev_solar):
                 return 0, 1.0, np.zeros(8, dtype=bool)
 
         graph, tl, node, trace = self.make_env(power=0.5)
@@ -195,11 +215,11 @@ class TestProposedScheduler:
         """alpha far from 1 -> inter mode (coarser decisions)."""
         modes = []
 
-        class AlphaPolicy:
+        class AlphaPolicy(CoarsePolicy):
             def __init__(self, alpha):
                 self.alpha = alpha
 
-            def decide(self, prev_solar, voltages, accumulated_dmr):
+            def decide(self, view, prev_solar):
                 return 0, self.alpha, np.ones(8, dtype=bool)
 
         for alpha in (1.0, 5.0):
@@ -215,8 +235,8 @@ class TestProposedScheduler:
                               delta=-1.0)
 
     def test_capacitor_request_goes_through_pmu(self):
-        class CapPolicy:
-            def decide(self, prev_solar, voltages, accumulated_dmr):
+        class CapPolicy(CoarsePolicy):
+            def decide(self, view, prev_solar):
                 return 1, 1.0, np.ones(8, dtype=bool)
 
         graph, tl, node, trace = self.make_env(power=0.5)

@@ -15,7 +15,7 @@ def optimize(caps, tl, matrix, buckets=61):
         ecg(), tl, [SuperCapacitor(capacitance=c) for c in caps],
         config=DPConfig(energy_buckets=buckets),
     )
-    return opt.optimize(matrix, extract_matrices=False)
+    return opt.optimize(matrix)
 
 
 class TestDPStructure:
@@ -53,7 +53,7 @@ class TestDPStructure:
             config=DPConfig(energy_buckets=61),
         )
         augmented = opt.optimize(
-            self.matrix, extract_matrices=False, augment_per_period=3
+            self.matrix, augment_per_period=3
         )
         assert len(augmented.samples) == len(base.samples) * 4
         # Augmented samples carry valid fields.

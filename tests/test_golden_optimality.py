@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from repro import simulate
-from repro.core import DPConfig, LongTermOptimizer, StaticOptimalScheduler
+from repro.core import (
+    DPConfig,
+    LongTermOptimizer,
+    PlanPolicy,
+    ProposedScheduler,
+)
 from repro.energy import SuperCapacitor
 from repro.node import SensorNode
 from repro.schedulers import PlanScheduler, SchedulePlan
@@ -73,7 +78,8 @@ class TestGoldenSingleTask:
         matrix = trace.power.reshape(tl.total_periods, tl.slots_per_period)
         plan = opt.optimize(matrix)
         result = simulate(
-            node_factory(), graph, trace, StaticOptimalScheduler(plan),
+            node_factory(), graph, trace,
+            ProposedScheduler(PlanPolicy(plan), name="optimal"),
             strict=False,
         )
         return result.dmr

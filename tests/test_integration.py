@@ -12,7 +12,8 @@ from repro import quick_node, simulate
 from repro.core import (
     LongTermOptimizer,
     OfflinePipeline,
-    StaticOptimalScheduler,
+    PlanPolicy,
+    ProposedScheduler,
     trace_period_matrix,
 )
 from repro.schedulers import (
@@ -59,12 +60,10 @@ class TestFullStackOrdering:
         optimizer = LongTermOptimizer(
             graph, timeline, list(policy.capacitors)
         )
-        plan = optimizer.optimize(
-            trace_period_matrix(trace), extract_matrices=False
-        )
+        plan = optimizer.optimize(trace_period_matrix(trace))
         dmr = {}
         for name, sched in (
-            ("optimal", StaticOptimalScheduler(plan)),
+            ("optimal", ProposedScheduler(PlanPolicy(plan))),
             ("proposed", policy.make_scheduler()),
             ("inter", InterTaskScheduler()),
             ("intra", IntraTaskScheduler()),
@@ -85,11 +84,10 @@ class TestFullStackOrdering:
         optimizer = LongTermOptimizer(
             graph, timeline, list(policy.capacitors)
         )
-        plan = optimizer.optimize(
-            trace_period_matrix(trace), extract_matrices=False
-        )
+        plan = optimizer.optimize(trace_period_matrix(trace))
         opt = simulate(
-            policy.make_node(), graph, trace, StaticOptimalScheduler(plan),
+            policy.make_node(), graph, trace,
+            ProposedScheduler(PlanPolicy(plan), name="optimal"),
             strict=False,
         )
         greedy = simulate(

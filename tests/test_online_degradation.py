@@ -47,7 +47,7 @@ class CrashingPolicy(CoarsePolicy):
     def __init__(self):
         self.calls = 0
 
-    def decide(self, prev, voltages, dmr):
+    def decide(self, view, prev_solar):
         self.calls += 1
         raise RuntimeError("inference hardware gone")
 
@@ -55,7 +55,7 @@ class CrashingPolicy(CoarsePolicy):
 class GarbagePolicy(CoarsePolicy):
     """Primary that returns corrupt outputs instead of raising."""
 
-    def decide(self, prev, voltages, dmr):
+    def decide(self, view, prev_solar):
         return 99, float("nan"), np.zeros(3)
 
 

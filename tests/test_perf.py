@@ -65,7 +65,9 @@ class TestEngineFingerprints:
     to it); replaying the same 4 canonical days, 7 fault scenarios and
     the ``policy-*`` runs (inter-task, random, dvfs with and without a
     DVFS model, captured before the per-node period state became plain
-    Python) must reproduce every digest exactly.
+    Python; the "Optimal" plan, alone and under injected inference
+    failures, and the receding horizon, captured while each was still
+    its own scheduler class) must reproduce every digest exactly.
     """
 
     @pytest.fixture(scope="class")
@@ -89,7 +91,7 @@ class TestEngineFingerprints:
         policies = [k for k in reference if k.startswith("policy-")]
         assert len(days) == 4
         assert len(faults) == 7
-        assert len(policies) == 5
+        assert len(policies) == 8
 
     def test_bit_identical_to_reference(self, captured, reference):
         assert set(captured) == set(reference)

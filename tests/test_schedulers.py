@@ -137,12 +137,6 @@ class TestInterTask:
         # than greedy here but must still schedule mandatory work.
         assert result.total_load_energy > 0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InterTaskScheduler(admission_margin=0.0)
-        with pytest.raises(ValueError):
-            InterTaskScheduler(storage_discount=1.5)
-
 
 class TestIntraTask:
     def test_completes_with_abundant_energy(self):

@@ -293,6 +293,44 @@ class TestPoolSupervision:
         assert sup.results == [0, 1, 2, 3]
         assert sup.timeouts == 0 and sup.ok
 
+    def test_finished_pool_shut_down_without_kill(self, monkeypatch):
+        # A pool (or solo probe) whose work landed is shut down
+        # cleanly; only timeouts and broken pools terminate workers.
+        from repro.reliability import supervisor
+
+        kills = []
+        real_kill = supervisor._kill_pool
+
+        def counting_kill(pool):
+            kills.append(pool)
+            real_kill(pool)
+
+        monkeypatch.setattr(supervisor, "_kill_pool", counting_kill)
+        sup = supervised_map(
+            _double, list(range(4)), policy=SupervisorPolicy(**NO_BACKOFF),
+            n_workers=2, force_pool=True,
+        )
+        assert sup.results == [0, 2, 4, 6] and kills == []
+
+        # One break, then every charged task lands in a solo probe: only
+        # the broken pool is killed.
+        sup = supervised_map(
+            _kill_first_attempt, list(range(4)),
+            policy=SupervisorPolicy(max_retries=0, **NO_BACKOFF),
+            n_workers=2, prepare=_with_attempt, force_pool=True,
+        )
+        assert sup.results == [x * 2 for x in range(4)] and sup.ok
+        assert len(kills) == sup.pool_rebuilds == 1
+
+        kills.clear()
+        sup = supervised_map(
+            _hang_first_attempt, [1, 2],
+            policy=SupervisorPolicy(task_timeout=1.5, **NO_BACKOFF),
+            n_workers=2, prepare=_with_attempt, force_pool=True,
+        )
+        assert sup.results == [2, 4] and sup.timeouts >= 1
+        assert len(kills) == sup.pool_rebuilds >= 1
+
     def test_timeout_forces_pool_on_serial_plan(self):
         # One worker on (possibly) one CPU would plan serial; a
         # timeout policy must force process isolation anyway.
