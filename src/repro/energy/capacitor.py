@@ -415,6 +415,20 @@ def charge_columns(
     c, half_c = cols.c, cols.half_c
     energy = half_c * v * v
     stored_total = np.zeros(len(v))
+    if not energy_in.any():
+        # Zero input stores exactly 0.0 at any finite efficiency; what
+        # is left of each substep is the ½CV² round trip of the voltage.
+        for _ in range(SUBSTEPS):
+            alive = mask & (v < cols.v_stop_chg)
+            if not alive.any():
+                break
+            new_energy = np.minimum(np.maximum(energy, 0.0), cols.e_full)
+            v_new = np.sqrt(2.0 * new_energy / c)
+            if np.array_equal(v_new[alive], v[alive]):
+                break  # a fixed point: later substeps repeat this one
+            np.copyto(v, v_new, where=alive)
+            np.copyto(energy, half_c * v_new * v_new, where=alive)
+        return stored_total
     chunk = energy_in / SUBSTEPS
     for _ in range(SUBSTEPS):
         alive = mask & (v < cols.v_stop_chg)

@@ -35,36 +35,65 @@ from .greedy import must_run_now
 __all__ = ["InterTaskScheduler", "admit_by_energy"]
 
 
+class _AdmissionTable:
+    """A graph's admission inputs, fixed per graph: the deadline order,
+    the task energies and each task's ancestor walk.
+
+    ``walks[t]`` is ``t`` followed by its ancestors in the order a
+    depth-first walk over predecessor edges (a stack, each task once)
+    first reaches them.  Admission keeps the admitted set closed under
+    predecessors — no unadmitted task lies behind an admitted one — so
+    the walk :func:`admit_by_energy` specifies, which stops at admitted
+    tasks, reaches exactly the unadmitted tasks of ``walks[t]``, in the
+    same order.
+    """
+
+    def __init__(self, graph: TaskGraph) -> None:
+        n = len(graph)
+        self.order = sorted(
+            range(n), key=lambda i: (graph.tasks[i].deadline, i)
+        )
+        self.energies = [t.energy for t in graph.tasks]
+        self.walks: List[List[int]] = []
+        for task in range(n):
+            walk = [task]
+            stack = list(graph.predecessors(task))
+            while stack:
+                p = stack.pop()
+                if p in walk:
+                    continue
+                walk.append(p)
+                stack.extend(graph.predecessors(p))
+            self.walks.append(walk)
+
+    def admit(self, budget: float) -> Set[int]:
+        """:func:`admit_by_energy` of the table's graph."""
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
+        energies = self.energies
+        admitted: Set[int] = set()
+        spent = 0.0
+        for task in self.order:
+            if task in admitted:
+                continue
+            closure = [t for t in self.walks[task] if t not in admitted]
+            cost = sum(map(energies.__getitem__, closure))
+            if spent + cost <= budget:
+                admitted.update(closure)
+                spent += cost
+        return admitted
+
+
 def admit_by_energy(graph: TaskGraph, budget: float) -> Set[int]:
     """Deadline-ordered, dependence-closed greedy admission.
 
     Tasks are considered in deadline order; admitting a task also
-    admits its not-yet-admitted ancestors.  A task (with its ancestors)
-    enters iff the running energy total stays within ``budget``.
+    admits its not-yet-admitted ancestors, reached by a depth-first
+    walk over predecessor edges.  A task (with its ancestors) enters
+    iff the running energy total — the closure's energies summed in
+    walk order — stays within ``budget``.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    order = sorted(
-        range(len(graph)), key=lambda i: (graph.tasks[i].deadline, i)
-    )
-    admitted: Set[int] = set()
-    spent = 0.0
-    for task in order:
-        if task in admitted:
-            continue
-        closure = [task]
-        stack = list(graph.predecessors(task))
-        while stack:
-            p = stack.pop()
-            if p in admitted or p in closure:
-                continue
-            closure.append(p)
-            stack.extend(graph.predecessors(p))
-        cost = sum(graph.tasks[t].energy for t in closure)
-        if spent + cost <= budget:
-            admitted.update(closure)
-            spent += cost
-    return admitted
+    return _AdmissionTable(graph).admit(budget)
 
 
 class InterTaskScheduler(StaticLargestCapacitorMixin, Scheduler):
@@ -79,12 +108,14 @@ class InterTaskScheduler(StaticLargestCapacitorMixin, Scheduler):
 
     def __init__(self) -> None:
         self.predictor: Optional[WCMAPredictor] = None
+        self._admission: Optional[_AdmissionTable] = None
         self._admitted: Set[int] = set()
         self._observed_any = False
 
     def bind(self, timeline: Timeline, graph: TaskGraph) -> None:
         super().bind(timeline, graph)
         self.predictor = WCMAPredictor(timeline)
+        self._admission = _AdmissionTable(graph)
         self._admitted = set()
         self._observed_any = False
 
@@ -106,7 +137,7 @@ class InterTaskScheduler(StaticLargestCapacitorMixin, Scheduler):
             predicted
             + self.STORAGE_DISCOUNT * view.bank.active_usable_energy
         )
-        self._admitted = admit_by_energy(view.graph, budget)
+        self._admitted = self._admission.admit(budget)
 
     def on_slot(self, view: SlotView) -> Sequence[int]:
         ready = [t for t in view.ready if t in self._admitted]

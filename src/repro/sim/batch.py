@@ -57,6 +57,20 @@ byte-for-byte.  The layout decisions that make this work:
   voltage recurrence of :class:`~repro.energy.capacitor.CapacitorState`
   with an ``alive`` mask standing in for the scalar ``break`` (bank
   sizing runs the same two functions).
+* **Dark slots.**  Each period tests once which slots have zero solar
+  on every row.  There, zero solar cannot change a decision: LSA,
+  intra and lazy rows add no optional task to their must-run subset
+  (each task power exceeds the 1e-12 tolerance of their solar test;
+  a batch with a smaller one runs the general pass), so each row's
+  load is one masked sum.  PMU routing reduces to the idle and the
+  storage branch with nothing offered, stored or delivered directly,
+  and the idle charge is :func:`~repro.energy.capacitor.charge_columns`'s
+  zero-input round trip.
+* **Per-slot tables built once.**  The deadline check, the open
+  deadline mask and each position's whole slots to its deadline are
+  ``(slots, n, t)`` tables, the same every period; whole slots of work
+  left are recomputed only for the tasks a slot ran; a period's solar
+  energy is one slot-ordered ``np.add.accumulate``.
 * **Per-node Python only off the hot path.**  Coarse stages run per
   node once per *period* (below).  Each ``random`` row keeps its
   RandomScheduler's ``Generator``; once per period it tops a buffer up
@@ -68,8 +82,9 @@ byte-for-byte.  The layout decisions that make this work:
   ``inter-task`` or ``proposed`` row — runs its own, unchanged
   scheduler's ``on_period_start`` once per period on the
   :class:`~repro.sim.views.PeriodStartView` the per-node engine would
-  build from its node (bank voltages, running DMR, last period's
-  solar), and its ``on_period_end`` on the period's solar energy.  So
+  build from its node (bank voltages, as read-only slices of one
+  per-period snapshot; running DMR; last period's solar), and its
+  ``on_period_end`` on the period's solar energy.  So
   WCMA prediction and admission, the DBN forward pass and the
   degradation ladder each have one implementation.  The scheduler's
   subset (``selected``: the admitted set, or the coarse ``te``) becomes
@@ -313,15 +328,34 @@ class _BatchEngine:
             perm[row, :t_n] = order
             perm[row, t_n:] = np.arange(t_n, t_max)
         self.powers = powers
-        self.dls = dls
         self.nvp = nvp
+        # Whole slots of work left, ceil(remaining / dt), at a period
+        # start; a slot recomputes it for the tasks it ran only.
+        self.work0 = -np.floor_divide(-self.exec0, tl.slot_seconds)
+        # In a slot where every row's solar is zero, a rule that matches
+        # load to solar (LSA's run-all test, the intra subset search,
+        # the lazy pass) adds no optional task when every task power
+        # exceeds the rules' 1e-12 tolerance; otherwise such slots take
+        # the general pass.
+        self.dark_pass = bool((powers[self.valid] > 1e-12).all())
         # Task relations as per-row bitmasks over the task axis (see
         # _bits): a slot tests "any predecessor not done" with one AND.
         self.pred_bits = _pack(pred)
         self.anc_bits = _pack(desc.transpose(0, 2, 1))
         # Static priority-position views of the per-task constants.
         self.powers_pos = np.take_along_axis(powers, perm, axis=1)
-        self.dls_pos = np.take_along_axis(dls, perm, axis=1)
+        # Per-slot deadline tables, the same every period: ``due[s]``
+        # the tasks checked at slot ``s``, ``open_[s]`` the valid tasks
+        # whose deadline is still ahead, ``slack[s]`` each priority
+        # position's whole slots left (the smallest signed dtype that
+        # holds the ``-1 - slots .. slots`` range).
+        slot_axis = np.arange(tl.slots_per_period)[:, None, None]
+        self.due = dls == slot_axis
+        self.any_due = self.due.any(axis=(1, 2)).tolist()
+        self.open_ = self.valid & (slot_axis < dls)
+        self.slack = (
+            np.take_along_axis(dls, perm, axis=1) - slot_axis
+        ).astype(np.min_scalar_type(-1 - tl.slots_per_period))
         self._pos_range = np.arange(t_max)
         # Flat gather indices: ``x.take(to_pos)`` is x in priority
         # position order, ``x_pos.take(to_task)`` the way back.
@@ -395,6 +429,8 @@ class _BatchEngine:
             if self.cases[row].policy not in ("random", "proposed"):
                 caps = np.array([d.capacitance for d in devices])
                 active[row] = int(caps.argmax())
+        # Coarse rows' bank views hold slices of it.
+        self.capacitance.flags.writeable = False
         self.active_col = active
         # Flat index of each row's active cell in an (n, c_max) array.
         self.active_flat = np.zeros(n, dtype=np.int64)
@@ -469,6 +505,7 @@ class _BatchEngine:
         ]
         self.is_asap = np.array([p == "asap" for p in policies])
         self.is_lsa = np.array([p == "inter-task" for p in policies])
+        self.has_lsa = bool(self.is_lsa.any())
         self.is_intra = np.array([p == "intra-task" for p in policies])
         self.is_prop = np.array([p == "proposed" for p in policies])
         self.idx_prop = np.flatnonzero(self.is_prop)
@@ -654,9 +691,12 @@ class _BatchEngine:
         slots = tl.slots_per_period
         to_pos, to_task = self.to_pos, self.to_task
         powers_pos = self.powers_pos
-        has_lsa = self.is_lsa.any()
         has_random = self.idx_random.size > 0
         has_coarse = self.idx_coarse.size > 0
+        # A dark slot's asap rows run their whole claimed queue; every
+        # other non-random row runs its must-run subset only.
+        dark_keep = self.is_asap[:, None]
+        zeros = np.zeros(n)
 
         v = self.v0.copy()
         powered = np.ones((n, k_max), dtype=bool)
@@ -675,13 +715,12 @@ class _BatchEngine:
                 self._coarse_start(day, period, flat_p, v, admitted)
             if has_random:
                 self._refill_random()
-            idx_intra, idx_lazy = self.idx_intra, self.idx_lazy
             out.start_voltages[:, flat_p] = v
             out.active_index[:, flat_p] = self.active_col
             remaining = self.exec0.copy()
+            work = self.work0.copy()
             missed = np.zeros((n, t_max), dtype=bool)
             started = np.zeros((n, t_max), dtype=bool)
-            solar_e = np.zeros(n)
             load_e = np.zeros(n)
             direct_e = np.zeros(n)
             storage_e = np.zeros(n)
@@ -693,30 +732,36 @@ class _BatchEngine:
             solar_period = np.stack(
                 [power[flat_p] for power in self._solar], axis=1
             )
+            # The period's solar energy, summed in slot order from 0.0.
+            solar_e = np.add.accumulate(
+                np.concatenate([zeros[None], solar_period * dt]), axis=0
+            )[-1]
+            dark_slots = (
+                (~solar_period.any(axis=1)).tolist()
+                if self.dark_pass
+                else [False] * slots
+            )
 
             for slot in range(slots):
                 # Deadline check at slot start, with the dependence
                 # cascade (descendants of an incomplete missed task).
                 done = remaining <= COMPLETION_EPS
                 not_done = ~done
-                newly = (self.dls == slot) & ~missed & not_done
-                if newly.any():
-                    cascade = (
-                        (self.anc_bits & _bits(newly)[:, None]) != 0
-                    ) & ~missed & not_done
-                    missed |= newly | cascade
+                if self.any_due[slot]:
+                    newly = self.due[slot] & ~missed & not_done
+                    if newly.any():
+                        cascade = (
+                            (self.anc_bits & _bits(newly)[:, None]) != 0
+                        ) & ~missed & not_done
+                        missed |= newly | cascade
                 unblocked = (self.pred_bits & _bits(not_done)[:, None]) == 0
-                ready = (
-                    self.valid & not_done & ~missed
-                    & (slot < self.dls) & unblocked
-                )
+                ready = self.open_[slot] & not_done & ~missed & unblocked
                 solar_vec = solar_period[slot]
+                dark = dark_slots[slot]
 
                 # Priority-position gathers + slack (must-run) test.
                 ready_pos = ready.take(to_pos)
-                rem_pos = remaining.take(to_pos)
-                work_slots = -np.floor_divide(-rem_pos, dt)
-                must = (self.dls_pos - slot) - work_slots <= 0.0
+                must = self.slack[slot] - work.take(to_pos) <= 0.0
 
                 # First-claim-wins NVP filter in priority order, then
                 # the sequential load sums every policy reuses:
@@ -731,82 +776,74 @@ class _BatchEngine:
                 per_nvp = cand & (
                     (_bits(cand)[:, None] & self.earlier_same_bits) == 0
                 )
-                mand = per_nvp & must
-                col_power = np.where(per_nvp, powers_pos, 0.0)
-                total_load = _row_sums(col_power)
-                mand_load = _row_sums(np.where(must, col_power, 0.0))
-
-                # Policy decisions (position space).  The sequential
-                # sums above equal the scalar engine's load for every
-                # single-segment decision (asap queue, LSA queue or
-                # mandatory subset); intra and lazy rows extend
-                # mand_load with their picked positions, in order.
-                chosen_pos = per_nvp & self.is_asap[:, None]
-                load = np.where(self.is_asap, total_load, 0.0)
-                if has_lsa:
-                    run_all = total_load <= solar_vec + 1e-12
-                    lsa_choice = np.where(
-                        run_all[:, None], per_nvp, mand
+                if dark:
+                    # Zero solar on every row: LSA, intra and lazy rows
+                    # add nothing to their must-run subset (see
+                    # dark_pass), so each row's load is one masked sum.
+                    chosen_pos = per_nvp & (must | dark_keep)
+                    load = _row_sums(np.where(chosen_pos, powers_pos, 0.0))
+                else:
+                    chosen_pos, load = self._decide_lit(
+                        per_nvp, must, solar_vec
                     )
-                    chosen_pos |= lsa_choice & self.is_lsa[:, None]
-                    load = np.where(
-                        self.is_lsa,
-                        np.where(run_all, total_load, mand_load),
-                        load,
-                    )
-                if idx_intra.size:
-                    picked, intra_load = self._decide_intra(
-                        per_nvp[idx_intra] & ~must[idx_intra],
-                        solar_vec[idx_intra],
-                        mand_load[idx_intra],
-                    )
-                    chosen_pos[idx_intra] = mand[idx_intra] | picked
-                    load[idx_intra] = intra_load
-                if idx_lazy.size:
-                    picked, lazy_load = self._decide_lazy(
-                        per_nvp[idx_lazy] & ~must[idx_lazy],
-                        solar_vec[idx_lazy],
-                        mand_load[idx_lazy],
-                    )
-                    chosen_pos[idx_lazy] = mand[idx_lazy] | picked
-                    load[idx_lazy] = lazy_load
                 chosen = chosen_pos.take(to_task)
 
                 if has_random:
                     self._decide_random(ready, chosen, load)
 
                 # PMU routing: the three supply_slot branches as masks.
-                usable_solar = solar_vec * 0.98
-                b1 = load <= 0.0
-                b2 = ~b1 & (usable_solar >= load)
-                b3 = ~(b1 | b2)
-                needed = (load - usable_solar) * dt
-                delivered = self._discharge(v, b3, needed)
-                fraction = np.minimum(
-                    delivered / np.where(b3, needed, 1.0), 1.0
-                )
-                run_fraction = np.where(b3, fraction, 1.0)
-                offered_idle = usable_solar * ((1.0 - fraction) * dt)
-                energy_in = np.where(
-                    b1,
-                    usable_solar * dt,
-                    np.where(
-                        b2, (usable_solar - load) * dt, offered_idle
-                    ),
-                )
-                # Branches 1/2 always charge (even zero input: the
-                # below-v_stop sqrt round-trip must still happen);
-                # branch 3 charges only when idle surplus is positive.
-                do_charge = b1 | b2 | (b3 & (offered_idle > 0.0))
-                charged = self._charge(v, do_charge, energy_in)
-                direct = np.where(
-                    b1,
-                    0.0,
-                    np.where(
-                        b2, load * dt, usable_solar * fraction * dt
-                    ),
-                )
-                storage = np.where(b3, delivered, 0.0)
+                if dark:
+                    # Without solar only branches 1 (idle: a zero-input
+                    # charge) and 3 (storage) remain; nothing is offered
+                    # or delivered directly, and nothing is stored.
+                    b3 = load > 0.0
+                    needed = load * dt
+                    delivered = self._discharge(v, b3, needed)
+                    fraction = np.minimum(
+                        delivered / np.where(b3, needed, 1.0), 1.0
+                    )
+                    run_fraction = np.where(b3, fraction, 1.0)
+                    self._charge(v, ~b3, zeros)
+                    storage = np.where(b3, delivered, 0.0)
+                    load_e += storage
+                else:
+                    usable_solar = solar_vec * 0.98
+                    b1 = load <= 0.0
+                    b2 = ~b1 & (usable_solar >= load)
+                    b3 = ~(b1 | b2)
+                    needed = (load - usable_solar) * dt
+                    delivered = self._discharge(v, b3, needed)
+                    fraction = np.minimum(
+                        delivered / np.where(b3, needed, 1.0), 1.0
+                    )
+                    run_fraction = np.where(b3, fraction, 1.0)
+                    offered_idle = usable_solar * ((1.0 - fraction) * dt)
+                    energy_in = np.where(
+                        b1,
+                        usable_solar * dt,
+                        np.where(
+                            b2, (usable_solar - load) * dt, offered_idle
+                        ),
+                    )
+                    # Branches 1/2 always charge (even zero input: the
+                    # below-v_stop sqrt round-trip must still happen);
+                    # branch 3 charges only when idle surplus is
+                    # positive.
+                    do_charge = b1 | b2 | (b3 & (offered_idle > 0.0))
+                    charged = self._charge(v, do_charge, energy_in)
+                    direct = np.where(
+                        b1,
+                        0.0,
+                        np.where(
+                            b2, load * dt, usable_solar * fraction * dt
+                        ),
+                    )
+                    storage = np.where(b3, delivered, 0.0)
+                    load_e += direct + storage
+                    direct_e += direct
+                    charged_e += charged
+                    offered_e += energy_in
+                storage_e += storage
 
                 # Task progress (chosen tasks are never missed).
                 progressed = run_fraction * dt
@@ -815,6 +852,7 @@ class _BatchEngine:
                     np.maximum(remaining - progressed[:, None], 0.0),
                     remaining,
                 )
+                work[chosen] = -np.floor_divide(-remaining[chosen], dt)
                 started |= chosen
 
                 # NVP nonvolatility bookkeeping: a brownout powers the
@@ -835,16 +873,8 @@ class _BatchEngine:
                     self._discharge(v, cmask, cycle_cost)
                 brownouts += brown
 
-                lost = self._leak(v, dt, step)
+                leak_e += self._leak(v, dt, step)
                 step += 1
-
-                solar_e += solar_vec * dt
-                load_e += direct + storage
-                direct_e += direct
-                storage_e += storage
-                charged_e += charged
-                offered_e += energy_in
-                leak_e += lost
 
             # End of period: boundary deadline check + final sweep both
             # collapse to "every incomplete valid task is missed".
@@ -871,6 +901,48 @@ class _BatchEngine:
 
         return out
 
+    def _decide_lit(
+        self, per_nvp: np.ndarray, must: np.ndarray, solar_vec: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every non-random row's decision (position space) and load.
+
+        The sequential sums equal the scalar engine's load for every
+        single-segment decision (asap queue, LSA queue or mandatory
+        subset); intra and lazy rows extend ``mand_load`` with their
+        picked positions, in order.
+        """
+        idx_intra, idx_lazy = self.idx_intra, self.idx_lazy
+        mand = per_nvp & must
+        col_power = np.where(per_nvp, self.powers_pos, 0.0)
+        total_load = _row_sums(col_power)
+        mand_load = _row_sums(np.where(must, col_power, 0.0))
+        chosen_pos = per_nvp & self.is_asap[:, None]
+        load = np.where(self.is_asap, total_load, 0.0)
+        if self.has_lsa:
+            run_all = total_load <= solar_vec + 1e-12
+            lsa_choice = np.where(run_all[:, None], per_nvp, mand)
+            chosen_pos |= lsa_choice & self.is_lsa[:, None]
+            load = np.where(
+                self.is_lsa, np.where(run_all, total_load, mand_load), load
+            )
+        if idx_intra.size:
+            picked, intra_load = self._decide_intra(
+                per_nvp[idx_intra] & ~must[idx_intra],
+                solar_vec[idx_intra],
+                mand_load[idx_intra],
+            )
+            chosen_pos[idx_intra] = mand[idx_intra] | picked
+            load[idx_intra] = intra_load
+        if idx_lazy.size:
+            picked, lazy_load = self._decide_lazy(
+                per_nvp[idx_lazy] & ~must[idx_lazy],
+                solar_vec[idx_lazy],
+                mand_load[idx_lazy],
+            )
+            chosen_pos[idx_lazy] = mand[idx_lazy] | picked
+            load[idx_lazy] = lazy_load
+        return chosen_pos, load
+
     # ------------------------------------------------------------------
     def _coarse_start(
         self,
@@ -895,6 +967,11 @@ class _BatchEngine:
             0.5 * self.capacitance * v * v - self._col_tables["e_cutoff"],
             0.0,
         )
+        # One read-only voltage snapshot: each row's bank view holds
+        # slices of it and of the usable energies.
+        volts = v.copy()
+        volts.flags.writeable = False
+        usable.flags.writeable = False
         switched: List[int] = []
         # Each row's inputs as of the period start (a row's hook moves
         # only its own active column).
@@ -915,7 +992,7 @@ class _BatchEngine:
                     period=period,
                     bank=BankView(
                         self.capacitance[i, :c_n],
-                        v[i, :c_n].copy(),
+                        volts[i, :c_n],
                         usable[i, :c_n],
                         active[i],
                     ),

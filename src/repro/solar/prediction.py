@@ -21,7 +21,8 @@ plus the current day index.
 from __future__ import annotations
 
 import abc
-from typing import Optional
+import math
+from typing import List, Optional
 
 import numpy as np
 
@@ -67,33 +68,39 @@ class SolarPredictor(abc.ABC):
 
 
 class _HistoryMatrix:
-    """Observed per-period energies, indexed ``[day, period]``."""
+    """Observed per-period energies, indexed ``[day][period]``.
+
+    Plain Python floats (NaN where unobserved): the predictor reads a
+    handful of cells per call, where numpy's per-call overhead would
+    dominate.
+    """
 
     def __init__(self, timeline: Timeline) -> None:
         self.timeline = timeline
-        self._data = np.full(
-            (timeline.num_days, timeline.periods_per_day), np.nan
-        )
+        self._data = [
+            [math.nan] * timeline.periods_per_day
+            for _ in range(timeline.num_days)
+        ]
 
     def store(self, day: int, period: int, energy: float) -> None:
         if energy < 0:
             raise ValueError(f"energy must be >= 0, got {energy}")
-        self._data[day, period] = energy
+        self._data[day][period] = float(energy)
 
     def get(self, day: int, period: int) -> float:
         if day < 0:
-            return np.nan
-        return float(self._data[day, period])
+            return math.nan
+        return self._data[day][period]
 
-    def past_days_at(self, day: int, period: int, depth: int) -> np.ndarray:
+    def past_days_at(self, day: int, period: int, depth: int) -> List[float]:
         """Observed energies of ``period`` on the previous ``depth`` days
         (most recent first), NaNs dropped."""
-        values = [
-            self._data[d, period]
+        data = self._data
+        values = (
+            data[d][period]
             for d in range(day - 1, max(day - 1 - depth, -1), -1)
-        ]
-        arr = np.array(values, dtype=float)
-        return arr[~np.isnan(arr)]
+        )
+        return [value for value in values if not math.isnan(value)]
 
 
 class WCMAPredictor(SolarPredictor):
@@ -138,40 +145,44 @@ class WCMAPredictor(SolarPredictor):
 
     def _mean_at(self, day: int, period: int) -> Optional[float]:
         past = self._history.past_days_at(day, period, self.depth_days)
-        if len(past) == 0:
+        if not past:
             return None
-        return float(past.mean())
+        # numpy's mean of at most a few values: a left-to-right sum
+        # from 0.0, divided by the count.
+        total = 0.0
+        for value in past:
+            total += value
+        return total / len(past)
 
     def _gap(self, day: int, period: int) -> float:
         """Weighted ratio of today's recent energies to their means."""
-        ratios = []
-        weights = []
+        # Left-to-right sums from 0.0, as numpy sums so few terms.
+        weighted = 0.0
+        weight_sum = 0.0
         for k in range(1, self.gap_window + 1):
             p = period - k
             if p < 0:
                 break
             observed = self._history.get(day, p)
             mean = self._mean_at(day, p)
-            if np.isnan(observed) or mean is None:
+            if math.isnan(observed) or mean is None:
                 continue
             if mean < 1e-9:
                 continue  # night periods carry no weather information
-            ratios.append(observed / mean)
-            weights.append(self.gap_window + 1 - k)
-        if not ratios:
+            weight = float(self.gap_window + 1 - k)
+            weighted += observed / mean * weight
+            weight_sum += weight
+        if not weight_sum:
             return 1.0
-        ratios_arr = np.array(ratios)
-        weights_arr = np.array(weights, dtype=float)
-        return float((ratios_arr * weights_arr).sum() / weights_arr.sum())
+        return weighted / weight_sum
 
     def predict(self, day: int, period: int) -> float:
         flat = self.timeline.flat_period(day, period)
         mean = self._mean_at(day, period)
-        gap = self._gap(day, period)
         if mean is None:
             # No same-period history yet: persistence.
             return max(self._last_observation, 0.0)
-        conditioned = gap * mean
+        conditioned = self._gap(day, period) * mean
         if flat == self._last_flat + 1:
             # One-step-ahead: blend with the just-finished period.
             return max(

@@ -42,12 +42,13 @@ from repro.sim.batch import (
     BATCH_POLICIES,
     MAX_BATCH_TASKS,
     BatchCase,
+    _BatchEngine,
     batch_ineligibility,
     simulate_batch,
 )
 from repro.sim.engine import simulate
 from repro.sim.recorder import PeriodRecord
-from repro.solar import four_day_trace, synthetic_trace
+from repro.solar import SolarTrace, four_day_trace, synthetic_trace
 from repro.tasks import Task, TaskGraph, paper_benchmarks
 from repro.timeline import Timeline
 from repro.verify.oracles import oracle_batch_vs_per_node
@@ -550,6 +551,99 @@ class TestCoarseRowHooks:
             _assert_identical(got, _per_node_reference(case), case.policy)
 
 
+class TestDarkSlots:
+    """Slots with zero solar on every row take the batch-wide dark pass
+    (the must-run subset, storage-only routing, zero-input charge).
+    Every policy's rows must stay bit-identical to the per-node engine
+    on a trace without dark slots, an all-dark trace, and dark slots
+    between lit ones."""
+
+    TL = tiny_timeline(periods_per_day=8)
+    #: Not powers of two, so the zero-input charge's ½CV² round trip
+    #: moves voltages and a skipped one shows.
+    FARADS = (0.47, 2.2)
+
+    def _cases(self, graph, lit):
+        """Two rows per batch policy on small banks, each scaling its
+        own noise by the shared ``lit`` mask; ``proposed`` rows run a
+        scripted coarse stage that alternates intra and δ-fallback
+        periods."""
+        tl = self.TL
+        shape = (tl.num_days, tl.periods_per_day, tl.slots_per_period)
+        cases = []
+        for k, policy in enumerate(BATCH_POLICIES * 2):
+            rng = np.random.default_rng(40 + k)
+            trace = SolarTrace(tl, rng.uniform(0.02, 0.15, shape) * lit)
+            trained = None
+            if policy == "proposed":
+                trained = _ScriptedPolicy(graph, self.FARADS)
+            cases.append(
+                _make_case(graph, trace, self.FARADS, policy, k, trained)
+            )
+        return cases
+
+    def _lit(self, kind):
+        tl = self.TL
+        lit = np.ones((tl.num_days, tl.periods_per_day, tl.slots_per_period))
+        if kind == "all-dark":
+            lit[:] = 0.0
+        elif kind == "mixed":
+            lit[:, :, 10:] = 0.0  # dusk inside every period
+            lit[:, 4:, :] = 0.0  # then whole dark periods
+        return lit
+
+    @pytest.mark.parametrize("kind", ["no-dark", "all-dark", "mixed"])
+    def test_every_policy_bit_identical(self, kind):
+        graph = build_graph("wam")
+        lit = self._lit(kind)
+        cases = self._cases(graph, lit)
+        results = simulate_batch(cases)
+        references = [_per_node_reference(case) for case in cases]
+        for case, got, want in zip(cases, results, references):
+            _assert_identical(got, want, f"{kind}/{case.policy}")
+        powers = np.stack([case.trace.power for case in cases])
+        dark_slots = int((powers == 0.0).all(axis=0).sum())
+        assert dark_slots == int((lit == 0.0).sum())
+        assert (dark_slots > 0) == (kind != "no-dark")
+        if kind == "mixed":
+            # The dark periods draw on storage and brown out.
+            dark = [
+                r for ref in references for r in ref.periods if r.period >= 4
+            ]
+            assert sum(r.storage_energy for r in dark) > 0.0
+            assert sum(r.brownout_slots for r in dark) > 0
+
+    def test_proposed_rows_in_both_modes(self):
+        graph = build_graph("wam")
+        cases = self._cases(graph, self._lit("mixed"))
+        proposed = [c for c in cases if c.policy == "proposed"]
+        for case in proposed:
+            modes = {
+                e["intra_mode"] for e in _per_node_events(case)
+                if e["kind"] == "coarse_decision"
+            }
+            assert modes == {True, False}
+        results = simulate_batch(proposed)
+        for case, got in zip(proposed, results):
+            _assert_identical(got, _per_node_reference(case), "proposed")
+
+    def test_task_power_within_tolerance_takes_general_pass(self):
+        """A 1e-12 W task fits a zero solar budget under the 1e-12
+        tolerance, so dark slots must run the general pass."""
+        graph = TaskGraph(
+            [
+                Task("tiny", 30.0, 600.0, 1e-12, nvp=0),
+                Task("load", 60.0, 300.0, 0.03, nvp=1),
+            ],
+            name="tiny-power",
+        )
+        cases = self._cases(graph, self._lit("mixed"))
+        assert not _BatchEngine(cases).dark_pass
+        results = simulate_batch(cases)
+        for case, got in zip(cases, results):
+            _assert_identical(got, _per_node_reference(case), case.policy)
+
+
 # ----------------------------------------------------------------------
 # Hypothesis properties
 # ----------------------------------------------------------------------
@@ -699,12 +793,31 @@ class TestOracleTeeth:
 # Fleet-level engine equivalence
 # ----------------------------------------------------------------------
 class TestFleetEngines:
-    def test_engine_fingerprints_identical(self):
+    def test_engine_fingerprints_identical(self, monkeypatch):
         """The runner's shard executor (batched where eligible) equals
-        the per-node reference mapped over every node."""
+        the per-node reference mapped over every node — and an
+        all-eligible fleet really ran batched: a batched-engine
+        exception would re-run every node per node, with the same
+        fingerprint."""
+        import repro.fleet.runner as runner_mod
+
         spec = FleetSpec(n_nodes=24, seed=9)
+        assert all(
+            batch_ineligibility(s.policy, build_graph(s.graph_kind)) is None
+            for s in spec.node_specs()
+        )
+        per_node_runs = []
+        reference = runner_mod._simulate_case
+
+        def counting(case):
+            per_node_runs.append(case.policy)
+            return reference(case)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(runner_mod, "_simulate_case", counting)
+            fleet = FleetRunner(spec, workers=1, cache=False).run()
+        assert per_node_runs == []
         base = spec.base_trace()
-        fleet = FleetRunner(spec, workers=1, cache=False).run()
         per_node = FleetResult(
             [simulate_node(spec, base, s) for s in spec.node_specs()]
         )

@@ -1,5 +1,7 @@
 """Tests for the solar energy predictors (WCMA, EWMA, oracle)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,105 @@ class TestWCMA:
             predictor.observe(0, 0, -1.0)
         with pytest.raises(ValueError):
             predictor.predict_horizon(0, 0, count=0)
+
+
+class _NumpyWCMA:
+    """The numpy form of WCMA that :class:`WCMAPredictor` replaced with
+    Python-float sums: the reference its predictions must equal bit
+    for bit."""
+
+    def __init__(self, tl, alpha=0.7, depth_days=4, gap_window=3):
+        self.tl = tl
+        self.alpha, self.depth_days = alpha, depth_days
+        self.gap_window = gap_window
+        self.data = np.full((tl.num_days, tl.periods_per_day), np.nan)
+        self.last_observation = 0.0
+        self.last_flat = -1
+
+    def observe(self, day, period, energy):
+        self.data[day, period] = energy
+        self.last_observation = energy
+        self.last_flat = self.tl.flat_period(day, period)
+
+    def mean_at(self, day, period):
+        values = [
+            self.data[d, period]
+            for d in range(day - 1, max(day - 1 - self.depth_days, -1), -1)
+        ]
+        arr = np.array(values, dtype=float)
+        past = arr[~np.isnan(arr)]
+        return None if len(past) == 0 else float(past.mean())
+
+    def gap(self, day, period):
+        ratios, weights = [], []
+        for k in range(1, self.gap_window + 1):
+            p = period - k
+            if p < 0:
+                break
+            observed = float(self.data[day, p])
+            mean = self.mean_at(day, p)
+            if np.isnan(observed) or mean is None or mean < 1e-9:
+                continue
+            ratios.append(observed / mean)
+            weights.append(self.gap_window + 1 - k)
+        if not ratios:
+            return 1.0
+        weights_arr = np.array(weights, dtype=float)
+        return float(
+            (np.array(ratios) * weights_arr).sum() / weights_arr.sum()
+        )
+
+    def predict(self, day, period):
+        flat = self.tl.flat_period(day, period)
+        mean = self.mean_at(day, period)
+        gap = self.gap(day, period)
+        if mean is None:
+            return max(self.last_observation, 0.0)
+        conditioned = gap * mean
+        if flat == self.last_flat + 1:
+            return max(
+                self.alpha * self.last_observation
+                + (1.0 - self.alpha) * conditioned,
+                0.0,
+            )
+        return max(conditioned, 0.0)
+
+
+class TestWCMAScalarSums:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_equal_to_numpy_form(self, seed):
+        """Multi-day histories with unobserved periods (NaN gaps),
+        night periods below 1e-9 and both the one-step-ahead blend and
+        the history-only branch."""
+        tl = Timeline(6, 12, 10, 30.0)
+        rng = np.random.default_rng(seed)
+        predictor, reference = WCMAPredictor(tl), _NumpyWCMA(tl)
+        branches = {"blend": 0, "history": 0, "night": 0, "gap": 0}
+        for flat in range(tl.total_periods):
+            day, period = tl.unflatten_period(flat)
+            for ahead in (0, 2):
+                if flat + ahead >= tl.total_periods:
+                    continue
+                d, p = tl.unflatten_period(flat + ahead)
+                got, want = predictor.predict(d, p), reference.predict(d, p)
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+                assert got == want, (seed, d, p)
+                if reference.mean_at(d, p) is not None:
+                    branches[
+                        "blend" if flat + ahead == reference.last_flat + 1
+                        else "history"
+                    ] += 1
+            if rng.random() < 0.2:
+                branches["gap"] += 1
+                continue  # never observed: a NaN in the history
+            if period < 3 or period > 9:
+                energy = rng.choice([0.0, 1e-12, 5e-10])
+                branches["night"] += 1
+            else:
+                energy = rng.uniform(0.5, 20.0)
+            predictor.observe(day, period, energy)
+            reference.observe(day, period, energy)
+        assert min(branches.values()) > 0, branches
 
 
 class TestEWMA:

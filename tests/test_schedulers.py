@@ -14,8 +14,10 @@ from repro.schedulers import (
     best_power_match,
     nvp_filter,
 )
+from repro.schedulers.lsa import _AdmissionTable
 from repro.solar import SolarTrace, four_day_trace
 from repro.tasks import Task, TaskGraph, wam
+from repro.tasks.benchmarks import random_benchmark
 from repro.timeline import Timeline
 
 
@@ -27,6 +29,53 @@ def constant_trace(tl, power):
     return SolarTrace(
         tl, np.full((tl.num_days, tl.periods_per_day, tl.slots_per_period), power)
     )
+
+
+def _admit_reference(graph, budget, totals=None):
+    """admit_by_energy as a per-call walk: predecessors, deadline order
+    and energies read from the graph on every call.  Each running
+    total it tests against the budget is added to ``totals``."""
+    order = sorted(
+        range(len(graph)), key=lambda i: (graph.tasks[i].deadline, i)
+    )
+    admitted = set()
+    spent = 0.0
+    for task in order:
+        if task in admitted:
+            continue
+        closure = [task]
+        stack = list(graph.predecessors(task))
+        while stack:
+            p = stack.pop()
+            if p in admitted or p in closure:
+                continue
+            closure.append(p)
+            stack.extend(graph.predecessors(p))
+        cost = sum(graph.tasks[t].energy for t in closure)
+        if totals is not None:
+            totals.add(spent + cost)
+        if spent + cost <= budget:
+            admitted.update(closure)
+            spent += cost
+    return admitted
+
+
+def _diamond():
+    """Diamonds whose sinks are due first: admitting ``d`` or ``f``
+    drags a multi-path ancestor closure along, so the walk order sets
+    the order of the closure's energy sum."""
+    tasks = [
+        Task("a", 30.0, 570.0, 0.0299, nvp=0),
+        Task("b", 60.0, 540.0, 0.0287, nvp=1),
+        Task("c", 90.0, 510.0, 0.0165, nvp=2),
+        Task("d", 30.0, 150.0, 0.0239, nvp=0),
+        Task("e", 30.0, 480.0, 0.0174, nvp=1),
+        Task("f", 60.0, 180.0, 0.0182, nvp=2),
+        Task("g", 30.0, 600.0, 0.0246, nvp=0),
+    ]
+    edges = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("e", "d"),
+             ("g", "c"), ("c", "f"), ("g", "f"), ("e", "f")]
+    return TaskGraph(tasks, edges, name="diamond")
 
 
 class TestHelpers:
@@ -80,6 +129,28 @@ class TestHelpers:
     def test_admit_by_energy_zero_budget(self):
         graph = wam()
         assert admit_by_energy(graph, budget=0.0) == set()
+
+    def test_admission_table_matches_per_call_walk(self):
+        """One cached per-graph table, reused across budgets, admits
+        exactly what the per-call depth-first walk admits."""
+        graphs = [wam(), _diamond()] + [
+            random_benchmark(seed) for seed in range(30)
+        ]
+        for graph in graphs:
+            table = _AdmissionTable(graph)
+            # Every running total the walk tests, and one ulp either
+            # side of it: where the summation order shows.
+            totals = set()
+            for budget in np.linspace(0.0, 1.2 * graph.total_energy(), 40):
+                _admit_reference(graph, budget, totals)
+            budgets = {
+                b for t in totals
+                for b in (t, np.nextafter(t, 0.0), np.nextafter(t, np.inf))
+            }
+            for budget in sorted(budgets):
+                want = _admit_reference(graph, budget)
+                assert table.admit(budget) == want, (graph.name, budget)
+                assert admit_by_energy(graph, budget) == want
 
 
 class TestGreedyEDF:
