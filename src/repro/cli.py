@@ -313,8 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument(
         "--shard-size", type=int, metavar="N",
         help="nodes per work item (default: every node that runs when "
-        "serial, else those nodes over 2 x workers; clamped to "
-        "32..256); never changes the results",
+        "serial, else one shard per worker, or a multiple of the "
+        "workers when a shard would pass 256; clamped to 32..256); "
+        "per-node-engine nodes (dvfs) are dealt evenly across shards; "
+        "never changes the results",
     )
     fleet_run.add_argument(
         "--no-cache", action="store_true",

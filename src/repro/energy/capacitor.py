@@ -240,6 +240,24 @@ class CapacitorState:
         energy = 0.5 * c * v * v
         v_stop = v_full - 1e-12
         stored_total = 0.0
+        if energy_in == 0.0:
+            # Zero input stores exactly 0.0 at any finite efficiency; what
+            # is left of each substep is the ½CV² round trip of the voltage.
+            for _ in range(SUBSTEPS):
+                if v >= v_stop:
+                    break
+                new_energy = energy
+                if new_energy < 0.0:
+                    new_energy = 0.0
+                elif new_energy > e_full:
+                    new_energy = e_full
+                previous = v
+                v = math.sqrt(2.0 * new_energy / c)
+                if v == previous:
+                    break  # a fixed point: later substeps repeat this one
+                energy = 0.5 * c * v * v
+            self.voltage = v
+            return stored_total
         chunk = energy_in / SUBSTEPS
         for _ in range(SUBSTEPS):
             if v >= v_stop:

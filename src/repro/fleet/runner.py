@@ -2,19 +2,24 @@
 
 A :class:`FleetRunner` expands a :class:`~repro.fleet.spec.FleetSpec`
 into shards of node ids and fans them out over the supervised pool,
-:func:`repro.reliability.supervisor.supervised_map`.  Each shard is a
-tiny picklable work item ``(spec, node_ids, shard_index,
-span_context, ...)``; the worker rebuilds the base trace (and, when a
-``proposed`` node needs it, the DBN training trace) once, derives
-every node's configuration from ``(fleet seed, node id)``, simulates
-it inside ``shard``/``node`` spans and returns one
+:func:`repro.reliability.supervisor.supervised_map`.  The parent expands
+every running node's :class:`~repro.fleet.spec.NodeSpec` once, from
+``(fleet seed, node id)``, and each shard is a small picklable work
+item ``(spec, node_specs, shard_index, span_context, ...)``; the
+worker rebuilds the base trace (and, when a ``proposed`` node needs
+it, the DBN training trace) once, simulates every node inside
+``shard``/``node`` spans and returns one
 :class:`~repro.fleet.result.NodeSummary` per node plus its collected
 span records.
 
-Shards are sized for the batched engine (:func:`default_shard_size`):
-its per-slot numpy dispatch amortizes over the shard width, so the
-default is one shard for a serial run and as wide as load balance
-allows for a pool, capped at :data:`MAX_SHARD_SIZE`.
+Shards are planned for the batched engine, whose per-slot numpy
+dispatch amortizes over the shard width (:func:`default_shard_size`):
+a serial run is one shard, a pool one shard per worker (a multiple of
+the worker count once :data:`MAX_SHARD_SIZE` caps the width).  The
+nodes that step the per-node engine cost several times a batched row,
+so :func:`plan_shards` deals them round-robin across the shards and
+fills the rest with the batch-eligible ids in ascending order; a fleet
+without such nodes gets contiguous shards.
 
 Two layers of reuse ride on the existing artifact cache:
 
@@ -28,12 +33,13 @@ Two layers of reuse ride on the existing artifact cache:
   workload and each shard loads the artifact once per workload.
 
 Determinism contract: node summaries are pure functions of ``(fleet
-seed, node id)``; shards are combined in node-id order; therefore
-``FleetResult.fingerprint()`` is bit-identical for any worker count or
-shard size.  Which engine runs a node is decided by its input alone:
-batch-eligible nodes advance through the node-major batched engine
-(:mod:`repro.sim.batch`) via :func:`simulate_shard_batch`, the rest
-(``dvfs`` nodes, graphs over the batch width, chaos runs) step the
+seed, node id)``; summaries are combined in node-id order, whatever
+the shard layout; therefore ``FleetResult.fingerprint()`` is
+bit-identical for any worker count or shard size.  Which engine runs
+a node is decided by its input alone: batch-eligible nodes advance
+through the node-major batched engine (:mod:`repro.sim.batch`) via
+:func:`simulate_shard_batch`, the rest (``dvfs`` nodes, graphs over
+the batch width, chaos runs) step the
 per-node engine via :func:`simulate_node`, the reference every batched
 summary must equal (guarded by tests and by the batched-vs-per-node
 oracle, which calls the same two functions).
@@ -54,6 +60,7 @@ worker kills, hangs and poison nodes deterministically to prove it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -95,6 +102,7 @@ __all__ = [
     "FleetRunner",
     "default_shard_size",
     "node_spec_digest",
+    "plan_shards",
     "simulate_node",
     "simulate_shard_batch",
 ]
@@ -115,16 +123,62 @@ MAX_SHARD_SIZE = 256
 def default_shard_size(n_nodes: int, workers: int) -> int:
     """Nodes per work item when the caller does not choose.
 
-    A serial run (``workers <= 1``) takes every node in one shard; a
-    pool gives every worker at least two shards (load balance).  Either
-    way the size is clamped to ``[MIN_SHARD_SIZE, MAX_SHARD_SIZE]``.
-    ``n_nodes`` counts only the nodes that run.  Never affects results,
-    only wall-clock.
+    A serial run (``workers <= 1``) takes every node in one shard.  A
+    pool takes ``workers * ceil(n_nodes / (workers * MAX_SHARD_SIZE))``
+    shards of ``ceil(n_nodes / shards)`` nodes: one shard per worker,
+    each as wide as the batched engine can make it, unless the cap
+    forces a multiple of the worker count (600 nodes on 2 workers are
+    4 shards of 150).  Either way the size is clamped to
+    ``[MIN_SHARD_SIZE, MAX_SHARD_SIZE]``, so a small pool fleet may get
+    fewer shards than workers.  ``n_nodes`` counts only the nodes that
+    run.  Never affects results, only wall-clock.
     """
-    per_worker = (
-        n_nodes if workers <= 1 else math.ceil(n_nodes / (2 * workers))
-    )
-    return min(MAX_SHARD_SIZE, max(MIN_SHARD_SIZE, per_worker))
+    if workers <= 1:
+        per_shard = n_nodes
+    else:
+        shards = workers * math.ceil(n_nodes / (workers * MAX_SHARD_SIZE))
+        per_shard = math.ceil(n_nodes / shards)
+    return min(MAX_SHARD_SIZE, max(MIN_SHARD_SIZE, per_shard))
+
+
+def plan_shards(
+    specs: Sequence[NodeSpec], shard_size: int
+) -> List[Tuple[NodeSpec, ...]]:
+    """Partition ascending node specs into shards of ``shard_size``.
+
+    The shard sizes are those of contiguous chunks (``shard_size``
+    each, the remainder last).  The nodes that step the per-node
+    engine — decided by policy alone, so no graph is built here — are
+    dealt round-robin across the shards, skipping a full one, so their
+    counts differ by at most one wherever a shard has room.  The
+    batch-eligible nodes fill what is left of each shard in ascending
+    order, and every shard is ascending.  Without per-node nodes this
+    is the contiguous layout, so its shard checkpoints keep their
+    digests.  Never affects results, only wall-clock.
+    """
+    from ..sim.batch import batch_ineligibility
+
+    sizes = [
+        min(shard_size, len(specs) - lo)
+        for lo in range(0, len(specs), shard_size)
+    ]
+    shards: List[List[NodeSpec]] = [[] for _ in sizes]
+    turns = itertools.cycle(list(zip(shards, sizes)))
+    eligible = []
+    for spec in specs:
+        if batch_ineligibility(spec.policy, None) is None:
+            eligible.append(spec)
+            continue
+        shard, size = next(turns)
+        while len(shard) == size:
+            shard, size = next(turns)
+        shard.append(spec)
+    rest = iter(eligible)
+    for shard, size in zip(shards, sizes):
+        shard.extend(itertools.islice(rest, size - len(shard)))
+        shard.sort(key=lambda spec: spec.node_id)
+    return [tuple(shard) for shard in shards]
+
 
 #: Artifact-cache namespace of shard checkpoints.
 SHARD_KIND = "fleet-shard"
@@ -361,14 +415,16 @@ def node_spec_digest(spec: NodeSpec) -> str:
 
 
 def _run_shard(item):
-    """Worker entry point: simulate one shard of node ids, supervised.
+    """Worker entry point: simulate one shard of nodes, supervised.
 
     Module-level (picklable) on purpose; rebuilds the shared base trace
     (and the training trace, if a ``proposed`` node needs it) once per
     shard rather than shipping the power arrays per item.
 
-    The work item is ``(spec, node_ids, shard_index, ctx_wire,
-    chaos_plan, node_retries, on_node_error, attempt)``: ``ctx_wire``
+    The work item is ``(spec, node_specs, shard_index, ctx_wire,
+    chaos_plan, node_retries, on_node_error, attempt)``: ``node_specs``
+    are the shard's :class:`~repro.fleet.spec.NodeSpec`, expanded once
+    by the parent and ascending by node id; ``ctx_wire``
     is the parent's serialized span context (or ``None`` when
     untraced) and ``attempt`` is the supervisor's re-dispatch count
     (chaos keys first-attempt-only faults off it).  The worker opens a
@@ -384,7 +440,7 @@ def _run_shard(item):
     and, if the batched engine raises, every node it covered — run through
     the per-node loop below, one ``node`` span each, which keeps its
     retry/quarantine semantics.  Summaries are reassembled in
-    ``node_ids`` order either way, so the engine never shows through
+    ``node_specs`` order either way, so the engine never shows through
     the fingerprint.
 
     A node whose simulation raises is retried up to ``node_retries``
@@ -395,7 +451,7 @@ def _run_shard(item):
     (``"fail"``).  Returns ``(summaries, failed, seconds, records)``.
     """
     (
-        fleet, node_ids, shard_index, ctx_wire,
+        fleet, specs, shard_index, ctx_wire,
         chaos, node_retries, on_node_error, attempt,
     ) = item
     if chaos is not None:
@@ -408,20 +464,17 @@ def _run_shard(item):
         with tracer.span(
             "shard",
             key=shard_index,
-            attrs={"shard_index": shard_index, "n_nodes": len(node_ids)},
+            attrs={"shard_index": shard_index, "n_nodes": len(specs)},
         ):
-            # Inside the span, so weather and spec expansion are
-            # attributed in every worker.
+            # Inside the span, so the weather is attributed in every
+            # worker.
             base = fleet.base_trace()
-            specs = {
-                node_id: fleet.node_spec(node_id) for node_id in node_ids
-            }
             policy_of = _shard_policies(fleet)
             if chaos is None:
                 try:
                     done.update(
                         simulate_shard_batch(
-                            fleet, base, specs.values(), policy_of,
+                            fleet, base, specs, policy_of,
                             shard_index=shard_index,
                         )
                     )
@@ -430,10 +483,10 @@ def _run_shard(item):
                     # span): the per-node loop, with its
                     # retry/quarantine machinery, re-runs every node.
                     pass
-            for node_id in node_ids:
+            for spec in specs:
+                node_id = spec.node_id
                 if node_id in done:
                     continue
-                spec = specs[node_id]
                 with tracer.span(
                     "node",
                     key=node_id,
@@ -475,7 +528,7 @@ def _run_shard(item):
                             span.annotate(dmr=summary.dmr)
                             done[node_id] = summary
                             break
-    summaries = [done[i] for i in node_ids if i in done]
+    summaries = [done[s.node_id] for s in specs if s.node_id in done]
     return summaries, failed, time.perf_counter() - start, records
 
 
@@ -494,7 +547,8 @@ class FleetRunner:
         affects results, only wall-clock.
     shard_size:
         Nodes per work item (default :func:`default_shard_size` of the
-        nodes that run and the worker count).  Never affects results.
+        nodes that run and the worker count); :func:`plan_shards` lays
+        the nodes out.  Never affects results.
     cache:
         Shard-checkpoint store.  ``None`` uses the default artifact
         cache when caching is enabled (``REPRO_NO_CACHE`` unset);
@@ -586,18 +640,25 @@ class FleetRunner:
 
     # ------------------------------------------------------------------
     def shards(self) -> List[Tuple[int, ...]]:
-        """Node ids partitioned into contiguous shards.
+        """Each shard's node ids, as :func:`plan_shards` lays them out.
 
         Excluded nodes are dropped *before* sharding, so an
         ``--exclude-nodes`` re-run packs the surviving ids into a
         different shard layout — which the determinism contract says
         must not matter.
         """
-        ids = self._run_ids()
-        return [
-            tuple(ids[lo : lo + self.shard_size])
-            for lo in range(0, len(ids), self.shard_size)
-        ]
+        return [self._ids(shard) for shard in self._plan()]
+
+    def _plan(self) -> List[Tuple[NodeSpec, ...]]:
+        """Every running node's spec, expanded once, in its shard."""
+        return plan_shards(
+            [self.spec.node_spec(i) for i in self._run_ids()],
+            self.shard_size,
+        )
+
+    @staticmethod
+    def _ids(specs: Sequence[NodeSpec]) -> Tuple[int, ...]:
+        return tuple(spec.node_id for spec in specs)
 
     def _run_ids(self) -> List[int]:
         return [
@@ -618,8 +679,9 @@ class FleetRunner:
         return hash_key(key)
 
     # ------------------------------------------------------------------
+    @staticmethod
     def _quarantine_shard(
-        self, node_ids: Sequence[int], failure: TaskFailure
+        specs: Sequence[NodeSpec], failure: TaskFailure
     ) -> List[FailedNode]:
         """Turn a permanently-failed *shard* into per-node records.
 
@@ -639,7 +701,7 @@ class FleetRunner:
                 spec_digest=node_spec_digest(spec),
                 retries=failure.retries,
             )
-            for spec in map(self.spec.node_spec, node_ids)
+            for spec in specs
         ]
 
     def _emit_quarantines(self, failed: Sequence[FailedNode]) -> None:
@@ -691,7 +753,8 @@ class FleetRunner:
         root span whose context rides inside each worker payload, so
         shard/node spans from every process reassemble under one root.
         """
-        shards = self.shards()
+        planned = self._plan()
+        shards = [self._ids(shard) for shard in planned]
         if not shards:
             raise ValueError(
                 "fleet has no nodes to run (everything excluded?)"
@@ -814,7 +877,7 @@ class FleetRunner:
 
             base_items = [
                 (
-                    self.spec, shards[i], i, wire,
+                    self.spec, planned[i], i, wire,
                     plan, self.max_retries, self.on_node_error, 0,
                 )
                 for i in pending
@@ -835,7 +898,7 @@ class FleetRunner:
             for failure in sup.failures:
                 index = pending[failure.index]
                 ready[index] = []
-                failed = self._quarantine_shard(shards[index], failure)
+                failed = self._quarantine_shard(planned[index], failure)
                 failed_by_shard[index] = failed
                 self._emit_quarantines(failed)
 

@@ -1,5 +1,8 @@
 """Tests for regulator curves and the super capacitor model."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from repro.energy import (
     default_input_regulator,
     default_output_regulator,
 )
+from repro.energy.capacitor import SUBSTEPS
 
 
 class TestRegulatorCurve:
@@ -198,6 +202,86 @@ class TestCapacitorState:
         assert delivered <= want + 1e-9
         assert delivered <= drawn + 1e-9
         assert state.voltage >= cap.v_cutoff - 1e-9
+
+    @staticmethod
+    def _reference_charge(state, energy_in):
+        """``charge`` before its zero-input path: the substep loop that
+        path must equal bit for bit."""
+        cap = state.capacitor
+        c = cap.capacitance
+        v_full = cap.v_full
+        e_full = 0.5 * c * v_full * v_full
+        regulator = cap.input_regulator
+        cycle_eta = cap.cycle_efficiency
+        v = state.voltage
+        energy = 0.5 * c * v * v
+        v_stop = v_full - 1e-12
+        stored_total = 0.0
+        chunk = energy_in / SUBSTEPS
+        for _ in range(SUBSTEPS):
+            if v >= v_stop:
+                break
+            eta = regulator.efficiency(v) * cycle_eta
+            headroom = e_full - energy
+            if headroom < 0.0:
+                headroom = 0.0
+            stored = chunk * eta
+            if stored > headroom:
+                stored = headroom
+            new_energy = energy + stored
+            if new_energy < 0.0:
+                new_energy = 0.0
+            elif new_energy > e_full:
+                new_energy = e_full
+            v = math.sqrt(2.0 * new_energy / c)
+            energy = 0.5 * c * v * v
+            stored_total += stored
+        return stored_total, v
+
+    @given(
+        c=st.floats(0.01, 100.0),
+        where=st.sampled_from(
+            ["zero", "below_cutoff", "mid", "near_full", "any"]
+        ),
+        fraction=st.floats(0.0, 1.0),
+        energy_in=st.sampled_from([0.0, -0.0]),
+    )
+    @settings(max_examples=200)
+    def test_zero_input_charge_matches_reference_loop(
+        self, c, where, fraction, energy_in
+    ):
+        cap = SuperCapacitor(capacitance=c)
+        voltage = {
+            "zero": 0.0,
+            "below_cutoff": 0.5 * cap.v_cutoff,
+            "mid": 0.5 * (cap.v_cutoff + cap.v_full),
+            "near_full": cap.v_full - 1e-12,
+            "any": fraction * cap.v_full,
+        }[where]
+        state = cap.fresh_state(voltage)
+        want_stored, want_v = self._reference_charge(state, energy_in)
+        stored = state.charge(energy_in)
+        assert struct.pack("<d", stored) == struct.pack("<d", want_stored)
+        assert struct.pack("<d", state.voltage) == struct.pack("<d", want_v)
+
+    def test_zero_input_charge_sweep(self):
+        """A seeded (C, V) sweep against the reference loop.  About one
+        pair in 800 takes a second ½CV² round trip before its voltage
+        settles; the sweep must hit some, so stopping after one substep
+        fails it."""
+        rng = np.random.default_rng(20150607)
+        settles_late = 0
+        for c, fraction in zip(
+            rng.uniform(0.01, 100.0, 20000), rng.uniform(0.0, 1.0, 20000)
+        ):
+            cap = SuperCapacitor(capacitance=float(c))
+            state = cap.fresh_state(float(fraction) * cap.v_full)
+            one_trip = math.sqrt(2.0 * cap.energy_at(state.voltage) / c)
+            want_stored, want_v = self._reference_charge(state, 0.0)
+            assert state.charge(0.0) == want_stored == 0.0
+            assert state.voltage == want_v
+            settles_late += want_v != one_trip
+        assert settles_late > 0
 
     @given(st.floats(1.0, 5.0), st.floats(0.0, 86400.0))
     @settings(max_examples=60)

@@ -6,12 +6,15 @@ worker count, shard size or checkpoint state.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fleet import (
+    MAX_SHARD_SIZE,
     MIN_SHARD_SIZE,
     FLEET_POLICIES,
     FleetAggregate,
@@ -272,11 +275,11 @@ class TestFleetRunner:
 
     @pytest.mark.parametrize(
         "n_nodes, workers, expected",
-        [(256, 1, 256), (256, 2, 64), (200, 4, 32), (1024, 1, 256)],
+        [(256, 1, 256), (256, 2, 128), (200, 4, 50), (1024, 1, 256)],
     )
     def test_default_shard_size(self, n_nodes, workers, expected):
-        """One shard when serial, two per worker at least in a pool,
-        clamped to 32..256 nodes."""
+        """One shard when serial, one per worker in a pool, clamped to
+        32..256 nodes."""
         spec = FleetSpec(n_nodes=n_nodes, seed=0)
         runner = FleetRunner(spec, workers=workers, cache=False)
         assert runner.shard_size == expected
@@ -284,11 +287,11 @@ class TestFleetRunner:
 
     def test_default_shard_size_counts_running_nodes(self):
         spec = FleetSpec(n_nodes=300, seed=0)
-        assert FleetRunner(spec, workers=2, cache=False).shard_size == 75
+        assert FleetRunner(spec, workers=2, cache=False).shard_size == 150
         runner = FleetRunner(
             spec, workers=2, cache=False, exclude_nodes=range(44)
         )
-        assert runner.shard_size == 64
+        assert runner.shard_size == 128
         assert FleetRunner(
             spec, workers=2, shard_size=5, cache=False
         ).shard_size == 5
@@ -444,8 +447,8 @@ class TestFleetRunner:
         # Chaos runs force a pool, so drive the shard in-process.
         gets.clear()
         summaries, failed, _, _ = fleet_runner._run_shard(
-            (spec, list(range(4)), 0, None, ChaosPlan(), 0,
-             "quarantine", 0)
+            (spec, tuple(map(spec.node_spec, range(4))), 0, None,
+             ChaosPlan(), 0, "quarantine", 0)
         )
         assert gets == ["policy"]
         assert not failed and summaries == reference.nodes
@@ -462,6 +465,155 @@ class TestFleetRunner:
         ).run()
         assert gets == ["policy"]
         assert fallback.fingerprint() == reference.fingerprint()
+
+
+class TestShardPlan:
+    """The pool's shard planner: one wide shard per worker, per-node
+    engine nodes dealt evenly, every layout giving the same fleet."""
+
+    @staticmethod
+    def _contiguous(ids, size):
+        return [tuple(ids[lo : lo + size]) for lo in range(0, len(ids), size)]
+
+    @given(
+        n_nodes=st.integers(1, 2000),
+        workers=st.integers(2, 16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_default_count_is_multiple_of_workers(self, n_nodes, workers):
+        size = default_shard_size(n_nodes, workers)
+        assert MIN_SHARD_SIZE <= size <= MAX_SHARD_SIZE
+        count = math.ceil(n_nodes / size)
+        if n_nodes >= workers * MIN_SHARD_SIZE:
+            assert count == workers * math.ceil(
+                n_nodes / (workers * MAX_SHARD_SIZE)
+            )
+        else:
+            assert count <= workers
+
+    @pytest.mark.parametrize(
+        "n_nodes, workers, shards, size",
+        [(600, 2, 4, 150), (512, 2, 2, 256), (513, 2, 4, 129),
+         (24, 2, 1, 32)],
+    )
+    def test_default_layout(self, n_nodes, workers, shards, size):
+        runner = FleetRunner(
+            FleetSpec(n_nodes=n_nodes, seed=0), workers=workers, cache=False
+        )
+        assert runner.shard_size == size
+        assert len(runner.shards()) == shards
+
+    @given(
+        n_nodes=st.integers(1, 300),
+        seed=st.integers(0, 50),
+        workers=st.integers(1, 4),
+        shard_size=st.one_of(st.none(), st.integers(1, 40)),
+        excluded=st.sets(st.integers(0, 299), max_size=20),
+        policies=st.sampled_from(
+            [FLEET_POLICIES, ("dvfs",), ("dvfs", "asap"),
+             ("asap", "inter-task", "intra-task", "random")]
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_plan_properties(
+        self, n_nodes, seed, workers, shard_size, excluded, policies
+    ):
+        from repro.sim.batch import batch_ineligibility
+
+        spec = FleetSpec(n_nodes=n_nodes, seed=seed, policies=policies)
+        excluded = {i for i in excluded if i < n_nodes}
+        if len(excluded) == n_nodes:
+            return
+        runner = FleetRunner(
+            spec, workers=workers, shard_size=shard_size, cache=False,
+            exclude_nodes=excluded,
+        )
+        ids = [i for i in range(n_nodes) if i not in excluded]
+        shards = runner.shards()
+        # Union and layout: the running ids, contiguous-chunk sizes,
+        # each shard ascending.
+        assert sorted(i for s in shards for i in s) == ids
+        assert [len(s) for s in shards] == [
+            len(s) for s in self._contiguous(ids, runner.shard_size)
+        ]
+        assert all(list(s) == sorted(s) for s in shards)
+        # Per-node-engine nodes differ by at most one across the
+        # shards that still have room for them.
+        per_node = {
+            i for i in ids
+            if batch_ineligibility(spec.node_spec(i).policy, None)
+        }
+        counts = [sum(i in per_node for i in s) for s in shards]
+        roomy = [c for c, s in zip(counts, shards) if c < len(s)]
+        if roomy:
+            assert max(counts) - min(roomy) <= 1
+        if not per_node:
+            assert shards == self._contiguous(ids, runner.shard_size)
+
+    def test_no_per_node_fleet_keeps_contiguous_shards(self):
+        spec = FleetSpec(n_nodes=300, seed=0)
+        runner = FleetRunner(spec, workers=2, cache=False)
+        assert runner.shards() == self._contiguous(list(range(300)), 150)
+
+    def test_mixed_pool_deals_dvfs_evenly(self):
+        spec = FleetSpec(n_nodes=256, seed=7, policies=FLEET_POLICIES)
+        shards = FleetRunner(spec, workers=2, cache=False).shards()
+        dvfs = [
+            sum(spec.node_spec(i).policy == "dvfs" for i in s)
+            for s in shards
+        ]
+        assert [len(s) for s in shards] == [128, 128]
+        # Contiguous halves would hold 31 and 20.
+        assert dvfs == [26, 25]
+
+    def test_fingerprint_invariant_on_mixed_pool(self, tmp_path, monkeypatch):
+        """dvfs (per node) and proposed (batched) nodes in one pool:
+        every layout and worker count gives the same fleet."""
+        monkeypatch.delenv("REPRO_NO_CACHE")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        spec = FleetSpec(
+            n_nodes=16, seed=0, policies=FLEET_POLICIES, task_mix=("wam",)
+        )
+        policies = {spec.node_spec(i).policy for i in range(16)}
+        assert {"dvfs", "proposed"} <= policies
+        fingerprints = {
+            (workers, shard_size): FleetRunner(
+                spec, workers=workers, shard_size=shard_size, cache=False
+            ).run().fingerprint()
+            for workers, shard_size in ((1, None), (2, None), (2, 5), (4, 3))
+        }
+        assert len(set(fingerprints.values())) == 1, fingerprints
+
+    def test_specs_expanded_once_in_the_parent(self, monkeypatch):
+        import repro.fleet.runner as fleet_runner
+
+        calls = []
+        in_shard = []
+        real_spec = FleetSpec.node_spec
+        real_shard = fleet_runner._run_shard
+
+        def counting(self, node_index):
+            calls.append((node_index, bool(in_shard)))
+            return real_spec(self, node_index)
+
+        def shard(item):
+            in_shard.append(True)
+            try:
+                return real_shard(item)
+            finally:
+                in_shard.pop()
+
+        monkeypatch.setattr(FleetSpec, "node_spec", counting)
+        monkeypatch.setattr(fleet_runner, "_run_shard", shard)
+        spec = FleetSpec(
+            n_nodes=12, seed=0, policies=("asap", "dvfs", "intra-task")
+        )
+        FleetRunner(
+            spec, workers=1, shard_size=5, cache=False, exclude_nodes=[3, 8]
+        ).run()
+        ids = [i for i in range(12) if i not in (3, 8)]
+        assert sorted(i for i, _ in calls) == ids
+        assert not any(inside for _, inside in calls)
 
 
 class TestFleetAggregateIntegration:
