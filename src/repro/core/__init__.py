@@ -1,11 +1,6 @@
 """The paper's contribution: offline optimisation, DBN, online scheduler."""
 
-from .period_profile import (
-    PeriodProfile,
-    PeriodProfiler,
-    build_schedule_matrix,
-    closed_subsets,
-)
+from .period_profile import PeriodProfile, PeriodProfiler, closed_subsets
 from .longterm import (
     DPConfig,
     LongTermOptimizer,
@@ -36,7 +31,6 @@ from .overhead import OverheadModel, OverheadReport
 __all__ = [
     "PeriodProfile",
     "PeriodProfiler",
-    "build_schedule_matrix",
     "closed_subsets",
     "DPConfig",
     "StorageGrid",

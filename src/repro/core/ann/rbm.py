@@ -72,11 +72,6 @@ class RBM:
         v += self.visible_bias
         return sigmoid(v, out=v)
 
-    def sample_hidden(self, visible: np.ndarray) -> np.ndarray:
-        """Bernoulli sample of the hidden units given ``visible``."""
-        probs = self.hidden_probs(visible)
-        return (self.rng.random(probs.shape) < probs).astype(float)
-
     # ------------------------------------------------------------------
     def train(
         self,

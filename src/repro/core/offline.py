@@ -27,6 +27,8 @@ import numpy as np
 from ..energy.capacitor import SuperCapacitor
 from ..energy.sizing import DEFAULT_CANDIDATES, migration_series, size_bank
 from ..node.node import SensorNode
+from ..schedulers.greedy import asap_tasks
+from ..sim.state import PeriodRuntime
 from ..solar.panel import SolarPanel
 from ..solar.trace import SolarTrace
 from ..tasks.graph import TaskGraph
@@ -42,7 +44,6 @@ from .longterm import (
     trace_period_matrix,
 )
 from .online import DBNPolicy, ProposedScheduler
-from .period_profile import build_schedule_matrix
 
 __all__ = ["OfflinePipeline", "TrainedPolicy", "asap_load_profile"]
 
@@ -52,13 +53,19 @@ def asap_load_profile(graph: TaskGraph, timeline: Timeline) -> np.ndarray:
 
     Section 4.1 extracts the migration pattern from an ASAP schedule;
     this is that schedule's load, assuming energy is never the
-    constraint (solar treated as unlimited during construction).
+    constraint: every slot runs :func:`asap_tasks` on the engine's own
+    period state for one whole slot.
     """
-    unlimited = np.full(timeline.slots_per_period, np.inf)
-    subset = np.ones(len(graph), dtype=bool)
-    matrix, _ = build_schedule_matrix(
-        graph, timeline, unlimited, subset, direct_efficiency=1.0
-    )
+    runtime = PeriodRuntime(graph, timeline)
+    dt = timeline.slot_seconds
+    matrix = np.zeros((timeline.slots_per_period, len(graph)), dtype=bool)
+    for slot in range(timeline.slots_per_period):
+        runtime.check_deadlines(slot)
+        chosen = asap_tasks(
+            graph, runtime.ready_tasks(slot), runtime.deadline_slots
+        )
+        matrix[slot, chosen] = True
+        runtime.advance_scaled([(i, dt) for i in chosen])
     powers = np.array([t.power for t in graph.tasks])
     return matrix @ powers
 

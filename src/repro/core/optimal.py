@@ -1,18 +1,20 @@
 """The DP-planned "Optimal" column (Section 4.2 / Figure 8 "Optimal").
 
 The paper's "Optimal" is the offline long-term optimisation evaluated
-with the *given* (true) solar power.  Two replay styles are offered:
+with the *given* (true) solar power.  The DP produces coarse
+decisions, not slot matrices, so the column replays them through the
+online scheduler:
 
-* :class:`~repro.schedulers.plan.PlanScheduler` executes the DP's
-  explicit slot matrices verbatim — faithful to the formulation but
-  brittle when the engine's physics deviates from the fluid planning
-  model mid-period;
 * :class:`PlanPolicy` (this module, used in the figures) is a coarse
   policy of :class:`~repro.core.online.ProposedScheduler`: it looks up
   the DP's per-period task subset ``te``, pattern index α and per-day
   capacitor, and the scheduler runs the same adaptive fine-grained
   pass as for the DBN.  Build the column as
-  ``ProposedScheduler(PlanPolicy(plan), name="optimal")``.
+  ``ProposedScheduler(PlanPolicy(plan), name="optimal")``;
+* :class:`~repro.schedulers.plan.PlanScheduler` executes an explicit
+  :class:`~repro.schedulers.plan.SchedulePlan` slot table verbatim.
+  Only the brute-force oracle (:mod:`repro.verify.oracles`) builds
+  one, for the per-slot schedules it enumerates.
 
 It is not a bound.  The DP plans on a fluid model with bucketed
 storage, and the fine pass then runs under the engine's physics, so

@@ -7,36 +7,29 @@ dependence-closed task subsets can be enumerated exactly; what remains
 is estimating, per subset, how much storage a schedule needs under the
 period's solar profile.
 
-Two models are provided:
-
-* a **fluid bound** (:meth:`PeriodProfiler.profile`) — tasks are
-  preemptible at slot granularity, so the minimum storage draw of a
-  subset is the worst cumulative shortfall of supply against the
-  demand-by-deadline curve.  This is exact for a single implicit
-  processor and a lower bound with NVP binding; it is fully
-  vectorised across subsets, which makes the long-term DP tractable;
-* a **constructive schedule** (:func:`build_schedule_matrix`) — a
-  greedy earliest-deadline / solar-matching assignment that produces
-  the explicit ``x_{i,j,m}(n)`` matrix replayed through the engine
-  (plan extraction), respecting dependences and one-task-per-NVP.
+:meth:`PeriodProfiler.profile` answers with a **fluid bound**: tasks
+are preemptible at slot granularity, so the minimum storage draw of a
+subset is the worst cumulative shortfall of supply against the
+demand-by-deadline curve.  This is exact for a single implicit
+processor and a lower bound with NVP binding; it is fully vectorised
+across subsets, which makes the long-term DP tractable.  The online
+fine pass, not this module, decides which task runs in which slot.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
 from ..tasks.graph import TaskGraph
 from ..timeline import Timeline
-from ..schedulers.intratask import best_power_match
 
 __all__ = [
     "closed_subsets",
     "PeriodProfile",
     "PeriodProfiler",
-    "build_schedule_matrix",
 ]
 
 
@@ -217,76 +210,3 @@ class PeriodProfiler:
             )
         return [self.profile(row) for row in matrix]
 
-
-def build_schedule_matrix(
-    graph: TaskGraph,
-    timeline: Timeline,
-    solar_powers: np.ndarray,
-    subset: Sequence[bool],
-    direct_efficiency: float = 0.98,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Greedy explicit schedule for a chosen subset.
-
-    Earliest-deadline tasks with exhausted slack always run; remaining
-    NVP-distinct candidates are added by best solar load match (the
-    fine-grained pass of [9] restricted to the subset).  Returns
-    ``(matrix, completed)`` where ``matrix`` is the boolean
-    ``(N_s, N)`` execution table ``x`` and ``completed`` flags which
-    subset tasks the greedy schedule actually finished.
-    """
-    subset = np.asarray(subset, dtype=bool)
-    n = len(graph)
-    if subset.shape != (n,):
-        raise ValueError(f"subset must have shape ({n},), got {subset.shape}")
-    solar = np.asarray(solar_powers, dtype=float)
-    n_slots = timeline.slots_per_period
-    if solar.shape != (n_slots,):
-        raise ValueError(
-            f"solar_powers must have shape ({n_slots},), got {solar.shape}"
-        )
-    dt = timeline.slot_seconds
-    deadline_slots = np.array(
-        [timeline.deadline_slot(t.deadline) for t in graph.tasks]
-    )
-    remaining = np.where(
-        subset, [t.execution_time for t in graph.tasks], 0.0
-    ).astype(float)
-    matrix = np.zeros((n_slots, n), dtype=bool)
-
-    for m in range(n_slots):
-        done = remaining <= 1e-9
-        ready = [
-            i
-            for i in range(n)
-            if subset[i]
-            and not done[i]
-            and m < deadline_slots[i]
-            and all(done[p] for p in graph.predecessors(i))
-        ]
-        if not ready:
-            continue
-        ready.sort(key=lambda i: (deadline_slots[i], i))
-        # One candidate per NVP (EDF priority).
-        per_nvp: dict = {}
-        for i in ready:
-            per_nvp.setdefault(graph.nvp_of(i), i)
-        candidates = list(per_nvp.values())
-
-        urgent = []
-        for i in candidates:
-            work_slots = int(-(-remaining[i] // dt))
-            if deadline_slots[i] - m - work_slots <= 0:
-                urgent.append(i)
-        chosen = list(urgent)
-        load = sum(graph.tasks[i].power for i in chosen)
-        optional = [i for i in candidates if i not in urgent]
-        budget = max(solar[m] * direct_efficiency - load, 0.0)
-        powers = [graph.tasks[i].power for i in optional]
-        for idx in best_power_match(powers, budget):
-            chosen.append(optional[idx])
-        for i in chosen:
-            matrix[m, i] = True
-            remaining[i] = max(remaining[i] - dt, 0.0)
-
-    completed = subset & (remaining <= 1e-9)
-    return matrix, completed

@@ -78,12 +78,6 @@ class DayMigrationResult:
     unserved: float
     final_voltage: float
 
-    @property
-    def service_ratio(self) -> float:
-        """Fraction of the deficit demand actually served."""
-        demand = self.served + self.unserved
-        return self.served / demand if demand > 0 else 1.0
-
 
 def _migrate_columns(
     devices: Sequence[SuperCapacitor],

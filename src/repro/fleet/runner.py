@@ -373,6 +373,8 @@ def simulate_shard_batch(
         policy_of = _shard_policies(fleet)
     eligible = []
     for spec in specs:
+        if batch_ineligibility(spec.policy, None) is not None:
+            continue
         graph = build_graph(spec.graph_kind)
         if batch_ineligibility(spec.policy, graph) is None:
             eligible.append((spec, graph))

@@ -24,6 +24,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..schedulers import SCHEDULER_FACTORIES
 from ..solar.days import synthetic_trace
 from ..solar.trace import SolarTrace
 from ..timeline import Timeline
@@ -40,18 +41,11 @@ __all__ = [
     "node_trace",
 ]
 
-#: Scheduler/policy names a fleet node may be assigned.  ``proposed``
-#: trains the paper's DBN pipeline per distinct workload (shared
-#: through the offline-artifact disk cache); the rest are the cheap
-#: baseline schedulers.
-FLEET_POLICIES: Tuple[str, ...] = (
-    "asap",
-    "inter-task",
-    "intra-task",
-    "dvfs",
-    "random",
-    "proposed",
-)
+#: Scheduler/policy names a fleet node may be assigned, in the policy
+#: table's order.  ``proposed`` trains the paper's DBN pipeline per
+#: distinct workload (shared through the offline-artifact disk cache);
+#: the rest are the cheap baseline schedulers.
+FLEET_POLICIES: Tuple[str, ...] = tuple(SCHEDULER_FACTORIES)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -77,10 +77,6 @@ class SensorNode:
     def num_capacitors(self) -> int:
         return len(self.bank)
 
-    def brownout_overhead(self) -> float:
-        """Energy per brownout across all cores (backup + restore)."""
-        return float(sum(nvp.cycle_energy() for nvp in self.nvps))
-
     def __repr__(self) -> str:
         return (
             f"SensorNode(nvps={self.num_nvps}, "

@@ -57,7 +57,3 @@ class NVP:
             return 0.0
         self.powered = True
         return self.restore_energy
-
-    def cycle_energy(self) -> float:
-        """Energy of one full backup+restore cycle, joules."""
-        return self.backup_energy + self.restore_energy

@@ -88,11 +88,6 @@ class FixedHistogram:
         self.max = max(self.max, float(arr.max()))
         return self
 
-    @property
-    def bin_width(self) -> float:
-        """Widest bin: the quantile error bound."""
-        return float(np.diff(self.edges).max())
-
     # -- merge contract -------------------------------------------------
     def merge(self, other: "FixedHistogram") -> "FixedHistogram":
         """Associative, commutative fold; edges must match exactly."""

@@ -21,7 +21,8 @@ from typing import List, Sequence, Tuple
 
 from ..node.dvfs import DVFSModel
 from ..sim.views import PeriodStartView, SlotView
-from .base import Scheduler, StaticLargestCapacitorMixin, nvp_filter
+from .base import Scheduler, StaticLargestCapacitorMixin
+from .greedy import asap_tasks
 
 __all__ = ["DVFSLoadMatchingScheduler"]
 
@@ -70,8 +71,7 @@ class DVFSLoadMatchingScheduler(StaticLargestCapacitorMixin, Scheduler):
         return best_now, best_skip
 
     def on_slot(self, view: SlotView) -> Sequence[Tuple[int, float]]:
-        ready = sorted(view.ready, key=lambda i: (view.deadline_slots[i], i))
-        per_nvp = nvp_filter(view.graph, ready)
+        per_nvp = asap_tasks(view.graph, view.ready, view.deadline_slots)
         if not per_nvp:
             return ()
 

@@ -8,7 +8,8 @@ pattern for capacitor sizing (Section 4.1).
 
 This policy ignores energy entirely: on a sunny noon it is optimal, at
 night it browns out immediately.  It doubles as the most naive
-baseline and as the load generator for sizing.
+baseline and, through :func:`asap_tasks`, as the load generator for
+sizing (``core.offline.asap_load_profile``).
 """
 
 from __future__ import annotations
@@ -16,9 +17,22 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..sim.views import PeriodStartView, SlotView
+from ..tasks.graph import TaskGraph
 from .base import Scheduler, StaticLargestCapacitorMixin, nvp_filter
 
-__all__ = ["GreedyEDFScheduler", "slack_slots", "must_run_now"]
+__all__ = ["GreedyEDFScheduler", "asap_tasks", "slack_slots", "must_run_now"]
+
+
+def asap_tasks(
+    graph: TaskGraph, ready: Sequence[int], deadline_slots: Sequence[int]
+) -> List[int]:
+    """The asap slot rule: ``ready`` tasks in EDF order, one per NVP.
+
+    EDF order is ``(deadline_slot, index)``; the first task to claim an
+    NVP runs on it.
+    """
+    candidates = sorted(ready, key=lambda i: (deadline_slots[i], i))
+    return nvp_filter(graph, candidates)
 
 
 def slack_slots(view: SlotView, task: int) -> int:
@@ -48,7 +62,4 @@ class GreedyEDFScheduler(StaticLargestCapacitorMixin, Scheduler):
         self.pin_largest(view)
 
     def on_slot(self, view: SlotView) -> Sequence[int]:
-        candidates: List[int] = sorted(
-            view.ready, key=lambda i: (view.deadline_slots[i], i)
-        )
-        return nvp_filter(view.graph, candidates)
+        return asap_tasks(view.graph, view.ready, view.deadline_slots)

@@ -19,8 +19,8 @@ from itertools import combinations
 from typing import Container, List, Sequence, Tuple
 
 from ..sim.views import PeriodStartView, SlotView
-from .base import Scheduler, StaticLargestCapacitorMixin, nvp_filter
-from .greedy import must_run_now
+from .base import Scheduler, StaticLargestCapacitorMixin
+from .greedy import asap_tasks, must_run_now
 
 __all__ = ["IntraTaskScheduler", "best_power_match", "fine_grained_decision"]
 
@@ -73,8 +73,7 @@ def fine_grained_decision(
     ready = [t for t in view.ready if t in selected]
     if not ready:
         return []
-    ready.sort(key=lambda i: (view.deadline_slots[i], i))
-    per_nvp = nvp_filter(view.graph, ready)
+    per_nvp = asap_tasks(view.graph, ready, view.deadline_slots)
 
     urgent = [t for t in per_nvp if must_run_now(view, t)]
     chosen = list(urgent)

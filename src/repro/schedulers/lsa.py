@@ -29,8 +29,8 @@ from ..sim.views import PeriodStartView, PeriodEndView, SlotView
 from ..solar.prediction import WCMAPredictor
 from ..tasks.graph import TaskGraph
 from ..timeline import Timeline
-from .base import Scheduler, StaticLargestCapacitorMixin, nvp_filter
-from .greedy import must_run_now
+from .base import Scheduler, StaticLargestCapacitorMixin
+from .greedy import asap_tasks, must_run_now
 
 __all__ = ["InterTaskScheduler", "admit_by_energy"]
 
@@ -143,12 +143,10 @@ class InterTaskScheduler(StaticLargestCapacitorMixin, Scheduler):
         ready = [t for t in view.ready if t in self._admitted]
         if not ready:
             return ()
-        ready.sort(key=lambda i: (view.deadline_slots[i], i))
-        per_nvp = nvp_filter(view.graph, ready)
+        per_nvp = asap_tasks(view.graph, ready, view.deadline_slots)
 
         # Mandatory: tasks out of slack.
         chosen: List[int] = [t for t in per_nvp if must_run_now(view, t)]
-        load = sum(view.graph.tasks[t].power for t in chosen)
 
         # Opportunistic, at inter-task granularity: the policy decides
         # per queue, not per slot/subset — when current solar covers

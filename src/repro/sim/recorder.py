@@ -222,17 +222,6 @@ class SimulationResult:
         total = self.total_solar_energy
         return self.total_load_energy / total if total > 0 else 0.0
 
-    def energy_utilization_by_day(self) -> np.ndarray:
-        # Each day's left-to-right sum (accumulate adds in order).
-        shape = (self.timeline.num_days, self.timeline.periods_per_day)
-        solar, load = (
-            np.add.accumulate(self._column(name).reshape(shape), axis=1)[:, -1]
-            for name in ("solar_energy", "load_energy")
-        )
-        return np.divide(
-            load, solar, out=np.zeros_like(load), where=solar > 0
-        )
-
     @property
     def migration_efficiency(self) -> float:
         """Delivered-from-storage / offered-to-storage energy ratio."""

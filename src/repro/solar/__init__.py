@@ -6,7 +6,7 @@ from .irradiance import (
     solar_declination,
     solar_elevation,
 )
-from .clouds import CloudProcess, SkyState, constant_transmittance
+from .clouds import CloudProcess, SkyState
 from .panel import SolarPanel
 from .trace import SolarTrace
 from .days import (
@@ -30,7 +30,6 @@ __all__ = [
     "solar_elevation",
     "CloudProcess",
     "SkyState",
-    "constant_transmittance",
     "SolarPanel",
     "SolarTrace",
     "DayArchetype",

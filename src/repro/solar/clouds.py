@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["SkyState", "CloudProcess", "constant_transmittance"]
+__all__ = ["SkyState", "CloudProcess"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,10 +191,3 @@ class CloudProcess:
                 out[j] = mean + fluctuation
             i = end
         return np.clip(out, 0.02, 1.0, out=out)
-
-
-def constant_transmittance(times: np.ndarray, value: float) -> np.ndarray:
-    """A degenerate cloud field: fixed transmittance (e.g. 1.0 = clear)."""
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"transmittance must be in (0, 1], got {value}")
-    return np.full(len(np.asarray(times)), value)

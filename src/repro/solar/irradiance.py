@@ -100,11 +100,3 @@ class ClearSkyModel:
             )
         el = solar_elevation(time_of_day, day_of_year, self.latitude_deg)
         return clear_sky_ghi(el)
-
-    def daylight_hours(self, day_of_year: int) -> float:
-        """Approximate daylight duration in hours."""
-        lat = np.deg2rad(self.latitude_deg)
-        dec = solar_declination(day_of_year)
-        cos_h0 = -np.tan(lat) * np.tan(dec)
-        cos_h0 = float(np.clip(cos_h0, -1.0, 1.0))
-        return 2.0 * np.rad2deg(np.arccos(cos_h0)) / 15.0

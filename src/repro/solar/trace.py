@@ -98,14 +98,6 @@ class SolarTrace:
         """Read-only array of shape ``(N_d, N_p, N_s)``, watts."""
         return self._power
 
-    def slot_power(self, index: SlotIndex) -> float:
-        """Average power in one slot, watts."""
-        return float(self._power[index.day, index.period, index.slot])
-
-    def period_power(self, day: int, period: int) -> np.ndarray:
-        """Per-slot power of one period, watts (length ``N_s``)."""
-        return self._power[day, period].copy()
-
     def period_energy(self, day: int, period: int) -> float:
         """Harvestable energy in one period, joules."""
         return float(

@@ -92,11 +92,6 @@ class TaskGraph:
     def num_edges(self) -> int:
         return int(self._adj.sum())
 
-    @property
-    def dependence_matrix(self) -> np.ndarray:
-        """Copy of the boolean matrix ``W`` (producers on rows)."""
-        return self._adj.copy()
-
     def index(self, name: str) -> int:
         return self._index[name]
 
@@ -138,9 +133,6 @@ class TaskGraph:
     def total_energy(self) -> float:
         """Energy to complete every task once, joules."""
         return float(sum(t.energy for t in self._tasks))
-
-    def total_execution_time(self) -> float:
-        return float(sum(t.execution_time for t in self._tasks))
 
     def max_power(self) -> float:
         """Largest possible instantaneous load: one task per NVP."""

@@ -13,7 +13,7 @@ The paper divides the scheduling horizon into three nested levels
 
 :class:`Timeline` provides index arithmetic between the flat slot index
 used by the simulator and the hierarchical ``(day, period, slot)`` triple
-used by the formulation, plus iteration helpers.  All instants are
+used by the formulation.  All instants are
 expressed in seconds from local midnight of day 0.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterator, Tuple
+from typing import Tuple
 
 __all__ = ["Timeline", "SlotIndex"]
 
@@ -39,9 +39,6 @@ class SlotIndex:
     day: int
     period: int
     slot: int
-
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return (self.day, self.period, self.slot)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,11 +105,6 @@ class Timeline:
     def total_slots(self) -> int:
         return self.num_days * self.slots_per_day
 
-    @property
-    def horizon_seconds(self) -> float:
-        """Total scheduled time (task time, not wall-clock days)."""
-        return self.total_slots * self.slot_seconds
-
     # ------------------------------------------------------------------
     # Index arithmetic
     # ------------------------------------------------------------------
@@ -166,10 +158,6 @@ class Timeline:
         period_start = index.period * (_SECONDS_PER_DAY / self.periods_per_day)
         return period_start + index.slot * self.slot_seconds
 
-    def slot_absolute_time(self, index: SlotIndex) -> float:
-        """Seconds since midnight of day 0 at the start of the slot."""
-        return index.day * _SECONDS_PER_DAY + self.slot_time_of_day(index)
-
     def deadline_slot(self, deadline_seconds: float) -> int:
         """Slot index (within the period) at which a deadline is checked.
 
@@ -184,27 +172,6 @@ class Timeline:
             raise ValueError(f"deadline must be >= 0, got {deadline_seconds}")
         slot = int(math.ceil(deadline_seconds / self.slot_seconds - 1e-12))
         return min(slot, self.slots_per_period)
-
-    # ------------------------------------------------------------------
-    # Iteration
-    # ------------------------------------------------------------------
-    def iter_slots(self) -> Iterator[SlotIndex]:
-        """Iterate over every slot in chronological order."""
-        for day in range(self.num_days):
-            for period in range(self.periods_per_day):
-                for slot in range(self.slots_per_period):
-                    yield SlotIndex(day, period, slot)
-
-    def iter_periods(self) -> Iterator[Tuple[int, int]]:
-        """Iterate over ``(day, period)`` pairs in chronological order."""
-        for day in range(self.num_days):
-            for period in range(self.periods_per_day):
-                yield day, period
-
-    def period_slots(self, day: int, period: int) -> Iterator[SlotIndex]:
-        """Iterate over the slots of a single period."""
-        for slot in range(self.slots_per_period):
-            yield SlotIndex(day, period, slot)
 
     # ------------------------------------------------------------------
     def with_days(self, num_days: int) -> "Timeline":

@@ -70,8 +70,10 @@ class RunContext:
     that need events degrade to a skipped outcome when it is empty.
     ``initial_usable_energy`` is the bank's usable energy at t=0
     (zero for the default cut-off start) — the storage-delivery bound
-    allows it.  ``check_load_power`` should be False for DVFS runs,
-    where load power is legitimately below the sum of task powers.
+    allows it.  ``check_load_power`` is False for DVFS runs, where load
+    power is legitimately below the sum of task powers
+    (:func:`~repro.verify.runner.verified_simulation` sets it from the
+    node).
     """
 
     result: SimulationResult

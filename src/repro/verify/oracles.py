@@ -17,14 +17,18 @@ slower but obviously-correct reference:
     every :class:`~repro.fleet.result.NodeSummary` — fingerprint
     included — must match bit for bit.
 
-The module also owns the *reference fingerprint* capture: the 4
-canonical solar days and 7 seeded runtime fault scenarios whose result
-digests are committed in ``tests/data/engine_fingerprints.json``
-(regenerate with ``repro verify --update-fingerprints``).
+The module also owns the *reference fingerprint* matrix: the 4
+canonical solar days, the 7 seeded runtime fault scenarios and the 8
+``policy-*`` runs whose result digests are committed in
+``tests/data/engine_fingerprints.json``.  ``repro verify
+--update-fingerprints`` is its one writer; never refresh it to make a
+red check green without understanding the engine change that moved
+the digests.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import tempfile
@@ -36,17 +40,23 @@ import numpy as np
 from .. import quick_node
 from ..core import (
     DPConfig,
+    HorizonPolicy,
     LongTermOptimizer,
     PlanPolicy,
     ProposedScheduler,
+    trace_period_matrix,
 )
 from ..energy.capacitor import SuperCapacitor
+from ..node.dvfs import DVFSModel
 from ..node.node import SensorNode
 from ..reliability import RUNTIME_SCENARIOS, FaultInjector, runtime_scenario
 from ..schedulers import (
+    DVFSLoadMatchingScheduler,
     GreedyEDFScheduler,
+    InterTaskScheduler,
     IntraTaskScheduler,
     PlanScheduler,
+    RandomScheduler,
     SchedulePlan,
 )
 from ..sim import (
@@ -264,7 +274,7 @@ def oracle_checkpoint_resume(
 
 
 # ----------------------------------------------------------------------
-# Reference fingerprints: canonical days + fault scenarios
+# Reference fingerprints: canonical days, fault scenarios, policies
 # ----------------------------------------------------------------------
 def _canonical_timeline(days: int) -> Timeline:
     return Timeline(
@@ -273,55 +283,112 @@ def _canonical_timeline(days: int) -> Timeline:
     )
 
 
-def reference_run_specs(
-    graph: Optional[TaskGraph] = None,
-) -> List[Tuple[str, Callable[[], dict]]]:
-    """The canonical verification matrix: 4 canonical solar days under
-    the intra-task scheduler plus all 7 runtime fault scenarios under
-    the greedy baseline.  Each entry is ``(key, build)`` where
-    ``build()`` returns keyword arguments for
-    :func:`repro.sim.engine.simulate` (node, graph, trace, scheduler,
-    fault_injector)."""
-    graph = graph if graph is not None else paper_benchmarks()["WAM"]
-    specs: List[Tuple[str, Callable[[], dict]]] = []
+def reference_run_specs() -> List[Tuple[str, Callable[[], dict]]]:
+    """The reference matrix, all on WAM unless named otherwise.
+
+    * the 4 canonical solar days under the intra-task scheduler;
+    * all 7 runtime fault scenarios under the greedy baseline;
+    * the ``policy-*`` runs over canonical day 2 (morning cloud, then
+      sun, then night): every other per-node policy the fleet runs
+      (inter-task, random, and dvfs on a WAM and an ECG node with a
+      ``DVFSModel`` and on a WAM node without one, the non-strict fleet
+      path), and the DP-driven coarse policies (the "Optimal" plan on
+      the day's true solar, alone and under the ``inference-failure``
+      scenario, and the receding horizon over predicted solar).
+
+    Each entry is ``(key, build)`` where ``build()`` returns keyword
+    arguments for :func:`repro.sim.engine.simulate` (node, graph,
+    trace, scheduler, fault_injector)."""
+    benchmarks = paper_benchmarks()
+    wam, ecg = benchmarks["WAM"], benchmarks["ECG"]
+
+    def run(node, graph, trace, scheduler, fault_injector=None):
+        return {
+            "node": node,
+            "graph": graph,
+            "trace": trace,
+            "scheduler": scheduler,
+            "fault_injector": fault_injector,
+        }
+
+    def faults(scenario, timeline):
+        return FaultInjector(
+            runtime_scenario(scenario, timeline, seed=0), timeline
+        )
 
     four = four_day_trace(_canonical_timeline(4))
-    for day in range(4):
-        def build(day=day):
-            return {
-                "node": quick_node(graph),
-                "graph": graph,
-                "trace": four.day_slice(day),
-                "scheduler": IntraTaskScheduler(),
-                "fault_injector": None,
-            }
+    specs: List[Tuple[str, Callable[[], dict]]] = [
+        (
+            f"canonical-day{day + 1}/intra-task",
+            lambda day=day: run(
+                quick_node(wam), wam, four.day_slice(day),
+                IntraTaskScheduler(),
+            ),
+        )
+        for day in range(4)
+    ]
 
-        specs.append((f"canonical-day{day + 1}/intra-task", build))
+    chaos = synthetic_trace(_canonical_timeline(1), seed=3)
+    specs += [
+        (
+            f"fault-{scenario}/asap",
+            lambda scenario=scenario: run(
+                quick_node(wam), wam, chaos, GreedyEDFScheduler(),
+                faults(scenario, chaos.timeline),
+            ),
+        )
+        for scenario in sorted(RUNTIME_SCENARIOS)
+    ]
 
-    chaos_trace = synthetic_trace(_canonical_timeline(1), seed=3)
-    for scenario in sorted(RUNTIME_SCENARIOS):
-        def build(scenario=scenario):
-            plan = runtime_scenario(
-                scenario, chaos_trace.timeline, seed=0
+    day2 = four.day_slice(1)
+    caps = [s.capacitor for s in quick_node(wam).bank.states]
+
+    @functools.lru_cache(maxsize=None)
+    def plan():
+        return LongTermOptimizer(wam, day2.timeline, caps).optimize(
+            trace_period_matrix(day2)
+        )
+
+    def optimal():
+        return ProposedScheduler(PlanPolicy(plan()), name="optimal")
+
+    def on_day2(scheduler, graph=wam, fault_injector=None, **node_kwargs):
+        node = quick_node(graph, **node_kwargs)
+        return run(node, graph, day2, scheduler, fault_injector)
+
+    policy_runs = {
+        "inter-task": lambda: on_day2(InterTaskScheduler()),
+        "random": lambda: on_day2(RandomScheduler(seed=7)),
+        "dvfs": lambda: on_day2(
+            DVFSLoadMatchingScheduler(), dvfs=DVFSModel()
+        ),
+        "dvfs-ecg": lambda: on_day2(
+            DVFSLoadMatchingScheduler(), ecg, dvfs=DVFSModel()
+        ),
+        "dvfs-no-model": lambda: on_day2(DVFSLoadMatchingScheduler()),
+        "optimal": lambda: on_day2(optimal()),
+        "optimal-inference-failure": lambda: on_day2(
+            optimal(),
+            fault_injector=faults("inference-failure", day2.timeline),
+        ),
+        "receding-horizon": lambda: on_day2(
+            ProposedScheduler(
+                HorizonPolicy(caps, horizon_periods=12),
+                name="receding-horizon",
             )
-            return {
-                "node": quick_node(graph),
-                "graph": graph,
-                "trace": chaos_trace,
-                "scheduler": GreedyEDFScheduler(),
-                "fault_injector": FaultInjector(plan, chaos_trace.timeline),
-            }
-
-        specs.append((f"fault-{scenario}/asap", build))
+        ),
+    }
+    specs += [
+        (f"policy-{name}/canonical-day2", build)
+        for name, build in policy_runs.items()
+    ]
     return specs
 
 
-def capture_reference_fingerprints(
-    graph: Optional[TaskGraph] = None,
-) -> Dict[str, str]:
+def capture_reference_fingerprints() -> Dict[str, str]:
     """Replay the reference matrix and digest every result."""
     fingerprints = {}
-    for key, build in reference_run_specs(graph):
+    for key, build in reference_run_specs():
         kwargs = build()
         result = simulate(
             kwargs["node"], kwargs["graph"], kwargs["trace"],
@@ -345,18 +412,14 @@ def default_fingerprint_path() -> Path:
 
 def write_reference_fingerprints(
     path: Optional[Path] = None,
-    graph: Optional[TaskGraph] = None,
 ) -> Tuple[Path, Dict[str, str]]:
     """Regenerate the committed reference (the ``--update-fingerprints``
-    path).  Entries this matrix does not produce (the test suite's
-    ``policy-*`` runs) are kept as they are."""
+    path): the file holds exactly this matrix's digests."""
     path = Path(path) if path is not None else default_fingerprint_path()
-    fingerprints = capture_reference_fingerprints(graph)
-    kept = load_reference_fingerprints(path) or {}
+    fingerprints = capture_reference_fingerprints()
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
-        json.dumps({**kept, **fingerprints}, indent=2, sort_keys=True)
-        + "\n"
+        json.dumps(fingerprints, indent=2, sort_keys=True) + "\n"
     )
     return path, fingerprints
 

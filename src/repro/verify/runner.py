@@ -6,7 +6,8 @@
     level the test suite itself exercises end-to-end.
 ``quick``
     A couple of minutes.  The full reference matrix — 4 canonical
-    solar days and all 7 runtime fault scenarios — each run under
+    solar days, all 7 runtime fault scenarios and the 8 ``policy-*``
+    runs — each run under
     observation through the complete invariant suite, and a digest
     comparison against the committed reference fingerprints; plus all
     curated oracle instances and the metamorphic relations.  This is
@@ -68,7 +69,8 @@ def verified_simulation(
     The run gets a ring-buffer event stream and per-slot arrays;
     afterwards the whole invariant suite replays over the result and —
     when a committed reference is supplied — the period-level
-    fingerprint is compared against it.
+    fingerprint is compared against it.  A node with a DVFS model runs
+    slots below its tasks' full power, so its load-power check is off.
     """
     node = kwargs["node"]
     graph = kwargs["graph"]
@@ -91,6 +93,7 @@ def verified_simulation(
         v_max=v_max,
         label=key,
         initial_usable_energy=initial,
+        check_load_power=node.dvfs is None,
     )
     outcomes = verify_run(ctx)
     if reference is not None:

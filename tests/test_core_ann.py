@@ -41,11 +41,6 @@ class TestRBM:
         errors = rbm.train(x, epochs=30, learning_rate=0.1)
         assert errors[-1] < errors[0]
 
-    def test_sample_hidden_binary(self):
-        rbm = RBM(8, 4, rng=np.random.default_rng(0))
-        samples = rbm.sample_hidden(np.random.default_rng(1).random((5, 8)))
-        assert set(np.unique(samples)) <= {0.0, 1.0}
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RBM(0, 4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import PeriodProfiler, build_schedule_matrix, closed_subsets
+from repro.core import PeriodProfiler, closed_subsets
 from repro.tasks import Task, TaskGraph, ecg, random_benchmark, wam
 from repro.timeline import Timeline
 
@@ -141,94 +141,3 @@ class TestPeriodProfiler:
         lit = profiler.profile(np.full(20, 0.02))
         assert lit.storage_need[1] < dark.storage_need[1]
 
-
-class TestBuildScheduleMatrix:
-    def test_completes_full_subset_with_energy(self):
-        graph = wam()
-        tl = tl_of()
-        matrix, completed = build_schedule_matrix(
-            graph, tl, np.full(20, 1.0), np.ones(len(graph), dtype=bool)
-        )
-        assert completed.all()
-        # Work slots match execution times.
-        for i, task in enumerate(graph.tasks):
-            assert matrix[:, i].sum() == task.slots_needed(tl.slot_seconds)
-
-    def test_respects_one_task_per_nvp(self):
-        graph = wam()
-        tl = tl_of()
-        matrix, _ = build_schedule_matrix(
-            graph, tl, np.full(20, 1.0), np.ones(len(graph), dtype=bool)
-        )
-        for m in range(20):
-            nvps = [graph.nvp_of(int(i)) for i in np.flatnonzero(matrix[m])]
-            assert len(nvps) == len(set(nvps))
-
-    def test_respects_dependences(self):
-        graph = ecg()
-        tl = tl_of()
-        matrix, completed = build_schedule_matrix(
-            graph, tl, np.full(20, 1.0), np.ones(len(graph), dtype=bool)
-        )
-        assert completed.all()
-        first_run = {
-            i: int(np.flatnonzero(matrix[:, i])[0]) for i in range(len(graph))
-        }
-        last_run = {
-            i: int(np.flatnonzero(matrix[:, i])[-1]) for i in range(len(graph))
-        }
-        for i in range(len(graph)):
-            for p in graph.predecessors(i):
-                assert last_run[p] < first_run[i]
-
-    def test_empty_subset_idles(self):
-        graph = wam()
-        tl = tl_of()
-        matrix, completed = build_schedule_matrix(
-            graph, tl, np.full(20, 1.0), np.zeros(len(graph), dtype=bool)
-        )
-        assert not matrix.any()
-        assert not completed.any()
-
-    def test_respects_deadlines(self):
-        graph = wam()
-        tl = tl_of()
-        matrix, _ = build_schedule_matrix(
-            graph, tl, np.full(20, 1.0), np.ones(len(graph), dtype=bool)
-        )
-        for i, task in enumerate(graph.tasks):
-            deadline_slot = tl.deadline_slot(task.deadline)
-            runs = np.flatnonzero(matrix[:, i])
-            if len(runs):
-                assert runs[-1] < deadline_slot
-
-    def test_load_matching_prefers_solar_slots(self):
-        """Optional work lands where solar is, not at period start."""
-        graph = TaskGraph([Task("a", 60.0, 600.0, 0.02, nvp=0)])
-        tl = tl_of()
-        solar = np.zeros(20)
-        solar[10:14] = 0.05
-        matrix, completed = build_schedule_matrix(
-            graph, tl, solar, np.ones(1, dtype=bool)
-        )
-        assert completed.all()
-        runs = np.flatnonzero(matrix[:, 0])
-        assert set(runs) <= set(range(10, 20))
-
-    def test_shape_validation(self):
-        graph = wam()
-        tl = tl_of()
-        with pytest.raises(ValueError):
-            build_schedule_matrix(graph, tl, np.zeros(5), np.ones(8, bool))
-        with pytest.raises(ValueError):
-            build_schedule_matrix(graph, tl, np.zeros(20), np.ones(3, bool))
-
-    @given(st.integers(0, 60))
-    @settings(max_examples=15, deadline=None)
-    def test_random_benchmarks_complete_under_unlimited_energy(self, seed):
-        graph = random_benchmark(seed)
-        tl = tl_of()
-        _, completed = build_schedule_matrix(
-            graph, tl, np.full(20, np.inf), np.ones(len(graph), dtype=bool)
-        )
-        assert completed.all()

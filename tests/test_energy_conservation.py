@@ -6,7 +6,6 @@ part, and the direct-channel deliveries plus what went into storage
 can never exceed the harvested solar energy.
 """
 
-import numpy as np
 import pytest
 
 from repro import quick_node, simulate
@@ -75,16 +74,3 @@ def test_identities_hold_under_observation():
             p.direct_energy + p.storage_energy, abs=tol
         )
     assert len(ring.of_kind("slot_decision")) == tl.total_slots
-
-
-def test_utilization_by_day_matches_slow_path():
-    """The one-pass per-day grouping equals the per-day filter."""
-    result = recorded_run(GreedyEDFScheduler(), days=3, seed=5)
-    fast = result.energy_utilization_by_day()
-    slow = np.zeros(result.timeline.num_days)
-    for day in range(result.timeline.num_days):
-        records = [p for p in result.periods if p.day == day]
-        solar = sum(p.solar_energy for p in records)
-        load = sum(p.load_energy for p in records)
-        slow[day] = load / solar if solar > 0 else 0.0
-    np.testing.assert_allclose(fast, slow, rtol=1e-12)

@@ -119,13 +119,6 @@ class TestSensorNode:
         assert node.num_capacitors == 2
         assert node.panel.peak_power == pytest.approx(0.0945)
 
-    def test_brownout_overhead_scales_with_nvps(self):
-        one = SensorNode([SuperCapacitor(capacitance=1.0)], num_nvps=1)
-        four = SensorNode([SuperCapacitor(capacitance=1.0)], num_nvps=4)
-        assert four.brownout_overhead() == pytest.approx(
-            4 * one.brownout_overhead()
-        )
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SensorNode([SuperCapacitor(capacitance=1.0)], num_nvps=0)

@@ -1,8 +1,9 @@
-"""Array passes of the offline stage against their naive scalar loops.
+"""Offline-stage passes against their naive scalar loops.
 
 Capacitor sizing, the long-term DP transition, cloud sampling and MLP
-fine-tuning run as array passes.  Each must reproduce the plain loop
-it stands for *exactly*: the offline stage feeds pinned digests and
+fine-tuning run as array passes, and the sizing load profile replays
+the asap rule on the engine's period state.  Each must reproduce the
+plain loop it stands for *exactly*: the offline stage feeds pinned digests and
 committed tables, so every comparison here is ``==`` /
 ``array_equal``, never a tolerance.  The naive loops live only in this
 file, as oracles.
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import StorageGrid
+from repro.core import StorageGrid, asap_load_profile
 from repro.core.ann.network import HeadSpec, MultiHeadMLP
 from repro.energy import (
     DEFAULT_CANDIDATES,
@@ -22,7 +23,11 @@ from repro.energy import (
     simulate_day_migration,
     size_bank,
 )
+from repro.schedulers import best_power_match
 from repro.solar.clouds import CloudProcess, SkyState
+from repro.tasks import paper_benchmarks
+from repro.timeline import Timeline
+from repro.verify.strategies import build_graph
 
 
 # ----------------------------------------------------------------------
@@ -360,3 +365,80 @@ class TestMLPTraining:
         # The trained network predicts from its (flat-buffer) parameters.
         cap, alpha, te = fast.predict(x[:4])
         assert cap.shape == (4, num_capacitors) and te.shape == (4, tasks)
+
+
+# ----------------------------------------------------------------------
+# Sizing: the ASAP load profile
+# ----------------------------------------------------------------------
+def naive_asap_profile(graph, timeline):
+    """The ASAP schedule's load with its own ready scan, EDF order,
+    per-NVP claim, must-run split and unlimited-solar power match."""
+    n = len(graph)
+    n_slots = timeline.slots_per_period
+    dt = timeline.slot_seconds
+    deadline_slots = np.array(
+        [timeline.deadline_slot(t.deadline) for t in graph.tasks]
+    )
+    remaining = np.array([t.execution_time for t in graph.tasks], dtype=float)
+    matrix = np.zeros((n_slots, n), dtype=bool)
+    for m in range(n_slots):
+        done = remaining <= 1e-9
+        ready = [
+            i
+            for i in range(n)
+            if not done[i]
+            and m < deadline_slots[i]
+            and all(done[p] for p in graph.predecessors(i))
+        ]
+        if not ready:
+            continue
+        ready.sort(key=lambda i: (deadline_slots[i], i))
+        per_nvp = {}
+        for i in ready:
+            per_nvp.setdefault(graph.nvp_of(i), i)
+        candidates = list(per_nvp.values())
+        urgent = [
+            i
+            for i in candidates
+            if deadline_slots[i] - m - int(-(-remaining[i] // dt)) <= 0
+        ]
+        optional = [i for i in candidates if i not in urgent]
+        powers = [graph.tasks[i].power for i in optional]
+        chosen = urgent + [optional[k] for k in best_power_match(powers, np.inf)]
+        for i in chosen:
+            matrix[m, i] = True
+            remaining[i] = max(remaining[i] - dt, 0.0)
+    return matrix @ np.array([t.power for t in graph.tasks])
+
+
+#: Slots per period x slot seconds: the default, coarse and fine grids.
+ASAP_TIMELINES = [
+    Timeline(1, 1, 20, 30.0),
+    Timeline(1, 1, 10, 60.0),
+    Timeline(1, 1, 40, 15.0),
+]
+#: The paper benchmarks (random cases included) and the fleet's kinds.
+ASAP_GRAPHS = {
+    **paper_benchmarks(),
+    **{kind: build_graph(kind) for kind in ("wam", "ecg", "shm")},
+}
+
+
+class TestAsapLoadProfile:
+    @pytest.mark.parametrize("name", sorted(ASAP_GRAPHS))
+    @pytest.mark.parametrize(
+        "timeline", ASAP_TIMELINES, ids=["20x30s", "10x60s", "40x15s"]
+    )
+    def test_benchmarks_match_naive_schedule(self, name, timeline):
+        graph = ASAP_GRAPHS[name]
+        got = asap_load_profile(graph, timeline)
+        assert got.tobytes() == naive_asap_profile(graph, timeline).tobytes()
+
+    @given(
+        seed=st.integers(0, 10_000), timeline=st.sampled_from(ASAP_TIMELINES)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs_match_naive_schedule(self, seed, timeline):
+        graph = build_graph(f"random:{seed}")
+        got = asap_load_profile(graph, timeline)
+        assert got.tobytes() == naive_asap_profile(graph, timeline).tobytes()

@@ -3,8 +3,6 @@ engine with its committed reference, the offline-artifact disk cache,
 the supervised pool's planner and ordering and the buffered JSONL
 sink."""
 
-import importlib.util
-import json
 import pickle
 from pathlib import Path
 
@@ -37,9 +35,10 @@ from repro.sim import result_fingerprint
 from repro.solar import synthetic_trace
 from repro.tasks import paper_benchmarks
 from repro.timeline import Timeline
-
-DATA_DIR = Path(__file__).parent / "data"
-
+from repro.verify import (
+    capture_reference_fingerprints,
+    load_reference_fingerprints,
+)
 
 def _timeline(days: int) -> Timeline:
     return Timeline(
@@ -61,29 +60,23 @@ class TestEngineFingerprints:
     """No change to the slot loop may move a single bit.
 
     ``tests/data/engine_fingerprints.json`` was captured from the
-    per-capacitor scalar engine (see ``capture_fingerprints.py`` next
-    to it); replaying the same 4 canonical days, 7 fault scenarios and
-    the ``policy-*`` runs (inter-task, random, dvfs with and without a
-    DVFS model, captured before the per-node period state became plain
-    Python; the "Optimal" plan, alone and under injected inference
-    failures, and the receding horizon, captured while each was still
-    its own scheduler class) must reproduce every digest exactly.
+    per-capacitor scalar engine; replaying the reference matrix of
+    :func:`repro.verify.reference_run_specs` (4 canonical days, 7 fault
+    scenarios and the ``policy-*`` runs: inter-task, random, dvfs with
+    and without a DVFS model, captured before the per-node period state
+    became plain Python; the "Optimal" plan, alone and under injected
+    inference failures, and the receding horizon, captured while each
+    was still its own scheduler class) must reproduce every digest
+    exactly.
     """
 
     @pytest.fixture(scope="class")
     def captured(self):
-        spec = importlib.util.spec_from_file_location(
-            "capture_fingerprints", DATA_DIR / "capture_fingerprints.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.capture()
+        return capture_reference_fingerprints()
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return json.loads(
-            (DATA_DIR / "engine_fingerprints.json").read_text()
-        )
+        return load_reference_fingerprints()
 
     def test_covers_canonical_days_and_fault_scenarios(self, reference):
         days = [k for k in reference if k.startswith("canonical-day")]
@@ -99,7 +92,7 @@ class TestEngineFingerprints:
         assert not mismatched, (
             f"engine drifted on {mismatched}; if the change is an "
             "intentional semantic fix, regenerate the reference with "
-            "tests/data/capture_fingerprints.py"
+            "`repro verify --update-fingerprints`"
         )
 
 

@@ -14,13 +14,12 @@ from repro.solar import (
     SolarTrace,
     archetype_trace,
     clear_sky_ghi,
-    constant_transmittance,
     four_day_trace,
     solar_declination,
     solar_elevation,
     synthetic_trace,
 )
-from repro.timeline import SlotIndex, Timeline
+from repro.timeline import Timeline
 
 
 def small_timeline(days=1):
@@ -55,9 +54,12 @@ class TestGeometry:
 
     def test_clear_sky_model_daylight_hours(self):
         model = ClearSkyModel(latitude_deg=39.74)
-        summer = model.daylight_hours(172)
-        winter = model.daylight_hours(355)
-        assert summer > 14 > 10 > winter
+        minutes = np.arange(0, 86400, 60.0)
+
+        def daylight_hours(day_of_year):
+            return np.count_nonzero(model.ghi(minutes, day_of_year) > 0) / 60
+
+        assert daylight_hours(172) > 14 > 10 > daylight_hours(355)
 
     def test_bad_day_of_year(self):
         with pytest.raises(ValueError):
@@ -65,14 +67,6 @@ class TestGeometry:
 
 
 class TestClouds:
-    def test_constant_transmittance(self):
-        out = constant_transmittance(np.arange(5.0), 0.8)
-        assert np.allclose(out, 0.8)
-
-    def test_constant_transmittance_validation(self):
-        with pytest.raises(ValueError):
-            constant_transmittance(np.arange(5.0), 0.0)
-
     def test_sample_within_bounds(self):
         process = CloudProcess()
         times = np.arange(0, 86400, 300.0)
@@ -205,7 +199,7 @@ class TestDayArchetypes:
         trace = four_day_trace(tl)
         # Slot at midnight has no power on any day.
         for d in range(4):
-            assert trace.slot_power(SlotIndex(d, 0, 0)) == 0.0
+            assert trace.power[d, 0, 0] == 0.0
 
     def test_deterministic(self):
         tl = small_timeline(days=4)

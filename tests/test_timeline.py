@@ -17,6 +17,16 @@ def make(days=2, periods=4, slots=5, dt=30.0):
     )
 
 
+def all_slots(tl):
+    """Every slot address in (day, period, slot) order."""
+    return [
+        SlotIndex(day, period, slot)
+        for day in range(tl.num_days)
+        for period in range(tl.periods_per_day)
+        for slot in range(tl.slots_per_period)
+    ]
+
+
 class TestConstruction:
     def test_basic_sizes(self):
         tl = make()
@@ -24,7 +34,6 @@ class TestConstruction:
         assert tl.slots_per_day == 20
         assert tl.total_periods == 8
         assert tl.total_slots == 40
-        assert tl.horizon_seconds == 1200.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -56,7 +65,7 @@ class TestIndexing:
     def test_flat_slot_roundtrip_exhaustive(self):
         tl = make()
         seen = set()
-        for idx in tl.iter_slots():
+        for idx in all_slots(tl):
             flat = tl.flat_slot(idx)
             assert tl.unflatten(flat) == idx
             seen.add(flat)
@@ -64,9 +73,10 @@ class TestIndexing:
 
     def test_flat_period_roundtrip(self):
         tl = make()
-        for day, period in tl.iter_periods():
-            flat = tl.flat_period(day, period)
-            assert tl.unflatten_period(flat) == (day, period)
+        for day in range(tl.num_days):
+            for period in range(tl.periods_per_day):
+                flat = tl.flat_period(day, period)
+                assert tl.unflatten_period(flat) == (day, period)
 
     def test_out_of_range_raises(self):
         tl = make()
@@ -83,8 +93,8 @@ class TestIndexing:
 
     def test_iteration_is_chronological(self):
         tl = make()
-        flats = [tl.flat_slot(i) for i in tl.iter_slots()]
-        assert flats == sorted(flats)
+        flats = [tl.flat_slot(i) for i in all_slots(tl)]
+        assert flats == list(range(tl.total_slots))
 
     @given(
         days=st.integers(1, 5),
@@ -96,27 +106,6 @@ class TestIndexing:
         tl = Timeline(days, periods, slots, dt)
         for flat in range(0, tl.total_slots, max(tl.total_slots // 7, 1)):
             assert tl.flat_slot(tl.unflatten(flat)) == flat
-
-
-class TestIteration:
-    def test_period_slots_covers_one_period(self):
-        tl = make()
-        indices = list(tl.period_slots(1, 2))
-        assert len(indices) == tl.slots_per_period
-        assert all(i.day == 1 and i.period == 2 for i in indices)
-        assert [i.slot for i in indices] == list(range(tl.slots_per_period))
-
-    def test_iter_slots_matches_nested_period_slots(self):
-        tl = make()
-        nested = [
-            idx
-            for day, period in tl.iter_periods()
-            for idx in tl.period_slots(day, period)
-        ]
-        assert nested == list(tl.iter_slots())
-
-    def test_slot_index_as_tuple(self):
-        assert SlotIndex(1, 2, 3).as_tuple() == (1, 2, 3)
 
 
 class TestWallClock:
@@ -133,11 +122,6 @@ class TestWallClock:
         t3 = tl.slot_time_of_day(SlotIndex(0, 1, 3))
         assert t3 - t0 == pytest.approx(3 * tl.slot_seconds)
 
-    def test_absolute_time_includes_days(self):
-        tl = make()
-        a = tl.slot_absolute_time(SlotIndex(1, 0, 0))
-        assert a == pytest.approx(86400.0)
-
     def test_non_dividing_hyper_period_stays_diurnal(self):
         """Periods spread over 24 h even when ΔT·N_p != 86 400 s.
 
@@ -153,16 +137,6 @@ class TestWallClock:
         # Last slot of the last period still lands inside the day.
         last = tl.slot_time_of_day(SlotIndex(0, 6, tl.slots_per_period - 1))
         assert last < 86400.0
-
-    def test_horizon_counts_task_time_not_wall_clock(self):
-        tl = make(days=3, periods=7)
-        assert tl.horizon_seconds == pytest.approx(
-            tl.total_slots * tl.slot_seconds
-        )
-        wall = tl.slot_absolute_time(
-            SlotIndex(2, 6, tl.slots_per_period - 1)
-        )
-        assert wall > tl.horizon_seconds  # idle gaps between periods
 
     @given(
         periods=st.integers(1, 24),

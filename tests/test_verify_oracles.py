@@ -96,27 +96,24 @@ class TestReferenceFingerprints:
     def test_committed_reference_covers_the_matrix(self):
         reference = load_reference_fingerprints()
         assert reference is not None
-        # The other entries are the test suite's ``policy-*`` runs.
-        matrix = {k for k in reference if not k.startswith("policy-")}
-        assert matrix == {k for k, _ in reference_run_specs()}
-        assert len(matrix) == 11  # 4 canonical days + 7 fault scenarios
+        assert set(reference) == {k for k, _ in reference_run_specs()}
+        # 4 canonical days + 7 fault scenarios + 8 policy runs
+        assert len(reference) == 19
 
-    def test_update_keeps_entries_outside_the_matrix(
-        self, tmp_path, monkeypatch
-    ):
+    def test_update_writes_exactly_the_matrix(self, tmp_path, monkeypatch):
         import repro.verify.oracles as oracles
 
         path = tmp_path / "reference.json"
         path.write_text(json.dumps(
-            {"canonical-day1/intra-task": "old", "policy-x/day": "kept"}
+            {"canonical-day1/intra-task": "old", "stale-x/day": "dropped"}
         ))
         monkeypatch.setattr(
             oracles, "capture_reference_fingerprints",
-            lambda graph=None: {"canonical-day1/intra-task": "new"},
+            lambda: {"canonical-day1/intra-task": "new"},
         )
         oracles.write_reference_fingerprints(path)
         assert json.loads(path.read_text()) == {
-            "canonical-day1/intra-task": "new", "policy-x/day": "kept"
+            "canonical-day1/intra-task": "new"
         }
 
     def test_match_and_mismatch(self):
