@@ -315,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="nodes per work item (default: every node that runs when "
         "serial, else one shard per worker, or a multiple of the "
         "workers when a shard would pass 256; clamped to 32..256); "
-        "per-node-engine nodes (dvfs) are dealt evenly across shards; "
-        "never changes the results",
+        "dvfs nodes are dealt evenly across shards; never changes the "
+        "results",
     )
     fleet_run.add_argument(
         "--no-cache", action="store_true",

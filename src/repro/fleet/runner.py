@@ -15,10 +15,10 @@ span records.
 Shards are planned for the batched engine, whose per-slot numpy
 dispatch amortizes over the shard width (:func:`default_shard_size`):
 a serial run is one shard, a pool one shard per worker (a multiple of
-the worker count once :data:`MAX_SHARD_SIZE` caps the width).  The
-nodes that step the per-node engine cost several times a batched row,
-so :func:`plan_shards` deals them round-robin across the shards and
-fills the rest with the batch-eligible ids in ascending order; a fleet
+the worker count once :data:`MAX_SHARD_SIZE` caps the width).
+:func:`plan_shards` deals the slot-hook (``dvfs``) nodes, whose own
+scheduler decides every slot in Python, round-robin across the shards
+and fills the rest with the other ids in ascending order; a fleet
 without such nodes gets contiguous shards.
 
 Two layers of reuse ride on the existing artifact cache:
@@ -36,10 +36,10 @@ Determinism contract: node summaries are pure functions of ``(fleet
 seed, node id)``; summaries are combined in node-id order, whatever
 the shard layout; therefore ``FleetResult.fingerprint()`` is
 bit-identical for any worker count or shard size.  Which engine runs
-a node is decided by its input alone: batch-eligible nodes advance
-through the node-major batched engine (:mod:`repro.sim.batch`) via
-:func:`simulate_shard_batch`, the rest (``dvfs`` nodes, graphs over
-the batch width, chaos runs) step the
+a node is decided by its input alone: batch-eligible nodes (every
+fleet policy) advance through the node-major batched engine
+(:mod:`repro.sim.batch`) via :func:`simulate_shard_batch`, the rest
+(graphs over the batch width, chaos runs) step the
 per-node engine via :func:`simulate_node`, the reference every batched
 summary must equal (guarded by tests and by the batched-vs-per-node
 oracle, which calls the same two functions).
@@ -147,16 +147,15 @@ def plan_shards(
     """Partition ascending node specs into shards of ``shard_size``.
 
     The shard sizes are those of contiguous chunks (``shard_size``
-    each, the remainder last).  The nodes that step the per-node
-    engine — decided by policy alone, so no graph is built here — are
-    dealt round-robin across the shards, skipping a full one, so their
-    counts differ by at most one wherever a shard has room.  The
-    batch-eligible nodes fill what is left of each shard in ascending
-    order, and every shard is ascending.  Without per-node nodes this
-    is the contiguous layout, so its shard checkpoints keep their
-    digests.  Never affects results, only wall-clock.
+    each, the remainder last).  The nodes of a slot-hook policy
+    (:data:`~repro.sim.batch.SLOT_HOOK_POLICIES`) are dealt round-robin across the shards, skipping a
+    full one, so their counts differ by at most one wherever a shard
+    has room.  The other nodes fill what is left of each shard in
+    ascending order, and every shard is ascending.  Without slot-hook
+    nodes this is the contiguous layout, so its shard checkpoints keep
+    their digests.  Never affects results, only wall-clock.
     """
-    from ..sim.batch import batch_ineligibility
+    from ..sim.batch import SLOT_HOOK_POLICIES
 
     sizes = [
         min(shard_size, len(specs) - lo)
@@ -164,18 +163,18 @@ def plan_shards(
     ]
     shards: List[List[NodeSpec]] = [[] for _ in sizes]
     turns = itertools.cycle(list(zip(shards, sizes)))
-    eligible = []
+    rest = []
     for spec in specs:
-        if batch_ineligibility(spec.policy, None) is None:
-            eligible.append(spec)
+        if spec.policy not in SLOT_HOOK_POLICIES:
+            rest.append(spec)
             continue
         shard, size = next(turns)
         while len(shard) == size:
             shard, size = next(turns)
         shard.append(spec)
-    rest = iter(eligible)
+    fill = iter(rest)
     for shard, size in zip(shards, sizes):
-        shard.extend(itertools.islice(rest, size - len(shard)))
+        shard.extend(itertools.islice(fill, size - len(shard)))
         shard.sort(key=lambda spec: spec.node_id)
     return [tuple(shard) for shard in shards]
 
@@ -282,7 +281,8 @@ def _batch_case(spec: NodeSpec, graph, base_trace, trained=None):
     The one place a node's bank is derived: a ``proposed`` node runs on
     its trained policy's sized bank (and, through ``trained``, its
     ``E_th``), every other node on ``spec.bank_farads``.  Both engines
-    run this case.
+    run this case.  No node gets a DVFS model, so a ``dvfs`` node runs
+    the levels its scheduler picks at 1.0 (ROADMAP item 1).
     """
     from ..sim.batch import BatchCase
 
@@ -352,11 +352,11 @@ def simulate_shard_batch(
     The fleet's only batch dispatch.  Eligible nodes (see
     :func:`~repro.sim.batch.batch_ineligibility`) advance together
     through one :func:`~repro.sim.batch.simulate_batch`; the rest
-    (``dvfs`` nodes, oversized graphs) are left to
-    :func:`simulate_node`.  Returns the batched nodes' summaries keyed
-    by node id, each summarized from its row of the batch's period
-    table and bit-identical to :func:`simulate_node`'s (the
-    batched-vs-per-node oracle holds this contract).  ``policy_of`` is
+    (oversized graphs) are left to :func:`simulate_node`.  Returns the
+    batched nodes' summaries keyed by node id, each summarized from
+    its row of the batch's period table and bit-identical to
+    :func:`simulate_node`'s (the batched-vs-per-node oracle holds this
+    contract).  ``policy_of`` is
     the shard's policy loader (:func:`_shard_policies`), so a caller's
     per-node fallback shares its loads; by default a fresh one.
 
@@ -373,8 +373,6 @@ def simulate_shard_batch(
         policy_of = _shard_policies(fleet)
     eligible = []
     for spec in specs:
-        if batch_ineligibility(spec.policy, None) is not None:
-            continue
         graph = build_graph(spec.graph_kind)
         if batch_ineligibility(spec.policy, graph) is None:
             eligible.append((spec, graph))

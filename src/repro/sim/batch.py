@@ -91,6 +91,20 @@ byte-for-byte.  The layout decisions that make this work:
   the row's admission mask; a ``proposed`` row in intra mode joins the
   intra-task subset table, and one in δ-fallback takes the lazy greedy
   pass of :func:`~repro.schedulers.intratask.fine_grained_decision`.
+* **Slot-hook rows.**  A row of a :data:`SLOT_HOOK_POLICIES` policy
+  (``dvfs``) has no array fine pass: after the generic pass, every slot
+  in which the row has a ready task, dark or lit, runs the row's own,
+  unchanged scheduler's ``on_slot`` on the
+  :class:`~repro.sim.views.SlotView` the per-node engine would build
+  (the row's remaining work, misses and ready set as Python floats and
+  bools, its static deadline slots), and normalises the decision with
+  the per-node engine's :func:`~repro.sim.engine.normalize_decision`
+  (non-strict, no DVFS model, as a fleet node has none: a reduced
+  level falls back to 1.0).  The result overwrites the row's chosen
+  tasks and load; the load is the engine's Python ``sum`` of unscaled
+  task powers in decision order.  With no ready task the hook is
+  skipped: the asap candidates it starts from are empty, and so is its
+  decision.
 * **Per-row active column, switched at period starts only.**  Eq. (22)
   capacitor requests of ``proposed`` rows move the row's active
   column; the active column's constants (capacitance, regulator
@@ -107,11 +121,11 @@ byte-for-byte.  The layout decisions that make this work:
   and fingerprint read the columns.
 
 Eligibility: :func:`batch_ineligibility` names why a case cannot take
-the batched path (``dvfs``, too many tasks for the exact
-subset-enumeration table).  This module runs eligible cases only; the
-fleet's shard executor (:func:`repro.fleet.runner.simulate_shard_batch`)
-is the one dispatcher, and it steps every other node on the per-node
-engine.
+the batched path (a policy outside :data:`BATCH_POLICIES`, too many
+tasks for the exact subset-enumeration table).  Every fleet policy is
+batched.  This module runs eligible cases only; the fleet's shard
+executor (:func:`repro.fleet.runner.simulate_shard_batch`) is the one
+dispatcher, and it steps every other node on the per-node engine.
 """
 
 from __future__ import annotations
@@ -132,27 +146,36 @@ from ..energy.capacitor import (
 from ..schedulers import make_scheduler
 from ..solar.trace import SolarTrace
 from ..tasks.graph import TaskGraph
+from .engine import normalize_decision
 from .recorder import ENERGY_TERMS, PeriodTable, SimulationResult
 from .state import COMPLETION_EPS
-from .views import BankView, PeriodEndView, PeriodStartView
+from .views import BankView, PeriodEndView, PeriodStartView, SlotView
 
 __all__ = [
     "BATCH_POLICIES",
     "MAX_BATCH_TASKS",
+    "SLOT_HOOK_POLICIES",
     "BatchCase",
     "batch_ineligibility",
     "simulate_batch",
 ]
 
-#: Policies the batched core implements (same decision rules as the
-#: per-node schedulers of the fleet pool; ``dvfs`` is not ported).
+#: Policies the batched core runs: every fleet policy.  Each row
+#: decides by its own scheduler's rule, as an array fine pass or, for
+#: the slot-hook policies, its scheduler's own ``on_slot``.
 BATCH_POLICIES: Tuple[str, ...] = (
     "asap",
     "inter-task",
     "intra-task",
+    "dvfs",
     "random",
     "proposed",
 )
+
+#: Policies whose rows run their scheduler's ``on_slot`` per row per
+#: slot.  The fleet deals their nodes evenly across a pool's shards,
+#: the layout it gave them when they stepped the per-node engine.
+SLOT_HOOK_POLICIES: Tuple[str, ...] = ("dvfs",)
 
 #: Largest task count the batched intra-task subset table enumerates —
 #: the same bound as ``best_power_match(max_exact=12)``.
@@ -181,13 +204,11 @@ class BatchCase:
     trained: object = None
 
 
-def batch_ineligibility(
-    policy: str, graph: Optional[TaskGraph]
-) -> Optional[str]:
+def batch_ineligibility(policy: str, graph: TaskGraph) -> Optional[str]:
     """Why a case cannot take the batched path; ``None`` when it can."""
     if policy not in BATCH_POLICIES:
         return f"policy {policy!r} not batched"
-    if graph is not None and len(graph) > MAX_BATCH_TASKS:
+    if len(graph) > MAX_BATCH_TASKS:
         return f"{len(graph)} tasks exceeds MAX_BATCH_TASKS"
     return None
 
@@ -519,6 +540,11 @@ class _BatchEngine:
             self._setup_random()
         if self.idx_coarse.size:
             self._setup_coarse()
+        self.idx_hook = np.flatnonzero(
+            np.array([p in SLOT_HOOK_POLICIES for p in policies])
+        )
+        if self.idx_hook.size:
+            self._setup_hooks()
         # The intra group — intra-task rows, plus proposed rows in the
         # periods their coarse stage picks intra mode — enumerates
         # nonempty position subsets the way best_power_match does:
@@ -611,6 +637,22 @@ class _BatchEngine:
         if self.idx_prop.size:
             self.t_prop = max(self.t_ns[i] for i in self.idx_prop)
 
+    def _setup_hooks(self) -> None:
+        """Bound schedulers and static view fields of the slot-hook rows."""
+        tl = self.tl
+        self.hooks = {}
+        for i in self.idx_hook.tolist():
+            graph = self.graphs[i]
+            scheduler = self.schedulers[i]
+            scheduler.bind(tl, graph)
+            self.hooks[i] = (
+                scheduler,
+                graph,
+                self.t_ns[i],
+                tuple(tl.deadline_slot(t.deadline) for t in graph.tasks),
+                [t.power for t in graph.tasks],
+            )
+
     def _refill_random(self) -> None:
         """Top every random row's buffer up to one period's capacity.
 
@@ -693,6 +735,7 @@ class _BatchEngine:
         powers_pos = self.powers_pos
         has_random = self.idx_random.size > 0
         has_coarse = self.idx_coarse.size > 0
+        has_hooks = self.idx_hook.size > 0
         # A dark slot's asap rows run their whole claimed queue; every
         # other non-random row runs its must-run subset only.
         dark_keep = self.is_asap[:, None]
@@ -790,6 +833,11 @@ class _BatchEngine:
 
                 if has_random:
                     self._decide_random(ready, chosen, load)
+                if has_hooks:
+                    self._slot_hooks(
+                        day, period, slot, solar_vec,
+                        remaining, done, missed, ready, chosen, load,
+                    )
 
                 # PMU routing: the three supply_slot branches as masks.
                 if dark:
@@ -1094,6 +1142,62 @@ class _BatchEngine:
         terms = np.where(picked, self.intra_powers_pos, 0.0)
         load = _row_sums(np.concatenate([mand_load[:, None], terms], axis=1))
         return picked, load
+
+    def _slot_hooks(
+        self,
+        day: int,
+        period: int,
+        slot: int,
+        solar_vec: np.ndarray,
+        remaining: np.ndarray,
+        done: np.ndarray,
+        missed: np.ndarray,
+        ready: np.ndarray,
+        chosen: np.ndarray,
+        load: np.ndarray,
+    ) -> None:
+        """Each slot-hook row's own ``on_slot``, on its per-node SlotView.
+
+        Rows without a ready task are skipped.  A decision replaces the
+        row's ``chosen`` tasks and ``load`` in place.
+        """
+        idx = self.idx_hook
+        rows = idx[ready[idx].any(axis=1)].tolist()
+        if not rows:
+            return
+        tl, dt = self.tl, self.tl.slot_seconds
+        rem = remaining[rows].tolist()
+        comp = done[rows].tolist()
+        miss = missed[rows].tolist()
+        flags = ready[rows].tolist()
+        solar = solar_vec[rows].tolist()
+        for k, i in enumerate(rows):
+            scheduler, graph, t_n, deadline_slots, powers = self.hooks[i]
+            row_flags = flags[k]
+            ready_i = tuple(j for j in range(t_n) if row_flags[j])
+            decision = normalize_decision(
+                scheduler.on_slot(
+                    SlotView(
+                        timeline=tl,
+                        graph=graph,
+                        day=day,
+                        period=period,
+                        slot=slot,
+                        solar_power=solar[k],
+                        slot_seconds=dt,
+                        remaining=tuple(rem[k][:t_n]),
+                        completed=tuple(comp[k][:t_n]),
+                        missed=tuple(miss[k][:t_n]),
+                        deadline_slots=deadline_slots,
+                        ready=ready_i,
+                    )
+                ),
+                ready_i, graph, None, False,
+            )
+            chosen[i] = False
+            load[i] = float(sum(powers[j] for j, _ in decision))
+            for j, _ in decision:
+                chosen[i, j] = True
 
     def _decide_random(
         self, ready: np.ndarray, chosen: np.ndarray, load: np.ndarray

@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..node.dvfs import DVFSModel
 from ..node.node import SensorNode
 from ..obs.events import (
     NULL_OBSERVER,
@@ -59,11 +60,68 @@ from .recorder import ENERGY_TERMS, PeriodTable, SimulationResult, SlotArrays
 from .state import PeriodRuntime
 from .views import BankView, PeriodEndView, PeriodStartView, SlotView
 
-__all__ = ["SimulationEngine", "simulate", "InvalidDecisionError"]
+__all__ = [
+    "SimulationEngine",
+    "simulate",
+    "InvalidDecisionError",
+    "normalize_decision",
+]
 
 
 class InvalidDecisionError(RuntimeError):
     """A scheduler returned an illegal slot decision."""
+
+
+def normalize_decision(
+    decision: Sequence,
+    ready: Sequence[int],
+    graph: TaskGraph,
+    dvfs: Optional[DVFSModel],
+    strict: bool,
+) -> List[tuple]:
+    """Normalise a slot decision to ``[(task, level), ...]``, in order.
+
+    Entries may be plain task indices (level 1.0) or ``(task, level)``
+    pairs when the node has a ``dvfs`` model.  A level the node cannot
+    run, a task outside ``ready`` (Eq. 7) and a second task on one NVP
+    (Eq. 9) raise :class:`InvalidDecisionError` when ``strict``;
+    otherwise the level falls back to 1.0 and the task is dropped.
+    The per-node engine normalises every decision here, and so do the
+    batched engine's slot-hook rows; its other rows build their
+    decisions as arrays.
+    """
+    ready_set = set(ready)
+    seen_nvps = set()
+    valid: List[tuple] = []
+    for entry in decision:
+        if isinstance(entry, tuple):
+            task, level = entry
+            task = int(task)
+            level = float(level)
+        else:
+            task, level = int(entry), 1.0
+        if level != 1.0 and (dvfs is None or not dvfs.is_valid_level(level)):
+            if strict:
+                raise InvalidDecisionError(
+                    f"frequency level {level} is not supported by the node"
+                )
+            level = 1.0
+        if task not in ready_set:
+            if strict:
+                raise InvalidDecisionError(
+                    f"task {task} is not ready (ready set: {sorted(ready_set)})"
+                )
+            continue
+        nvp = graph.nvp_of(task)
+        if nvp in seen_nvps:
+            if strict:
+                raise InvalidDecisionError(
+                    f"two tasks scheduled on NVP {nvp} in one slot"
+                )
+            continue
+        seen_nvps.add(nvp)
+        valid.append((task, level))
+    return valid
 
 
 class SimulationEngine:
@@ -127,52 +185,6 @@ class SimulationEngine:
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.fault_injector = fault_injector
         self.checkpoint = checkpoint
-
-    # ------------------------------------------------------------------
-    def _validate(
-        self, decision: Sequence, ready: Sequence[int]
-    ) -> List[tuple]:
-        """Normalise a decision to ``[(task, level), ...]``.
-
-        Entries may be plain task indices (level 1.0) or
-        ``(task, level)`` pairs when the node supports DVFS.
-        """
-        ready_set = set(ready)
-        seen_nvps = set()
-        valid: List[tuple] = []
-        dvfs = self.node.dvfs
-        for entry in decision:
-            if isinstance(entry, tuple):
-                task, level = entry
-                task = int(task)
-                level = float(level)
-            else:
-                task, level = int(entry), 1.0
-            if level != 1.0 and (
-                dvfs is None or not dvfs.is_valid_level(level)
-            ):
-                if self.strict:
-                    raise InvalidDecisionError(
-                        f"frequency level {level} is not supported by the "
-                        "node"
-                    )
-                level = 1.0
-            if task not in ready_set:
-                if self.strict:
-                    raise InvalidDecisionError(
-                        f"task {task} is not ready (ready set: {sorted(ready_set)})"
-                    )
-                continue
-            nvp = self.graph.nvp_of(task)
-            if nvp in seen_nvps:
-                if self.strict:
-                    raise InvalidDecisionError(
-                        f"two tasks scheduled on NVP {nvp} in one slot"
-                    )
-                continue
-            seen_nvps.add(nvp)
-            valid.append((task, level))
-        return valid
 
     # ------------------------------------------------------------------
     def run(
@@ -270,6 +282,7 @@ class SimulationEngine:
         nvps = self.node.nvps
         pmu_supply = self.node.pmu.supply_slot
         dvfs = self.node.dvfs
+        strict = self.strict
         trace_power = self.trace.power
         task_powers = [t.power for t in graph.tasks]
         nvp_of = [graph.nvp_of(i) for i in range(len(graph))]
@@ -356,7 +369,9 @@ class SimulationEngine:
                         ready=ready,
                     )
                 )
-                chosen = self._validate(decision, ready)
+                chosen = normalize_decision(
+                    decision, ready, graph, dvfs, strict
+                )
                 # x * 1.0 is bitwise x, so the DVFS-less fast paths
                 # reproduce the scaled expressions exactly.
                 if dvfs is None:

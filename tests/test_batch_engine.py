@@ -5,6 +5,8 @@ scalar engine — not statistical agreement.  This suite pins it:
 
 - differential conformance over the 4 canonical solar days and
   heterogeneous ``fleet_variations`` populations;
+- ``dvfs`` slot-hook rows beside every other policy over the four
+  canonical days at several widths;
 - ``proposed`` rows (trained DBN and scripted coarse stages) beside
   the baseline rows: Eq. (22) switches accepted and refused, δ-fallback
   periods, a failing coarse stage, a sized 4-capacitor bank;
@@ -33,14 +35,16 @@ from repro.fleet import (
     simulate_node,
     simulate_shard_batch,
 )
-from repro.fleet.runner import _simulate_case
+from repro.fleet.runner import _shard_policies, _simulate_case
+from repro.fleet.spec import FLEET_POLICIES
 from repro.node.node import SensorNode
 from repro.obs import Observer
-from repro.schedulers import IntraTaskScheduler
+from repro.schedulers import DVFSLoadMatchingScheduler, IntraTaskScheduler
 from repro.sim import result_fingerprint
 from repro.sim.batch import (
     BATCH_POLICIES,
     MAX_BATCH_TASKS,
+    SLOT_HOOK_POLICIES,
     BatchCase,
     _BatchEngine,
     batch_ineligibility,
@@ -269,28 +273,33 @@ class TestDegenerateShapes:
         )
 
     def test_ineligible_case_raises(self):
-        case = self._clean_case()
-        case.policy = "dvfs"
+        case = self._clean_case(policy="dvfs")
+        case.graph = _oversized_graph()
         with pytest.raises(ValueError, match="not batch-eligible"):
             simulate_batch([case])
+
+
+def _oversized_graph():
+    """One task more than the batched engine's subset table holds."""
+    return TaskGraph(
+        [
+            Task(f"t{i}", 60.0, 600.0, 0.01, nvp=0)
+            for i in range(MAX_BATCH_TASKS + 1)
+        ]
+    )
 
 
 class TestEligibility:
     def test_reasons(self):
         graph = paper_benchmarks()["WAM"]
-        assert batch_ineligibility("asap", graph) is None
-        assert "not batched" in batch_ineligibility("dvfs", graph)
-        assert batch_ineligibility("proposed", graph) is None
-        wide = TaskGraph(
-            [
-                Task(f"t{i}", 60.0, 600.0, 0.01, nvp=0)
-                for i in range(MAX_BATCH_TASKS + 1)
-            ]
-        )
+        for policy in FLEET_POLICIES:
+            assert batch_ineligibility(policy, graph) is None
+        assert "not batched" in batch_ineligibility("optimal", graph)
+        wide = _oversized_graph()
         assert "MAX_BATCH_TASKS" in batch_ineligibility("asap", wide)
-        assert set(BATCH_POLICIES) == {
-            "asap", "inter-task", "intra-task", "random", "proposed"
-        }
+        assert "MAX_BATCH_TASKS" in batch_ineligibility("dvfs", wide)
+        assert set(BATCH_POLICIES) == set(FLEET_POLICIES)
+        assert set(SLOT_HOOK_POLICIES) == {"dvfs"}
 
 
 # ----------------------------------------------------------------------
@@ -512,6 +521,78 @@ class TestProposedRows:
         assert {r.active_index for r in result.periods} == {0, 1, 2, 3}
 
 
+class TestSlotHookRows:
+    """``dvfs`` rows run their own scheduler's ``on_slot`` per slot.
+
+    Every graph kind, one row per batch policy (``proposed`` on a
+    scripted coarse stage), over the four canonical days — night slots
+    dark on every row, day slots lit — split into batches of 1, 7 and
+    33 rows.  No row has a DVFS model, so the reduced levels the
+    scheduler asks for fall back to 1.0, as on the per-node engine.
+    """
+
+    TL = Timeline(4, 12, 20, 30.0)
+    KINDS = ("ecg", "shm", "wam", "random:3", "random:8")
+    BANKS = ((1.0, 47.0), (4.7,), (2.0, 10.0, 47.0))
+    _REFERENCE = []
+
+    def _cases(self):
+        four = four_day_trace(self.TL)
+        cases = []
+        for g, kind in enumerate(self.KINDS):
+            graph = build_graph(kind)
+            for policy in BATCH_POLICIES:
+                row = len(cases)
+                bank = self.BANKS[row % len(self.BANKS)]
+                trained = None
+                if policy == "proposed":
+                    trained = _ScriptedPolicy(graph, bank)
+                trace = SolarTrace(self.TL, four.power * (0.5 + 0.25 * g))
+                cases.append(
+                    _make_case(graph, trace, bank, policy, row, trained)
+                )
+        return cases
+
+    def _reference(self):
+        if not self._REFERENCE:
+            self._REFERENCE.extend(
+                result_fingerprint(_per_node_reference(case))
+                for case in self._cases()
+            )
+        return self._REFERENCE
+
+    @pytest.mark.parametrize("width", [1, 7, 33])
+    def test_dvfs_rows_match_per_node(self, monkeypatch, width):
+        power = four_day_trace(self.TL).power
+        assert (power == 0.0).any() and (power > 0.0).any()
+        levels = []
+        on_slot = DVFSLoadMatchingScheduler.on_slot
+
+        def recording(self, view):
+            decision = on_slot(self, view)
+            levels.extend(level for _, level in decision)
+            return decision
+
+        cases = self._cases()
+        got = []
+        with monkeypatch.context() as patch:
+            patch.setattr(DVFSLoadMatchingScheduler, "on_slot", recording)
+            for lo in range(0, len(cases), width):
+                got += [
+                    result_fingerprint(r)
+                    for r in simulate_batch(cases[lo : lo + width])
+                ]
+        # The scheduler asked for reduced levels, which the normaliser
+        # reset to 1.0.
+        assert min(levels) < 1.0
+        bad = [
+            f"row {i} ({cases[i].graph.name}/{cases[i].policy})"
+            for i, (a, b) in enumerate(zip(got, self._reference()))
+            if a != b
+        ]
+        assert not bad, f"width {width}: " + ", ".join(bad)
+
+
 class TestCoarseRowHooks:
     def test_inter_task_rows_run_their_scheduler_hooks(self, monkeypatch):
         """Each inter-task row's own InterTaskScheduler runs the
@@ -731,8 +812,8 @@ def test_batched_rows_respect_physics_invariants(seed, n_nodes):
 # ----------------------------------------------------------------------
 class TestOracleTeeth:
     # Seed 1's six-node population: asap, dvfs, intra-task, random,
-    # proposed, asap.  The dvfs node runs per node, so batch row 3 is
-    # node 4, the proposed node.
+    # proposed, asap.  Every node is batched (the dvfs node is row 1),
+    # so batch row 4 is node 4, the proposed node.
     def test_clean_oracle_passes(self):
         out = oracle_batch_vs_per_node(n_nodes=6, seed=1, label="clean")
         assert out.passed
@@ -744,7 +825,7 @@ class TestOracleTeeth:
         back as a structured Violation naming that node."""
         import repro.sim.batch as batch_mod
 
-        target_row, target_node = 3, 4
+        target_row, target_node = 4, 4
         real = batch_mod._node_leak_row
 
         def corrupt(node_index, devices):
@@ -820,5 +901,34 @@ class TestFleetEngines:
         base = spec.base_trace()
         per_node = FleetResult(
             [simulate_node(spec, base, s) for s in spec.node_specs()]
+        )
+        assert fleet.fingerprint() == per_node.fingerprint()
+
+    def test_every_fleet_policy_runs_batched(self, monkeypatch):
+        """A fleet of every policy, dvfs and proposed included, reaches
+        the per-node engine for no node and equals the per-node
+        reference mapped over every node."""
+        import repro.fleet.runner as runner_mod
+
+        spec = FleetSpec(n_nodes=12, seed=1, policies=FLEET_POLICIES)
+        assert {s.policy for s in spec.node_specs()} == set(FLEET_POLICIES)
+        per_node_runs = []
+        reference = runner_mod._simulate_case
+
+        def counting(case):
+            per_node_runs.append(case.policy)
+            return reference(case)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(runner_mod, "_simulate_case", counting)
+            fleet = FleetRunner(spec, workers=1, cache=False).run()
+        assert per_node_runs == []
+        base = spec.base_trace()
+        policy_of = _shard_policies(spec)
+        per_node = FleetResult(
+            [
+                simulate_node(spec, base, s, policy_of(s))
+                for s in spec.node_specs()
+            ]
         )
         assert fleet.fingerprint() == per_node.fingerprint()

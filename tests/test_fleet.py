@@ -468,8 +468,8 @@ class TestFleetRunner:
 
 
 class TestShardPlan:
-    """The pool's shard planner: one wide shard per worker, per-node
-    engine nodes dealt evenly, every layout giving the same fleet."""
+    """The pool's shard planner: one wide shard per worker, slot-hook
+    (``dvfs``) nodes dealt evenly, every layout giving the same fleet."""
 
     @staticmethod
     def _contiguous(ids, size):
@@ -518,7 +518,7 @@ class TestShardPlan:
     def test_plan_properties(
         self, n_nodes, seed, workers, shard_size, excluded, policies
     ):
-        from repro.sim.batch import batch_ineligibility
+        from repro.sim.batch import SLOT_HOOK_POLICIES
 
         spec = FleetSpec(n_nodes=n_nodes, seed=seed, policies=policies)
         excluded = {i for i in excluded if i < n_nodes}
@@ -537,11 +537,11 @@ class TestShardPlan:
             len(s) for s in self._contiguous(ids, runner.shard_size)
         ]
         assert all(list(s) == sorted(s) for s in shards)
-        # Per-node-engine nodes differ by at most one across the
-        # shards that still have room for them.
+        # Slot-hook nodes differ by at most one across the shards that
+        # still have room for them.
         per_node = {
             i for i in ids
-            if batch_ineligibility(spec.node_spec(i).policy, None)
+            if spec.node_spec(i).policy in SLOT_HOOK_POLICIES
         }
         counts = [sum(i in per_node for i in s) for s in shards]
         roomy = [c for c, s in zip(counts, shards) if c < len(s)]
@@ -551,6 +551,7 @@ class TestShardPlan:
             assert shards == self._contiguous(ids, runner.shard_size)
 
     def test_no_per_node_fleet_keeps_contiguous_shards(self):
+        # The default policies have no slot-hook node.
         spec = FleetSpec(n_nodes=300, seed=0)
         runner = FleetRunner(spec, workers=2, cache=False)
         assert runner.shards() == self._contiguous(list(range(300)), 150)
@@ -567,7 +568,7 @@ class TestShardPlan:
         assert dvfs == [26, 25]
 
     def test_fingerprint_invariant_on_mixed_pool(self, tmp_path, monkeypatch):
-        """dvfs (per node) and proposed (batched) nodes in one pool:
+        """dvfs (slot-hook rows) and proposed (coarse rows) in one pool:
         every layout and worker count gives the same fleet."""
         monkeypatch.delenv("REPRO_NO_CACHE")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

@@ -2,8 +2,9 @@
 
 The acceptance contract: a multi-worker fleet run's span records
 reassemble into a *single rooted tree* — fleet_run → shard → node →
-engine_run for nodes stepped per node (``dvfs``), fleet_run → shard →
-batch for batched ones — with correct parents, no orphans, and tracing
+engine_run for nodes stepped per node (graphs over the batch bound),
+fleet_run → shard → batch for batched ones — with correct parents, no
+orphans, and tracing
 never changes a result fingerprint (on, off, or NULL_OBSERVER).
 """
 
@@ -197,6 +198,20 @@ class TestFleetTrace:
     def no_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
 
+    @staticmethod
+    def step_per_node(monkeypatch):
+        """Put every graph over the batch bound, so each node steps the
+        per-node engine under its own ``node`` span.
+
+        No fleet graph kind has more tasks than the bound, so the patch
+        is process state: pool workers see it only when they start by
+        ``fork`` (Linux's default up to Python 3.13).  Under
+        ``forkserver`` or ``spawn`` the multi-worker test's nodes would
+        batch and its tree assertion would fail."""
+        import repro.sim.batch as sim_batch
+
+        monkeypatch.setattr(sim_batch, "MAX_BATCH_TASKS", 0)
+
     def assert_fleet_tree(self, spans, n_nodes):
         tree = build_span_tree(spans)
         assert len(tree.roots) == 1, "want exactly one root span"
@@ -216,7 +231,8 @@ class TestFleetTrace:
         # A shard with nothing to batch opens no `batch` span.
         assert not [r for r in spans if r["name"] == "batch"]
 
-    def test_serial_run_builds_single_tree(self):
+    def test_serial_run_builds_single_tree(self, monkeypatch):
+        self.step_per_node(monkeypatch)
         observer, sink = collecting_observer()
         spec = FleetSpec(n_nodes=6, seed=0, policies=("dvfs",))
         FleetRunner(
@@ -271,6 +287,7 @@ class TestFleetTrace:
 
     def test_four_workers_fifty_nodes_single_tree(self, monkeypatch):
         monkeypatch.setattr(supervisor, "host_cpus", lambda: 8)
+        self.step_per_node(monkeypatch)
         observer, sink = collecting_observer()
         spec = FleetSpec(n_nodes=50, seed=0, policies=("dvfs",))
         traced = FleetRunner(
