@@ -36,8 +36,8 @@ Commands
     Fleet-scale simulation: ``fleet run --nodes N --seed S`` simulates
     N heterogeneous nodes sharing one base solar trace and prints the
     population report plus the deterministic fleet fingerprint
-    (bit-identical for any ``--workers``/``--shard-size``; nodes the
-    batched engine covers run batched, the rest per node);
+    (bit-identical for any ``--workers``/``--shard-size``; every node
+    runs on the batched engine);
     ``fleet report result.json`` re-renders a saved ``--out`` file.
     Execution is supervised: ``--max-retries``/``--task-timeout``
     bound failures, ``--on-node-error quarantine`` (default) completes
@@ -315,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="nodes per work item (default: every node that runs when "
         "serial, else one shard per worker, or a multiple of the "
         "workers when a shard would pass 256; clamped to 32..256); "
-        "dvfs nodes are dealt evenly across shards; never changes the "
-        "results",
+        "never changes the results",
     )
     fleet_run.add_argument(
         "--no-cache", action="store_true",
@@ -344,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
         help="supervisor re-dispatches per shard and in-worker "
-        "retries per node beyond the first attempt (default 2)",
+        "retries of a failing node beyond the first attempt (default 2)",
     )
     fleet_run.add_argument(
         "--task-timeout", type=float, metavar="SECONDS",

@@ -8,18 +8,15 @@ every running node's :class:`~repro.fleet.spec.NodeSpec` once, from
 item ``(spec, node_specs, shard_index, span_context, ...)``; the
 worker rebuilds the base trace (and, when a ``proposed`` node needs
 it, the DBN training trace) once, simulates every node inside
-``shard``/``node`` spans and returns one
+``shard``/``batch`` spans and returns one
 :class:`~repro.fleet.result.NodeSummary` per node plus its collected
 span records.
 
 Shards are planned for the batched engine, whose per-slot numpy
 dispatch amortizes over the shard width (:func:`default_shard_size`):
 a serial run is one shard, a pool one shard per worker (a multiple of
-the worker count once :data:`MAX_SHARD_SIZE` caps the width).
-:func:`plan_shards` deals the slot-hook (``dvfs``) nodes, whose own
-scheduler decides every slot in Python, round-robin across the shards
-and fills the rest with the other ids in ascending order; a fleet
-without such nodes gets contiguous shards.
+the worker count once :data:`MAX_SHARD_SIZE` caps the width), cut
+from the ascending node ids by :func:`plan_shards`.
 
 Two layers of reuse ride on the existing artifact cache:
 
@@ -35,32 +32,31 @@ Two layers of reuse ride on the existing artifact cache:
 Determinism contract: node summaries are pure functions of ``(fleet
 seed, node id)``; summaries are combined in node-id order, whatever
 the shard layout; therefore ``FleetResult.fingerprint()`` is
-bit-identical for any worker count or shard size.  Which engine runs
-a node is decided by its input alone: batch-eligible nodes (every
-fleet policy) advance through the node-major batched engine
-(:mod:`repro.sim.batch`) via :func:`simulate_shard_batch`, the rest
-(graphs over the batch width, chaos runs) step the
-per-node engine via :func:`simulate_node`, the reference every batched
-summary must equal (guarded by tests and by the batched-vs-per-node
-oracle, which calls the same two functions).
+bit-identical for any worker count or shard size.  Every node
+advances through the node-major batched engine (:mod:`repro.sim.batch`)
+via :func:`simulate_shard_batch`.  The per-node engine runs a fleet
+node only as the reference every batched summary must equal (guarded
+by tests and by the batched-vs-per-node oracle, which calls the
+executor and that reference).
 
 Execution is *supervised* (:mod:`repro.reliability.supervisor`): a
-raising node is retried in its worker and then quarantined into a
-:class:`~repro.fleet.result.FailedNode` record instead of aborting the
-run (``on_node_error="quarantine"``, the default; ``"fail"`` restores
-abort-on-first-error), hung shards are re-dispatched under
-``task_timeout``, and dead workers rebuild the pool.  A degraded run
-keeps the determinism contract over the *healthy subset*: the
-fingerprint equals a fault-free run of the same fleet restricted to
-the same healthy node ids (``exclude_nodes``), whatever the worker
-count.  The :class:`~repro.reliability.chaos.ChaosSpec` hook injects
-worker kills, hangs and poison nodes deterministically to prove it.
+node whose case build raises, or whose batch still raises once
+bisection has isolated it, is retried in its worker and then
+quarantined into a :class:`~repro.fleet.result.FailedNode` record
+instead of aborting the run (``on_node_error="quarantine"``, the
+default; ``"fail"`` restores abort-on-first-error), hung shards are
+re-dispatched under ``task_timeout``, and dead workers rebuild the
+pool.  A degraded run keeps the determinism contract over the
+*healthy subset*: the fingerprint equals a fault-free run of the same
+fleet restricted to the same healthy node ids (``exclude_nodes``),
+whatever the worker count.  The
+:class:`~repro.reliability.chaos.ChaosSpec` hook injects worker kills,
+hangs and poison nodes deterministically to prove it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -144,39 +140,14 @@ def default_shard_size(n_nodes: int, workers: int) -> int:
 def plan_shards(
     specs: Sequence[NodeSpec], shard_size: int
 ) -> List[Tuple[NodeSpec, ...]]:
-    """Partition ascending node specs into shards of ``shard_size``.
+    """Cut ascending node specs into contiguous shards of ``shard_size``.
 
-    The shard sizes are those of contiguous chunks (``shard_size``
-    each, the remainder last).  The nodes of a slot-hook policy
-    (:data:`~repro.sim.batch.SLOT_HOOK_POLICIES`) are dealt round-robin across the shards, skipping a
-    full one, so their counts differ by at most one wherever a shard
-    has room.  The other nodes fill what is left of each shard in
-    ascending order, and every shard is ascending.  Without slot-hook
-    nodes this is the contiguous layout, so its shard checkpoints keep
-    their digests.  Never affects results, only wall-clock.
+    The remainder goes last.  Never affects results, only wall-clock.
     """
-    from ..sim.batch import SLOT_HOOK_POLICIES
-
-    sizes = [
-        min(shard_size, len(specs) - lo)
+    return [
+        tuple(specs[lo : lo + shard_size])
         for lo in range(0, len(specs), shard_size)
     ]
-    shards: List[List[NodeSpec]] = [[] for _ in sizes]
-    turns = itertools.cycle(list(zip(shards, sizes)))
-    rest = []
-    for spec in specs:
-        if spec.policy not in SLOT_HOOK_POLICIES:
-            rest.append(spec)
-            continue
-        shard, size = next(turns)
-        while len(shard) == size:
-            shard, size = next(turns)
-        shard.append(spec)
-    fill = iter(rest)
-    for shard, size in zip(shards, sizes):
-        shard.extend(itertools.islice(fill, size - len(shard)))
-        shard.sort(key=lambda spec: spec.node_id)
-    return [tuple(shard) for shard in shards]
 
 
 #: Artifact-cache namespace of shard checkpoints.
@@ -232,8 +203,8 @@ def _proposed_policy(fleet: FleetSpec, graph_kind: str, train_trace=None):
 def _summarize(spec: NodeSpec, graph, result) -> NodeSummary:
     """Reduce one node's :class:`SimulationResult` to its summary.
 
-    Shared by the per-node and batched executors so both paths derive
-    the fingerprint (and every aggregate input) identically.  Every
+    Shared by the batched executor and the per-node reference so both
+    derive the fingerprint (and every aggregate input) identically.  Every
     number is read from the row's period-table columns; no
     :class:`~repro.sim.recorder.PeriodRecord` is built.
     """
@@ -340,67 +311,6 @@ def simulate_node(
     return _summarize(spec, graph, _simulate_case(case))
 
 
-def simulate_shard_batch(
-    fleet: FleetSpec,
-    base_trace,
-    specs: Iterable[NodeSpec],
-    policy_of=None,
-    shard_index: Optional[int] = None,
-) -> Dict[int, NodeSummary]:
-    """Run a shard's batch-eligible nodes through one batched engine call.
-
-    The fleet's only batch dispatch.  Eligible nodes (see
-    :func:`~repro.sim.batch.batch_ineligibility`) advance together
-    through one :func:`~repro.sim.batch.simulate_batch`; the rest
-    (oversized graphs) are left to :func:`simulate_node`.  Returns the
-    batched nodes' summaries keyed by node id, each summarized from
-    its row of the batch's period table and bit-identical to
-    :func:`simulate_node`'s (the batched-vs-per-node oracle holds this
-    contract).  ``policy_of`` is
-    the shard's policy loader (:func:`_shard_policies`), so a caller's
-    per-node fallback shares its loads; by default a fresh one.
-
-    When any node is eligible, the batched call runs under one
-    ``batch`` span of the ambient tracer, keyed by ``shard_index``,
-    whose ``batch_cases`` child times the case-list build (node traces,
-    banks, policy loads); a shard with nothing to batch opens no span.
-    If the batched engine raises, the span is annotated ``failed`` and
-    the error propagates.
-    """
-    from ..sim.batch import batch_ineligibility, simulate_batch
-
-    if policy_of is None:
-        policy_of = _shard_policies(fleet)
-    eligible = []
-    for spec in specs:
-        graph = build_graph(spec.graph_kind)
-        if batch_ineligibility(spec.policy, graph) is None:
-            eligible.append((spec, graph))
-    if not eligible:
-        return {}
-    tracer = current_tracer()
-    with tracer.span(
-        "batch",
-        key=shard_index,
-        attrs={"shard_index": shard_index, "n_nodes": len(eligible)},
-    ) as span:
-        try:
-            with tracer.span("batch_cases"):
-                cases = [
-                    _batch_case(spec, graph, base_trace, policy_of(spec))
-                    for spec, graph in eligible
-                ]
-            results = simulate_batch(cases)
-        except Exception as exc:
-            span.annotate(failed=True, error_type=type(exc).__name__)
-            raise
-        span.annotate(n_batched=len(results))
-    return {
-        spec.node_id: _summarize(spec, graph, result)
-        for (spec, graph), result in zip(eligible, results)
-    }
-
-
 def node_spec_digest(spec: NodeSpec) -> str:
     """Content digest of one node's exact configuration.
 
@@ -412,6 +322,136 @@ def node_spec_digest(spec: NodeSpec) -> str:
     return hash_key(
         {"artifact": "node-spec", **dataclasses.asdict(spec)}
     )
+
+
+def _failed_node(
+    spec: NodeSpec, error_type: str, message: str, retries: int
+) -> FailedNode:
+    return FailedNode(
+        node_id=spec.node_id,
+        policy=spec.policy,
+        graph_kind=spec.graph_kind,
+        error_type=error_type,
+        message=message,
+        spec_digest=node_spec_digest(spec),
+        retries=retries,
+    )
+
+
+def _attempt(step, retries: int):
+    """Call ``step()`` up to ``1 + retries`` times; ``(value, error)``.
+
+    ``error`` is ``None`` on success, else the last attempt's
+    exception.  Retries are immediate: the engine is deterministic,
+    they absorb environmental interference.
+    """
+    error = None
+    for _ in range(retries + 1):
+        try:
+            return step(), None
+        except Exception as exc:
+            error = exc
+    return None, error
+
+
+def simulate_shard_batch(
+    fleet: FleetSpec,
+    base_trace,
+    specs: Iterable[NodeSpec],
+    shard_index: Optional[int] = None,
+    chaos: Optional[ChaosPlan] = None,
+    attempt: int = 0,
+    node_retries: int = 0,
+    on_node_error: str = "fail",
+) -> Tuple[Dict[int, NodeSummary], List[FailedNode]]:
+    """Run a shard's nodes through the batched engine, isolating failures.
+
+    The fleet's one executor.  Each node's case is built in its own
+    guarded step (``chaos.on_node_start(node_id, attempt)``, its policy
+    load, :func:`_batch_case`) under a ``batch_cases`` span; the cases
+    then advance through :func:`_run_batch` under a ``batch`` span of
+    the ambient tracer keyed by ``shard_index``.  A build, or a batch
+    of one, that raises is retried ``node_retries`` times and then
+    quarantined (``on_node_error="quarantine"``) or re-raised
+    (``"fail"``).
+
+    Returns ``(summaries, failed)``: the healthy nodes' summaries by
+    node id, in ``specs`` order, each bit-identical to the per-node
+    reference's (the batched-vs-per-node oracle holds this contract),
+    and one :class:`~repro.fleet.result.FailedNode` per quarantined
+    node.
+    """
+    specs = list(specs)
+    policy_of = _shard_policies(fleet)
+    tracer = current_tracer()
+    done: Dict[int, NodeSummary] = {}
+    failed: List[FailedNode] = []
+
+    def give_up(spec: NodeSpec, exc: Exception) -> None:
+        if on_node_error == "fail":
+            raise exc
+        failed.append(
+            _failed_node(spec, type(exc).__name__, str(exc), node_retries)
+        )
+
+    def build(spec: NodeSpec, graph):
+        if chaos is not None:
+            chaos.on_node_start(spec.node_id, attempt)
+        return _batch_case(spec, graph, base_trace, policy_of(spec))
+
+    with tracer.span(
+        "batch",
+        key=shard_index,
+        attrs={"shard_index": shard_index, "n_nodes": len(specs)},
+    ) as span:
+        rows = []
+        with tracer.span("batch_cases"):
+            for spec in specs:
+                graph = build_graph(spec.graph_kind)
+                case, exc = _attempt(
+                    functools.partial(build, spec, graph), node_retries
+                )
+                if exc is None:
+                    rows.append((spec, graph, case))
+                else:
+                    give_up(spec, exc)
+        _run_batch(rows, span, node_retries, give_up, done)
+    return done, failed
+
+
+def _run_batch(rows, span, node_retries: int, give_up, done) -> None:
+    """Advance ``(spec, graph, case)`` rows through one batch, bisecting.
+
+    Summaries land in ``done`` in row order.  If
+    :func:`~repro.sim.batch.simulate_batch` raises, ``span`` is
+    annotated ``failed`` and the two halves re-run, recursively, each
+    in a child ``batch`` span keyed ``(first node id, width)``.  This is
+    exact: a row's result does not depend on its neighbours.  A lone
+    row gets ``node_retries`` re-runs before ``give_up(spec, error)``.
+    """
+    from ..sim.batch import simulate_batch
+
+    results, exc = _attempt(
+        functools.partial(simulate_batch, [case for _, _, case in rows]),
+        node_retries if len(rows) == 1 else 0,
+    )
+    if exc is None:
+        span.annotate(n_batched=len(results))
+        for (spec, graph, _), result in zip(rows, results):
+            done[spec.node_id] = _summarize(spec, graph, result)
+        return
+    span.annotate(failed=True, error_type=type(exc).__name__)
+    if len(rows) == 1:
+        give_up(rows[0][0], exc)
+        return
+    half = len(rows) // 2
+    for part in (rows[:half], rows[half:]):
+        with current_tracer().span(
+            "batch",
+            key=(part[0][0].node_id, len(part)),
+            attrs={"n_nodes": len(part)},
+        ) as child:
+            _run_batch(part, child, node_retries, give_up, done)
 
 
 def _run_shard(item):
@@ -433,22 +473,12 @@ def _run_shard(item):
     shard — and returns the collected span records with the summaries
     for the parent to re-emit.
 
-    Without a chaos plan (chaos faults are keyed per node, so chaos
-    runs always step per node) the shard's batch-eligible nodes first
-    advance together through :func:`simulate_shard_batch`, which opens
-    a single ``batch`` child span if there are any.  The other nodes —
-    and, if the batched engine raises, every node it covered — run through
-    the per-node loop below, one ``node`` span each, which keeps its
-    retry/quarantine semantics.  Summaries are reassembled in
-    ``node_specs`` order either way, so the engine never shows through
-    the fingerprint.
-
-    A node whose simulation raises is retried up to ``node_retries``
-    times in place (immediately — the engine is deterministic, the
-    retries absorb environmental interference) and then either
-    quarantined into a :class:`~repro.fleet.result.FailedNode`
-    (``on_node_error="quarantine"``) or re-raised to the supervisor
-    (``"fail"``).  Returns ``(summaries, failed, seconds, records)``.
+    Every node runs through :func:`simulate_shard_batch`, chaos runs
+    included: a chaos hook fires while its node's case is built, so a
+    poisoned node is quarantined there and a hung one trips the
+    supervisor's ``task_timeout`` before the batch starts.  Returns
+    ``(summaries, failed, seconds, records)``, the summaries in
+    ``node_specs`` order.
     """
     (
         fleet, specs, shard_index, ctx_wire,
@@ -458,8 +488,6 @@ def _run_shard(item):
         chaos.on_shard_start(shard_index, attempt)
     start = time.perf_counter()
     tracer, records = collecting_tracer(ctx_wire)
-    done: Dict[int, NodeSummary] = {}
-    failed: List[FailedNode] = []
     with activate(tracer):
         with tracer.span(
             "shard",
@@ -468,68 +496,13 @@ def _run_shard(item):
         ):
             # Inside the span, so the weather is attributed in every
             # worker.
-            base = fleet.base_trace()
-            policy_of = _shard_policies(fleet)
-            if chaos is None:
-                try:
-                    done.update(
-                        simulate_shard_batch(
-                            fleet, base, specs, policy_of,
-                            shard_index=shard_index,
-                        )
-                    )
-                except Exception:
-                    # Whole-batch failure (annotated on the batch
-                    # span): the per-node loop, with its
-                    # retry/quarantine machinery, re-runs every node.
-                    pass
-            for spec in specs:
-                node_id = spec.node_id
-                if node_id in done:
-                    continue
-                with tracer.span(
-                    "node",
-                    key=node_id,
-                    attrs={"node_id": node_id, "policy": spec.policy},
-                ) as span:
-                    retries = 0
-                    while True:
-                        try:
-                            if chaos is not None:
-                                chaos.on_node_start(node_id, attempt)
-                            summary = simulate_node(
-                                fleet, base, spec, policy_of(spec)
-                            )
-                        except KeyboardInterrupt:
-                            raise
-                        except Exception as exc:
-                            if retries < node_retries:
-                                retries += 1
-                                continue
-                            if on_node_error == "fail":
-                                raise
-                            span.annotate(
-                                failed=True,
-                                error_type=type(exc).__name__,
-                            )
-                            failed.append(
-                                FailedNode(
-                                    node_id=node_id,
-                                    policy=spec.policy,
-                                    graph_kind=spec.graph_kind,
-                                    error_type=type(exc).__name__,
-                                    message=str(exc),
-                                    spec_digest=node_spec_digest(spec),
-                                    retries=retries,
-                                )
-                            )
-                            break
-                        else:
-                            span.annotate(dmr=summary.dmr)
-                            done[node_id] = summary
-                            break
-    summaries = [done[s.node_id] for s in specs if s.node_id in done]
-    return summaries, failed, time.perf_counter() - start, records
+            done, failed = simulate_shard_batch(
+                fleet, fleet.base_trace(), specs,
+                shard_index=shard_index, chaos=chaos, attempt=attempt,
+                node_retries=node_retries, on_node_error=on_node_error,
+            )
+    seconds = time.perf_counter() - start
+    return list(done.values()), failed, seconds, records
 
 
 # ----------------------------------------------------------------------
@@ -559,8 +532,9 @@ class FleetRunner:
         ``node_quarantined``) plus the run trailer via
         :meth:`Observer.finish`.
     max_retries:
-        Supervisor re-dispatches per shard (and in-worker retries per
-        node) beyond the first attempt.
+        Supervisor re-dispatches per shard (and in-worker retries of a
+        node's case build or of its isolated batch) beyond the first
+        attempt.
     task_timeout:
         Per-shard wall-clock budget in seconds (``None`` disables).
         Forces pool mode: a hung shard can only be abandoned from
@@ -692,14 +666,9 @@ class FleetRunner:
         failure reason.
         """
         return [
-            FailedNode(
-                node_id=spec.node_id,
-                policy=spec.policy,
-                graph_kind=spec.graph_kind,
-                error_type=failure.error_type,
-                message=f"shard failed: {failure.message}",
-                spec_digest=node_spec_digest(spec),
-                retries=failure.retries,
+            _failed_node(
+                spec, failure.error_type,
+                f"shard failed: {failure.message}", failure.retries,
             )
             for spec in specs
         ]
@@ -751,7 +720,7 @@ class FleetRunner:
 
         When the observer is enabled the run is traced: a ``fleet_run``
         root span whose context rides inside each worker payload, so
-        shard/node spans from every process reassemble under one root.
+        shard/batch spans from every process reassemble under one root.
         """
         planned = self._plan()
         shards = [self._ids(shard) for shard in planned]

@@ -6,13 +6,14 @@ layer** around a fleet run, to exercise the supervision path of
 :mod:`repro.reliability.supervisor` end to end:
 
 ``poison``
-    The selected nodes raise :class:`ChaosError` from
-    ``simulate_node`` on *every* attempt — the supervisor must
-    quarantine exactly these nodes and no others.
+    The selected nodes raise :class:`ChaosError` while their batch
+    case is built, on *every* attempt — the fleet must quarantine
+    exactly these nodes and no others.
 ``hang``
-    The selected nodes sleep ``hang_seconds`` on the **first attempt
-    only** — long enough to trip a configured task timeout, after
-    which the re-dispatched attempt completes normally.
+    The selected nodes sleep ``hang_seconds`` while their case is
+    built, on the **first attempt only** — long enough to trip a
+    configured task timeout, after which the re-dispatched attempt
+    completes normally.
 ``kill``
     Workers executing the selected shards call ``os._exit`` on the
     first attempt — a hard worker death the pool cannot catch — and

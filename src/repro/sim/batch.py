@@ -122,10 +122,11 @@ byte-for-byte.  The layout decisions that make this work:
 
 Eligibility: :func:`batch_ineligibility` names why a case cannot take
 the batched path (a policy outside :data:`BATCH_POLICIES`, too many
-tasks for the exact subset-enumeration table).  Every fleet policy is
-batched.  This module runs eligible cases only; the fleet's shard
-executor (:func:`repro.fleet.runner.simulate_shard_batch`) is the one
-dispatcher, and it steps every other node on the per-node engine.
+tasks for the exact subset-enumeration table), and
+:func:`simulate_batch` raises for such a case.  Every fleet node is
+eligible (every fleet policy batches and no fleet graph exceeds the
+table), so the fleet's shard executor
+(:func:`repro.fleet.runner.simulate_shard_batch`) runs every node here.
 """
 
 from __future__ import annotations
@@ -173,8 +174,7 @@ BATCH_POLICIES: Tuple[str, ...] = (
 )
 
 #: Policies whose rows run their scheduler's ``on_slot`` per row per
-#: slot.  The fleet deals their nodes evenly across a pool's shards,
-#: the layout it gave them when they stepped the per-node engine.
+#: slot.
 SLOT_HOOK_POLICIES: Tuple[str, ...] = ("dvfs",)
 
 #: Largest task count the batched intra-task subset table enumerates —

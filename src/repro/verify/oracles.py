@@ -475,44 +475,35 @@ def oracle_batch_vs_per_node(
     mixed bank sizes and panel scales — the ``fleet_variations``
     population of the seed) through the fleet's own shard executor,
     :func:`~repro.fleet.runner.simulate_shard_batch`, and compares the
-    complete :class:`~repro.fleet.result.NodeSummary` of every batched
-    node — the fingerprint and each derived metric — with
+    complete :class:`~repro.fleet.result.NodeSummary` of every node —
+    the fingerprint and each derived metric — with
     :func:`~repro.fleet.runner.simulate_node`'s.  A node the executor
-    leaves out must be batch-ineligible.  Any mismatch is reported as
-    one Violation per offending node, naming its index and config.
+    leaves out, or any mismatch, is reported as one Violation per
+    offending node, naming its index and config.
     """
     from ..fleet.runner import simulate_node, simulate_shard_batch
     from ..fleet.spec import FLEET_POLICIES, FleetSpec
-    from ..sim.batch import batch_ineligibility
-    from .strategies import build_graph
 
     out = CheckOutcome(name="oracle/batch-vs-per-node", subject=label)
     fleet = FleetSpec(n_nodes=n_nodes, seed=seed, policies=FLEET_POLICIES)
     base = fleet.base_trace()
     specs = [fleet.node_spec(i) for i in range(n_nodes)]
-    batched = simulate_shard_batch(fleet, base, specs)
+    batched, _ = simulate_shard_batch(fleet, base, specs)
     out.checked = n_nodes
     for spec in specs:
         got = batched.get(spec.node_id)
         if got is None:
-            reason = batch_ineligibility(
-                spec.policy, build_graph(spec.graph_kind)
-            )
-            if reason is None:
-                out.violations.append(
-                    Violation(
-                        check=out.name,
-                        message=(
-                            f"batch-eligible node {spec.node_id} was "
-                            "not batched"
-                        ),
-                        details={
-                            "node_id": spec.node_id,
-                            "policy": spec.policy,
-                            "graph_kind": spec.graph_kind,
-                        },
-                    )
+            out.violations.append(
+                Violation(
+                    check=out.name,
+                    message=f"node {spec.node_id} was not batched",
+                    details={
+                        "node_id": spec.node_id,
+                        "policy": spec.policy,
+                        "graph_kind": spec.graph_kind,
+                    },
                 )
+            )
             continue
         want = simulate_node(fleet, base, spec)
         if got == want:

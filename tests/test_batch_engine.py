@@ -189,8 +189,8 @@ class TestCanonicalConformance:
         fleet = FleetSpec(n_nodes=12, seed=5)
         base = fleet.base_trace()
         specs = [fleet.node_spec(i) for i in range(fleet.n_nodes)]
-        batched = simulate_shard_batch(fleet, base, specs)
-        assert set(batched) == {s.node_id for s in specs}
+        batched, failed = simulate_shard_batch(fleet, base, specs)
+        assert set(batched) == {s.node_id for s in specs} and not failed
         for spec in specs:
             assert batched[spec.node_id] == simulate_node(
                 fleet, base, spec
@@ -263,7 +263,7 @@ class TestDegenerateShapes:
         fleet = FleetSpec(n_nodes=8, seed=2)
         base = fleet.base_trace()
         specs = [fleet.node_spec(i) for i in range(fleet.n_nodes)]
-        summaries = simulate_shard_batch(fleet, base, specs)
+        summaries, _ = simulate_shard_batch(fleet, base, specs)
         assert len(summaries) == fleet.n_nodes and built == []
         results = simulate_batch([self._clean_case(policy="random")])
         assert built == []
@@ -875,11 +875,8 @@ class TestOracleTeeth:
 # ----------------------------------------------------------------------
 class TestFleetEngines:
     def test_engine_fingerprints_identical(self, monkeypatch):
-        """The runner's shard executor (batched where eligible) equals
-        the per-node reference mapped over every node — and an
-        all-eligible fleet really ran batched: a batched-engine
-        exception would re-run every node per node, with the same
-        fingerprint."""
+        """The runner's shard executor equals the per-node reference
+        mapped over every node, and never calls the per-node engine."""
         import repro.fleet.runner as runner_mod
 
         spec = FleetSpec(n_nodes=24, seed=9)

@@ -419,11 +419,9 @@ class TestFleetRunner:
     def test_policy_loaded_once_per_workload_per_shard(
         self, tmp_path, monkeypatch
     ):
-        """Every proposed node of a shard shares one policy load,
-        batched or stepped per node."""
-        from repro.perf.cache import ArtifactCache
+        """Every proposed node of a shard shares one policy load, with
+        or without a chaos plan."""
         import repro.fleet.runner as fleet_runner
-        import repro.sim.batch as sim_batch
         from repro.reliability.chaos import ChaosPlan
 
         monkeypatch.delenv("REPRO_NO_CACHE")
@@ -443,8 +441,9 @@ class TestFleetRunner:
         reference = batched.run()
         assert gets == ["policy"]
 
-        # A chaos plan (even an empty one) steps every node per node.
-        # Chaos runs force a pool, so drive the shard in-process.
+        # A chaos plan's hooks fire while the cases are built; the shard
+        # still loads once.  Chaos runs force a pool, so drive the shard
+        # in-process.
         gets.clear()
         summaries, failed, _, _ = fleet_runner._run_shard(
             (spec, tuple(map(spec.node_spec, range(4))), 0, None,
@@ -453,23 +452,67 @@ class TestFleetRunner:
         assert gets == ["policy"]
         assert not failed and summaries == reference.nodes
 
-        # A whole-batch failure falls back to the per-node loop, which
-        # reuses the shard's load.
-        def broken(cases):
-            raise RuntimeError("batched engine down")
+    def test_raising_batch_is_bisected_to_one_node(
+        self, tmp_path, monkeypatch
+    ):
+        """A batch that raises whenever one node's case is in it is
+        split until that node is alone: it alone is quarantined, after
+        its retries, and every other node keeps its clean summary."""
+        import repro.fleet.runner as fleet_runner
+        import repro.sim.batch as sim_batch
+        from repro.reliability.supervisor import SupervisorError
 
-        monkeypatch.setattr(sim_batch, "simulate_batch", broken)
-        gets.clear()
-        fallback = FleetRunner(
-            spec, workers=1, shard_size=4, cache=False
+        monkeypatch.delenv("REPRO_NO_CACHE")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        spec = FleetSpec(
+            n_nodes=8, seed=0, policies=("proposed",), task_mix=("wam",)
+        )
+        clean = FleetRunner(spec, workers=1, cache=False).run()
+        bad, retries = 5, 2
+        bad_cases, calls, gets = set(), [], []
+        real_case = fleet_runner._batch_case
+        real_batch = sim_batch.simulate_batch
+        real_get = ArtifactCache.get
+
+        def marking(node, *args):
+            case = real_case(node, *args)
+            if node.node_id == bad:
+                bad_cases.add(id(case))
+            return case
+
+        def flaky(cases):
+            calls.append(len(cases))
+            if any(id(case) in bad_cases for case in cases):
+                raise RuntimeError("batched engine down")
+            return real_batch(cases)
+
+        def counting(self, kind, digest):
+            gets.append(kind)
+            return real_get(self, kind, digest)
+
+        monkeypatch.setattr(fleet_runner, "_batch_case", marking)
+        monkeypatch.setattr(sim_batch, "simulate_batch", flaky)
+        monkeypatch.setattr(ArtifactCache, "get", counting)
+        degraded = FleetRunner(
+            spec, workers=1, cache=False, max_retries=retries
         ).run()
+        assert [
+            (f.node_id, f.error_type, f.retries)
+            for f in degraded.failed_nodes
+        ] == [(bad, "RuntimeError", retries)]
+        assert degraded.nodes == [n for n in clean.nodes if n.node_id != bad]
+        assert len(calls) <= 2 * math.ceil(math.log2(8)) + 1 + retries
         assert gets == ["policy"]
-        assert fallback.fingerprint() == reference.fingerprint()
+        with pytest.raises(SupervisorError):
+            FleetRunner(
+                spec, workers=1, cache=False, max_retries=retries,
+                on_node_error="fail",
+            ).run()
 
 
 class TestShardPlan:
-    """The pool's shard planner: one wide shard per worker, slot-hook
-    (``dvfs``) nodes dealt evenly, every layout giving the same fleet."""
+    """The pool's shard planner: one wide, contiguous shard per worker,
+    every layout giving the same fleet."""
 
     @staticmethod
     def _contiguous(ids, size):
@@ -518,8 +561,6 @@ class TestShardPlan:
     def test_plan_properties(
         self, n_nodes, seed, workers, shard_size, excluded, policies
     ):
-        from repro.sim.batch import SLOT_HOOK_POLICIES
-
         spec = FleetSpec(n_nodes=n_nodes, seed=seed, policies=policies)
         excluded = {i for i in excluded if i < n_nodes}
         if len(excluded) == n_nodes:
@@ -529,43 +570,14 @@ class TestShardPlan:
             exclude_nodes=excluded,
         )
         ids = [i for i in range(n_nodes) if i not in excluded]
-        shards = runner.shards()
-        # Union and layout: the running ids, contiguous-chunk sizes,
-        # each shard ascending.
-        assert sorted(i for s in shards for i in s) == ids
-        assert [len(s) for s in shards] == [
-            len(s) for s in self._contiguous(ids, runner.shard_size)
-        ]
-        assert all(list(s) == sorted(s) for s in shards)
-        # Slot-hook nodes differ by at most one across the shards that
-        # still have room for them.
-        per_node = {
-            i for i in ids
-            if spec.node_spec(i).policy in SLOT_HOOK_POLICIES
-        }
-        counts = [sum(i in per_node for i in s) for s in shards]
-        roomy = [c for c, s in zip(counts, shards) if c < len(s)]
-        if roomy:
-            assert max(counts) - min(roomy) <= 1
-        if not per_node:
-            assert shards == self._contiguous(ids, runner.shard_size)
+        # The running ids, cut into contiguous chunks, whatever the
+        # policies.
+        assert runner.shards() == self._contiguous(ids, runner.shard_size)
 
     def test_no_per_node_fleet_keeps_contiguous_shards(self):
-        # The default policies have no slot-hook node.
         spec = FleetSpec(n_nodes=300, seed=0)
         runner = FleetRunner(spec, workers=2, cache=False)
         assert runner.shards() == self._contiguous(list(range(300)), 150)
-
-    def test_mixed_pool_deals_dvfs_evenly(self):
-        spec = FleetSpec(n_nodes=256, seed=7, policies=FLEET_POLICIES)
-        shards = FleetRunner(spec, workers=2, cache=False).shards()
-        dvfs = [
-            sum(spec.node_spec(i).policy == "dvfs" for i in s)
-            for s in shards
-        ]
-        assert [len(s) for s in shards] == [128, 128]
-        # Contiguous halves would hold 31 and 20.
-        assert dvfs == [26, 25]
 
     def test_fingerprint_invariant_on_mixed_pool(self, tmp_path, monkeypatch):
         """dvfs (slot-hook rows) and proposed (coarse rows) in one pool:

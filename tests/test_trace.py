@@ -1,11 +1,10 @@
 """Hierarchical tracing: deterministic span ids, cross-process trees.
 
 The acceptance contract: a multi-worker fleet run's span records
-reassemble into a *single rooted tree* — fleet_run → shard → node →
-engine_run for nodes stepped per node (graphs over the batch bound),
-fleet_run → shard → batch for batched ones — with correct parents, no
-orphans, and tracing
-never changes a result fingerprint (on, off, or NULL_OBSERVER).
+reassemble into a *single rooted tree* — fleet_run → shard → batch →
+batch_cases, every fleet node batched, chaos runs included — with
+correct parents, no orphans, and tracing never changes a result
+fingerprint (on, off, or NULL_OBSERVER).
 """
 
 import io
@@ -30,6 +29,7 @@ from repro.obs.trace import (
     render_span_tree,
 )
 from repro.reliability import supervisor
+from repro.reliability.chaos import ChaosSpec
 from repro.reliability.supervisor import supervised_map
 
 
@@ -198,20 +198,6 @@ class TestFleetTrace:
     def no_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
 
-    @staticmethod
-    def step_per_node(monkeypatch):
-        """Put every graph over the batch bound, so each node steps the
-        per-node engine under its own ``node`` span.
-
-        No fleet graph kind has more tasks than the bound, so the patch
-        is process state: pool workers see it only when they start by
-        ``fork`` (Linux's default up to Python 3.13).  Under
-        ``forkserver`` or ``spawn`` the multi-worker test's nodes would
-        batch and its tree assertion would fail."""
-        import repro.sim.batch as sim_batch
-
-        monkeypatch.setattr(sim_batch, "MAX_BATCH_TASKS", 0)
-
     def assert_fleet_tree(self, spans, n_nodes):
         tree = build_span_tree(spans)
         assert len(tree.roots) == 1, "want exactly one root span"
@@ -219,26 +205,41 @@ class TestFleetTrace:
         root = tree.roots[0]
         assert root["name"] == "fleet_run"
         by_id = tree.by_id
-        nodes = [r for r in spans if r["name"] == "node"]
-        shards = [r for r in spans if r["name"] == "shard"]
-        assert len(nodes) == n_nodes
-        assert {by_id[str(r["parent"])]["name"] for r in nodes} == {"shard"}
-        assert {by_id[str(r["parent"])]["name"] for r in shards} == {
-            "fleet_run"
-        }
-        engines = [r for r in spans if r["name"] == "engine_run"]
-        assert len(engines) == n_nodes
-        # A shard with nothing to batch opens no `batch` span.
-        assert not [r for r in spans if r["name"] == "batch"]
 
-    def test_serial_run_builds_single_tree(self, monkeypatch):
-        self.step_per_node(monkeypatch)
+        def parents(name):
+            return {
+                by_id[str(r["parent"])]["name"]
+                for r in spans if r["name"] == name
+            }
+
+        assert parents("shard") == {"fleet_run"}
+        assert parents("batch") == {"shard"}
+        assert parents("batch_cases") == {"batch"}
+        batches = [r for r in spans if r["name"] == "batch"]
+        assert sum(r["attrs"]["n_batched"] for r in batches) == n_nodes
+        assert not [r for r in batches if r["attrs"].get("failed")]
+        assert not [r for r in spans if r["name"] in ("node", "engine_run")]
+
+    def test_serial_run_builds_single_tree(self):
         observer, sink = collecting_observer()
         spec = FleetSpec(n_nodes=6, seed=0, policies=("dvfs",))
         FleetRunner(
             spec, workers=1, shard_size=2, observer=observer, cache=False
         ).run()
         self.assert_fleet_tree(spans_of(sink), n_nodes=6)
+
+    def test_chaos_run_is_batched(self):
+        """A chaos run builds the batched tree too: its poisoned node is
+        quarantined while the cases are built, and no node steps the
+        per-node engine."""
+        observer, sink = collecting_observer()
+        result = FleetRunner(
+            FleetSpec(n_nodes=6, seed=0, days=1), workers=1, shard_size=3,
+            chaos=ChaosSpec(seed=1, poison_nodes=1), observer=observer,
+            cache=False,
+        ).run()
+        assert len(result.failed_nodes) == 1
+        self.assert_fleet_tree(spans_of(sink), n_nodes=5)
 
     def test_batch_engine_replaces_node_spans_with_batch_child(self):
         # The batched executor advances a whole shard at once, so its
@@ -287,7 +288,6 @@ class TestFleetTrace:
 
     def test_four_workers_fifty_nodes_single_tree(self, monkeypatch):
         monkeypatch.setattr(supervisor, "host_cpus", lambda: 8)
-        self.step_per_node(monkeypatch)
         observer, sink = collecting_observer()
         spec = FleetSpec(n_nodes=50, seed=0, policies=("dvfs",))
         traced = FleetRunner(
